@@ -22,6 +22,8 @@ from . import constants, counting, primroot, progressions, sums
 from .reports import render_csv, render_json
 
 DEFAULT_C2_CUTOFF = 10 ** 6
+# Largest a*x+b the pair commands sieve to unless --sieve-limit says otherwise
+DEFAULT_SIEVE_LIMIT = 1 << 31
 # trend reports default to a log-spaced grid; heavy but desk scale
 DEFAULT_TREND_GRID = [10 ** k for k in range(2, 9)]
 
@@ -66,7 +68,7 @@ class RunConfig:
     x_checkpoints: list[int] = field(default_factory=list)
     a: int = 2
     b: int = 1
-    sieve_limit: int | None = None  # None: sized automatically from checkpoints
+    sieve_limit: int | None = None  # None: DEFAULT_SIEVE_LIMIT
     c2_cutoff: int = DEFAULT_C2_CUTOFF
     output_format: str = "csv"
     output_path: str | None = None
@@ -128,7 +130,7 @@ def _require_capacity(config: RunConfig) -> None:
     if not config.x_checkpoints:
         return
     need = config.a * max(config.x_checkpoints) + config.b
-    cap = config.sieve_limit if config.sieve_limit is not None else counting.DENSE_LIMIT
+    cap = config.sieve_limit if config.sieve_limit is not None else DEFAULT_SIEVE_LIMIT
     if need > cap:
         raise CliError(
             f"checkpoint needs primality up to {need}, beyond the sieve "
@@ -141,10 +143,9 @@ def _cmd_census(config: RunConfig):
     _require_capacity(config)
     c2 = constants.twin_prime_constant(config.c2_cutoff, threads=config.threads)
     header = ["x", "pi_g", "psi_g", "psi0", "hl_prediction", "ratio"]
-    rows = []
-    for x in config.x_checkpoints:
-        r = counting.census(x, config.a, config.b, c2)
-        rows.append([r.x, r.pi_g, r.psi_g, r.psi0, r.hl_prediction, r.ratio])
+    rows = [[r.x, r.pi_g, r.psi_g, r.psi0, r.hl_prediction, r.ratio]
+            for r in counting.census(config.x_checkpoints, config.a, config.b, c2,
+                                     threads=config.threads)]
     return header, rows, 0
 
 
@@ -165,11 +166,10 @@ def _cmd_hl_compare(config: RunConfig):
     _require_capacity(config)
     c2 = constants.twin_prime_constant(config.c2_cutoff, threads=config.threads)
     header = ["x", "pi_g", "hl_prediction", "prediction_over_actual"]
-    rows = []
-    for x in config.x_checkpoints:
-        actual = len(counting.germain_pairs(x, config.a, config.b))
-        pred = counting.hl_prediction(x, config.a, config.b, c2)
-        rows.append([x, actual, pred, pred / actual if actual else float("inf")])
+    rows = [[r.x, r.pi_g, r.hl_prediction,
+             r.hl_prediction / r.pi_g if r.pi_g else float("inf")]
+            for r in counting.census(config.x_checkpoints, config.a, config.b, c2,
+                                     threads=config.threads)]
     return header, rows, 0
 
 
@@ -422,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized sweeps")
         p.add_argument("--sieve-limit", type=parse_exact_int, default=None,
-                       help="cap on dense primality tables")
+                       help="largest companion a*x+b the pair commands may "
+                            "sieve to (default 2^31)")
         p.add_argument("--c2-cutoff", type=parse_exact_int,
                        default=DEFAULT_C2_CUTOFF,
                        help="prime cutoff for the twin-prime Euler product")

@@ -10,7 +10,6 @@ reaches it to ~9 digits, which is all this library promises.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
@@ -18,7 +17,7 @@ from math import fsum
 import numpy as np
 
 from .arith import factorize
-from .sieve import primes_upto
+from .sieve import _map_windows, _sieve_segment, _windows, primes_upto
 
 _C2_SEGMENT = 1 << 22
 
@@ -39,14 +38,8 @@ class SingularValue:
     tail_bound: float
 
 
-def _segment_log_sum(lo: int, hi: int, base: np.ndarray) -> float:
-    flags = np.ones(hi - lo + 1, dtype=bool)
-    for p in base:
-        p = int(p)
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start <= hi:
-            flags[start - lo::p] = False
-    primes = np.flatnonzero(flags).astype(np.int64) + lo
+def _segment_log_sum(lo: int, hi: int, base: list[int]) -> float:
+    primes = _sieve_segment(lo, hi, base)
     primes = primes[primes >= 3]
     if primes.size == 0:
         return 0.0
@@ -65,18 +58,9 @@ def twin_prime_constant(prime_cutoff: int, *, threads: int = 1) -> SingularValue
     """
     if prime_cutoff < 3:
         raise ValueError(f"cutoff must be >= 3, got {prime_cutoff}")
-    base = primes_upto(math.isqrt(prime_cutoff))
-    bounds = []
-    lo = 3
-    while lo <= prime_cutoff:
-        hi = min(lo + _C2_SEGMENT - 1, prime_cutoff)
-        bounds.append((lo, hi))
-        lo = hi + 1
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda b: _segment_log_sum(b[0], b[1], base), bounds))
-    else:
-        partials = [_segment_log_sum(a, b, base) for a, b in bounds]
+    base = primes_upto(math.isqrt(prime_cutoff)).tolist()
+    partials = _map_windows(lambda lo, hi: _segment_log_sum(lo, hi, base),
+                            _windows(3, prime_cutoff, _C2_SEGMENT), threads)
     value = math.exp(fsum(partials))
     tail = 2.0 / (prime_cutoff * math.log(prime_cutoff))
     return SingularValue(d=2, value=value, prime_cutoff=prime_cutoff, tail_bound=tail)

@@ -1,10 +1,14 @@
 """Germain-pair enumeration and the weighted counting functions built on it.
 
-The weighted sums iterate over prime powers only (the support of the
-von Mangoldt weight), so a census at x costs O(pi(x)) lookups against a
-primality table rather than O(x) factorizations. The table covers
-[2, a*x+b]; ranges beyond the dense-table guard fall back to per-candidate
-deterministic primality.
+Every pair quantity comes from one pass of the segmented pair sieve
+(sieve.pair_primes) up to the largest checkpoint, which yields the
+ascending primes p with a*p + b prime. pi_g(x) is the length of the prefix
+p <= x. psi_g and psi0 weight by the von Mangoldt function, whose support is
+the prime powers, and are summed as three math.fsum groups over the same
+prefix: the prime pairs themselves, n = p^k (k >= 2) with a*n + b prime, and
+a*n + b = q^k (k >= 2) with n a prime power. The last two groups hold only
+O(sqrt(a*x + b)) terms. fsum rounds correctly, so a checkpoint's value does
+not depend on the other checkpoints of the pass or on the thread count.
 
 psi0_partition splits the divisor-expanded form of psi0(x) at a cutoff:
 expanding each Lambda(2n+1) factor through Lambda(m) = -sum_{d|m} mu(d) log d
@@ -16,7 +20,7 @@ Chebyshev sums, and the box d1, d2 <= x1 (main term) plus its complement
 from __future__ import annotations
 
 import math
-import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import fsum
 from typing import NamedTuple
@@ -25,14 +29,7 @@ import numpy as np
 
 from .arith import divisors, mobius_sieve, von_mangoldt
 from .constants import SingularValue
-from .sieve import is_prime, prime_flags, primes_in
-
-# Largest primality table kept in memory (bool entries); beyond this the
-# slow per-candidate path takes over.
-DENSE_LIMIT = 1 << 31
-
-_cache_lock = threading.Lock()
-_cached_flags: np.ndarray | None = None
+from .sieve import is_prime, pair_primes, prime_flags, primes_upto
 
 
 @dataclass(frozen=True)
@@ -66,47 +63,23 @@ class GermainLogpSum(NamedTuple):
 
 
 def _flags(limit: int) -> np.ndarray:
-    """Grow-only shared primality table (flags[n] iff n prime)."""
-    global _cached_flags
-    with _cache_lock:
-        if _cached_flags is None or _cached_flags.size <= limit:
-            _cached_flags = prime_flags(limit)
-        return _cached_flags
+    """Dense primality table for psi0_partition (flags[n] iff n prime).
 
-
-def _check_pair_args(x: int, a: int, b: int) -> int:
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
-    top = a * x + b
-    if top >= 1 << 64:
-        raise ValueError(f"a*x+b = {top} overflows the supported 64-bit range")
-    return top
+    perfbench/tracer.py counts calls of this name as dense-table requests.
+    """
+    return prime_flags(limit)
 
 
 def germain_pairs(x: int, a: int = 2, b: int = 1) -> list[GermainPair]:
     """All primes p <= x with a*p + b prime, ascending."""
-    top = _check_pair_args(x, a, b)
-    if max(x, top) <= DENSE_LIMIT:
-        flags = _flags(max(x, top))
-        primes = np.flatnonzero(flags[:x + 1]).astype(np.int64)
-        q = a * primes + b
-        keep = (q >= 2) & flags[np.clip(q, 0, None)]
-        return [GermainPair(p=int(p), a=a, b=b, q=int(a * p + b))
-                for p in primes[keep]]
-    out = []
-    for p in primes_in(2, x).primes.tolist():
-        q = a * p + b
-        if q >= 2 and is_prime(q):
-            out.append(GermainPair(p=p, a=a, b=b, q=q))
-    return out
+    return [GermainPair(p=p, a=a, b=b, q=a * p + b)
+            for p in pair_primes(x, a, b).tolist()]
 
 
-def _prime_power_support(x: int, flags: np.ndarray) -> list[tuple[int, float]]:
+def _prime_power_support(x: int) -> list[tuple[int, float]]:
     """(n, Lambda(n)) for prime powers n = p^k <= x with k >= 2, ascending."""
     out = []
-    for p in np.flatnonzero(flags[:math.isqrt(x) + 1]).tolist():
+    for p in primes_upto(math.isqrt(max(x, 0))).tolist():
         w = math.log(p)
         pk = p * p
         while pk <= x:
@@ -115,38 +88,47 @@ def _prime_power_support(x: int, flags: np.ndarray) -> list[tuple[int, float]]:
     return sorted(out)
 
 
-def _weighted_pair_sum(x: int, a: int, b: int, power: int) -> float:
-    """sum_{n<=x} Lambda(n) * Lambda(a n + b)^power over the Lambda support."""
-    top = _check_pair_args(x, a, b)
-    limit = max(x, top)
-    if limit > DENSE_LIMIT:
-        raise ValueError(f"a*x+b = {top} exceeds the dense table guard {DENSE_LIMIT}")
-    flags = _flags(limit)
-    primes = np.flatnonzero(flags[:x + 1]).astype(np.int64)
-    m = a * primes + b
-    keep = (m >= 2) & flags[np.clip(m, 0, None)]
-    main = (np.log(primes[keep].astype(np.float64))
-            * np.log(m[keep].astype(np.float64)) ** power)
-    parts = [fsum(main.tolist())]
-    # n = p^k with k >= 2 and a*n+b prime
-    corr = []
-    for n, w in _prime_power_support(x, flags):
-        mm = a * n + b
-        if mm >= 2 and flags[mm]:
-            corr.append(w * math.log(mm) ** power)
-    parts.append(fsum(corr))
-    # a*n+b = q^k with k >= 2 and Lambda(n) > 0 (any prime-power n)
-    corr = []
-    for mm, w in _prime_power_support(top, flags):
-        nn = mm - b
-        if nn > 0 and nn % a == 0:
-            nn //= a
-            if 1 <= nn <= x:
-                wn = von_mangoldt(nn)
+def _pair_sums(xs: Sequence[int], a: int, b: int,
+               threads: int) -> list[tuple[int, float, float]]:
+    """(pi_g, psi_g, psi0) at each ascending checkpoint, from one sieve pass."""
+    if not xs:
+        return []
+    if any(y <= x for x, y in zip(xs, xs[1:])):
+        raise ValueError(f"checkpoints must be strictly ascending: {list(xs)}")
+    if xs[0] < 2:
+        raise ValueError(f"x must be >= 2, got {xs[0]}")
+    x_max = xs[-1]
+    ps = pair_primes(x_max, a, b, threads=threads)
+    log_p = np.log(ps.astype(np.float64))
+    log_m = np.log((a * ps + b).astype(np.float64))
+    main = {power: log_p * log_m ** power for power in (1, 2)}
+    # n = p^k with k >= 2 and a*n+b prime: (n, Lambda(n), log(a*n+b))
+    powers = []
+    for n, w in _prime_power_support(x_max):
+        m = a * n + b
+        if m >= 2 and is_prime(m):
+            powers.append((n, w, math.log(m)))
+    # a*n+b = q^k with k >= 2 and Lambda(n) > 0: (n, Lambda(n), log q)
+    companions = []
+    for m, w in _prime_power_support(a * x_max + b):
+        n = m - b
+        if n > 0 and n % a == 0:
+            n //= a
+            if 1 <= n <= x_max:
+                wn = von_mangoldt(n)
                 if wn > 0.0:
-                    corr.append(wn * w ** power)
-    parts.append(fsum(corr))
-    return fsum(parts)
+                    companions.append((n, wn, w))
+    out = []
+    for x in xs:
+        k = int(np.searchsorted(ps, x, side="right"))
+        psi = []
+        for power in (1, 2):
+            parts = [fsum(main[power][:k]),
+                     fsum(w * lm ** power for n, w, lm in powers if n <= x),
+                     fsum(wn * w ** power for n, wn, w in companions if n <= x)]
+            psi.append(fsum(parts))
+        out.append((k, psi[0], psi[1]))
+    return out
 
 
 def psi_g(x: int, a: int = 2, b: int = 1) -> float:
@@ -155,7 +137,7 @@ def psi_g(x: int, a: int = 2, b: int = 1) -> float:
         raise ValueError(f"x must be >= 1, got {x}")
     if x == 1:
         return 0.0
-    return _weighted_pair_sum(x, a, b, power=1)
+    return _pair_sums([x], a, b, 1)[0][1]
 
 
 def psi0(x: int, a: int = 2, b: int = 1) -> float:
@@ -164,7 +146,7 @@ def psi0(x: int, a: int = 2, b: int = 1) -> float:
         raise ValueError(f"x must be >= 1, got {x}")
     if x == 1:
         return 0.0
-    return _weighted_pair_sum(x, a, b, power=2)
+    return _pair_sums([x], a, b, 1)[0][2]
 
 
 def psi0_partition(x: int, x1: float) -> PsiPartition:
@@ -179,11 +161,9 @@ def psi0_partition(x: int, x1: float) -> PsiPartition:
     top = 2 * x + 1
     if not 1 <= x1 <= top:
         raise ValueError(f"x1={x1} outside [1, 2x+1]")
-    flags = _flags(top)
     # Chebyshev mass S[q] = sum of Lambda(n) over n <= x with q | 2n+1
-    weighted = [(int(p), math.log(int(p)))
-                for p in np.flatnonzero(flags[:x + 1]).tolist()]
-    weighted = sorted(weighted + _prime_power_support(x, flags))
+    weighted = [(p, math.log(p)) for p in np.flatnonzero(_flags(x)).tolist()]
+    weighted = sorted(weighted + _prime_power_support(x))
     S = np.zeros(top + 1)
     for n, w in weighted:
         for d in divisors(2 * n + 1):
@@ -248,10 +228,7 @@ def hl_prediction(x: float, a: int = 2, b: int = 1, c2: SingularValue | None = N
 
 def germain_reciprocal_sum(x: int) -> float:
     """sum of 1/p over primes p <= x with 2p+1 prime."""
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
-    pairs = germain_pairs(x, 2, 1)
-    return fsum(1.0 / gp.p for gp in pairs)
+    return fsum(1.0 / p for p in pair_primes(x, 2, 1).tolist())
 
 
 def germain_logp_sum(x: int, c2: SingularValue) -> GermainLogpSum:
@@ -261,24 +238,20 @@ def germain_logp_sum(x: int, c2: SingularValue) -> GermainLogpSum:
     pair density implies; the residual is only meaningful once x is large
     enough for log log x to settle (x >= 16 or so).
     """
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
-    pairs = germain_pairs(x, 2, 1)
-    value = fsum(math.log(gp.p) / gp.p for gp in pairs)
+    value = fsum(math.log(p) / p for p in pair_primes(x, 2, 1).tolist())
     a0 = 2.0 * c2.value
     fit = a0 * math.log(math.log(x)) + a0 / math.log(x)
     return GermainLogpSum(value=value, fit_residual=value - fit)
 
 
-def census(x: int, a: int, b: int, c2: SingularValue) -> CountReport:
-    """One checkpoint row: pair count, weighted sums, prediction, ratio."""
-    pairs = germain_pairs(x, a, b)
-    pg = psi_g(x, a, b)
-    return CountReport(
-        x=x,
-        pi_g=len(pairs),
-        psi_g=pg,
-        psi0=psi0(x, a, b),
-        hl_prediction=hl_prediction(x, a, b, c2),
-        ratio=pg / (2.0 * c2.value * x),
-    )
+def census(xs: Sequence[int], a: int, b: int, c2: SingularValue, *,
+           threads: int = 1) -> list[CountReport]:
+    """Census rows at the ascending checkpoints xs, from one pair-sieve pass.
+
+    Each row holds pi_g(x), psi_g(x), psi0(x), the integral prediction and
+    the ratio psi_g / (2 C2 x).
+    """
+    return [CountReport(x=x, pi_g=pi, psi_g=pg, psi0=p0,
+                        hl_prediction=hl_prediction(x, a, b, c2),
+                        ratio=pg / (2.0 * c2.value * x))
+            for x, (pi, pg, p0) in zip(xs, _pair_sums(xs, a, b, threads))]

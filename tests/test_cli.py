@@ -55,6 +55,16 @@ def test_cli_main_census(capsys):
     assert lines[1].startswith("100,10,")
 
 
+def test_hl_compare_report_bytes_pinned(capsys):
+    # recorded before hl-compare took its pair counts from the census pass
+    assert main(["hl-compare", "--x", "1e2,1e4,1e6", "--c2-cutoff", "1e4"]) == 0
+    assert capsys.readouterr().out == (
+        "x,pi_g,hl_prediction,prediction_over_actual\n"
+        "100,10,10.1987867043475,1.01987867043475\n"
+        "10000,190,194.578504115912,1.02409739008375\n"
+        "1000000,7746,7810.71514127369,1.00835465288842\n")
+
+
 def test_cli_reals_use_15_significant_digits(capsys):
     assert main(["reciprocal-sum", "--x", "23", "--c2-cutoff", "1e4"]) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")

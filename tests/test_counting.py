@@ -5,6 +5,8 @@ from math import fsum, log
 import pytest
 
 import oracles
+from germain_lab import sieve
+from germain_lab.cli import main
 from germain_lab.counting import (census, germain_pairs, germain_logp_sum,
                                   germain_reciprocal_sum, hl_prediction, psi0,
                                   psi0_partition, psi_g)
@@ -181,8 +183,69 @@ def test_logp_fit_residual_bounded_and_not_growing(c2_1e6):
 
 
 def test_census_report_consistency(c2_1e6):
-    r = census(10 ** 3, 2, 1, c2_1e6)
+    [r] = census([10 ** 3], 2, 1, c2_1e6)
     assert r.pi_g == len(germain_pairs(10 ** 3))
     assert r.psi_g == pytest.approx(psi_g(10 ** 3), rel=1e-15)
     assert r.ratio == pytest.approx(r.psi_g / (2 * c2_1e6.value * 10 ** 3), rel=1e-15)
     assert r.hl_prediction > 0
+
+
+@pytest.mark.parametrize("a,b", [(2, 1), (4, 1), (2, -1), (1, 2), (3, 3), (6, 1),
+                                 (1, 1), (1, -5), (6, 3), (15, -40)])
+def test_pair_sieve_matches_trial_division(a, b, monkeypatch):
+    # (3, 3), (6, 3): 3 divides a and b; (1, 1): a + b even, so every
+    # companion of an odd p is even; (1, -5): a*p+b < 2 for the smallest p;
+    # (15, -40): 5 divides every companion, and 15*3 - 40 is 5 itself
+    x = 3000
+    expected = [p for p in oracles.primes_upto(x)
+                if oracles.is_prime_trial(a * p + b)]
+    for window in (1, 37, 256):  # many window boundaries inside [2, x]
+        monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
+        assert sieve.pair_primes(x, a, b).tolist() == expected
+        assert sieve.pair_primes(x, a, b, threads=2).tolist() == expected
+
+
+def test_pair_sums_beyond_former_dense_table_guard():
+    # a*x+b > 2^31: the counting functions used to refuse this range
+    x, a, b = 30, 1 << 26, 1
+    expected = [p for p in oracles.primes_upto(x)
+                if oracles.is_prime_trial(a * p + b)]
+    assert [g.p for g in germain_pairs(x, a, b)] == expected
+    assert psi_g(x, a, b) == pytest.approx(
+        oracles.psi_pair_brute(x, a, b, 1), rel=1e-12)
+
+
+def test_census_one_pass_equals_single_checkpoint_calls(c2_1e6, monkeypatch):
+    monkeypatch.setattr(sieve, "PAIR_WINDOW", 1 << 9)
+    xs = [10, 100, 1000, 10 ** 4, 10 ** 5]
+    for a, b in [(2, 1), (4, 1), (2, -1)]:
+        rows = census(xs, a, b, c2_1e6)
+        assert rows == [census([x], a, b, c2_1e6)[0] for x in xs]
+        assert [r.psi_g for r in rows] == [psi_g(x, a, b) for x in xs]
+        assert [r.psi0 for r in rows] == [psi0(x, a, b) for x in xs]
+        assert [r.pi_g for r in rows] == [len(germain_pairs(x, a, b)) for x in xs]
+
+
+def test_census_rows_do_not_depend_on_threads(c2_1e6, monkeypatch):
+    monkeypatch.setattr(sieve, "PAIR_WINDOW", 1 << 9)
+    xs = [100, 10 ** 4, 10 ** 5]
+    assert census(xs, 2, 1, c2_1e6, threads=1) == census(xs, 2, 1, c2_1e6, threads=2)
+
+
+def test_census_rejects_unordered_or_tiny_checkpoints(c2_1e6):
+    with pytest.raises(ValueError):
+        census([100, 10], 2, 1, c2_1e6)
+    with pytest.raises(ValueError):
+        census([1, 10], 2, 1, c2_1e6)
+
+
+def test_census_report_bytes_pinned(capsys):
+    # recorded before the census moved to the one-pass pair sieve
+    assert main(["census", "--x", "1e2,1e3,1e4,1e5,1e6"]) == 0
+    assert capsys.readouterr().out == (
+        "x,pi_g,psi_g,psi0,hl_prediction,ratio\n"
+        "100,10,135.6697560525,584.510533524764,10.198687277381,1.02754918264501\n"
+        "1000,37,1260.66321364961,8213.30455368583,39.0975590477181,0.954813727441957\n"
+        "10000,190,12879.5807227413,114112.974946157,194.576607189251,0.975486580763212\n"
+        "100000,1171,132935.679257766,1490172.95981716,1165.94585627493,1.00684155806116\n"
+        "1000000,7746,1308856.35525036,17676218.1158354,7810.63899538153,0.991314731572742\n")
