@@ -1,7 +1,7 @@
 """Numerical verification suite for Germain prime pairs.
 
 Library layout:
-  sieve        prime tables, segmented enumeration, deterministic primality
+  sieve        prime tables, segmented prime and pair sieves, primality
   arith        mobius / von Mangoldt / totient and their summatory forms
   constants    twin-prime constant and the pair singular series
   sums         exact gcd/lcm/phi identities and rearranged double sums
@@ -15,11 +15,11 @@ from .constants import SingularValue, singular_series, twin_prime_constant
 from .counting import (CountReport, GermainPair, census, germain_pairs,
                        germain_reciprocal_sum, hl_prediction, psi0,
                        psi0_partition, psi_g)
-from .sieve import FactorSieve, PrimeSegment, build_factor_sieve, is_prime, primes_in
+from .sieve import PrimeSegment, is_prime, primes_in
 
 __all__ = [
-    "CountReport", "FactorSieve", "GermainPair", "PrimeSegment", "SingularValue",
-    "build_factor_sieve", "census", "germain_pairs", "germain_reciprocal_sum",
-    "hl_prediction", "is_prime", "primes_in", "psi0", "psi0_partition", "psi_g",
-    "singular_series", "twin_prime_constant",
+    "CountReport", "GermainPair", "PrimeSegment", "SingularValue", "census",
+    "germain_pairs", "germain_reciprocal_sum", "hl_prediction", "is_prime",
+    "primes_in", "psi0", "psi0_partition", "psi_g", "singular_series",
+    "twin_prime_constant",
 ]

@@ -1,9 +1,9 @@
 """Multiplicative arithmetic functions and their summatory forms.
 
 Point evaluations (mobius, von_mangoldt, totient) factor their argument
-through a FactorSieve when one is supplied and fall back to trial division
-otherwise. The summatory forms (mertens, mobius_log_sum) run over vectorized
-tables instead, so tests can cross-check the two independent routes.
+by trial division. The summatory forms (mertens, mobius_log_sum) run over
+vectorized tables instead, so tests can cross-check the two independent
+routes.
 """
 
 from __future__ import annotations
@@ -14,15 +14,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sieve import FactorSieve, primes_upto
+from .sieve import primes_upto
 
 
-def factorize(n: int, sieve: FactorSieve | None = None) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
     """(prime, exponent) pairs of n, ascending; n >= 1."""
     if n < 1:
         raise ValueError(f"cannot factor n={n}")
-    if sieve is not None and n <= sieve.limit:
-        return sieve.factorize(n)
     out = []
     for p in (2, 3):
         if n % p == 0:
@@ -46,50 +44,49 @@ def factorize(n: int, sieve: FactorSieve | None = None) -> list[tuple[int, int]]
     return out
 
 
-def divisors(n: int, sieve: FactorSieve | None = None) -> list[int]:
+def divisors(n: int) -> list[int]:
     """All divisors of n, unordered (recursive expansion of the factorization)."""
     ds = [1]
-    for p, e in factorize(n, sieve):
+    for p, e in factorize(n):
         ds = [d * p ** k for d in ds for k in range(e + 1)]
     return ds
 
 
-def squarefree_divisors_with_mobius(n: int, sieve: FactorSieve | None = None
-                                    ) -> list[tuple[int, int]]:
+def squarefree_divisors_with_mobius(n: int) -> list[tuple[int, int]]:
     """(d, mu(d)) for the squarefree divisors d of n; the others have mu = 0."""
     out = [(1, 1)]
-    for p, _ in factorize(n, sieve):
+    for p, _ in factorize(n):
         out = out + [(d * p, -m) for d, m in out]
     return out
 
 
-def mobius(n: int, sieve: FactorSieve | None = None) -> int:
+def mobius(n: int) -> int:
     if n < 1:
         raise ValueError(f"mobius undefined for n={n}")
-    fac = factorize(n, sieve)
+    fac = factorize(n)
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
 
 
-def von_mangoldt(n: int, sieve: FactorSieve | None = None) -> float:
+def von_mangoldt(n: int) -> float:
     """log p when n = p^k (the standard convention), else 0."""
     if n < 1:
         raise ValueError(f"von Mangoldt undefined for n={n}")
     if n == 1:
         return 0.0
-    fac = factorize(n, sieve)
+    fac = factorize(n)
     if len(fac) == 1:
         return math.log(fac[0][0])
     return 0.0
 
 
-def totient(n: int, sieve: FactorSieve | None = None) -> int:
+def totient(n: int) -> int:
     """phi(n) = n * prod_{p|n} (1 - 1/p), in exact integer arithmetic."""
     if n < 1:
         raise ValueError(f"totient undefined for n={n}")
     t = n
-    for p, _ in factorize(n, sieve):
+    for p, _ in factorize(n):
         t -= t // p
     return t
 
@@ -138,9 +135,9 @@ def mobius_log_sum(x: int) -> MobiusLogSum:
     return MobiusLogSum(value=value, ratio=abs(value) / x)
 
 
-def lambda_divisor_identity_residual(n: int, sieve: FactorSieve | None = None) -> float:
+def lambda_divisor_identity_residual(n: int) -> float:
     """|Lambda(n) + sum_{d|n} mu(d) log d|; zero up to rounding for every n."""
     if n < 1:
         raise ValueError(f"identity residual undefined for n={n}")
-    terms = [m * math.log(d) for d, m in squarefree_divisors_with_mobius(n, sieve) if d > 1]
-    return abs(von_mangoldt(n, sieve) + fsum(terms))
+    terms = [m * math.log(d) for d, m in squarefree_divisors_with_mobius(n) if d > 1]
+    return abs(von_mangoldt(n) + fsum(terms))

@@ -14,9 +14,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from math import gcd
+from typing import Callable
 
 from . import constants, counting, primroot, progressions, sums
 from .reports import render_csv, render_json
@@ -26,40 +27,6 @@ DEFAULT_C2_CUTOFF = 10 ** 6
 DEFAULT_SIEVE_LIMIT = 1 << 31
 # trend reports default to a log-spaced grid; heavy but desk scale
 DEFAULT_TREND_GRID = [10 ** k for k in range(2, 9)]
-
-_COMMAND_HELP = {
-    "census": "Pair counts and weighted sums at checkpoints: pi_g(x), the "
-              "Lambda(n)Lambda(an+b) sum, its square-weighted variant, the "
-              "2*C2 * integral dt/(log t log(at+b)) prediction, and the "
-              "ratio psi_g/(2 C2 x) the pair conjecture says tends to 1.",
-    "psi0-partition": "Split the divisor-expanded square-weighted sum at a "
-                      "cutoff x1: main box (d1,d2 <= x1) plus complement must "
-                      "reproduce psi0(x) exactly up to rounding.",
-    "hl-compare": "Compare the integral prediction against the actual pair "
-                  "count pi_g(x) at each checkpoint.",
-    "ap-census": "Exact closed-form counts of n <= x in every residue class "
-                 "mod q (residual against x/q is always below 1), or the "
-                 "prime-power-weighted class sums with their x/phi(q) target.",
-    "verify-identities": "Exact integer checks of gcd(m,n) = sum_{d|gcd} phi(d), "
-                         "mn = [m,n]*sum phi(d), and phi(mn) = phi([m,n])*sum "
-                         "phi(d) over all pairs up to --max.",
-    "sums": "Checkpointed series of the double sums log m log n/[m,n] and "
-            "mu mu log log/phi([m,n]), by brute-force or rearranged method.",
-    "twisted-sums": "Restricted sums of mu(n)/phi(n) (optionally log-weighted) "
-                    "over n coprime to m; the log-weighted form approaches the "
-                    "singular series of m in absolute value.",
-    "large-sieve": "Evaluate both sides of the mean-square large-sieve "
-                   "inequality with bound Q(10Q + 2 pi x); slack must be >= 0.",
-    "primroot": "Generator sweeps: 2 mod 4p+1 across all eligible p, the "
-                "Fermat-prime nonresidue shortcut, or the two-exponentiation "
-                "test on moduli 2^s*r+1 against the full witness test.",
-    "table-errata": "Audit the published (p, 4p+1) pair table: recompute 4p+1, "
-                    "check primality of the claimed entry, flag mismatches.",
-    "reciprocal-sum": "Sums of 1/p and log p/p over Germain primes p <= x, "
-                      "with the log-log fit residual for the latter.",
-    "constants": "The twin-prime Euler product at a cutoff with its rigorous "
-                 "tail bound, and singular-series values for chosen offsets.",
-}
 
 
 @dataclass
@@ -113,6 +80,8 @@ def parse_int_list(text: str) -> list[int]:
 
 def _resolve_threads(flag_value: int | None) -> int:
     if flag_value is not None:
+        if flag_value < 1:
+            raise CliError("--threads must be >= 1")
         return flag_value
     env = os.environ.get("GERMAIN_LAB_THREADS")
     if env:
@@ -365,29 +334,172 @@ def _cmd_constants(config: RunConfig):
     return header, rows, 0
 
 
-_HANDLERS = {
-    "census": _cmd_census,
-    "psi0-partition": _cmd_psi0_partition,
-    "hl-compare": _cmd_hl_compare,
-    "ap-census": _cmd_ap_census,
-    "verify-identities": _cmd_verify_identities,
-    "sums": _cmd_sums,
-    "twisted-sums": _cmd_twisted_sums,
-    "large-sieve": _cmd_large_sieve,
-    "primroot": _cmd_primroot,
-    "table-errata": _cmd_table_errata,
-    "reciprocal-sum": _cmd_reciprocal_sum,
-    "constants": _cmd_constants,
+def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """One argparse flag: its option strings and add_argument keywords."""
+    return names, kwargs
+
+
+@dataclass(frozen=True)
+class _OneOf:
+    """Mutually exclusive flags."""
+
+    flags: tuple
+    required: bool = False
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its handler, its help text and every flag the handler reads.
+
+    A flag whose dest is a RunConfig field sets that field; every other
+    flag lands in RunConfig.options, in declaration order, which is also
+    the key order of the JSON report config.
+    """
+
+    handler: Callable[[RunConfig], tuple[list, list, int]]
+    help: str
+    flags: tuple
+
+
+_CHECKPOINT_HELP = "ascending checkpoints, e.g. 1e2,1e4,1e6"
+_X = _flag("--x", dest="x_checkpoints", metavar="X", type=parse_int_list,
+           required=True, help=_CHECKPOINT_HELP)
+_X_GRID = _flag("--x", dest="x_checkpoints", metavar="X", type=parse_int_list,
+                default=DEFAULT_TREND_GRID,
+                help=_CHECKPOINT_HELP + " (default powers of 10 up to 1e8)")
+_SIEVE_LIMIT = _flag("--sieve-limit", type=parse_exact_int, default=None,
+                     help="largest companion a*x+b the pair commands may "
+                          "sieve to (default 2^31)")
+_C2_CUTOFF = _flag("--c2-cutoff", type=parse_exact_int, default=DEFAULT_C2_CUTOFF,
+                   help="prime cutoff for the twin-prime Euler product")
+_PAIR = (_flag("--a", type=int, default=2, help="pair slope (q = a p + b)"),
+         _flag("--b", type=int, default=1, help="pair offset"),
+         _SIEVE_LIMIT, _C2_CUTOFF)
+_SEED = _flag("--seed", type=int, default=0, help="seed for randomized sweeps")
+
+# every command takes these
+_COMMON = (
+    _flag("--format", dest="output_format", choices=("csv", "json"), default="csv",
+          help="report format (default csv)"),
+    _flag("--output", dest="output_path", metavar="OUTPUT", default=None,
+          help="report file (default stdout)"),
+    _flag("--threads", type=int, default=None,
+          help="worker threads; overrides GERMAIN_LAB_THREADS"),
+)
+
+COMMANDS: dict[str, Command] = {
+    "census": Command(
+        _cmd_census,
+        "Pair counts and weighted sums at checkpoints: pi_g(x), the "
+        "Lambda(n)Lambda(an+b) sum, its square-weighted variant, the "
+        "2*C2 * integral dt/(log t log(at+b)) prediction, and the "
+        "ratio psi_g/(2 C2 x) the pair conjecture says tends to 1.",
+        (_X_GRID, *_PAIR)),
+    "psi0-partition": Command(
+        _cmd_psi0_partition,
+        "Split the divisor-expanded square-weighted sum at a cutoff x1: "
+        "main box (d1,d2 <= x1) plus complement must reproduce psi0(x) "
+        "exactly up to rounding.",
+        (_X,
+         _flag("--x1", type=float, default=None,
+               help="partition cutoff (default (log x)^2 per checkpoint)"),
+         _SIEVE_LIMIT)),
+    "hl-compare": Command(
+        _cmd_hl_compare,
+        "Compare the integral prediction against the actual pair count "
+        "pi_g(x) at each checkpoint.",
+        (_X_GRID, *_PAIR)),
+    "ap-census": Command(
+        _cmd_ap_census,
+        "Exact closed-form counts of n <= x in every residue class mod q "
+        "(residual against x/q is always below 1), or the "
+        "prime-power-weighted class sums with their x/phi(q) target.",
+        (_X,
+         _flag("--q", type=parse_exact_int, default=3, help="modulus"),
+         _flag("--weighted", action="store_true",
+               help="prime-power-weighted class sums instead of raw counts"))),
+    "verify-identities": Command(
+        _cmd_verify_identities,
+        "Exact integer checks of gcd(m,n) = sum_{d|gcd} phi(d), "
+        "mn = [m,n]*sum phi(d), and phi(mn) = phi([m,n])*sum phi(d) over "
+        "all pairs up to --max.",
+        (_flag("--max", type=parse_exact_int, default=300,
+               help="check all pairs 1 <= m,n <= max (default 300)"),)),
+    "sums": Command(
+        _cmd_sums,
+        "Checkpointed series of the double sums log m log n/[m,n] and "
+        "mu mu log log/phi([m,n]), by brute-force or rearranged method.",
+        (_X,
+         _flag("--formula", required=True,
+               choices=("log-lcm", "mobius-phi-lcm", "squarefree-harmonic",
+                        "mobius-log")),
+         _flag("--method", default="auto",
+               choices=("auto", "both", "brute", "rearranged", "diagonalized",
+                        "relaxed")))),
+    "twisted-sums": Command(
+        _cmd_twisted_sums,
+        "Restricted sums of mu(n)/phi(n) (optionally log-weighted) over n "
+        "coprime to m; the log-weighted form approaches the singular "
+        "series of m in absolute value.",
+        (_X,
+         _flag("--m", type=int, default=2, help="coprimality parameter"),
+         _OneOf((_flag("--with-log", dest="with_log", action="store_true",
+                       default=True),
+                 _flag("--no-log", dest="with_log", action="store_false"))),
+         _C2_CUTOFF)),
+    "large-sieve": Command(
+        _cmd_large_sieve,
+        "Evaluate both sides of the mean-square large-sieve inequality with "
+        "bound Q(10Q + 2 pi x); slack must be >= 0.",
+        (_flag("--Q", type=parse_exact_int, default=30),
+         _flag("--sequence", choices=("ones", "primes", "random"), default="ones"),
+         _flag("--trials", type=int, default=1,
+               help="number of seeded trials (random sequence)"),
+         _flag("--x", type=parse_exact_int, default=1000),
+         _SEED)),
+    "primroot": Command(
+        _cmd_primroot,
+        "Generator sweeps: 2 mod 4p+1 across all eligible p, the "
+        "Fermat-prime nonresidue shortcut, or the two-exponentiation test "
+        "on moduli 2^s*r+1 against the full witness test.",
+        (_flag("--trials", type=int, default=20, help="random bases per modulus"),
+         _OneOf((_flag("--theorem-4p1", dest="mode", action="store_const",
+                       const="theorem-4p1"),
+                 _flag("--fermat", dest="mode", action="store_const",
+                       const="fermat"),
+                 _flag("--short-test", dest="mode", action="store_const",
+                       const="short-test")),
+                required=True),
+         _flag("--limit", type=parse_exact_int, default=10 ** 4),
+         _SEED)),
+    "table-errata": Command(
+        _cmd_table_errata,
+        "Audit the published (p, 4p+1) pair table: recompute 4p+1, check "
+        "primality of the claimed entry, flag mismatches.",
+        (_flag("--limit", type=parse_exact_int, default=None),)),
+    "reciprocal-sum": Command(
+        _cmd_reciprocal_sum,
+        "Sums of 1/p and log p/p over Germain primes p <= x, with the "
+        "log-log fit residual for the latter.",
+        (_X_GRID, _SIEVE_LIMIT, _C2_CUTOFF)),
+    "constants": Command(
+        _cmd_constants,
+        "The twin-prime Euler product at a cutoff with its rigorous tail "
+        "bound, and singular-series values for chosen offsets.",
+        (_flag("--cutoff", type=parse_exact_int, default=None,
+               help="Euler product cutoff (default 1e6)"),
+         _flag("--d", type=parse_int_list, default=None,
+               help="singular-series offsets, e.g. 2,6,30"))),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute one command and emit its report; nonzero on any failure."""
-    if config.command not in _HANDLERS:
+    if config.command not in COMMANDS:
         raise CliError(f"unknown command {config.command!r}")
     if config.output_format not in ("csv", "json"):
         raise CliError(f"unknown output format {config.output_format!r}")
-    header, rows, status = _HANDLERS[config.command](config)
+    header, rows, status = COMMANDS[config.command].handler(config)
     if config.output_format == "csv":
         text = render_csv(header, rows)
     else:
@@ -412,143 +524,30 @@ def build_parser() -> argparse.ArgumentParser:
                                  "prime pairs, singular-series constants, and "
                                  "primitive-root theorems.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, checkpoints=False, trend_grid=False):
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="report format (default csv)")
-        p.add_argument("--output", default=None, help="report file (default stdout)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads; overrides GERMAIN_LAB_THREADS")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized sweeps")
-        p.add_argument("--sieve-limit", type=parse_exact_int, default=None,
-                       help="largest companion a*x+b the pair commands may "
-                            "sieve to (default 2^31)")
-        p.add_argument("--c2-cutoff", type=parse_exact_int,
-                       default=DEFAULT_C2_CUTOFF,
-                       help="prime cutoff for the twin-prime Euler product")
-        if checkpoints:
-            if trend_grid:
-                p.add_argument("--x", type=parse_int_list,
-                               default=DEFAULT_TREND_GRID,
-                               help="ascending checkpoints, e.g. 1e2,1e4,1e6 "
-                                    "(default powers of 10 up to 1e8)")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help)
+        for spec in (*_COMMON, *command.flags):
+            if isinstance(spec, _OneOf):
+                group = p.add_mutually_exclusive_group(required=spec.required)
+                for names, kwargs in spec.flags:
+                    group.add_argument(*names, **kwargs)
             else:
-                p.add_argument("--x", type=parse_int_list, required=True,
-                               help="ascending checkpoints, e.g. 1e2,1e4,1e6")
-            p.add_argument("--a", type=int, default=2, help="pair slope (q = a p + b)")
-            p.add_argument("--b", type=int, default=1, help="pair offset")
-
-    p = sub.add_parser("census", help=_COMMAND_HELP["census"],
-                       description=_COMMAND_HELP["census"])
-    common(p, checkpoints=True, trend_grid=True)
-
-    p = sub.add_parser("psi0-partition", help=_COMMAND_HELP["psi0-partition"],
-                       description=_COMMAND_HELP["psi0-partition"])
-    common(p, checkpoints=True)
-    p.add_argument("--x1", type=float, default=None,
-                   help="partition cutoff (default (log x)^2 per checkpoint)")
-
-    p = sub.add_parser("hl-compare", help=_COMMAND_HELP["hl-compare"],
-                       description=_COMMAND_HELP["hl-compare"])
-    common(p, checkpoints=True, trend_grid=True)
-
-    p = sub.add_parser("ap-census", help=_COMMAND_HELP["ap-census"],
-                       description=_COMMAND_HELP["ap-census"])
-    common(p, checkpoints=True)
-    p.add_argument("--q", type=parse_exact_int, default=3, help="modulus")
-    p.add_argument("--weighted", action="store_true",
-                   help="prime-power-weighted class sums instead of raw counts")
-
-    p = sub.add_parser("verify-identities", help=_COMMAND_HELP["verify-identities"],
-                       description=_COMMAND_HELP["verify-identities"])
-    common(p)
-    p.add_argument("--max", type=parse_exact_int, default=300,
-                   help="check all pairs 1 <= m,n <= max (default 300)")
-
-    p = sub.add_parser("sums", help=_COMMAND_HELP["sums"],
-                       description=_COMMAND_HELP["sums"])
-    common(p, checkpoints=True)
-    p.add_argument("--formula", required=True,
-                   choices=("log-lcm", "mobius-phi-lcm", "squarefree-harmonic",
-                            "mobius-log"))
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "both", "brute", "rearranged",
-                            "diagonalized", "relaxed"))
-
-    p = sub.add_parser("twisted-sums", help=_COMMAND_HELP["twisted-sums"],
-                       description=_COMMAND_HELP["twisted-sums"])
-    common(p, checkpoints=True)
-    p.add_argument("--m", type=int, default=2, help="coprimality parameter")
-    log_group = p.add_mutually_exclusive_group()
-    log_group.add_argument("--with-log", dest="with_log", action="store_true",
-                           default=True)
-    log_group.add_argument("--no-log", dest="with_log", action="store_false")
-
-    p = sub.add_parser("large-sieve", help=_COMMAND_HELP["large-sieve"],
-                       description=_COMMAND_HELP["large-sieve"])
-    common(p)
-    p.add_argument("--x", type=parse_exact_int, default=1000)
-    p.add_argument("--Q", type=parse_exact_int, default=30)
-    p.add_argument("--sequence", choices=("ones", "primes", "random"),
-                   default="ones")
-    p.add_argument("--trials", type=int, default=1,
-                   help="number of seeded trials (random sequence)")
-
-    p = sub.add_parser("primroot", help=_COMMAND_HELP["primroot"],
-                       description=_COMMAND_HELP["primroot"])
-    common(p)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--theorem-4p1", dest="mode", action="store_const",
-                      const="theorem-4p1")
-    mode.add_argument("--fermat", dest="mode", action="store_const", const="fermat")
-    mode.add_argument("--short-test", dest="mode", action="store_const",
-                      const="short-test")
-    p.add_argument("--limit", type=parse_exact_int, default=10 ** 4)
-    p.add_argument("--trials", type=int, default=20,
-                   help="random bases per modulus")
-
-    p = sub.add_parser("table-errata", help=_COMMAND_HELP["table-errata"],
-                       description=_COMMAND_HELP["table-errata"])
-    common(p)
-    p.add_argument("--limit", type=parse_exact_int, default=None)
-
-    p = sub.add_parser("reciprocal-sum", help=_COMMAND_HELP["reciprocal-sum"],
-                       description=_COMMAND_HELP["reciprocal-sum"])
-    common(p, checkpoints=True, trend_grid=True)
-
-    p = sub.add_parser("constants", help=_COMMAND_HELP["constants"],
-                       description=_COMMAND_HELP["constants"])
-    common(p)
-    p.add_argument("--cutoff", type=parse_exact_int, default=None,
-                   help="Euler product cutoff (default --c2-cutoff)")
-    p.add_argument("--d", type=parse_int_list, default=None,
-                   help="singular-series offsets, e.g. 2,6,30")
-
+                names, kwargs = spec
+                p.add_argument(*names, **kwargs)
     return parser
 
 
+_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    options = {}
-    for key in ("x1", "max", "formula", "method", "m", "with_log", "Q", "q",
-                "weighted", "sequence", "trials", "mode", "limit", "cutoff", "d"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            options[key] = getattr(args, key)
-    if hasattr(args, "x") and isinstance(getattr(args, "x"), int):
-        options["x"] = args.x  # large-sieve single x, not a checkpoint list
-    return RunConfig(
-        command=args.command,
-        x_checkpoints=args.x if isinstance(getattr(args, "x", None), list) else [],
-        a=getattr(args, "a", 2),
-        b=getattr(args, "b", 1),
-        sieve_limit=getattr(args, "sieve_limit", None),
-        c2_cutoff=getattr(args, "c2_cutoff", DEFAULT_C2_CUTOFF),
-        output_format=args.format,
-        output_path=args.output,
-        threads=_resolve_threads(getattr(args, "threads", None)),
-        seed=getattr(args, "seed", 0),
-        options=options,
-    )
+    """RunConfig from parsed flags; unset options (None) are left out."""
+    values = vars(args)  # in flag declaration order
+    known = {k: v for k, v in values.items() if k in _CONFIG_FIELDS}
+    known["threads"] = _resolve_threads(known["threads"])
+    options = {k: v for k, v in values.items()
+               if k not in _CONFIG_FIELDS and v is not None}
+    return RunConfig(**known, options=options)
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import factorize
-from .sieve import FactorSieve, is_prime, primes_upto
+from .sieve import is_prime, primes_upto
 
 FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
@@ -62,29 +62,8 @@ class PairTableRow:
     match: bool
 
 
-def pow_mod(u: int, e: int, n: int) -> int:
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
-    return pow(u, e, n)
-
-
-def _distinct_prime_factors(n: int, sieve: FactorSieve | None = None) -> list[int]:
-    return [p for p, _ in factorize(n, sieve)]
-
-
-def mult_order(u: int, q: int, sieve: FactorSieve | None = None) -> int:
-    """Order of u in (Z/q)^* for prime q, by descending through q-1's divisors."""
-    if not is_prime(q):
-        raise ValueError(f"modulus {q} is not prime")
-    if u % q == 0:
-        raise ValueError(f"base {u} shares a factor with modulus {q}")
-    order = q - 1
-    for ell in _distinct_prime_factors(q - 1, sieve):
-        while order % ell == 0 and pow(u, order // ell, q) == 1:
-            order //= ell
-    return order
+def _distinct_prime_factors(n: int) -> list[int]:
+    return [p for p, _ in factorize(n)]
 
 
 def jacobi(a: int, n: int) -> int:
@@ -115,8 +94,7 @@ def two_qr_rule_check(p: int) -> bool:
     return euler_pm == formula
 
 
-def primitive_root_test(u: int, q: int, sieve: FactorSieve | None = None
-                        ) -> PrimRootCertificate:
+def primitive_root_test(u: int, q: int) -> PrimRootCertificate:
     """Full generator test modulo a prime q >= 3, with its witness list."""
     if q < 3 or not is_prime(q):
         raise ValueError(f"modulus {q} must be an odd prime")
@@ -124,24 +102,12 @@ def primitive_root_test(u: int, q: int, sieve: FactorSieve | None = None
         raise ValueError(f"base {u} shares a factor with modulus {q}")
     witnesses = tuple(
         (ell, pow(u, (q - 1) // ell, q))
-        for ell in _distinct_prime_factors(q - 1, sieve)
+        for ell in _distinct_prime_factors(q - 1)
     )
     return PrimRootCertificate(
         modulus=q, base=u % q, witnesses=witnesses,
         verdict=all(res != 1 for _, res in witnesses),
     )
-
-
-def germain_modulus(q: int) -> GermainModulus:
-    """Validate and decompose q = 2^s * r + 1 (q prime, r an odd prime)."""
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    n = q - 1
-    s = (n & -n).bit_length() - 1
-    r = n >> s
-    if s < 1 or r < 3 or not is_prime(r):
-        raise ValueError(f"{q} - 1 does not factor as 2^s * odd prime")
-    return GermainModulus(q=q, s=s, r=r)
 
 
 def germain_moduli_upto(limit: int) -> list[GermainModulus]:

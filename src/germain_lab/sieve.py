@@ -1,10 +1,9 @@
 """Prime sieves and deterministic 64-bit primality.
 
-Every other module pulls its primes from here: a smallest-prime-factor
-table for O(log n) factorization below a fixed limit, a plain boolean
-sieve for small tables, a segmented enumerator for ranges far beyond the
-tables, a segmented pair sieve that finds the primes p with a*p + b also
-prime, and a deterministic strong-pseudoprime test for anything below 2^64.
+Every other module pulls its primes from here: a plain boolean sieve for
+small tables, a segmented enumerator for ranges far beyond them, a
+segmented pair sieve that finds the primes p with a*p + b also prime, and
+a deterministic strong-pseudoprime test for anything below 2^64.
 The segmented sieves hold only the base primes up to a square root plus one
 fixed-size window per worker, so their memory does not grow with the range.
 """
@@ -29,83 +28,12 @@ PAIR_WINDOW = 1 << 20
 
 
 @dataclass(frozen=True)
-class FactorSieve:
-    """Smallest-prime-factor table covering 2..limit.
-
-    spf[n] is the least prime dividing n, so spf[p] == p exactly when p is
-    prime, and repeated division by spf fully factors any n <= limit.
-    Immutable after construction; safe to share across threads.
-    """
-
-    limit: int
-    spf: np.ndarray
-
-    def smallest_factor(self, n: int) -> int:
-        if n < 2 or n > self.limit:
-            raise ValueError(f"n={n} outside sieve range [2, {self.limit}]")
-        return int(self.spf[n])
-
-    def factorize(self, n: int) -> list[tuple[int, int]]:
-        """Prime factorization of n as (prime, exponent) pairs, ascending."""
-        if n < 1 or n > self.limit:
-            raise ValueError(f"n={n} outside sieve range [1, {self.limit}]")
-        out = []
-        spf = self.spf
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
-
-    def is_prime(self, n: int) -> bool:
-        if n < 2:
-            return False
-        if n > self.limit:
-            raise ValueError(f"n={n} outside sieve range [2, {self.limit}]")
-        return int(self.spf[n]) == n
-
-    def primes(self) -> np.ndarray:
-        """All primes <= limit, ascending (int64)."""
-        chunks = []
-        block = 1 << 22
-        for lo in range(2, self.limit + 1, block):
-            hi = min(lo + block - 1, self.limit)
-            idx = np.arange(lo, hi + 1, dtype=self.spf.dtype)
-            chunks.append((np.flatnonzero(self.spf[lo:hi + 1] == idx) + lo))
-        return np.concatenate(chunks).astype(np.int64) if chunks else np.empty(0, np.int64)
-
-
-@dataclass(frozen=True)
 class PrimeSegment:
     """Ascending list of primes found in [lo, hi]."""
 
     lo: int
     hi: int
     primes: np.ndarray
-
-
-def build_factor_sieve(limit: int) -> FactorSieve:
-    """Sieve the smallest prime factor of every n in [2, limit].
-
-    32-bit entries are used whenever limit < 2^32, which halves the memory
-    footprint for the common case (a 10^8 table is ~400 MB).
-    """
-    if limit < 2:
-        raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    dtype = np.uint32 if limit < (1 << 32) else np.uint64
-    spf = np.zeros(limit + 1, dtype=dtype)
-    spf[2::2] = 2
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if spf[p] == 0:
-            window = spf[p * p::2 * p]
-            window[window == 0] = p
-    odd = spf[3::2]
-    untouched = np.flatnonzero(odd == 0)
-    odd[untouched] = (2 * untouched + 3).astype(dtype)
-    return FactorSieve(limit=limit, spf=spf)
 
 
 def prime_flags(limit: int) -> np.ndarray:

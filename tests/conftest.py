@@ -1,12 +1,6 @@
 import pytest
 
 from germain_lab.constants import twin_prime_constant
-from germain_lab.sieve import build_factor_sieve
-
-
-@pytest.fixture(scope="session")
-def spf_100k():
-    return build_factor_sieve(10 ** 5)
 
 
 @pytest.fixture(scope="session")

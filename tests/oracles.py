@@ -19,6 +19,17 @@ def sieve_flags(limit):
     return flags
 
 
+def smallest_prime_factors(limit):
+    """list where spf[n] is the least prime dividing n, for 2 <= n <= limit."""
+    spf = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
 def primes_upto(limit):
     flags = sieve_flags(limit)
     return [n for n in range(2, limit + 1) if flags[n]]

@@ -9,9 +9,9 @@ from germain_lab.arith import (divisors, lambda_divisor_identity_residual,
                                totient, totient_sieve, von_mangoldt)
 
 
-def test_mobius_examples(spf_100k):
+def test_mobius_examples():
     assert mobius(1) == 1
-    assert mobius(6, spf_100k) == 1
+    assert mobius(6) == 1
     assert mobius(12) == 0
     with pytest.raises(ValueError):
         mobius(0)
@@ -34,23 +34,23 @@ def test_totient_examples():
         totient(0)
 
 
-def test_point_functions_match_naive_oracles(spf_100k):
+def test_point_functions_match_naive_oracles():
     for n in range(1, 2000):
-        assert mobius(n, spf_100k) == oracles.mobius_naive(n)
-        assert totient(n, spf_100k) == oracles.totient_brute(n)
-        assert von_mangoldt(n, spf_100k) == pytest.approx(
+        assert mobius(n) == oracles.mobius_naive(n)
+        assert totient(n) == oracles.totient_brute(n)
+        assert von_mangoldt(n) == pytest.approx(
             oracles.von_mangoldt_naive(n), abs=1e-14)
 
 
-def test_sieved_tables_match_point_functions(spf_100k):
+def test_sieved_tables_match_point_functions():
     mu = mobius_sieve(3000)
     phi = totient_sieve(3000)
     for n in range(1, 3001):
-        assert mu[n] == mobius(n, spf_100k)
-        assert phi[n] == totient(n, spf_100k)
+        assert mu[n] == mobius(n)
+        assert phi[n] == totient(n)
 
 
-def test_multiplicativity_on_random_coprime_pairs(spf_100k):
+def test_multiplicativity_on_random_coprime_pairs():
     rng = random.Random(20240917)
     done = 0
     while done < 1000:
@@ -58,19 +58,19 @@ def test_multiplicativity_on_random_coprime_pairs(spf_100k):
         b = rng.randrange(1, 10 ** 4)
         if math.gcd(a, b) != 1:
             continue
-        assert mobius(a * b) == mobius(a, spf_100k) * mobius(b, spf_100k)
-        assert totient(a * b) == totient(a, spf_100k) * totient(b, spf_100k)
+        assert mobius(a * b) == mobius(a) * mobius(b)
+        assert totient(a * b) == totient(a) * totient(b)
         done += 1
 
 
-def test_totient_divisor_sum_identity(spf_100k):
+def test_totient_divisor_sum_identity():
     for n in range(1, 10 ** 4 + 1):
-        assert sum(totient(d, spf_100k) for d in divisors(n, spf_100k)) == n
+        assert sum(totient(d) for d in divisors(n)) == n
 
 
-def test_divisors_match_naive(spf_100k):
+def test_divisors_match_naive():
     for n in (1, 2, 12, 97, 360, 1024, 99991):
-        assert sorted(divisors(n, spf_100k)) == oracles.divisors_naive(n)
+        assert sorted(divisors(n)) == oracles.divisors_naive(n)
 
 
 def test_mertens_small_values():
@@ -82,14 +82,12 @@ def test_mertens_small_values():
 
 def test_mertens_1e6_against_spf_walk():
     # independent second pass: accumulate mu by explicit spf factorization
-    from germain_lab.sieve import build_factor_sieve
-    sieve = build_factor_sieve(10 ** 6)
-    spf = sieve.spf
+    spf = oracles.smallest_prime_factors(10 ** 6)
     acc = 0
     for n in range(1, 10 ** 6 + 1):
         m, sign, square = n, 1, False
         while m > 1:
-            p = int(spf[m])
+            p = spf[m]
             m //= p
             if m % p == 0:
                 square = True
@@ -111,13 +109,13 @@ def test_mobius_log_sum_ratio_trend():
     assert ratios[0] > ratios[1] > ratios[2]
 
 
-def test_lambda_divisor_identity_examples(spf_100k):
+def test_lambda_divisor_identity_examples():
     assert lambda_divisor_identity_residual(1) == 0.0
-    assert lambda_divisor_identity_residual(8, spf_100k) <= 1e-12
-    assert lambda_divisor_identity_residual(30, spf_100k) <= 1e-12
+    assert lambda_divisor_identity_residual(8) <= 1e-12
+    assert lambda_divisor_identity_residual(30) <= 1e-12
 
 
-def test_lambda_divisor_identity_full_range(spf_100k):
-    worst = max(lambda_divisor_identity_residual(n, spf_100k)
+def test_lambda_divisor_identity_full_range():
+    worst = max(lambda_divisor_identity_residual(n)
                 for n in range(1, 10 ** 5 + 1))
     assert worst <= 1e-12

@@ -80,6 +80,32 @@ def test_threads_env_override(monkeypatch):
     assert config_from_args(args).threads == 2  # flag wins over env
 
 
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_flag_below_one_is_rejected(threads, capsys):
+    assert main(["census", "--x", "100", "--threads", threads]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "CliError",
+                                        "message": "--threads must be >= 1"}
+
+
+@pytest.mark.parametrize("argv", [
+    "reciprocal-sum --a 4",
+    "psi0-partition --x 100 --a 4 --b 3",
+    "sums --x 100 --formula log-lcm --a 5",
+    "table-errata --c2-cutoff 7",
+    "constants --c2-cutoff 1e4",
+    "census --seed 3",
+])
+def test_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "usage"
+    assert record["message"].startswith("unrecognized arguments: --")
+
+
 def test_unknown_command_is_a_usage_error(capsys):
     assert main(["no-such-command"]) == 2
     err = capsys.readouterr().err

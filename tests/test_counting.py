@@ -36,10 +36,11 @@ def test_germain_pairs_negative_offset():
     assert [g.p for g in pairs] == expected
 
 
-def test_germain_pairs_structure(spf_100k):
+def test_germain_pairs_structure():
+    flags = oracles.sieve_flags(2 * 10 ** 4 + 1)
     for g in germain_pairs(10 ** 4):
         assert g.q == 2 * g.p + 1
-        assert spf_100k.is_prime(g.p) and spf_100k.is_prime(g.q)
+        assert flags[g.p] and flags[g.q]
     ps = [g.p for g in germain_pairs(10 ** 4)]
     assert ps == sorted(ps)
 

@@ -1,58 +1,15 @@
-import math
 import random
 
 import pytest
 
 import oracles
-from germain_lab.arith import totient
 from germain_lab.primroot import (CLAIMED_PAIR_TABLE, FERMAT_PRIMES,
-                                  fermat_nonresidue_check, germain_modulus,
+                                  GermainModulus, fermat_nonresidue_check,
                                   germain_moduli_upto, germain_short_test,
-                                  jacobi, mult_order, pow_mod,
-                                  primitive_root_test, reproduce_pair_table,
-                                  theorem_4p1_check, two_qr_rule_check)
+                                  jacobi, primitive_root_test,
+                                  reproduce_pair_table, theorem_4p1_check,
+                                  two_qr_rule_check)
 from germain_lab.sieve import primes_upto
-
-
-def test_pow_mod_examples():
-    assert pow_mod(2, 12, 13) == 1
-    assert pow_mod(7, 0, 11) == 1
-    with pytest.raises(ValueError):
-        pow_mod(2, 3, 1)
-    with pytest.raises(ValueError):
-        pow_mod(2, -1, 7)
-
-
-def test_pow_mod_fermat_euler():
-    rng = random.Random(99)
-    done = 0
-    while done < 100:
-        n = rng.randrange(2, 10 ** 4)
-        a = rng.randrange(1, 10 ** 4)
-        if math.gcd(a, n) != 1:
-            continue
-        assert pow_mod(a, totient(n), n) == 1
-        done += 1
-
-
-def test_mult_order_examples():
-    assert mult_order(1, 13) == 1
-    assert mult_order(2, 13) == 12
-    assert mult_order(2, 7) == 3
-    with pytest.raises(ValueError):
-        mult_order(13, 13)
-    with pytest.raises(ValueError):
-        mult_order(2, 15)  # composite modulus
-
-
-def test_mult_order_matches_brute_scan():
-    rng = random.Random(5)
-    for q in (5, 7, 13, 101, 997):
-        for _ in range(10):
-            u = rng.randrange(1, q)
-            got = mult_order(u, q)
-            assert got == oracles.mult_order_brute(u, q)
-            assert (q - 1) % got == 0  # Lagrange
 
 
 def test_jacobi_examples():
@@ -119,7 +76,8 @@ def test_primitive_root_verdict_equals_full_order_exhaustive():
         if q == 2:
             continue
         for u in range(1, q):
-            assert primitive_root_test(u, q).verdict == (mult_order(u, q) == q - 1)
+            assert primitive_root_test(u, q).verdict == (
+                oracles.mult_order_brute(u, q) == q - 1)
 
 
 def test_primitive_root_verdict_equals_full_order_sampled():
@@ -128,31 +86,28 @@ def test_primitive_root_verdict_equals_full_order_sampled():
     for _ in range(300):
         q = rng.choice(qs)
         u = rng.randrange(2, q)
-        assert primitive_root_test(u, q).verdict == (mult_order(u, q) == q - 1)
-
-
-def test_germain_modulus_decomposition():
-    g = germain_modulus(13)
-    assert (g.q, g.s, g.r) == (13, 2, 3)
-    assert germain_modulus(11).s == 1  # safe prime 11 = 2*5 + 1
-    for bad in (15, 17, 3, 2):
-        with pytest.raises(ValueError):
-            germain_modulus(bad)
+        assert primitive_root_test(u, q).verdict == (
+            oracles.mult_order_brute(u, q) == q - 1)
 
 
 def test_germain_moduli_enumeration():
     mods = germain_moduli_upto(100)
     assert [g.q for g in mods] == [7, 11, 13, 23, 29, 41, 47, 53, 59, 83, 89, 97]
+    assert [(g.s, g.r) for g in mods[:3]] == [(1, 3), (1, 5), (2, 3)]
     for g in mods:
         assert g.q == 2 ** g.s * g.r + 1
 
 
 def test_germain_short_test_examples():
-    g = germain_modulus(13)
+    g = GermainModulus(q=13, s=2, r=3)
     assert germain_short_test(g, 2)
     assert not germain_short_test(g, 1)
     with pytest.raises(ValueError):
         germain_short_test(g, 13)
+    # 15 = 2*7 + 1 is composite; 17 - 1, 3 - 1 and 2 - 1 have no odd prime r
+    for bad in ((15, 1, 7), (17, 4, 1), (3, 1, 1), (2, 0, 1)):
+        with pytest.raises(ValueError):
+            germain_short_test(GermainModulus(*bad), 2)
 
 
 def test_germain_short_test_agrees_with_full_test():

@@ -2,52 +2,30 @@ import numpy as np
 import pytest
 
 import oracles
-from germain_lab.sieve import (build_factor_sieve, is_prime, prime_flags,
-                               primes_in, primes_upto)
-
-
-def test_spf_table_smallest_cases():
-    s = build_factor_sieve(10)
-    assert s.spf[2:11].tolist() == [2, 3, 2, 5, 2, 7, 2, 3, 2]
-    assert build_factor_sieve(2).spf[2] == 2
-
-
-def test_spf_rejects_tiny_limit():
-    with pytest.raises(ValueError):
-        build_factor_sieve(1)
+from germain_lab.arith import factorize
+from germain_lab.sieve import is_prime, prime_flags, primes_in, primes_upto
 
 
 def test_spf_prime_count_at_1e6():
-    s = build_factor_sieve(10 ** 6)
-    n = np.arange(10 ** 6 + 1, dtype=s.spf.dtype)
-    count = int(np.count_nonzero(s.spf[2:] == n[2:]))
+    count = len(primes_upto(10 ** 6))
     assert count == 78498
     assert count == sum(oracles.sieve_flags(10 ** 6))
 
 
-def test_spf_entries_are_prime_divisors(spf_100k):
+def test_factorization_roundtrip():
     flags = oracles.sieve_flags(10 ** 5)
-    for n in range(2, 10 ** 5, 97):
-        p = spf_100k.smallest_factor(n)
-        assert n % p == 0 and flags[p]
-
-
-def test_factorization_roundtrip(spf_100k):
     for n in range(1, 10 ** 5 + 1):
         prod = 1
-        for p, e in spf_100k.factorize(n):
+        for p, e in factorize(n):
+            assert flags[p]
             prod *= p ** e
         assert prod == n
 
 
-def test_is_prime_agrees_with_spf_classification(spf_100k):
+def test_is_prime_agrees_with_spf_classification():
+    flags = oracles.sieve_flags(10 ** 5)
     for n in range(2, 10 ** 5 + 1):
-        assert is_prime(n) == spf_100k.is_prime(n)
-
-
-def test_primes_method_matches_flags():
-    s = build_factor_sieve(10 ** 4)
-    assert s.primes().tolist() == oracles.primes_upto(10 ** 4)
+        assert is_prime(n) == bool(flags[n])
 
 
 def test_primes_in_textbook_ranges():
