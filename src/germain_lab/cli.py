@@ -69,6 +69,14 @@ def parse_exact_int(token: str) -> int:
     return int(d)
 
 
+def parse_positive_int(token: str) -> int:
+    """A count or modulus: an exact integer >= 1."""
+    n = parse_exact_int(token)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {token}")
+    return n
+
+
 def parse_int_list(text: str) -> list[int]:
     values = [parse_exact_int(tok) for tok in text.split(",") if tok.strip()]
     if not values:
@@ -124,7 +132,7 @@ def _cmd_psi0_partition(config: RunConfig):
     header = ["x", "x1", "main", "error", "psi0", "partition_residual"]
     rows = []
     for x in config.x_checkpoints:
-        x1 = x1_opt if x1_opt is not None else math.log(x) ** 2
+        x1 = x1_opt if x1_opt is not None else max(1.0, math.log(x) ** 2)
         m, e = counting.psi0_partition(x, x1)
         p0 = counting.psi0(x)
         rows.append([x, x1, m, e, p0, m + e - p0])
@@ -323,8 +331,8 @@ def _cmd_reciprocal_sum(config: RunConfig):
 
 
 def _cmd_constants(config: RunConfig):
-    cutoff = config.options.get("cutoff") or config.c2_cutoff
-    offsets = config.options.get("d") or [2]
+    cutoff = config.options.get("cutoff", config.c2_cutoff)
+    offsets = config.options.get("d", [2])
     c2 = constants.twin_prime_constant(cutoff, threads=config.threads)
     header = ["kind", "d", "prime_cutoff", "value", "tail_bound"]
     rows = [["twin-prime-constant", 2, c2.prime_cutoff, c2.value, c2.tail_bound]]
@@ -402,7 +410,7 @@ COMMANDS: dict[str, Command] = {
         "exactly up to rounding.",
         (_X,
          _flag("--x1", type=float, default=None,
-               help="partition cutoff (default (log x)^2 per checkpoint)"),
+               help="partition cutoff (default max(1, (log x)^2) per checkpoint)"),
          _SIEVE_LIMIT)),
     "hl-compare": Command(
         _cmd_hl_compare,
@@ -415,7 +423,7 @@ COMMANDS: dict[str, Command] = {
         "(residual against x/q is always below 1), or the "
         "prime-power-weighted class sums with their x/phi(q) target.",
         (_X,
-         _flag("--q", type=parse_exact_int, default=3, help="modulus"),
+         _flag("--q", type=parse_positive_int, default=3, help="modulus"),
          _flag("--weighted", action="store_true",
                help="prime-power-weighted class sums instead of raw counts"))),
     "verify-identities": Command(
@@ -423,7 +431,7 @@ COMMANDS: dict[str, Command] = {
         "Exact integer checks of gcd(m,n) = sum_{d|gcd} phi(d), "
         "mn = [m,n]*sum phi(d), and phi(mn) = phi([m,n])*sum phi(d) over "
         "all pairs up to --max.",
-        (_flag("--max", type=parse_exact_int, default=300,
+        (_flag("--max", type=parse_positive_int, default=300,
                help="check all pairs 1 <= m,n <= max (default 300)"),)),
     "sums": Command(
         _cmd_sums,
@@ -453,7 +461,7 @@ COMMANDS: dict[str, Command] = {
         "bound Q(10Q + 2 pi x); slack must be >= 0.",
         (_flag("--Q", type=parse_exact_int, default=30),
          _flag("--sequence", choices=("ones", "primes", "random"), default="ones"),
-         _flag("--trials", type=int, default=1,
+         _flag("--trials", type=parse_positive_int, default=1,
                help="number of seeded trials (random sequence)"),
          _flag("--x", type=parse_exact_int, default=1000),
          _SEED)),
@@ -462,7 +470,8 @@ COMMANDS: dict[str, Command] = {
         "Generator sweeps: 2 mod 4p+1 across all eligible p, the "
         "Fermat-prime nonresidue shortcut, or the two-exponentiation test "
         "on moduli 2^s*r+1 against the full witness test.",
-        (_flag("--trials", type=int, default=20, help="random bases per modulus"),
+        (_flag("--trials", type=parse_positive_int, default=20,
+               help="random bases per modulus"),
          _OneOf((_flag("--theorem-4p1", dest="mode", action="store_const",
                        const="theorem-4p1"),
                  _flag("--fermat", dest="mode", action="store_const",

@@ -17,7 +17,7 @@ from math import fsum
 import numpy as np
 
 from .arith import factorize
-from .sieve import _map_windows, _sieve_segment, _windows, primes_upto
+from .sieve import _map_windows, _odd_primes, _windows, primes_upto
 
 _C2_SEGMENT = 1 << 22
 
@@ -39,10 +39,7 @@ class SingularValue:
 
 
 def _segment_log_sum(lo: int, hi: int, base: list[int]) -> float:
-    primes = _sieve_segment(lo, hi, base)
-    primes = primes[primes >= 3]
-    if primes.size == 0:
-        return 0.0
+    primes = _odd_primes(lo, hi, base)
     pm1 = primes.astype(np.float64) - 1.0
     return fsum(np.log1p(-1.0 / (pm1 * pm1)).tolist())
 
@@ -58,7 +55,7 @@ def twin_prime_constant(prime_cutoff: int, *, threads: int = 1) -> SingularValue
     """
     if prime_cutoff < 3:
         raise ValueError(f"cutoff must be >= 3, got {prime_cutoff}")
-    base = primes_upto(math.isqrt(prime_cutoff)).tolist()
+    base = primes_upto(math.isqrt(prime_cutoff))[1:].tolist()
     partials = _map_windows(lambda lo, hi: _segment_log_sum(lo, hi, base),
                             _windows(3, prime_cutoff, _C2_SEGMENT), threads)
     value = math.exp(fsum(partials))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .arith import divisors, mobius_sieve, von_mangoldt
 from .constants import SingularValue
-from .sieve import is_prime, pair_primes, prime_flags, primes_upto
+from .sieve import is_prime, pair_primes, prime_powers, primes_upto
 
 
 @dataclass(frozen=True)
@@ -63,29 +63,14 @@ class GermainLogpSum(NamedTuple):
 
 
 def _flags(limit: int) -> np.ndarray:
-    """Dense primality table for psi0_partition (flags[n] iff n prime).
-
-    perfbench/tracer.py counts calls of this name as dense-table requests.
-    """
-    return prime_flags(limit)
+    """The primes <= limit for psi0_partition; perfbench traces this name."""
+    return primes_upto(limit)
 
 
 def germain_pairs(x: int, a: int = 2, b: int = 1) -> list[GermainPair]:
     """All primes p <= x with a*p + b prime, ascending."""
     return [GermainPair(p=p, a=a, b=b, q=a * p + b)
             for p in pair_primes(x, a, b).tolist()]
-
-
-def _prime_power_support(x: int) -> list[tuple[int, float]]:
-    """(n, Lambda(n)) for prime powers n = p^k <= x with k >= 2, ascending."""
-    out = []
-    for p in primes_upto(math.isqrt(max(x, 0))).tolist():
-        w = math.log(p)
-        pk = p * p
-        while pk <= x:
-            out.append((pk, w))
-            pk *= p
-    return sorted(out)
 
 
 def _pair_sums(xs: Sequence[int], a: int, b: int,
@@ -104,13 +89,13 @@ def _pair_sums(xs: Sequence[int], a: int, b: int,
     main = {power: log_p * log_m ** power for power in (1, 2)}
     # n = p^k with k >= 2 and a*n+b prime: (n, Lambda(n), log(a*n+b))
     powers = []
-    for n, w in _prime_power_support(x_max):
+    for n, w in prime_powers(x_max):
         m = a * n + b
         if m >= 2 and is_prime(m):
             powers.append((n, w, math.log(m)))
     # a*n+b = q^k with k >= 2 and Lambda(n) > 0: (n, Lambda(n), log q)
     companions = []
-    for m, w in _prime_power_support(a * x_max + b):
+    for m, w in prime_powers(a * x_max + b):
         n = m - b
         if n > 0 and n % a == 0:
             n //= a
@@ -162,8 +147,8 @@ def psi0_partition(x: int, x1: float) -> PsiPartition:
     if not 1 <= x1 <= top:
         raise ValueError(f"x1={x1} outside [1, 2x+1]")
     # Chebyshev mass S[q] = sum of Lambda(n) over n <= x with q | 2n+1
-    weighted = [(p, math.log(p)) for p in np.flatnonzero(_flags(x)).tolist()]
-    weighted = sorted(weighted + _prime_power_support(x))
+    weighted = [(p, math.log(p)) for p in _flags(x).tolist()]
+    weighted = sorted(weighted + prime_powers(x))
     S = np.zeros(top + 1)
     for n, w in weighted:
         for d in divisors(2 * n + 1):

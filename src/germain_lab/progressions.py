@@ -19,7 +19,7 @@ from math import fsum
 import numpy as np
 
 from .arith import totient
-from .sieve import prime_flags, primes_upto
+from .sieve import prime_powers, primes_upto
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,8 @@ def chebyshev_ap(x: int, q: int, a: int) -> ChebyshevAp:
     if not 0 <= a < q:
         raise ValueError(f"residue a={a} outside [0, {q})")
     primes = primes_upto(x)
-    in_class = primes[primes % q == a]
-    terms = np.log(in_class.astype(np.float64)).tolist()
-    for p in primes[primes * primes <= x]:
-        p = int(p)
-        pk = p * p
-        w = math.log(p)
-        while pk <= x:
-            if pk % q == a:
-                terms.append(w)
-            pk *= p
+    terms = np.log(primes[primes % q == a].astype(np.float64)).tolist()
+    terms += [w for n, w in prime_powers(x) if n % q == a]
     value = fsum(terms)
     if math.gcd(a, q) == 1:
         expected = x / totient(q)
@@ -103,7 +95,7 @@ def ones_sequence(x: int) -> np.ndarray:
 
 
 def prime_indicator_sequence(x: int) -> np.ndarray:
-    return prime_flags(x)[1:].astype(np.float64)
+    return np.isin(np.arange(1, x + 1), primes_upto(x)).astype(np.float64)
 
 
 def random_sign_sequence(x: int, seed: int) -> np.ndarray:

@@ -1,18 +1,20 @@
 """Prime sieves and deterministic 64-bit primality.
 
-Every other module pulls its primes from here: a plain boolean sieve for
-small tables, a segmented enumerator for ranges far beyond them, a
-segmented pair sieve that finds the primes p with a*p + b also prime, and
-a deterministic strong-pseudoprime test for anything below 2^64.
-The segmented sieves hold only the base primes up to a square root plus one
-fixed-size window per worker, so their memory does not grow with the range.
+Every prime of the library comes from one kernel, _odd_flags, which sieves
+a window of odd integers with the odd base primes up to its square root
+(the segmented sieve of Bays and Hudson). primes_upto tiles [3, limit] with
+such windows and prime_powers lists the p^k (k >= 2) of its primes. The pair
+sieve strikes the companions a*n + b on top of the same window, which gives
+the primes p with a*p + b also prime. A window holds one byte per odd
+integer, so the pair sieve and the twin-prime product keep only the base
+primes and one window per worker, whatever the range. A deterministic
+strong-pseudoprime test covers anything below 2^64.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,35 +24,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _U64 = 1 << 64
 _I64 = 1 << 63
 
-DEFAULT_SEGMENT_SIZE = 1 << 18
-# Odd integers per window of the pair sieve, one byte each while sieved.
+# Odd integers per window of the sieve kernel, one byte each while sieved.
 PAIR_WINDOW = 1 << 20
-
-
-@dataclass(frozen=True)
-class PrimeSegment:
-    """Ascending list of primes found in [lo, hi]."""
-
-    lo: int
-    hi: int
-    primes: np.ndarray
-
-
-def prime_flags(limit: int) -> np.ndarray:
-    """Boolean array where flags[n] is True iff n is prime, 0 <= n <= limit."""
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p::p] = False
-    return flags
-
-
-def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array."""
-    return np.flatnonzero(prime_flags(limit)).astype(np.int64)
 
 
 def _windows(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
@@ -66,38 +41,50 @@ def _map_windows(fn, bounds: list[tuple[int, int]], threads: int) -> list:
     return [fn(lo, hi) for lo, hi in bounds]
 
 
-def _sieve_segment(lo: int, hi: int, base: list[int]) -> np.ndarray:
-    """The primes in [lo, hi], ascending (int64); base: the primes <= sqrt(hi)."""
-    flags = np.ones(hi - lo + 1, dtype=bool)
-    if lo <= 1:
-        flags[:min(2 - lo, hi - lo + 1)] = False
-    for p in base:
-        if p * p > hi:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        flags[start - lo::p] = False
-    return np.flatnonzero(flags).astype(np.int64) + lo
+def _odd_flags(lo: int, hi: int, base: list[int]) -> np.ndarray:
+    """flags[i] iff n = lo + 2i is prime, for the odd n in [lo, hi] (lo odd, >= 3).
 
-
-def primes_in(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
-              threads: int = 1) -> PrimeSegment:
-    """Enumerate exactly the primes in [lo, hi], ascending.
-
-    Segmented: only primes up to sqrt(hi) are tabulated, so the range may
-    lie far beyond any full table. Segments can be sieved in parallel;
-    results are merged in ascending segment order, so the output does not
-    depend on the thread count.
+    base holds the odd primes up to at least sqrt(hi), ascending. This is the
+    one loop of the library that strikes composites.
     """
-    if lo > hi:
-        raise ValueError(f"empty range: lo={lo} > hi={hi}")
-    if lo < 2:
-        raise ValueError(f"lo must be >= 2, got {lo}")
-    if hi >= _U64:
-        raise ValueError("range end must be below 2^64")
-    base = primes_upto(math.isqrt(hi)).tolist()
-    parts = _map_windows(lambda s, e: _sieve_segment(s, e, base),
-                         _windows(lo, hi, segment_size), threads)
-    return PrimeSegment(lo=lo, hi=hi, primes=np.concatenate(parts))
+    flags = np.ones((hi - lo) // 2 + 1, dtype=bool)
+    for l in base:
+        if l * l > hi:
+            break
+        m = max(l * l, -(-lo // l) * l)
+        if m % 2 == 0:
+            m += l
+        flags[(m - lo) // 2::l] = False
+    return flags
+
+
+def _odd_primes(lo: int, hi: int, base: list[int]) -> np.ndarray:
+    """The primes in the odd window [lo, hi], ascending (int64)."""
+    return np.flatnonzero(_odd_flags(lo, hi, base)) * 2 + lo
+
+
+def primes_upto(limit: int) -> np.ndarray:
+    """All primes <= limit as an int64 array, ascending."""
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    if limit < 2:
+        return np.zeros(0, dtype=np.int64)
+    base = primes_upto(math.isqrt(limit))[1:].tolist()
+    parts = [_odd_primes(lo, hi, base)
+             for lo, hi in _windows(3, limit, 2 * PAIR_WINDOW)]
+    return np.concatenate([np.array([2], dtype=np.int64), *parts])
+
+
+def prime_powers(x: int) -> list[tuple[int, float]]:
+    """(n, log p) for the prime powers n = p^k <= x with k >= 2, ascending."""
+    out = []
+    for p in primes_upto(math.isqrt(max(x, 0))).tolist():
+        w = math.log(p)
+        pk = p * p
+        while pk <= x:
+            out.append((pk, w))
+            pk *= p
+    return sorted(out)
 
 
 def _pair_segment(lo: int, hi: int, a: int, b: int, base: list[int],
@@ -111,14 +98,7 @@ def _pair_segment(lo: int, hi: int, a: int, b: int, base: list[int],
     if it divides b, and none otherwise. Below first, a*n + b <= l, so the
     one n with a*n + b == l is never struck.
     """
-    flags = np.ones((hi - lo) // 2 + 1, dtype=bool)
-    for l in base:  # odd composites n
-        if l * l > hi:
-            break
-        m = max(l * l, -(-lo // l) * l)
-        if m % 2 == 0:
-            m += l
-        flags[(m - lo) // 2::l] = False
+    flags = _odd_flags(lo, hi, base)
     # a*n + b < 2 is never prime
     low = -((b - 2) // a)
     if low > lo:

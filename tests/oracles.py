@@ -31,6 +31,8 @@ def smallest_prime_factors(limit):
 
 
 def primes_upto(limit):
+    if limit < 2:
+        return []
     flags = sieve_flags(limit)
     return [n for n in range(2, limit + 1) if flags[n]]
 

@@ -4,6 +4,7 @@ import pytest
 
 from germain_lab.cli import (RunConfig, main, parse_exact_int, parse_int_list,
                              run)
+from germain_lab.counting import psi0
 
 
 def test_parse_exact_int_scientific_notation():
@@ -106,6 +107,33 @@ def test_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
     assert record["message"].startswith("unrecognized arguments: --")
 
 
+@pytest.mark.parametrize("argv", [
+    "primroot --short-test --trials 0",
+    "primroot --fermat --trials -3",
+    "large-sieve --trials 0",
+    "verify-identities --max 0",
+    "ap-census --x 100 --q 0",
+    "ap-census --x 100 --q -2",
+])
+def test_count_below_one_is_a_usage_error(argv, capsys):
+    *_, flag, value = argv.split()
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "usage",
+        "message": f"argument {flag}: must be an integer >= 1, got {value}"}
+
+
+@pytest.mark.parametrize("cutoff", ["0", "1"])
+def test_constants_cutoff_below_three_is_refused(cutoff, capsys):
+    assert main(["constants", "--cutoff", cutoff]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError", "message": f"cutoff must be >= 3, got {cutoff}"}
+
+
 def test_unknown_command_is_a_usage_error(capsys):
     assert main(["no-such-command"]) == 2
     err = capsys.readouterr().err
@@ -185,6 +213,15 @@ def test_psi0_partition_command(capsys):
     assert lines[0] == "x,x1,main,error,psi0,partition_residual"
     for line in lines[1:]:
         assert abs(float(line.split(",")[5])) < 1e-6
+
+
+def test_psi0_partition_default_cutoff_at_x_one_and_two(capsys):
+    # (log x)^2 < 1 at x = 1 and 2; the default cutoff is then 1
+    assert main(["psi0-partition", "--x", "1,2", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["x1"] for r in rows] == [1.0, 1.0]
+    assert [r["main"] + r["error"] for r in rows] == [psi0(1), psi0(2)]
+    assert psi0(2) > 0.0
 
 
 def test_ap_census_command(capsys):

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from germain_lab import constants
 from germain_lab.arith import factorize
 from germain_lab.constants import singular_series, twin_prime_constant
+from germain_lab.sieve import _windows
 
 # Classical twin-prime constant, prod_{p>=3} (1 - 1/(p-1)^2), OEIS A005597.
 TRUE_C2 = 0.6601618158468695739278121100145
@@ -40,10 +42,14 @@ def test_successive_gaps_below_tail_bound():
     assert v6.tail_bound < v4.tail_bound
 
 
-def test_thread_count_does_not_change_value():
+def test_thread_count_does_not_change_value(monkeypatch):
+    # small (even) windows, so that three threads really split the product
+    monkeypatch.setattr(constants, "_C2_SEGMENT", 1 << 12)
+    assert len(_windows(3, 10 ** 6, constants._C2_SEGMENT)) > 200
     a = twin_prime_constant(10 ** 6, threads=1)
     b = twin_prime_constant(10 ** 6, threads=3)
     assert a.value == b.value
+    assert abs(a.value - TRUE_C2) <= a.tail_bound
 
 
 def test_singular_series_odd_offsets_vanish(c2_1e6):

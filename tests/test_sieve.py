@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import oracles
+from germain_lab import sieve
 from germain_lab.arith import factorize
-from germain_lab.sieve import is_prime, prime_flags, primes_in, primes_upto
+from germain_lab.sieve import is_prime, prime_powers, primes_upto
 
 
 def test_spf_prime_count_at_1e6():
@@ -26,36 +29,6 @@ def test_is_prime_agrees_with_spf_classification():
     flags = oracles.sieve_flags(10 ** 5)
     for n in range(2, 10 ** 5 + 1):
         assert is_prime(n) == bool(flags[n])
-
-
-def test_primes_in_textbook_ranges():
-    assert primes_in(2, 30).primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert primes_in(90, 100).primes.tolist() == [97]
-
-
-def test_primes_in_counts_match_trial_division():
-    got = primes_in(2, 10 ** 4).primes.tolist()
-    assert got == oracles.primes_upto(10 ** 4)
-
-
-def test_primes_in_far_segment_agrees_with_is_prime():
-    lo, hi = 10 ** 8, 10 ** 8 + 100
-    got = primes_in(lo, hi).primes.tolist()
-    assert got == [n for n in range(lo, hi + 1) if is_prime(n)]
-    assert got  # the window is not empty of primes
-
-
-def test_primes_in_thread_count_does_not_change_output():
-    one = primes_in(2, 10 ** 6, segment_size=1 << 14, threads=1)
-    par = primes_in(2, 10 ** 6, segment_size=1 << 14, threads=3)
-    assert np.array_equal(one.primes, par.primes)
-
-
-def test_primes_in_rejects_bad_ranges():
-    with pytest.raises(ValueError):
-        primes_in(30, 2)
-    with pytest.raises(ValueError):
-        primes_in(0, 10)
 
 
 def test_is_prime_examples():
@@ -86,4 +59,37 @@ def test_is_prime_domain():
 
 def test_primes_upto_matches_oracle():
     assert primes_upto(1000).tolist() == oracles.primes_upto(1000)
-    assert prime_flags(100)[97] and not prime_flags(100)[91]
+
+
+def test_primes_upto_beyond_one_default_window():
+    # pi(10^7) = 664579 (OEIS A006880); 10^7 spans five windows of 2^21
+    assert len(primes_upto(10 ** 7)) == 664579
+
+
+@pytest.mark.parametrize("window", [1, 2, 37, 256])
+def test_primes_upto_across_window_edges(window, monkeypatch):
+    # window odd n per window, so the windows start at 3 + 2 * window * k
+    monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
+    edges = {3 + 2 * window * k + d for k in (1, 2, 3) for d in (-2, -1, 0, 1)}
+    for limit in sorted(edges | {0, 1, 2, 3, 4, 2000}):
+        got = primes_upto(limit)
+        assert got.dtype == np.int64
+        assert got.tolist() == oracles.primes_upto(limit)
+
+
+def test_primes_upto_rejects_negative_limit():
+    with pytest.raises(ValueError):
+        primes_upto(-1)
+
+
+def test_prime_powers_match_brute_scan():
+    spf = oracles.smallest_prime_factors(10 ** 4)
+    brute = []
+    for n in range(4, 10 ** 4 + 1):
+        p, m = spf[n], n
+        while m % p == 0:
+            m //= p
+        if m == 1 and n != p:
+            brute.append((n, math.log(p)))
+    for x in (-1, 0, 1, 3, 4, 7, 8, 9, 10 ** 4):
+        assert prime_powers(x) == [t for t in brute if t[0] <= x]
