@@ -103,6 +103,13 @@ def _resolve_threads(flag_value: int | None) -> int:
     return 1
 
 
+def _require_limit(limit: int | None, minimum: int) -> None:
+    """Refuse a --limit below the first value the check would look at."""
+    if limit is not None and limit < minimum:
+        raise CliError(f"--limit must be >= {minimum}, the first value it "
+                       f"checks; got {limit}")
+
+
 def _require_capacity(config: RunConfig) -> None:
     if not config.x_checkpoints:
         return
@@ -199,25 +206,15 @@ def _cmd_verify_identities(config: RunConfig):
 def _cmd_sums(config: RunConfig):
     formula = config.options["formula"]
     method = config.options.get("method", "auto")
+    table = sums.FORMULAS[formula]
+    default = next(iter(table))
+    methods = {"auto": [default], "both": ["brute", default]}.get(method, [method])
+    if any(m not in table for m in methods):
+        raise CliError(f"--method {method} does not apply to --formula {formula}; "
+                       f"it takes {', '.join(table)}")
     header = ["formula_id", "x", "value", "method"]
-    rows = []
-    if formula in sums.SERIES_FORMULAS:
-        methods = ([sums.DEFAULT_METHOD[formula]] if method == "auto"
-                   else ["brute", sums.DEFAULT_METHOD[formula]] if method == "both"
-                   else [method])
-        for m in methods:
-            series = sums.sum_series(formula, config.x_checkpoints, m)
-            rows.extend([series.formula_id, x, v, series.method]
-                        for x, v in series.checkpoints)
-    elif formula == "squarefree-harmonic":
-        rows = [[formula, x, sums.squarefree_harmonic_sum(x).value, "direct"]
-                for x in config.x_checkpoints]
-    elif formula == "mobius-log":
-        from .arith import mobius_log_sum
-        rows = [[formula, x, mobius_log_sum(x).value, "direct"]
-                for x in config.x_checkpoints]
-    else:
-        raise CliError(f"unknown formula {formula!r}")
+    rows = [[formula, x, table[m](x), m]
+            for m in methods for x in config.x_checkpoints]
     return header, rows, 0
 
 
@@ -266,6 +263,7 @@ def _cmd_primroot(config: RunConfig):
     limit = config.options.get("limit", 10 ** 4)
     trials = config.options.get("trials", 20)
     if mode == "theorem-4p1":
+        _require_limit(limit, 3)  # the first pair is (3, 13)
         header = ["p", "q", "two_generates"]
         rows = []
         bad = 0
@@ -292,6 +290,7 @@ def _cmd_primroot(config: RunConfig):
             rows.append([f, len(list(bases)), ok])
         return header, rows, 0 if bad == 0 else 1
     if mode == "short-test":
+        _require_limit(limit, 7)  # the first modulus is 7 = 2*3 + 1
         import random
         rng = random.Random(config.seed)
         header = ["q", "s", "r", "trials", "agreements"]
@@ -312,9 +311,11 @@ def _cmd_primroot(config: RunConfig):
 
 
 def _cmd_table_errata(config: RunConfig):
+    limit = config.options.get("limit")
+    _require_limit(limit, primroot.CLAIMED_PAIR_TABLE[0][0])
     header = ["p", "claimed_q", "computed_q", "claimed_is_prime", "match"]
     rows = [[r.p, r.claimed_q, r.computed_q, r.claimed_is_prime, r.match]
-            for r in primroot.reproduce_pair_table(config.options.get("limit"))]
+            for r in primroot.reproduce_pair_table(limit)]
     return header, rows, 0
 
 
@@ -438,9 +439,7 @@ COMMANDS: dict[str, Command] = {
         "Checkpointed series of the double sums log m log n/[m,n] and "
         "mu mu log log/phi([m,n]), by brute-force or rearranged method.",
         (_X,
-         _flag("--formula", required=True,
-               choices=("log-lcm", "mobius-phi-lcm", "squarefree-harmonic",
-                        "mobius-log")),
+         _flag("--formula", required=True, choices=tuple(sums.FORMULAS)),
          _flag("--method", default="auto",
                choices=("auto", "both", "brute", "rearranged", "diagonalized",
                         "relaxed")))),
@@ -459,11 +458,11 @@ COMMANDS: dict[str, Command] = {
         _cmd_large_sieve,
         "Evaluate both sides of the mean-square large-sieve inequality with "
         "bound Q(10Q + 2 pi x); slack must be >= 0.",
-        (_flag("--Q", type=parse_exact_int, default=30),
+        (_flag("--Q", type=parse_positive_int, default=30),
          _flag("--sequence", choices=("ones", "primes", "random"), default="ones"),
          _flag("--trials", type=parse_positive_int, default=1,
                help="number of seeded trials (random sequence)"),
-         _flag("--x", type=parse_exact_int, default=1000),
+         _flag("--x", type=parse_positive_int, default=1000),
          _SEED)),
     "primroot": Command(
         _cmd_primroot,

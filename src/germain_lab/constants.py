@@ -16,10 +16,9 @@ from math import fsum
 
 import numpy as np
 
+from . import sieve
 from .arith import factorize
 from .sieve import _map_windows, _odd_primes, _windows, primes_upto
-
-_C2_SEGMENT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,8 @@ def twin_prime_constant(prime_cutoff: int, *, threads: int = 1) -> SingularValue
         raise ValueError(f"cutoff must be >= 3, got {prime_cutoff}")
     base = primes_upto(math.isqrt(prime_cutoff))[1:].tolist()
     partials = _map_windows(lambda lo, hi: _segment_log_sum(lo, hi, base),
-                            _windows(3, prime_cutoff, _C2_SEGMENT), threads)
+                            _windows(3, prime_cutoff, 2 * sieve.PAIR_WINDOW),
+                            threads)
     value = math.exp(fsum(partials))
     tail = 2.0 / (prime_cutoff * math.log(prime_cutoff))
     return SingularValue(d=2, value=value, prime_cutoff=prime_cutoff, tail_bound=tail)

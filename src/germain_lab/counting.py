@@ -175,7 +175,12 @@ def psi0_partition(x: int, x1: float) -> PsiPartition:
     return PsiPartition(main=fsum(main_rows), error=fsum(err_rows))
 
 
-def _adaptive_simpson(f, a: float, b: float, rel_tol: float, max_depth: int) -> float:
+# Relative tolerance and recursion depth of the adaptive Simpson rule
+_SIMPSON_REL_TOL = 1e-8
+_SIMPSON_MAX_DEPTH = 60
+
+
+def _adaptive_simpson(f, a: float, b: float) -> float:
     def estimate(lo, flo, mid, fmid, hi, fhi):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
@@ -186,7 +191,7 @@ def _adaptive_simpson(f, a: float, b: float, rel_tol: float, max_depth: int) -> 
         left = estimate(lo, flo, lm, flm, mid, fmid)
         right = estimate(mid, fmid, rm, frm, hi, fhi)
         delta = left + right - whole
-        if depth >= max_depth or abs(delta) <= 15.0 * eps:
+        if depth >= _SIMPSON_MAX_DEPTH or abs(delta) <= 15.0 * eps:
             return left + right + delta / 15.0
         return (recurse(lo, flo, lm, flm, mid, fmid, left, eps / 2.0, depth + 1)
                 + recurse(mid, fmid, rm, frm, hi, fhi, right, eps / 2.0, depth + 1))
@@ -194,12 +199,12 @@ def _adaptive_simpson(f, a: float, b: float, rel_tol: float, max_depth: int) -> 
     mid = (a + b) / 2.0
     fa, fm, fb = f(a), f(mid), f(b)
     whole = estimate(a, fa, mid, fm, b, fb)
-    eps = abs(whole) * rel_tol if whole != 0.0 else rel_tol
+    eps = abs(whole) * _SIMPSON_REL_TOL if whole != 0.0 else _SIMPSON_REL_TOL
     return recurse(a, fa, mid, fm, b, fb, whole, eps, 0)
 
 
-def hl_prediction(x: float, a: int = 2, b: int = 1, c2: SingularValue | None = None,
-                  *, rel_tol: float = 1e-8, max_depth: int = 60) -> float:
+def hl_prediction(x: float, a: int = 2, b: int = 1,
+                  c2: SingularValue | None = None) -> float:
     """2 C2 * integral_2^x dt / (log t * log(a t + b)), adaptive Simpson."""
     if c2 is None:
         raise ValueError("a twin-prime-constant value is required")
@@ -208,7 +213,7 @@ def hl_prediction(x: float, a: int = 2, b: int = 1, c2: SingularValue | None = N
     if x == 2:
         return 0.0
     f = lambda t: 1.0 / (math.log(t) * math.log(a * t + b))
-    return 2.0 * c2.value * _adaptive_simpson(f, 2.0, float(x), rel_tol, max_depth)
+    return 2.0 * c2.value * _adaptive_simpson(f, 2.0, float(x))
 
 
 def germain_reciprocal_sum(x: int) -> float:

@@ -46,11 +46,16 @@ class PrimRootCertificate:
 
 @dataclass(frozen=True)
 class GermainModulus:
-    """A prime q = 2^s * r + 1 with r an odd prime."""
+    """A prime q = 2^s * r + 1 with r an odd prime, checked once when built."""
 
     q: int
     s: int
     r: int
+
+    def __post_init__(self):
+        q, s, r = self.q, self.s, self.r
+        if q != (1 << s) * r + 1 or r % 2 == 0 or not is_prime(q) or not is_prime(r):
+            raise ValueError(f"malformed modulus decomposition {self}")
 
 
 @dataclass(frozen=True)
@@ -126,11 +131,10 @@ def germain_short_test(g: GermainModulus, u: int) -> bool:
 
     u generates iff u^(2^(s-1) r) != 1 and u^(2^s) != 1 (these are the two
     witness exponents (q-1)/2 and (q-1)/r). Both conditions are always
-    evaluated; no precondition on u beyond coprimality is enforced.
+    evaluated; no precondition on u beyond coprimality is enforced. The
+    decomposition itself was checked when g was built.
     """
     q, s, r = g.q, g.s, g.r
-    if q != (1 << s) * r + 1 or not is_prime(q) or not is_prime(r) or r % 2 == 0:
-        raise ValueError(f"malformed modulus decomposition {g}")
     if math.gcd(u, q) != 1:
         raise ValueError(f"base {u} shares a factor with modulus {q}")
     return pow(u, (1 << (s - 1)) * r, q) != 1 and pow(u, 1 << s, q) != 1

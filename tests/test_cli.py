@@ -1,10 +1,15 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from germain_lab.cli import (RunConfig, main, parse_exact_int, parse_int_list,
-                             run)
+from germain_lab import sums
+from germain_lab.cli import (COMMANDS, RunConfig, _OneOf, main,
+                             parse_exact_int, parse_int_list, run)
 from germain_lab.counting import psi0
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_parse_exact_int_scientific_notation():
@@ -114,6 +119,10 @@ def test_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
     "verify-identities --max 0",
     "ap-census --x 100 --q 0",
     "ap-census --x 100 --q -2",
+    "large-sieve --sequence ones --x -5",
+    "large-sieve --sequence primes --x -5",
+    "large-sieve --sequence random --x 0",
+    "large-sieve --Q 0",
 ])
 def test_count_below_one_is_a_usage_error(argv, capsys):
     *_, flag, value = argv.split()
@@ -132,6 +141,24 @@ def test_constants_cutoff_below_three_is_refused(cutoff, capsys):
     assert captured.out == ""
     assert json.loads(captured.err) == {
         "error": "ValueError", "message": f"cutoff must be >= 3, got {cutoff}"}
+
+
+@pytest.mark.parametrize("argv, minimum", [
+    ("primroot --theorem-4p1 --limit", 3),  # first pair (3, 13)
+    ("primroot --short-test --trials 2 --limit", 7),  # first modulus 7 = 2*3 + 1
+    ("table-errata --limit", 3),  # first published row p = 3
+])
+def test_limit_that_checks_nothing_is_refused(argv, minimum, capsys):
+    for limit in (minimum - 1, 0, -4):
+        assert main(f"{argv} {limit}".split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "CliError",
+            "message": f"--limit must be >= {minimum}, the first value it "
+                       f"checks; got {limit}"}
+    assert main(f"{argv} {minimum}".split()) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2  # header and one row
 
 
 def test_unknown_command_is_a_usage_error(capsys):
@@ -174,6 +201,48 @@ def test_sums_both_methods_agree(capsys):
         brute = by_method["brute"]
         diag = by_method["diagonalized"]
         assert abs(diag - brute) <= 1e-9 * abs(brute)
+
+
+@pytest.mark.parametrize("formula, method, takes", [
+    ("squarefree-harmonic", "brute", "direct"),
+    ("mobius-log", "both", "direct"),
+    ("log-lcm", "diagonalized", "rearranged, brute, relaxed"),
+    ("mobius-phi-lcm", "rearranged", "diagonalized, brute, relaxed"),
+])
+def test_sums_method_the_formula_lacks_is_refused(formula, method, takes,
+                                                   monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("a sum was computed")
+    for name in ("log_lcm_double_sum", "mobius_phi_lcm_sum",
+                 "squarefree_harmonic_sum", "mobius_log_sum"):
+        monkeypatch.setattr(sums, name, no_work)
+    assert main(["sums", "--formula", formula, "--method", method,
+                 "--x", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "CliError",
+        "message": f"--method {method} does not apply to --formula {formula}; "
+                   f"it takes {takes}"}
+
+
+def test_sums_unknown_formula_is_a_usage_error(capsys):
+    assert main(["sums", "--formula", "no-such-formula", "--x", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "usage",
+        "message": "argument --formula: invalid choice: 'no-such-formula' "
+                   "(choose from 'log-lcm', 'mobius-phi-lcm', "
+                   "'squarefree-harmonic', 'mobius-log')"}
+
+
+def test_sums_relaxed_rows_are_the_library_values(capsys):
+    assert main(["sums", "--formula", "log-lcm", "--method", "relaxed",
+                 "--x", "50,60", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["x"], r["value"], r["method"]) for r in rows] == [
+        (x, sums.log_lcm_double_sum(x, "relaxed"), "relaxed") for x in (50, 60)]
 
 
 def test_twisted_sums_rows(capsys):
@@ -242,3 +311,16 @@ def test_constants_command(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "kind,d,prime_cutoff,value,tail_bound"
     assert len(lines) == 5
+
+
+def test_readme_command_table_lists_each_command_flags():
+    common = {"--format", "--output", "--threads"}
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \|.*\| ([^|]*) \|$",
+                      README.read_text(), flags=re.M)
+    assert sorted(name for name, _ in rows) == sorted(COMMANDS)
+    for name, flags in rows:
+        declared = set()
+        for spec in COMMANDS[name].flags:
+            for names, _ in (spec.flags if isinstance(spec, _OneOf) else [spec]):
+                declared.update(names)
+        assert set(re.findall(r"--[A-Za-z0-9][A-Za-z0-9-]*", flags)) == declared - common, name

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from germain_lab import constants
+from germain_lab import sieve
 from germain_lab.arith import factorize
 from germain_lab.constants import singular_series, twin_prime_constant
 from germain_lab.sieve import _windows
@@ -43,9 +43,9 @@ def test_successive_gaps_below_tail_bound():
 
 
 def test_thread_count_does_not_change_value(monkeypatch):
-    # small (even) windows, so that three threads really split the product
-    monkeypatch.setattr(constants, "_C2_SEGMENT", 1 << 12)
-    assert len(_windows(3, 10 ** 6, constants._C2_SEGMENT)) > 200
+    # small windows, so that three threads really split the product
+    monkeypatch.setattr(sieve, "PAIR_WINDOW", 1 << 11)
+    assert len(_windows(3, 10 ** 6, 2 * sieve.PAIR_WINDOW)) > 200
     a = twin_prime_constant(10 ** 6, threads=1)
     b = twin_prime_constant(10 ** 6, threads=3)
     assert a.value == b.value

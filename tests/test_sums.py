@@ -5,12 +5,10 @@ import pytest
 
 import oracles
 from germain_lab.constants import singular_series
-from germain_lab.sums import (SumSeries, gcd_via_phi,
-                              lcm_reciprocal_identity_residual,
+from germain_lab.sums import (gcd_via_phi, lcm_reciprocal_identity_residual,
                               log_lcm_double_sum, mobius_phi_lcm_sum,
                               phi_lcm_reciprocal_identity_residual,
-                              squarefree_harmonic_sum, sum_series,
-                              twisted_mobius_sum)
+                              squarefree_harmonic_sum, twisted_mobius_sum)
 
 
 def test_gcd_via_phi_examples():
@@ -167,13 +165,3 @@ def test_twisted_log_sum_approaches_singular_series_in_absolute_value(c2_1e6):
 def test_plain_twisted_sum_tends_to_zero():
     assert abs(twisted_mobius_sum(2, 10 ** 5, False)) < 0.01
 
-
-def test_sum_series_checkpoints():
-    series = sum_series("log-lcm", [50, 100, 200], "rearranged")
-    assert [x for x, _ in series.checkpoints] == [50, 100, 200]
-    with pytest.raises(ValueError):
-        sum_series("no-such-formula", [10], "brute")
-    s = SumSeries(formula_id="log-lcm", method="brute")
-    s.add(10, 1.0)
-    with pytest.raises(ValueError):
-        s.add(10, 2.0)
