@@ -31,13 +31,15 @@ def factorize(n: int) -> list[tuple[int, int]]:
             out.append((p, e))
     f = 5
     while f * f <= n:
-        for p in (f, f + 2):
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
+        # one test per wheel step; the rare hit then finds which of the two
+        if n % f == 0 or n % (f + 2) == 0:
+            for p in (f, f + 2):
+                if n % p == 0:
+                    e = 0
+                    while n % p == 0:
+                        n //= p
+                        e += 1
+                    out.append((p, e))
         f += 6
     if n > 1:
         out.append((n, 1))

@@ -16,7 +16,6 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 from decimal import Decimal, InvalidOperation
-from math import gcd
 from typing import Callable
 
 from . import constants, counting, primroot, progressions, sums
@@ -42,6 +41,8 @@ class RunConfig:
     threads: int = 1
     seed: int = 0
     options: dict = field(default_factory=dict)
+    # dests of the valued flags given on the command line; not in the report
+    given: frozenset[str] = frozenset()
 
     def report_config(self) -> dict:
         # threads and output path must not influence report bytes
@@ -108,6 +109,13 @@ def _require_limit(limit: int | None, minimum: int) -> None:
     if limit is not None and limit < minimum:
         raise CliError(f"--limit must be >= {minimum}, the first value it "
                        f"checks; got {limit}")
+
+
+def _refuse_unread(config: RunConfig, unread: set[str], mode: str) -> None:
+    """Refuse a flag the user gave that the chosen mode does not read."""
+    given = sorted(config.given & unread)
+    if given:
+        raise CliError(f"--{given[0]} does not apply to {mode}")
 
 
 def _require_capacity(config: RunConfig) -> None:
@@ -180,27 +188,21 @@ def _cmd_ap_census(config: RunConfig):
 
 def _cmd_verify_identities(config: RunConfig):
     top = config.options.get("max", 300)
-    checks = [
-        ("gcd-phi-divisor", lambda m, n: sums.gcd_via_phi(m, n) - gcd(m, n)),
-        ("lcm-reciprocal", sums.lcm_reciprocal_identity_residual),
-        ("phi-lcm-reciprocal", sums.phi_lcm_reciprocal_identity_residual),
-    ]
+    if top > sums.IDENTITY_CAP:
+        raise CliError(f"--max {top} is above the cap {sums.IDENTITY_CAP}: the "
+                       f"phi table up to max^2 would take {8 * (top * top + 1)} bytes")
+    count = len(sums.IDENTITIES)
+    nonzero = [0] * count
+    worst = [0] * count
+    for _, residuals in sums.identity_residual_rows(top):
+        for i, r in enumerate(residuals):
+            nonzero[i] += int((r != 0).sum())
+            worst[i] = max(worst[i], int(abs(r).max()))
     header = ["identity", "max_m", "max_n", "cases", "nonzero_residuals",
               "max_abs_residual"]
-    rows = []
-    failures = 0
-    for name, residual in checks:
-        nonzero = 0
-        worst = 0
-        for m in range(1, top + 1):
-            for n in range(1, top + 1):
-                r = residual(m, n)
-                if r != 0:
-                    nonzero += 1
-                    worst = max(worst, abs(r))
-        failures += nonzero
-        rows.append([name, top, top, top * top, nonzero, worst])
-    return header, rows, 0 if failures == 0 else 1
+    rows = [[name, top, top, top * top, nonzero[i], worst[i]]
+            for i, name in enumerate(sums.IDENTITIES)]
+    return header, rows, 0 if sum(nonzero) == 0 else 1
 
 
 def _cmd_sums(config: RunConfig):
@@ -237,6 +239,13 @@ def _cmd_large_sieve(config: RunConfig):
     q_bound = config.options.get("Q", 30)
     kind = config.options.get("sequence", "ones")
     trials = config.options.get("trials", 1)
+    if kind != "random":
+        # ones and primes give the same row on every trial
+        if trials > 1:
+            raise CliError(f"--trials {trials} does not apply to large-sieve "
+                           f"--sequence {kind}, which is deterministic; it "
+                           f"takes --trials 1")
+        _refuse_unread(config, {"seed"}, f"large-sieve --sequence {kind}")
     header = ["x", "Q", "sequence", "seed", "lhs", "rhs", "slack"]
     rows = []
     bad = 0
@@ -258,8 +267,15 @@ def _cmd_large_sieve(config: RunConfig):
     return header, rows, 0 if bad == 0 else 1
 
 
+# the flags each primroot mode reads; short-test reads all three
+_PRIMROOT_READS = {"theorem-4p1": {"limit"}, "fermat": {"trials", "seed"},
+                   "short-test": {"limit", "trials", "seed"}}
+
+
 def _cmd_primroot(config: RunConfig):
     mode = config.options["mode"]
+    _refuse_unread(config, _PRIMROOT_READS["short-test"] - _PRIMROOT_READS[mode],
+                   f"primroot --{mode}")
     limit = config.options.get("limit", 10 ** 4)
     trials = config.options.get("trials", 20)
     if mode == "theorem-4p1":
@@ -284,10 +300,10 @@ def _cmd_primroot(config: RunConfig):
                 bases = range(2, f)
             else:
                 bases = [rng.randrange(2, f) for _ in range(trials)]
-            ok = all(primroot.fermat_nonresidue_check(f, u) for u in bases)
+            ok = primroot.fermat_nonresidue_check(f, bases)
             if not ok:
                 bad += 1
-            rows.append([f, len(list(bases)), ok])
+            rows.append([f, len(bases), ok])
         return header, rows, 0 if bad == 0 else 1
     if mode == "short-test":
         _require_limit(limit, 7)  # the first modulus is 7 = 2*3 + 1
@@ -297,12 +313,10 @@ def _cmd_primroot(config: RunConfig):
         rows = []
         bad = 0
         for g in primroot.germain_moduli_upto(limit):
-            agree = 0
-            for _ in range(trials):
-                u = rng.randrange(2, g.q)
-                if (primroot.germain_short_test(g, u)
-                        == primroot.primitive_root_test(u, g.q).verdict):
-                    agree += 1
+            bases = [rng.randrange(2, g.q) for _ in range(trials)]
+            certs = primroot.primitive_root_test(g.q, bases)
+            agree = sum(primroot.germain_short_test(g, u) == c.verdict
+                        for u, c in zip(bases, certs))
             if agree != trials:
                 bad += 1
             rows.append([g.q, g.s, g.r, trials, agree])
@@ -520,6 +534,14 @@ def run(config: RunConfig) -> int:
     return status
 
 
+class _Given(argparse.Action):
+    """Store a flag's value and add its dest to the namespace's given set."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # machine-readable usage errors
         sys.stderr.write(json.dumps({"error": "usage", "message": message}) + "\n")
@@ -541,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
                     group.add_argument(*names, **kwargs)
             else:
                 names, kwargs = spec
-                p.add_argument(*names, **kwargs)
+                p.add_argument(*names, **{"action": _Given, **kwargs})
     return parser
 
 

@@ -99,20 +99,25 @@ def two_qr_rule_check(p: int) -> bool:
     return euler_pm == formula
 
 
-def primitive_root_test(u: int, q: int) -> PrimRootCertificate:
-    """Full generator test modulo a prime q >= 3, with its witness list."""
+def primitive_root_test(q: int, bases) -> list[PrimRootCertificate]:
+    """Full generator test of each base modulo a prime q >= 3, with its witnesses.
+
+    q is proven prime and q - 1 factored once for the whole batch; the
+    certificates come back in the order of bases.
+    """
     if q < 3 or not is_prime(q):
         raise ValueError(f"modulus {q} must be an odd prime")
-    if math.gcd(u, q) != 1:
-        raise ValueError(f"base {u} shares a factor with modulus {q}")
-    witnesses = tuple(
-        (ell, pow(u, (q - 1) // ell, q))
-        for ell in _distinct_prime_factors(q - 1)
-    )
-    return PrimRootCertificate(
-        modulus=q, base=u % q, witnesses=witnesses,
-        verdict=all(res != 1 for _, res in witnesses),
-    )
+    exponents = [(ell, (q - 1) // ell) for ell in _distinct_prime_factors(q - 1)]
+    certs = []
+    for u in bases:
+        if math.gcd(u, q) != 1:
+            raise ValueError(f"base {u} shares a factor with modulus {q}")
+        witnesses = tuple((ell, pow(u, e, q)) for ell, e in exponents)
+        certs.append(PrimRootCertificate(
+            modulus=q, base=u % q, witnesses=witnesses,
+            verdict=all(res != 1 for _, res in witnesses),
+        ))
+    return certs
 
 
 def germain_moduli_upto(limit: int) -> list[GermainModulus]:
@@ -152,7 +157,7 @@ def theorem_4p1_check(p: int) -> bool:
     q = 4 * p + 1
     if not is_prime(q):
         raise ValueError(f"4p+1 = {q} is not prime")
-    return primitive_root_test(2, q).verdict
+    return primitive_root_test(q, [2])[0].verdict
 
 
 def reproduce_pair_table(limit: int | None = None) -> list[PairTableRow]:
@@ -169,11 +174,10 @@ def reproduce_pair_table(limit: int | None = None) -> list[PairTableRow]:
     return rows
 
 
-def fermat_nonresidue_check(fermat_prime: int, u: int) -> bool:
-    """Does (u/F) = -1 hold exactly when u generates mod the Fermat prime F?"""
+def fermat_nonresidue_check(fermat_prime: int, bases) -> bool:
+    """Does (u/F) = -1 hold exactly when u generates mod the Fermat prime F,
+    for every u in bases?"""
     if fermat_prime not in FERMAT_PRIMES:
         raise ValueError(f"{fermat_prime} is not a Fermat prime")
-    if math.gcd(u, fermat_prime) != 1:
-        raise ValueError(f"base {u} shares a factor with {fermat_prime}")
-    nonresidue = jacobi(u, fermat_prime) == -1
-    return nonresidue == primitive_root_test(u, fermat_prime).verdict
+    return all((jacobi(c.base, fermat_prime) == -1) == c.verdict
+               for c in primitive_root_test(fermat_prime, bases))

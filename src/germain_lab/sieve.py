@@ -7,8 +7,29 @@ such windows and prime_powers lists the p^k (k >= 2) of its primes. The pair
 sieve strikes the companions a*n + b on top of the same window, which gives
 the primes p with a*p + b also prime. A window holds one byte per odd
 integer, so the pair sieve and the twin-prime product keep only the base
-primes and one window per worker, whatever the range. A deterministic
-strong-pseudoprime test covers anything below 2^64.
+primes and one window per worker, whatever the range.
+
+is_prime is a deterministic strong-pseudoprime (Miller-Rabin) test for
+n < 2^64. Let psi_k be the least odd composite that is a strong probable
+prime to each of the first k prime bases. Below psi_k those k bases decide
+primality, so is_prime takes its bases from the first tier whose bound
+exceeds n:
+
+    bound                           bases     bound is
+    2,047                           2         psi_1
+    1,373,653                       2 .. 3    psi_2
+    25,326,001                      2 .. 5    psi_3
+    3,215,031,751                   2 .. 7    psi_4
+    2,152,302,898,747               2 .. 11   psi_5
+    3,474,749,660,383               2 .. 13   psi_6
+    341,550,071,728,321             2 .. 17   psi_7 = psi_8
+    3,825,123,056,546,413,051       2 .. 23   psi_9 = psi_10 = psi_11
+    2^64                            2 .. 37   below psi_12 ~ 3.2e23
+
+psi_1 .. psi_4 are from Pomerance, Selfridge and Wagstaff (Math. Comp. 35,
+1980), psi_5 .. psi_8 from Jaeschke (Math. Comp. 61, 1993), and psi_9 ..
+psi_12 from Jiang and Deng (Math. Comp. 83, 2014) and Sorenson and Webster
+(Math. Comp. 86, 2017); they are OEIS A014233.
 """
 
 from __future__ import annotations
@@ -18,11 +39,23 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# Witness set proven sufficient for all n < 3.3e24 (Sorenson-Webster),
-# hence deterministic over the whole supported range n < 2^64.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _U64 = 1 << 64
 _I64 = 1 << 63
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (psi_k, k): the first k bases decide every n < psi_k (see the module
+# docstring). psi_8 = psi_7 and psi_10 = psi_11 = psi_9 add no tier.
+_MR_TIERS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (_U64, 12),
+)
 
 # Odd integers per window of the sieve kernel, one byte each while sieved.
 PAIR_WINDOW = 1 << 20
@@ -159,7 +192,10 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for bound, k in _MR_TIERS:
+        if n < bound:
+            break
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

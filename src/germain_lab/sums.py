@@ -1,9 +1,9 @@
 """Exact gcd/lcm/phi identities and the rearranged double sums they support.
 
 The three identity residuals are computed in exact integer arithmetic after
-cross-multiplication, so their contract is "exactly 0", not an epsilon. The
-double sums come in a brute O(x^2) form (the oracle) and a regrouped form
-derived from d | gcd(m, n):
+cross-multiplication, one row m at a time over every n, so their contract
+is "exactly 0", not an epsilon. The double sums come in a brute O(x^2) form
+(the oracle) and a regrouped form derived from d | gcd(m, n):
 
     sum_{m,n<=x} log m log n / [m,n]
         = sum_d phi(d)/d^2 * (sum_{r<=x/d} log(dr)/r)^2
@@ -26,37 +26,50 @@ default first; it is the one place that says which method a formula takes.
 from __future__ import annotations
 
 import math
-from math import fsum, gcd
+from math import fsum
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith import divisors, mobius_log_sum, mobius_sieve, totient, totient_sieve
+from .arith import mobius_log_sum, mobius_sieve, totient_sieve
 
 BRUTE_CAP = 2000  # 4e6 terms; the rearranged forms carry the load beyond
 
 
 # -- exact identities -------------------------------------------------------
 
-def gcd_via_phi(m: int, n: int) -> int:
-    """gcd(m, n) recovered as sum_{d | gcd} phi(d), by divisor enumeration."""
-    if m < 1 or n < 1:
-        raise ValueError("arguments must be >= 1")
-    return sum(totient(d) for d in divisors(gcd(m, n)))
+IDENTITIES = ("gcd-phi-divisor", "lcm-reciprocal", "phi-lcm-reciprocal")
+# Largest max for identity_residual_rows: its phi table up to max^2 is
+# 8 * (max^2 + 1) bytes, about 72 MB at the cap.
+IDENTITY_CAP = 3000
 
 
-def lcm_reciprocal_identity_residual(m: int, n: int) -> int:
-    """m*n - [m,n] * sum_{d|gcd} phi(d), exact; zero iff the identity holds."""
-    if m < 1 or n < 1:
-        raise ValueError("arguments must be >= 1")
-    return m * n - math.lcm(m, n) * gcd_via_phi(m, n)
+def identity_residual_rows(top: int):
+    """Yield (m, residuals) for m = 1..top, row by row.
 
+    residuals holds one int64 array per identity of IDENTITIES, entry n - 1
+    for the pair (m, n), n = 1..top, each zero iff the identity holds there:
 
-def phi_lcm_reciprocal_identity_residual(m: int, n: int) -> int:
-    """phi(mn) - phi([m,n]) * sum_{d|gcd} phi(d), exact."""
-    if m < 1 or n < 1:
-        raise ValueError("arguments must be >= 1")
-    return totient(m * n) - totient(math.lcm(m, n)) * gcd_via_phi(m, n)
+        sum_{d|g} phi(d) - g
+        m*n - [m,n] * sum_{d|g} phi(d)
+        phi(mn) - phi([m,n]) * sum_{d|g} phi(d)        with g = gcd(m, n)
+
+    phi comes from one totient_sieve(top^2), and sum_{d|k} phi(d) from
+    striding phi(d) over the multiples k <= top of each d. Every value stays
+    below top^3, far inside int64 for any top whose table fits in memory.
+    """
+    if top < 1:
+        raise ValueError(f"top must be >= 1, got {top}")
+    phi = totient_sieve(top * top)
+    phi_sum = np.zeros(top + 1, dtype=np.int64)
+    for d in range(1, top + 1):
+        phi_sum[d::d] += phi[d]
+    n = np.arange(1, top + 1, dtype=np.int64)
+    for m in range(1, top + 1):
+        g = np.gcd(m, n)
+        s = phi_sum[g]
+        lcm = (m // g) * n
+        yield m, (s - g, m * n - lcm * s, phi[m * n] - phi[lcm] * s)
 
 
 # -- double sums ------------------------------------------------------------

@@ -84,6 +84,29 @@ def divisors_naive(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def totient_trial(n):
+    t = n
+    for p, _ in factorize_trial(n):
+        t -= t // p
+    return t
+
+
+def gcd_via_phi(m, n):
+    """gcd(m, n) recovered as sum_{d | gcd} phi(d), by divisor enumeration."""
+    return sum(totient_trial(d) for d in divisors_naive(gcd(m, n)))
+
+
+def lcm_reciprocal_identity_residual(m, n):
+    """m*n - [m,n] * sum_{d|gcd} phi(d), exact; zero iff the identity holds."""
+    return m * n - math.lcm(m, n) * gcd_via_phi(m, n)
+
+
+def phi_lcm_reciprocal_identity_residual(m, n):
+    """phi(mn) - phi([m,n]) * sum_{d|gcd} phi(d), exact."""
+    return (totient_trial(m * n)
+            - totient_trial(math.lcm(m, n)) * gcd_via_phi(m, n))
+
+
 def log_lcm_brute(x):
     return fsum(math.log(m) * math.log(n) / math.lcm(m, n)
                 for m in range(1, x + 1) for n in range(1, x + 1))

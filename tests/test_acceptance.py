@@ -11,7 +11,6 @@ p <= 10^6 (to 15 digits), and they lie farther from the product at 10^8 than
 its tail bound allows the limit to be. See README for the analysis.
 """
 
-import math
 import random
 import time
 from math import fsum, log
@@ -30,9 +29,8 @@ from germain_lab.progressions import (large_sieve_check, ones_sequence,
                                       prime_indicator_sequence,
                                       random_sign_sequence)
 from germain_lab.sieve import primes_upto
-from germain_lab.sums import (gcd_via_phi, lcm_reciprocal_identity_residual,
-                              log_lcm_double_sum, mobius_phi_lcm_sum,
-                              phi_lcm_reciprocal_identity_residual)
+from germain_lab.sums import (identity_residual_rows, log_lcm_double_sum,
+                              mobius_phi_lcm_sum)
 
 # Published digits of C2: an erratum, equal to the p <= 10^6 partial product.
 CLAIMED_C2 = 0.6601618605898407646766938915352060
@@ -83,12 +81,8 @@ def test_criterion_02_reciprocal_sum_reproduction():
 def test_criterion_03_identity_exactness():
     t0 = time.perf_counter()
     bad = 0
-    for m in range(1, 301):
-        for n in range(1, 301):
-            if (gcd_via_phi(m, n) != math.gcd(m, n)
-                    or lcm_reciprocal_identity_residual(m, n) != 0
-                    or phi_lcm_reciprocal_identity_residual(m, n) != 0):
-                bad += 1
+    for _, (r_gcd, r_lcm, r_phi) in identity_residual_rows(300):
+        bad += int(((r_gcd != 0) | (r_lcm != 0) | (r_phi != 0)).sum())
     elapsed = time.perf_counter() - t0
     ok = bad == 0 and elapsed < 10.0
     assert report(3, "identity-exactness", ok,
@@ -163,9 +157,9 @@ def test_criterion_08_primitive_root_theorem_sweep():
     moduli = germain_moduli_upto(10 ** 5)
     disagreements = 0
     for g in moduli:
-        for _ in range(20):
-            u = rng.randrange(2, g.q)
-            if germain_short_test(g, u) != primitive_root_test(u, g.q).verdict:
+        bases = [rng.randrange(2, g.q) for _ in range(20)]
+        for u, cert in zip(bases, primitive_root_test(g.q, bases)):
+            if germain_short_test(g, u) != cert.verdict:
                 disagreements += 1
     ok = not failures and disagreements == 0
     assert report(8, "primitive-root-theorem-sweep", ok,

@@ -1,10 +1,11 @@
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 
-from germain_lab import sums
+from germain_lab import arith, primroot, sums
 from germain_lab.cli import (COMMANDS, RunConfig, _OneOf, main,
                              parse_exact_int, parse_int_list, run)
 from germain_lab.counting import psi0
@@ -189,6 +190,84 @@ def test_verify_identities_reports_all_zero(capsys):
         assert cells[4] == "0" and cells[5] == "0"
 
 
+def _identity_rows(capsys):
+    return {r["identity"]: (r["nonzero_residuals"], r["max_abs_residual"])
+            for r in json.loads(capsys.readouterr().out)["rows"]}
+
+
+def test_verify_identities_counts_a_planted_fault_once_per_pair(monkeypatch, capsys):
+    totient_sieve = sums.totient_sieve
+
+    def planted(at):
+        def table(limit):
+            phi = totient_sieve(limit)
+            phi[at] += 1
+            return phi
+        return table
+
+    # phi(7) + 1 puts 1 into sum_{d|g} phi(d) for the 4 * 4 pairs with 7 | g,
+    # (m, n) = (7a, 7b), a, b <= 4, and into no other pair
+    monkeypatch.setattr(sums, "totient_sieve", planted(7))
+    assert main(["verify-identities", "--max", "30", "--format", "json"]) == 1
+    got = _identity_rows(capsys)
+    assert {name: count for name, (count, _) in got.items()} == dict.fromkeys(
+        sums.IDENTITIES, 16)
+    assert got["gcd-phi-divisor"][1] == 1
+    assert got["lcm-reciprocal"][1] == 84  # [m,n] * 1 at (28, 21)
+    # phi(36) + 1 enters phi(mn) when mn = 36 and phi([m,n]) when [m,n] = 36;
+    # the two cancel where m, n are coprime, since then mn = [m,n]
+    monkeypatch.setattr(sums, "totient_sieve", planted(36))
+    assert main(["verify-identities", "--max", "12", "--format", "json"]) == 1
+    affected = [(m, n) for m in range(1, 13) for n in range(1, 13)
+                if math.gcd(m, n) > 1 and 36 in (m * n, math.lcm(m, n))]
+    assert affected == [(3, 12), (6, 6), (9, 12), (12, 3), (12, 9)]
+    assert _identity_rows(capsys) == {"gcd-phi-divisor": (0, 0),
+                                      "lcm-reciprocal": (0, 0),
+                                      "phi-lcm-reciprocal": (5, 3)}
+
+
+def test_verify_identities_max_above_cap_is_refused_before_the_table(monkeypatch,
+                                                                     capsys):
+    def no_table(limit):
+        raise AssertionError("the phi table was built")
+
+    monkeypatch.setattr(sums, "totient_sieve", no_table)
+    for top in (sums.IDENTITY_CAP + 1, 10 ** 4):
+        assert main(["verify-identities", "--max", str(top)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "CliError",
+            "message": f"--max {top} is above the cap 3000: the phi table up to "
+                       f"max^2 would take {8 * (top * top + 1)} bytes"}
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweeps_factor_once_per_modulus_and_never_per_pair(monkeypatch, capsys):
+    in_arith = _count_calls(monkeypatch, arith, "factorize")
+    in_primroot = _count_calls(monkeypatch, primroot, "factorize")
+    assert main(["verify-identities", "--max", "300"]) == 0
+    assert (len(in_arith), len(in_primroot)) == (0, 0)
+    capsys.readouterr()
+    argv = "primroot --short-test --limit 1e5 --trials 20 --seed 0"
+    assert main(argv.split()) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    # one factorization of q - 1 per modulus, not one per base (29,300)
+    assert len(rows) == len(in_primroot) == 1465
+    assert in_arith == []
+
+
 def test_sums_both_methods_agree(capsys):
     assert main(["sums", "--formula", "mobius-phi-lcm", "--method", "both",
                  "--x", "50,100"]) == 0
@@ -264,6 +343,44 @@ def test_large_sieve_random_trials_deterministic(tmp_path):
     args["seed"] = 12
     assert run(RunConfig(**args, output_path=str(shifted))) == 0
     assert out1.read_bytes() != shifted.read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("primroot --fermat --limit 0", "--limit does not apply to primroot --fermat"),
+    ("primroot --fermat --limit 10000", "--limit does not apply to primroot --fermat"),
+    ("primroot --theorem-4p1 --trials 20",
+     "--trials does not apply to primroot --theorem-4p1"),
+    ("primroot --theorem-4p1 --limit 1e6 --seed 3",
+     "--seed does not apply to primroot --theorem-4p1"),
+    ("large-sieve --sequence ones --trials 3 --x 100 --Q 5",
+     "--trials 3 does not apply to large-sieve --sequence ones, which is "
+     "deterministic; it takes --trials 1"),
+    ("large-sieve --sequence primes --trials 2",
+     "--trials 2 does not apply to large-sieve --sequence primes, which is "
+     "deterministic; it takes --trials 1"),
+    ("large-sieve --seed 0", "--seed does not apply to large-sieve --sequence ones"),
+])
+def test_flag_the_mode_does_not_read_is_refused(argv, message, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("primroot.germain_moduli_upto", "primroot.theorem_4p1_check",
+                 "primroot.fermat_nonresidue_check", "counting.germain_pairs",
+                 "progressions.ones_sequence", "progressions.prime_indicator_sequence",
+                 "progressions.large_sieve_check"):
+        monkeypatch.setattr(f"germain_lab.{name}", no_work)
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "CliError", "message": message}
+
+
+def test_deterministic_large_sieve_takes_one_trial(capsys):
+    assert main("large-sieve --sequence primes --x 500 --Q 10".split()) == 0
+    default = capsys.readouterr().out
+    assert main("large-sieve --sequence primes --x 500 --Q 10 --trials 1".split()) == 0
+    assert capsys.readouterr().out == default
+    assert len(default.splitlines()) == 2
 
 
 def test_primroot_subcommands(capsys):

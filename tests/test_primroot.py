@@ -60,24 +60,27 @@ def test_two_qr_rule_examples_and_sweep():
 
 
 def test_primitive_root_certificate_examples():
-    cert = primitive_root_test(2, 13)
+    cert, one, fifteen = primitive_root_test(13, [2, 1, 15])
     assert cert.verdict
     assert dict(cert.witnesses) == {2: 12, 3: 3}
-    assert not primitive_root_test(1, 13).verdict
-    assert primitive_root_test(3, 7).verdict
+    assert not one.verdict
+    assert (fifteen.base, fifteen.verdict) == (2, True)
+    assert primitive_root_test(7, [3])[0].verdict
+    assert primitive_root_test(7, []) == []
     with pytest.raises(ValueError):
-        primitive_root_test(13, 13)
+        primitive_root_test(13, [2, 13])
     with pytest.raises(ValueError):
-        primitive_root_test(2, 9)
+        primitive_root_test(9, [2])
 
 
 def test_primitive_root_verdict_equals_full_order_exhaustive():
     for q in primes_upto(500).tolist():
         if q == 2:
             continue
-        for u in range(1, q):
-            assert primitive_root_test(u, q).verdict == (
-                oracles.mult_order_brute(u, q) == q - 1)
+        certs = primitive_root_test(q, range(1, q))
+        assert [c.base for c in certs] == list(range(1, q))
+        assert [c.verdict for c in certs] == [
+            oracles.mult_order_brute(u, q) == q - 1 for u in range(1, q)]
 
 
 def test_primitive_root_verdict_equals_full_order_sampled():
@@ -86,7 +89,7 @@ def test_primitive_root_verdict_equals_full_order_sampled():
     for _ in range(300):
         q = rng.choice(qs)
         u = rng.randrange(2, q)
-        assert primitive_root_test(u, q).verdict == (
+        assert primitive_root_test(q, [u])[0].verdict == (
             oracles.mult_order_brute(u, q) == q - 1)
 
 
@@ -113,9 +116,9 @@ def test_germain_short_test_examples():
 def test_germain_short_test_agrees_with_full_test():
     rng = random.Random(1234)
     for g in germain_moduli_upto(2 * 10 ** 4):
-        for _ in range(10):
-            u = rng.randrange(2, g.q)
-            assert germain_short_test(g, u) == primitive_root_test(u, g.q).verdict
+        bases = [rng.randrange(2, g.q) for _ in range(10)]
+        certs = primitive_root_test(g.q, bases)
+        assert [germain_short_test(g, u) for u in bases] == [c.verdict for c in certs]
 
 
 def test_theorem_4p1_examples():
@@ -153,18 +156,17 @@ def test_pair_table_limit_filter():
 
 
 def test_fermat_nonresidue_examples():
-    assert fermat_nonresidue_check(17, 3)
-    assert fermat_nonresidue_check(17, 2)
+    assert fermat_nonresidue_check(17, [3])
+    assert fermat_nonresidue_check(17, [2, 3])
     with pytest.raises(ValueError):
-        fermat_nonresidue_check(7, 3)
+        fermat_nonresidue_check(7, [3])
     with pytest.raises(ValueError):
-        fermat_nonresidue_check(17, 34)
+        fermat_nonresidue_check(17, [3, 34])
 
 
 def test_fermat_nonresidue_biconditional():
     for f in (3, 5, 17, 257):
-        assert all(fermat_nonresidue_check(f, u) for u in range(2, f))
+        assert fermat_nonresidue_check(f, range(2, f))
     rng = random.Random(65537)
     big = FERMAT_PRIMES[-1]
-    assert all(fermat_nonresidue_check(big, rng.randrange(2, big))
-               for _ in range(1000))
+    assert fermat_nonresidue_check(big, [rng.randrange(2, big) for _ in range(1000)])

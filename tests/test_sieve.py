@@ -26,9 +26,8 @@ def test_factorization_roundtrip():
 
 
 def test_is_prime_agrees_with_spf_classification():
-    flags = oracles.sieve_flags(10 ** 5)
-    for n in range(2, 10 ** 5 + 1):
-        assert is_prime(n) == bool(flags[n])
+    flags = oracles.sieve_flags(10 ** 6)
+    assert [is_prime(n) for n in range(10 ** 6 + 1)] == [bool(f) for f in flags]
 
 
 def test_is_prime_examples():
@@ -48,6 +47,81 @@ def test_is_prime_strong_pseudoprimes_and_large_values():
     assert not is_prime(3215031751)      # classic 4-base pseudoprime
     assert is_prime((1 << 61) - 1)       # Mersenne prime
     assert not is_prime((1 << 64) - 1)
+
+
+# psi_k, the least odd composite that is a strong probable prime to each of
+# the first k prime bases, k = 1..12 (OEIS A014233), with a factorization of
+# each value below 2^64.
+PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, 318665857834031151167461]
+PSI_FACTORS = {
+    2047: (23, 89), 1373653: (829, 1657), 25326001: (2251, 11251),
+    3215031751: (151, 751, 28351), 2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543), 341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+}
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def strong_probable_prime(n, a):
+    """Does odd n > a pass the strong Fermat test to base a?"""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def leading_bases_fooled(n):
+    k = 0
+    while k < len(BASES) and strong_probable_prime(n, BASES[k]):
+        k += 1
+    return k
+
+
+def test_psi_bounds_are_tight_composites():
+    for k, psi in enumerate(PSI, 1):
+        # psi_k fools the first k bases, and exactly as many as share its value
+        assert leading_bases_fooled(psi) == max(j for j, v in enumerate(PSI, 1)
+                                                if v == psi) >= k
+        if psi < 1 << 64:
+            assert math.prod(PSI_FACTORS[psi]) == psi
+            assert not is_prime(psi)
+
+
+def test_witness_tiers_stop_at_psi():
+    tiers = sieve._MR_TIERS
+    assert [k for _, k in tiers] == [1, 2, 3, 4, 5, 6, 7, 9, 12]
+    for bound, k in tiers[:-1]:
+        assert bound == PSI[k - 1]
+    assert tiers[-1][0] == 1 << 64 < PSI[11]
+
+
+def test_is_prime_at_the_primes_around_each_tier_bound():
+    def oracle(n):
+        if n < 10 ** 10:
+            return oracles.is_prime_trial(n)
+        return n % 2 == 1 and all(strong_probable_prime(n, a) for a in BASES)
+
+    top = (1 << 64) - 59  # the largest prime below 2^64
+    assert oracle(top)
+    assert [is_prime(n) for n in range(top, 1 << 64)] == [True] + [False] * 58
+    for bound in sorted(set(PSI[:9])):
+        below = bound - 1
+        while not oracle(below):
+            below -= 1
+        above = bound + 1
+        while not oracle(above):
+            above += 1
+        for n in range(below, above + 1):
+            assert is_prime(n) == oracle(n), n
 
 
 def test_is_prime_domain():

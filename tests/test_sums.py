@@ -1,38 +1,47 @@
 import math
 from math import fsum, log
 
+import numpy as np
 import pytest
 
 import oracles
 from germain_lab.constants import singular_series
-from germain_lab.sums import (gcd_via_phi, lcm_reciprocal_identity_residual,
+from germain_lab.sums import (IDENTITIES, identity_residual_rows,
                               log_lcm_double_sum, mobius_phi_lcm_sum,
-                              phi_lcm_reciprocal_identity_residual,
                               squarefree_harmonic_sum, twisted_mobius_sum)
 
 
 def test_gcd_via_phi_examples():
-    assert gcd_via_phi(1, 360) == 1
-    assert gcd_via_phi(12, 18) == 6
+    assert oracles.gcd_via_phi(1, 360) == 1
+    assert oracles.gcd_via_phi(12, 18) == 6
     for p in (2, 3, 5, 97, 991):
-        assert gcd_via_phi(p, p) == p
-    with pytest.raises(ValueError):
-        gcd_via_phi(0, 5)
+        assert oracles.gcd_via_phi(p, p) == p
 
 
 def test_identity_residuals_examples():
-    assert lcm_reciprocal_identity_residual(1, 1) == 0
-    assert lcm_reciprocal_identity_residual(12, 18) == 0
-    assert phi_lcm_reciprocal_identity_residual(1, 1) == 0
-    assert phi_lcm_reciprocal_identity_residual(4, 6) == 0
+    assert oracles.lcm_reciprocal_identity_residual(1, 1) == 0
+    assert oracles.lcm_reciprocal_identity_residual(12, 18) == 0
+    assert oracles.phi_lcm_reciprocal_identity_residual(1, 1) == 0
+    assert oracles.phi_lcm_reciprocal_identity_residual(4, 6) == 0
 
 
 def test_identity_residuals_exhaustive_small():
-    for m in range(1, 61):
-        for n in range(1, 61):
-            assert gcd_via_phi(m, n) == math.gcd(m, n)
-            assert lcm_reciprocal_identity_residual(m, n) == 0
-            assert phi_lcm_reciprocal_identity_residual(m, n) == 0
+    scalar = (lambda m, n: oracles.gcd_via_phi(m, n) - math.gcd(m, n),
+              oracles.lcm_reciprocal_identity_residual,
+              oracles.phi_lcm_reciprocal_identity_residual)
+    assert len(scalar) == len(IDENTITIES)
+    rows = list(identity_residual_rows(60))
+    assert [m for m, _ in rows] == list(range(1, 61))
+    for m, residuals in rows:
+        for oracle, row in zip(scalar, residuals, strict=True):
+            assert row.dtype == np.int64
+            assert row.tolist() == [oracle(m, n) for n in range(1, 61)]
+            assert not row.any()
+
+
+def test_identity_residual_rows_rejects_top_below_one():
+    with pytest.raises(ValueError):
+        next(identity_residual_rows(0))
 
 
 def test_log_lcm_smallest_case():
