@@ -143,6 +143,10 @@ def _cmd_census(config: RunConfig):
 
 def _cmd_psi0_partition(config: RunConfig):
     _require_capacity(config)
+    largest = max(config.x_checkpoints, default=0)
+    if largest > counting.PARTITION_CAP:
+        raise CliError(f"--x {largest} is above the cap {counting.PARTITION_CAP}: the "
+                       "partition walks every odd squarefree d <= 2x+1 in Python")
     x1_opt = config.options.get("x1")
     header = ["x", "x1", "main", "error", "psi0", "partition_residual"]
     rows = []
@@ -281,14 +285,9 @@ def _cmd_primroot(config: RunConfig):
     if mode == "theorem-4p1":
         _require_limit(limit, 3)  # the first pair is (3, 13)
         header = ["p", "q", "two_generates"]
-        rows = []
-        bad = 0
-        for g in counting.germain_pairs(limit, 4, 1):
-            ok = primroot.theorem_4p1_check(g.p)
-            if not ok:
-                bad += 1
-            rows.append([g.p, g.q, ok])
-        return header, rows, 0 if bad == 0 else 1
+        rows = [[g.p, g.q, primroot.theorem_4p1_check(g.p)]
+                for g in counting.germain_pairs(limit, 4, 1)]
+        return header, rows, 0 if all(ok for _, _, ok in rows) else 1
     if mode == "fermat":
         import random
         rng = random.Random(config.seed)

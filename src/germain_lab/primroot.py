@@ -154,10 +154,7 @@ def theorem_4p1_check(p: int) -> bool:
     """
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    q = 4 * p + 1
-    if not is_prime(q):
-        raise ValueError(f"4p+1 = {q} is not prime")
-    return primitive_root_test(q, [2])[0].verdict
+    return primitive_root_test(4 * p + 1, [2])[0].verdict
 
 
 def reproduce_pair_table(limit: int | None = None) -> list[PairTableRow]:

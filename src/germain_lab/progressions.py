@@ -95,7 +95,9 @@ def ones_sequence(x: int) -> np.ndarray:
 
 
 def prime_indicator_sequence(x: int) -> np.ndarray:
-    return np.isin(np.arange(1, x + 1), primes_upto(x)).astype(np.float64)
+    seq = np.zeros(x)
+    seq[primes_upto(x) - 1] = 1.0
+    return seq
 
 
 def random_sign_sequence(x: int, seed: int) -> np.ndarray:

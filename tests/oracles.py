@@ -135,6 +135,23 @@ def psi_pair_brute(x, a, b, power):
                 for n in range(1, x + 1))
 
 
+def psi0_partition_brute(x, x1):
+    """(main, error) of psi0(x) = sum_n Lambda(n) Lambda(2n+1)^2, expanded.
+
+    Each Lambda(2n+1) is -sum_{d|2n+1} mu(d) log d; the term of (n, d1, d2)
+    goes to main when d1, d2 <= x1 and to error otherwise. Summed over n,
+    not over (d1, d2) as the library does.
+    """
+    main, error = [], []
+    for n in range(1, x + 1):
+        ds = [(d, mobius_naive(d) * math.log(d)) for d in divisors_naive(2 * n + 1)]
+        for d1, w1 in ds:
+            for d2, w2 in ds:
+                term = von_mangoldt_naive(n) * w1 * w2
+                (main if d1 <= x1 and d2 <= x1 else error).append(term)
+    return fsum(main), fsum(error)
+
+
 def simpson_fixed(f, a, b, nodes):
     """Composite Simpson on an even number of panels."""
     n = nodes if nodes % 2 == 0 else nodes + 1

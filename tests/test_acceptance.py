@@ -191,7 +191,7 @@ def test_criterion_10_quadratic_residue_laws():
                   f"{len(primes)} primes for the (2/p) rule, 1000 reciprocity pairs")
 
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(tmp_path, small_windows):
     outs = []
     for threads in (1, 4):
         path = tmp_path / f"census_t{threads}.csv"
@@ -208,6 +208,9 @@ def test_criterion_11_determinism(tmp_path):
                             output_path=str(path))
         assert cli.run(cfg) == 0
         outs.append(path.read_bytes())
+    # the pair sieve and the C2 product each ran on several threads
+    split = [(w, t) for w, t in small_windows if w > 1 and t == 4]
+    assert len(split) == 2
     ok = outs[0] == outs[1] and outs[2] == outs[3]
     assert report(11, "determinism", ok,
                   "census and large-sieve reports byte-identical across thread counts")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from germain_lab import arith, primroot, sums
+from germain_lab import arith, counting, primroot, sieve, sums
 from germain_lab.cli import (COMMANDS, RunConfig, _OneOf, main,
                              parse_exact_int, parse_int_list, run)
 from germain_lab.counting import psi0
@@ -31,12 +31,14 @@ def test_parse_int_list_requires_ascending():
         parse_int_list("")
 
 
-def test_census_csv_deterministic_across_thread_counts(tmp_path):
+def test_census_csv_deterministic_across_thread_counts(tmp_path, small_windows):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     base = dict(command="census", x_checkpoints=[100, 1000], c2_cutoff=10 ** 4)
     assert run(RunConfig(**base, output_path=str(out1), threads=1)) == 0
     assert run(RunConfig(**base, output_path=str(out2), threads=4)) == 0
+    # the C2 product ran on several threads
+    assert any(windows > 1 and threads == 4 for windows, threads in small_windows)
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header == "x,pi_g,psi_g,psi0,hl_prediction,ratio"
@@ -242,6 +244,31 @@ def test_verify_identities_max_above_cap_is_refused_before_the_table(monkeypatch
                        f"max^2 would take {8 * (top * top + 1)} bytes"}
 
 
+def test_psi0_partition_above_cap_is_refused_before_any_table(monkeypatch,
+                                                              capsys):
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    for name in ("psi0_partition", "psi0", "_flags", "mobius_sieve",
+                 "pair_primes"):
+        monkeypatch.setattr(counting, name, no_work)
+    cap = counting.PARTITION_CAP
+    for checkpoints, largest in ((f"{cap + 1}", cap + 1),
+                                 (f"1e3,{cap + 1}", cap + 1), ("1e9", 10 ** 9)):
+        assert main(["psi0-partition", "--x", checkpoints]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "CliError",
+            "message": f"--x {largest} is above the cap {cap}: the partition "
+                       "walks every odd squarefree d <= 2x+1 in Python"}
+    # the cap itself is admitted
+    monkeypatch.setattr(counting, "psi0_partition", lambda x, x1: (1.0, 2.0))
+    monkeypatch.setattr(counting, "psi0", lambda x: 3.0)
+    assert main(["psi0-partition", "--x", str(cap)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"{cap},")
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     fn = getattr(module, name)
@@ -266,6 +293,16 @@ def test_sweeps_factor_once_per_modulus_and_never_per_pair(monkeypatch, capsys):
     # one factorization of q - 1 per modulus, not one per base (29,300)
     assert len(rows) == len(in_primroot) == 1465
     assert in_arith == []
+
+
+def test_theorem_4p1_proves_each_prime_once_outside_the_sieve(monkeypatch, capsys):
+    in_primroot = _count_calls(monkeypatch, primroot, "is_prime")
+    in_sieve = _count_calls(monkeypatch, sieve, "is_prime")
+    assert main("primroot --theorem-4p1 --limit 1e6".split()) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    # p once in theorem_4p1_check, q = 4p + 1 once in primitive_root_test
+    assert len(rows) == 7422
+    assert len(in_primroot) + len(in_sieve) == 2 * 7422 + 1
 
 
 def test_sums_both_methods_agree(capsys):

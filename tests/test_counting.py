@@ -130,6 +130,51 @@ def test_partition_random_cases():
         assert abs(m + e - p0) <= 1e-8 * abs(p0)
 
 
+# (x, x1, main, error) from the dense lcm-matrix implementation this one
+# replaced, which built every pair (d1, d2) and zeroed those with lcm > 2x+1
+PINNED_PARTITIONS = [
+    (1, 1, 0.0, 0.0),
+    (1, 3, 0.0, 0.0),
+    (2, 2.5, 0.0, 1.7954524834189096),
+    (3, 3, 0.0, 5.95542076146019),
+    (3, 7, 5.95542076146019, 0.0),
+    (5, 1, 0.0, 16.0461238827415),
+    (7, 15, 16.0461238827415, 0.0),
+    (10, 2.5, 0.0, 31.13474604988251),
+    (10, 10, 21.06241595082762, 10.072330099054888),
+    (37, log(37) ** 2, 207.19305000116674, -46.92291927970473),
+    (37, 50.5, 158.88587734961396, 1.3842533718480405),
+    (37, 75, 160.270130721462, 0.0),
+    (100, 1, 0.0, 584.5105335247644),
+    (100, 3, 54.8514587931636, 529.6590747316008),
+    (100, log(100) ** 2, 520.1005246808699, 64.41000884389459),
+    (100, 100, 781.9339390548162, -197.42340553005178),
+    (255, 50.5, 2005.962508335084, 154.5180970999665),
+    (255, 511, 2160.4806054350506, 0.0),
+    (1000, log(1000) ** 2, 8901.338054275002, -688.0335005891699),
+    (1000, 1000, 18766.38669364169, -10553.082139955859),
+    (3000, log(3000) ** 2, 27162.837478189922, 4832.353247805185),
+]
+
+
+@pytest.mark.parametrize("x, x1, main, error", PINNED_PARTITIONS)
+def test_partition_pinned_bit_for_bit(x, x1, main, error):
+    # hex tells -0.0 from 0.0 and shows every bit
+    m, e = psi0_partition(x, x1)
+    assert (m.hex(), e.hex()) == (main.hex(), error.hex())
+
+
+def test_partition_main_and_error_match_the_expanded_brute_sum():
+    for x in range(1, 61):
+        top = 2 * x + 1
+        cutoffs = {1, 3, 7.5, max(1.0, log(x) ** 2), x, top}
+        for x1 in sorted(c for c in cutoffs if c <= top):
+            m, e = psi0_partition(x, x1)
+            bm, be = oracles.psi0_partition_brute(x, x1)
+            assert m == pytest.approx(bm, rel=1e-12, abs=1e-9), (x, x1)
+            assert e == pytest.approx(be, rel=1e-12, abs=1e-9), (x, x1)
+
+
 def test_partition_guards():
     with pytest.raises(ValueError):
         psi0_partition(50, 0.5)
