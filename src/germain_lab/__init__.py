@@ -6,20 +6,20 @@ Library layout:
   arith        mobius / von Mangoldt / totient and their summatory forms
   constants    twin-prime constant and the pair singular series
   sums         exact gcd/lcm/phi identities and rearranged double sums
-  counting     pair censuses, weighted counting functions, predictions
+  counting     pair counts and weighted sums from one pass of the pair
+               sieve, the psi0 partition, predictions
   progressions integers and prime weights in arithmetic progressions
   primroot     primitive-root tests, quadratic residue laws, pair-table audit
   cli          report-generating command-line interface
 """
 
 from .constants import SingularValue, singular_series, twin_prime_constant
-from .counting import (CountReport, GermainPair, census, germain_pairs,
-                       germain_reciprocal_sum, hl_prediction, psi0,
-                       psi0_partition, psi_g)
-from .sieve import is_prime, primes_upto
+from .counting import (CountReport, census, hl_prediction, pair_sums,
+                       psi0_partition, reciprocal_sums)
+from .sieve import is_prime, pair_primes, primes_upto
 
 __all__ = [
-    "CountReport", "GermainPair", "SingularValue", "census", "germain_pairs",
-    "germain_reciprocal_sum", "hl_prediction", "is_prime", "primes_upto",
-    "psi0", "psi0_partition", "psi_g", "singular_series", "twin_prime_constant",
+    "CountReport", "SingularValue", "census", "hl_prediction", "is_prime",
+    "pair_primes", "pair_sums", "primes_upto", "psi0_partition",
+    "reciprocal_sums", "singular_series", "twin_prime_constant",
 ]

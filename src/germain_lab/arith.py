@@ -1,9 +1,9 @@
 """Multiplicative arithmetic functions and their summatory forms.
 
-Point evaluations (mobius, von_mangoldt, totient) factor their argument
-by trial division. The summatory forms (mertens, mobius_log_sum) run over
-vectorized tables instead, so tests can cross-check the two independent
-routes.
+Point evaluations (von_mangoldt, totient) factor their argument by trial
+division. The tables (mobius_sieve, totient_sieve) and the summatory form
+mobius_log_sum are sieved instead, so tests can cross-check the two
+independent routes.
 """
 
 from __future__ import annotations
@@ -54,23 +54,6 @@ def divisors(n: int) -> list[int]:
     return ds
 
 
-def squarefree_divisors_with_mobius(n: int) -> list[tuple[int, int]]:
-    """(d, mu(d)) for the squarefree divisors d of n; the others have mu = 0."""
-    out = [(1, 1)]
-    for p, _ in factorize(n):
-        out = out + [(d * p, -m) for d, m in out]
-    return out
-
-
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"mobius undefined for n={n}")
-    fac = factorize(n)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
 def von_mangoldt(n: int) -> float:
     """log p when n = p^k (the standard convention), else 0."""
     if n < 1:
@@ -110,16 +93,11 @@ def totient_sieve(limit: int) -> np.ndarray:
     phi = np.arange(limit + 1, dtype=np.int64)
     for p in primes_upto(limit):
         p = int(p)
-        phi[p::p] -= phi[p::p] // p
+        # in place: p still divides phi-so-far(n) for every multiple n of p
+        multiples = phi[p::p]
+        multiples //= p
+        multiples *= p - 1
     return phi
-
-
-def mertens(x: int) -> int:
-    """M(x) = sum_{n<=x} mu(n), exact."""
-    if x < 1:
-        raise ValueError(f"mertens needs x >= 1, got {x}")
-    mu = mobius_sieve(x)
-    return int(mu[1:].astype(np.int64).sum())
 
 
 class MobiusLogSum(NamedTuple):
@@ -135,11 +113,3 @@ def mobius_log_sum(x: int) -> MobiusLogSum:
     logs = np.log(np.arange(1, x + 1, dtype=np.float64))
     value = fsum((mu[1:] * logs).tolist())
     return MobiusLogSum(value=value, ratio=abs(value) / x)
-
-
-def lambda_divisor_identity_residual(n: int) -> float:
-    """|Lambda(n) + sum_{d|n} mu(d) log d|; zero up to rounding for every n."""
-    if n < 1:
-        raise ValueError(f"identity residual undefined for n={n}")
-    terms = [m * math.log(d) for d, m in squarefree_divisors_with_mobius(n) if d > 1]
-    return abs(von_mangoldt(n) + fsum(terms))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from typing import Callable
 
-from . import constants, counting, primroot, progressions, sums
+from . import constants, counting, primroot, progressions, sieve, sums
 from .reports import render_csv, render_json
 
 DEFAULT_C2_CUTOFF = 10 ** 6
@@ -150,10 +150,10 @@ def _cmd_psi0_partition(config: RunConfig):
     x1_opt = config.options.get("x1")
     header = ["x", "x1", "main", "error", "psi0", "partition_residual"]
     rows = []
-    for x in config.x_checkpoints:
+    sums_at_x = counting.pair_sums(config.x_checkpoints, threads=config.threads)
+    for x, (_, _, p0) in zip(config.x_checkpoints, sums_at_x):
         x1 = x1_opt if x1_opt is not None else max(1.0, math.log(x) ** 2)
         m, e = counting.psi0_partition(x, x1)
-        p0 = counting.psi0(x)
         rows.append([x, x1, m, e, p0, m + e - p0])
     return header, rows, 0
 
@@ -285,8 +285,9 @@ def _cmd_primroot(config: RunConfig):
     if mode == "theorem-4p1":
         _require_limit(limit, 3)  # the first pair is (3, 13)
         header = ["p", "q", "two_generates"]
-        rows = [[g.p, g.q, primroot.theorem_4p1_check(g.p)]
-                for g in counting.germain_pairs(limit, 4, 1)]
+        rows = [[p, 4 * p + 1, primroot.theorem_4p1_check(p)]
+                for p in sieve.pair_primes(limit, 4, 1,
+                                           threads=config.threads).tolist()]
         return header, rows, 0 if all(ok for _, _, ok in rows) else 1
     if mode == "fermat":
         import random
@@ -336,11 +337,9 @@ def _cmd_reciprocal_sum(config: RunConfig):
     _require_capacity(config)
     c2 = constants.twin_prime_constant(config.c2_cutoff, threads=config.threads)
     header = ["x", "reciprocal_sum", "logp_sum", "logp_fit_residual"]
-    rows = []
-    for x in config.x_checkpoints:
-        rec = counting.germain_reciprocal_sum(x)
-        lp = counting.germain_logp_sum(x, c2)
-        rows.append([x, rec, lp.value, lp.fit_residual])
+    rows = [[x, *sums_at_x] for x, sums_at_x in zip(
+        config.x_checkpoints,
+        counting.reciprocal_sums(config.x_checkpoints, c2, threads=config.threads))]
     return header, rows, 0
 
 
@@ -588,7 +587,7 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         return run(config)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, MemoryError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(record) + "\n")
         return 1

@@ -1,14 +1,17 @@
-"""Germain-pair enumeration and the weighted counting functions built on it.
+"""The Germain-pair counting functions and sums, each from one sieve pass.
 
-Every pair quantity comes from one pass of the segmented pair sieve
-(sieve.pair_primes) up to the largest checkpoint, which yields the
-ascending primes p with a*p + b prime. pi_g(x) is the length of the prefix
-p <= x. psi_g and psi0 weight by the von Mangoldt function, whose support is
-the prime powers, and are summed as three math.fsum groups over the same
-prefix: the prime pairs themselves, n = p^k (k >= 2) with a*n + b prime, and
+Every pair command makes one pass of the segmented pair sieve
+(sieve.pair_primes) up to its largest checkpoint, which yields the ascending
+primes p with a*p + b prime; each checkpoint x reads the prefix p <= x.
+pair_sums gives pi_g(x), the length of the prefix, and psi_g and psi0,
+which weight by the von Mangoldt function, whose support is the prime
+powers. Each is summed as three math.fsum groups over the same prefix: the
+prime pairs themselves, n = p^k (k >= 2) with a*n + b prime, and
 a*n + b = q^k (k >= 2) with n a prime power. The last two groups hold only
-O(sqrt(a*x + b)) terms. fsum rounds correctly, so a checkpoint's value does
-not depend on the other checkpoints of the pass or on the thread count.
+O(sqrt(a*x + b)) terms. reciprocal_sums gives the sums of 1/p and log p / p
+over the Germain primes (a, b = 2, 1). fsum rounds correctly, so a
+checkpoint's value does not depend on the other checkpoints of the pass or
+on the thread count.
 
 psi0_partition splits the divisor-expanded form of psi0(x) at a cutoff:
 expanding each Lambda(2n+1) factor through Lambda(m) = -sum_{d|m} mu(d) log d
@@ -34,16 +37,6 @@ from .sieve import is_prime, pair_primes, prime_powers, primes_upto
 
 
 @dataclass(frozen=True)
-class GermainPair:
-    """A prime p whose companion q = a*p + b is also prime."""
-
-    p: int
-    a: int
-    b: int
-    q: int
-
-
-@dataclass(frozen=True)
 class CountReport:
     x: int
     pi_g: int
@@ -58,36 +51,46 @@ class PsiPartition(NamedTuple):
     error: float  # complement, summed as its own rows, never psi0 - main
 
 
-class GermainLogpSum(NamedTuple):
-    value: float
-    fit_residual: float  # value - (a0 log log x + a0 / log x), a0 = 2 C2
-
-
 def _flags(limit: int) -> np.ndarray:
     """The primes <= limit for psi0_partition; perfbench traces this name."""
     return primes_upto(limit)
 
 
-def germain_pairs(x: int, a: int = 2, b: int = 1) -> list[GermainPair]:
-    """All primes p <= x with a*p + b prime, ascending."""
-    return [GermainPair(p=p, a=a, b=b, q=a * p + b)
-            for p in pair_primes(x, a, b).tolist()]
+def _pass(xs: Sequence[int], a: int, b: int,
+          threads: int) -> tuple[np.ndarray, list[int]]:
+    """One pair-sieve pass to the last checkpoint, and each checkpoint's prefix.
 
-
-def _pair_sums(xs: Sequence[int], a: int, b: int,
-               threads: int) -> list[tuple[int, float, float]]:
-    """(pi_g, psi_g, psi0) at each ascending checkpoint, from one sieve pass."""
-    if not xs:
-        return []
+    The checkpoints ascend strictly and are >= 1; below 2 there is no pair,
+    so no pass runs when the last one is.
+    """
     if any(y <= x for x, y in zip(xs, xs[1:])):
         raise ValueError(f"checkpoints must be strictly ascending: {list(xs)}")
-    if xs[0] < 2:
-        raise ValueError(f"x must be >= 2, got {xs[0]}")
+    if xs and xs[0] < 1:
+        raise ValueError(f"x must be >= 1, got {xs[0]}")
+    if not xs or xs[-1] < 2:
+        return np.zeros(0, dtype=np.int64), [0] * len(xs)
+    ps = pair_primes(xs[-1], a, b, threads=threads)
+    return ps, np.searchsorted(ps, xs, side="right").tolist()
+
+
+def pair_sums(xs: Sequence[int], a: int = 2, b: int = 1, *,
+              threads: int = 1) -> list[tuple[int, float, float]]:
+    """(pi_g, psi_g, psi0) at each ascending checkpoint x >= 1, from one pass.
+
+    psi_g(x) = sum_{n<=x} Lambda(n) Lambda(a n + b) and psi0 weights by
+    Lambda(a n + b)^2 instead; a checkpoint below 2 gives (0, 0.0, 0.0).
+    """
+    ps, ks = _pass(xs, a, b, threads)
+    if not xs or xs[-1] < 2:
+        return [(0, 0.0, 0.0)] * len(xs)
     x_max = xs[-1]
-    ps = pair_primes(x_max, a, b, threads=threads)
     log_p = np.log(ps.astype(np.float64))
     log_m = np.log((a * ps + b).astype(np.float64))
-    main = {power: log_p * log_m ** power for power in (1, 2)}
+    # log_p * log_m ** power for powers 1 and 2, in place: the products
+    # commute, so these are the same doubles, without temporary arrays
+    main = {2: np.square(log_m)}
+    main[2] *= log_p
+    main[1] = np.multiply(log_m, log_p, out=log_m)
     # n = p^k with k >= 2 and a*n+b prime: (n, Lambda(n), log(a*n+b))
     powers = []
     for n, w in prime_powers(x_max):
@@ -105,8 +108,7 @@ def _pair_sums(xs: Sequence[int], a: int, b: int,
                 if wn > 0.0:
                     companions.append((n, wn, w))
     out = []
-    for x in xs:
-        k = int(np.searchsorted(ps, x, side="right"))
+    for x, k in zip(xs, ks):
         psi = []
         for power in (1, 2):
             parts = [fsum(main[power][:k]),
@@ -117,22 +119,29 @@ def _pair_sums(xs: Sequence[int], a: int, b: int,
     return out
 
 
-def psi_g(x: int, a: int = 2, b: int = 1) -> float:
-    """sum_{n<=x} Lambda(n) Lambda(a n + b)."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if x == 1:
-        return 0.0
-    return _pair_sums([x], a, b, 1)[0][1]
+def reciprocal_sums(xs: Sequence[int], c2: SingularValue, *,
+                    threads: int = 1) -> list[tuple[float, float, float]]:
+    """(sum 1/p, sum log p / p, fit residual) over the Germain primes p <= x.
 
-
-def psi0(x: int, a: int = 2, b: int = 1) -> float:
-    """sum_{n<=x} Lambda(n) Lambda(a n + b)^2, the extra-weighted census."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if x == 1:
-        return 0.0
-    return _pair_sums([x], a, b, 1)[0][2]
+    One pass serves every ascending checkpoint x >= 2. The fit
+    a0 log log x + a0/log x (a0 = 2 C2) is the shape the conjectured pair
+    density implies for the log p / p sum; the residual is that sum minus
+    the fit, and is only meaningful once log log x settles (x >= 16 or so).
+    """
+    if xs and xs[0] < 2:
+        raise ValueError(f"x must be >= 2, got {xs[0]}")
+    ps, ks = _pass(xs, 2, 1, threads)
+    inverse = 1.0 / ps
+    # math.log, not np.log: the last bits of the two differ
+    log_over_p = np.fromiter(map(math.log, ps), np.float64, ps.size)
+    log_over_p /= ps
+    a0 = 2.0 * c2.value
+    out = []
+    for x, k in zip(xs, ks):
+        value = fsum(log_over_p[:k])
+        fit = a0 * math.log(math.log(x)) + a0 / math.log(x)
+        out.append((fsum(inverse[:k]), value, value - fit))
+    return out
 
 
 # Largest psi0-partition checkpoint; the cap took 8.6 s, 81 MB on a 2-core Xeon
@@ -217,24 +226,6 @@ def hl_prediction(x: float, a: int = 2, b: int = 1,
     return 2.0 * c2.value * _adaptive_simpson(f, 2.0, float(x))
 
 
-def germain_reciprocal_sum(x: int) -> float:
-    """sum of 1/p over primes p <= x with 2p+1 prime."""
-    return fsum(1.0 / p for p in pair_primes(x, 2, 1).tolist())
-
-
-def germain_logp_sum(x: int, c2: SingularValue) -> GermainLogpSum:
-    """sum of log p / p over Germain primes p <= x, with its log-log fit.
-
-    The fit a0 log log x + a0/log x (a0 = 2 C2) is the shape the conjectured
-    pair density implies; the residual is only meaningful once x is large
-    enough for log log x to settle (x >= 16 or so).
-    """
-    value = fsum(math.log(p) / p for p in pair_primes(x, 2, 1).tolist())
-    a0 = 2.0 * c2.value
-    fit = a0 * math.log(math.log(x)) + a0 / math.log(x)
-    return GermainLogpSum(value=value, fit_residual=value - fit)
-
-
 def census(xs: Sequence[int], a: int, b: int, c2: SingularValue, *,
            threads: int = 1) -> list[CountReport]:
     """Census rows at the ascending checkpoints xs, from one pair-sieve pass.
@@ -242,7 +233,9 @@ def census(xs: Sequence[int], a: int, b: int, c2: SingularValue, *,
     Each row holds pi_g(x), psi_g(x), psi0(x), the integral prediction and
     the ratio psi_g / (2 C2 x).
     """
+    if xs and xs[0] < 2:  # the prediction's bound; refused before the pass
+        raise ValueError(f"x must be >= 2, got {xs[0]}")
     return [CountReport(x=x, pi_g=pi, psi_g=pg, psi0=p0,
                         hl_prediction=hl_prediction(x, a, b, c2),
                         ratio=pg / (2.0 * c2.value * x))
-            for x, (pi, pg, p0) in zip(xs, _pair_sums(xs, a, b, threads))]
+            for x, (pi, pg, p0) in zip(xs, pair_sums(xs, a, b, threads=threads))]

@@ -89,16 +89,6 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def two_qr_rule_check(p: int) -> bool:
-    """Does (-1)^((p^2-1)/8) match the Euler criterion 2^((p-1)/2) mod p?"""
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    euler = pow(2, (p - 1) // 2, p)
-    euler_pm = 1 if euler == 1 else -1 if euler == p - 1 else 0
-    formula = -1 if ((p * p - 1) // 8) % 2 else 1
-    return euler_pm == formula
-
-
 def primitive_root_test(q: int, bases) -> list[PrimRootCertificate]:
     """Full generator test of each base modulo a prime q >= 3, with its witnesses.
 

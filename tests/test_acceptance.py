@@ -19,16 +19,15 @@ import pytest
 
 from germain_lab import cli
 from germain_lab.constants import singular_series, twin_prime_constant
-from germain_lab.counting import (germain_pairs, germain_reciprocal_sum,
-                                  hl_prediction, psi0, psi0_partition, psi_g)
+from germain_lab.counting import (hl_prediction, pair_sums, psi0_partition,
+                                  reciprocal_sums)
 from germain_lab.primroot import (germain_moduli_upto, germain_short_test,
                                   jacobi, primitive_root_test,
-                                  reproduce_pair_table, theorem_4p1_check,
-                                  two_qr_rule_check)
+                                  reproduce_pair_table, theorem_4p1_check)
 from germain_lab.progressions import (large_sieve_check, ones_sequence,
                                       prime_indicator_sequence,
                                       random_sign_sequence)
-from germain_lab.sieve import primes_upto
+from germain_lab.sieve import pair_primes, primes_upto
 from germain_lab.sums import (identity_residual_rows, log_lcm_double_sum,
                               mobius_phi_lcm_sum)
 
@@ -68,9 +67,9 @@ def test_criterion_01_constant_reproduction(c2_1e6):
         f"failed: {', '.join(failed)}; {detail}"
 
 
-def test_criterion_02_reciprocal_sum_reproduction():
+def test_criterion_02_reciprocal_sum_reproduction(c2_1e6):
     t0 = time.perf_counter()
-    value = germain_reciprocal_sum(23)
+    [(value, _, _)] = reciprocal_sums([23], c2_1e6)
     elapsed = time.perf_counter() - t0
     target = 1.167720685111989459
     ok = abs(value - target) <= 1e-15 * target and elapsed < 1.0
@@ -111,7 +110,7 @@ def test_criterion_05_partition_exactness():
         x = rng.randrange(5, 501)
         x1 = 1.0 + rng.random() * (2 * x)
         m, e = psi0_partition(x, x1)
-        p0 = psi0(x)
+        p0 = pair_sums([x])[0][2]
         worst = max(worst, abs(m + e - p0) / abs(p0))
     ok = worst <= 1e-8
     assert report(5, "partition-exactness", ok,
@@ -137,9 +136,9 @@ def test_criterion_06_large_sieve_nonnegative_slack():
 def test_criterion_07_conjecture_trend():
     t0 = time.perf_counter()
     c2 = twin_prime_constant(10 ** 6)
-    r6 = psi_g(10 ** 6) / (2 * c2.value * 10 ** 6)
-    r7 = psi_g(10 ** 7) / (2 * c2.value * 10 ** 7)
-    actual = len(germain_pairs(10 ** 6))
+    (actual, psi_6, _), (_, psi_7, _) = pair_sums([10 ** 6, 10 ** 7])
+    r6 = psi_6 / (2 * c2.value * 10 ** 6)
+    r7 = psi_7 / (2 * c2.value * 10 ** 7)
     predicted = hl_prediction(10 ** 6, c2=c2)
     elapsed = time.perf_counter() - t0
     ok = (0.85 <= r6 <= 1.15 and 0.85 <= r7 <= 1.15
@@ -151,8 +150,8 @@ def test_criterion_07_conjecture_trend():
 
 
 def test_criterion_08_primitive_root_theorem_sweep():
-    pairs = germain_pairs(10 ** 6, 4, 1)
-    failures = [g.p for g in pairs if not theorem_4p1_check(g.p)]
+    pairs = pair_primes(10 ** 6, 4, 1).tolist()
+    failures = [p for p in pairs if not theorem_4p1_check(p)]
     rng = random.Random(41)
     moduli = germain_moduli_upto(10 ** 5)
     disagreements = 0
@@ -178,7 +177,12 @@ def test_criterion_09_table_errata():
 
 def test_criterion_10_quadratic_residue_laws():
     primes = [p for p in primes_upto(10 ** 5).tolist() if p > 2]
-    rule_ok = all(two_qr_rule_check(p) for p in primes)
+    # (2/p) = (-1)^((p^2-1)/8), by the library's symbol and by Euler's criterion
+    rule_ok = True
+    for p in primes:
+        sign = -1 if ((p * p - 1) // 8) % 2 else 1
+        rule_ok = (rule_ok and jacobi(2, p) == sign
+                   and pow(2, (p - 1) // 2, p) == sign % p)
     rng = random.Random(8191)
     small = [p for p in primes if p < 10 ** 4]
     recip_ok = True

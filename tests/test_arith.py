@@ -1,20 +1,21 @@
 import math
 import random
+import tracemalloc
+from math import fsum
 
+import numpy as np
 import pytest
 
 import oracles
-from germain_lab.arith import (divisors, lambda_divisor_identity_residual,
-                               mertens, mobius, mobius_log_sum, mobius_sieve,
-                               totient, totient_sieve, von_mangoldt)
+from germain_lab.arith import (divisors, mobius_log_sum, mobius_sieve, totient,
+                               totient_sieve, von_mangoldt)
 
 
 def test_mobius_examples():
-    assert mobius(1) == 1
-    assert mobius(6) == 1
-    assert mobius(12) == 0
-    with pytest.raises(ValueError):
-        mobius(0)
+    mu = mobius_sieve(12)
+    assert mu[1] == 1
+    assert mu[6] == 1
+    assert mu[12] == 0
 
 
 def test_von_mangoldt_examples():
@@ -35,8 +36,9 @@ def test_totient_examples():
 
 
 def test_point_functions_match_naive_oracles():
+    mu = mobius_sieve(1999)
     for n in range(1, 2000):
-        assert mobius(n) == oracles.mobius_naive(n)
+        assert mu[n] == oracles.mobius_naive(n)
         assert totient(n) == oracles.totient_brute(n)
         assert von_mangoldt(n) == pytest.approx(
             oracles.von_mangoldt_naive(n), abs=1e-14)
@@ -46,7 +48,7 @@ def test_sieved_tables_match_point_functions():
     mu = mobius_sieve(3000)
     phi = totient_sieve(3000)
     for n in range(1, 3001):
-        assert mu[n] == mobius(n)
+        assert mu[n] == oracles.mobius_naive(n)
         assert phi[n] == totient(n)
 
 
@@ -58,7 +60,8 @@ def test_multiplicativity_on_random_coprime_pairs():
         b = rng.randrange(1, 10 ** 4)
         if math.gcd(a, b) != 1:
             continue
-        assert mobius(a * b) == mobius(a) * mobius(b)
+        assert oracles.mobius_naive(a * b) == (oracles.mobius_naive(a)
+                                               * oracles.mobius_naive(b))
         assert totient(a * b) == totient(a) * totient(b)
         done += 1
 
@@ -73,11 +76,15 @@ def test_divisors_match_naive():
         assert sorted(divisors(n)) == oracles.divisors_naive(n)
 
 
+def _mertens(mu, x):
+    """M(x) = sum_{n<=x} mu(n), exact, from a sieved mu table."""
+    return int(mu[1:x + 1].astype(np.int64).sum())
+
+
 def test_mertens_small_values():
-    assert mertens(1) == 1
-    assert mertens(10) == -1
-    with pytest.raises(ValueError):
-        mertens(0)
+    mu = mobius_sieve(10)
+    assert _mertens(mu, 1) == 1
+    assert _mertens(mu, 10) == -1
 
 
 def test_mertens_1e6_against_spf_walk():
@@ -95,7 +102,7 @@ def test_mertens_1e6_against_spf_walk():
             sign = -sign
         if not square:
             acc += sign
-    assert mertens(10 ** 6) == acc == 212
+    assert _mertens(mobius_sieve(10 ** 6), 10 ** 6) == acc == 212
 
 
 def test_mobius_log_sum_small():
@@ -109,13 +116,38 @@ def test_mobius_log_sum_ratio_trend():
     assert ratios[0] > ratios[1] > ratios[2]
 
 
+def _lambda_identity_residual(n, mu):
+    """|Lambda(n) + sum_{d|n} mu(d) log d|: the point von_mangoldt against the
+    sieved mu; zero up to rounding for every n."""
+    return abs(von_mangoldt(n) + fsum(int(mu[d]) * math.log(d)
+                                      for d in divisors(n) if d > 1 and mu[d]))
+
+
 def test_lambda_divisor_identity_examples():
-    assert lambda_divisor_identity_residual(1) == 0.0
-    assert lambda_divisor_identity_residual(8) <= 1e-12
-    assert lambda_divisor_identity_residual(30) <= 1e-12
+    mu = mobius_sieve(30)
+    assert _lambda_identity_residual(1, mu) == 0.0
+    assert _lambda_identity_residual(8, mu) <= 1e-12
+    assert _lambda_identity_residual(30, mu) <= 1e-12
 
 
 def test_lambda_divisor_identity_full_range():
-    worst = max(lambda_divisor_identity_residual(n)
-                for n in range(1, 10 ** 5 + 1))
+    mu = mobius_sieve(10 ** 5)
+    worst = max(_lambda_identity_residual(n, mu) for n in range(1, 10 ** 5 + 1))
     assert worst <= 1e-12
+
+
+def test_totient_sieve_works_in_place():
+    # each prime updates a view of phi in place, with no strided copy or quotient
+    tracemalloc.start()
+    try:
+        phi = totient_sieve(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * phi.nbytes
+
+
+def test_totient_sieve_edge_limits():
+    for limit in (0, 1, 2, 10):
+        assert totient_sieve(limit).tolist() == [0] + [
+            oracles.totient_brute(n) for n in range(1, limit + 1)]

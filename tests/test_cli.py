@@ -8,7 +8,7 @@ import pytest
 from germain_lab import arith, counting, primroot, sieve, sums
 from germain_lab.cli import (COMMANDS, RunConfig, _OneOf, main,
                              parse_exact_int, parse_int_list, run)
-from germain_lab.counting import psi0
+from germain_lab.counting import pair_sums
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -249,7 +249,7 @@ def test_psi0_partition_above_cap_is_refused_before_any_table(monkeypatch,
     def no_work(*args):
         raise AssertionError("work started")
 
-    for name in ("psi0_partition", "psi0", "_flags", "mobius_sieve",
+    for name in ("psi0_partition", "pair_sums", "_flags", "mobius_sieve",
                  "pair_primes"):
         monkeypatch.setattr(counting, name, no_work)
     cap = counting.PARTITION_CAP
@@ -264,7 +264,8 @@ def test_psi0_partition_above_cap_is_refused_before_any_table(monkeypatch,
                        "walks every odd squarefree d <= 2x+1 in Python"}
     # the cap itself is admitted
     monkeypatch.setattr(counting, "psi0_partition", lambda x, x1: (1.0, 2.0))
-    monkeypatch.setattr(counting, "psi0", lambda x: 3.0)
+    monkeypatch.setattr(counting, "pair_sums",
+                        lambda xs, threads: [(0, 0.0, 3.0)] * len(xs))
     assert main(["psi0-partition", "--x", str(cap)]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith(f"{cap},")
 
@@ -303,6 +304,41 @@ def test_theorem_4p1_proves_each_prime_once_outside_the_sieve(monkeypatch, capsy
     # p once in theorem_4p1_check, q = 4p + 1 once in primitive_root_test
     assert len(rows) == 7422
     assert len(in_primroot) + len(in_sieve) == 2 * 7422 + 1
+
+
+@pytest.mark.parametrize("argv", [
+    "census --x 1e2,1e3,1e4 --c2-cutoff 1e4",
+    "hl-compare --x 1e2,1e3,1e4 --c2-cutoff 1e4",
+    "reciprocal-sum --x 1e2,1e3,1e4 --c2-cutoff 1e4",
+    "psi0-partition --x 50,100,120",
+    "primroot --theorem-4p1 --limit 1e4",
+])
+def test_pair_commands_make_one_sieve_pass(argv, monkeypatch, capsys):
+    calls = []
+    pass_ = sieve.pair_primes
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pass_(*args, **kwargs)
+
+    # counting holds its own reference to the sieve's function
+    monkeypatch.setattr(sieve, "pair_primes", counted)
+    monkeypatch.setattr(counting, "pair_primes", counted)
+    assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert len(calls) == 1, calls
+
+
+def test_memory_error_becomes_a_json_error_record(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("no room for the pair table")
+
+    monkeypatch.setattr(counting, "census", exhausted)
+    assert main(["census", "--x", "100", "--c2-cutoff", "1e4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "MemoryError",
+                                        "message": "no room for the pair table"}
 
 
 def test_sums_both_methods_agree(capsys):
@@ -402,7 +438,7 @@ def test_flag_the_mode_does_not_read_is_refused(argv, message, monkeypatch, caps
         raise AssertionError("work started")
 
     for name in ("primroot.germain_moduli_upto", "primroot.theorem_4p1_check",
-                 "primroot.fermat_nonresidue_check", "counting.germain_pairs",
+                 "primroot.fermat_nonresidue_check", "sieve.pair_primes",
                  "progressions.ones_sequence", "progressions.prime_indicator_sequence",
                  "progressions.large_sieve_check"):
         monkeypatch.setattr(f"germain_lab.{name}", no_work)
@@ -443,8 +479,9 @@ def test_psi0_partition_default_cutoff_at_x_one_and_two(capsys):
     assert main(["psi0-partition", "--x", "1,2", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [r["x1"] for r in rows] == [1.0, 1.0]
-    assert [r["main"] + r["error"] for r in rows] == [psi0(1), psi0(2)]
-    assert psi0(2) > 0.0
+    psi0_1, psi0_2 = pair_sums([1])[0][2], pair_sums([2])[0][2]
+    assert [r["main"] + r["error"] for r in rows] == [psi0_1, psi0_2]
+    assert psi0_2 > 0.0
 
 
 def test_ap_census_command(capsys):

@@ -5,92 +5,92 @@ from math import fsum, log
 import pytest
 
 import oracles
-from germain_lab import sieve
+from germain_lab import counting, sieve
 from germain_lab.cli import main
-from germain_lab.counting import (census, germain_pairs, germain_logp_sum,
-                                  germain_reciprocal_sum, hl_prediction, psi0,
-                                  psi0_partition, psi_g)
+from germain_lab.counting import (census, hl_prediction, pair_sums,
+                                  psi0_partition, reciprocal_sums)
+from germain_lab.sieve import pair_primes
 
 
-def test_germain_pairs_canonical_prefix():
-    assert [g.p for g in germain_pairs(25)] == [2, 3, 5, 11, 23]
+def test_pair_primes_canonical_prefix():
+    assert pair_primes(25).tolist() == [2, 3, 5, 11, 23]
 
 
-def test_germain_pairs_slope_four():
-    pairs = germain_pairs(10, 4, 1)
-    assert [(g.p, g.q) for g in pairs] == [(3, 13), (7, 29)]
+def test_pair_primes_slope_four():
+    pairs = [(p, 4 * p + 1) for p in pair_primes(10, 4, 1).tolist()]
+    assert pairs == [(3, 13), (7, 29)]
 
 
-def test_germain_pairs_count_at_100():
-    pairs = germain_pairs(100)
+def test_pair_primes_count_at_100():
+    ps = pair_primes(100).tolist()
     expected = [p for p in oracles.primes_upto(100)
                 if oracles.is_prime_trial(2 * p + 1)]
-    assert [g.p for g in pairs] == expected
-    assert len(pairs) == 10
+    assert ps == expected
+    assert len(ps) == 10
 
 
-def test_germain_pairs_negative_offset():
-    pairs = germain_pairs(50, 2, -1)
+def test_pair_primes_negative_offset():
     expected = [p for p in oracles.primes_upto(50)
                 if oracles.is_prime_trial(2 * p - 1)]
-    assert [g.p for g in pairs] == expected
+    assert pair_primes(50, 2, -1).tolist() == expected
 
 
-def test_germain_pairs_structure():
+def test_pair_primes_structure():
     flags = oracles.sieve_flags(2 * 10 ** 4 + 1)
-    for g in germain_pairs(10 ** 4):
-        assert g.q == 2 * g.p + 1
-        assert flags[g.p] and flags[g.q]
-    ps = [g.p for g in germain_pairs(10 ** 4)]
+    ps = pair_primes(10 ** 4).tolist()
+    for p in ps:
+        assert flags[p] and flags[2 * p + 1]
     assert ps == sorted(ps)
 
 
-def test_germain_pairs_guards():
+def test_pair_primes_guards():
     with pytest.raises(ValueError):
-        germain_pairs(1)
+        pair_primes(1)
     with pytest.raises(ValueError):
-        germain_pairs(10, 0, 1)
+        pair_primes(10, 0, 1)
     with pytest.raises(ValueError):
-        germain_pairs(8, 1 << 62, 1)  # a*x+b overflows 64 bits
+        pair_primes(8, 1 << 62, 1)  # a*x+b overflows 64 bits
 
 
 def test_psi_g_small_values():
-    assert psi_g(1) == 0.0
-    assert psi_g(3) == pytest.approx(log(2) * log(5) + log(3) * log(7), rel=1e-14)
+    (_, at_1, _), (_, at_3, _) = pair_sums([1, 3])
+    assert at_1 == 0.0
+    assert at_3 == pytest.approx(log(2) * log(5) + log(3) * log(7), rel=1e-14)
 
 
 def test_psi_g_matches_brute_force():
-    assert psi_g(2000) == pytest.approx(
+    assert pair_sums([2000])[0][1] == pytest.approx(
         oracles.psi_pair_brute(2000, 2, 1, 1), rel=1e-12)
-    assert psi_g(500, 4, 1) == pytest.approx(
+    assert pair_sums([500], 4, 1)[0][1] == pytest.approx(
         oracles.psi_pair_brute(500, 4, 1, 1), rel=1e-12)
 
 
 def test_psi_g_reconstructed_from_pair_list():
     # pair-list part plus prime-power corrections reproduces the sum
     x = 10 ** 5
-    main = fsum(log(g.p) * log(g.q) for g in germain_pairs(x))
+    main = fsum(log(p) * log(2 * p + 1) for p in pair_primes(x).tolist())
     rest = fsum(
         oracles.von_mangoldt_naive(n) * oracles.von_mangoldt_naive(2 * n + 1)
         for n in range(1, x + 1)
         if not (oracles.is_prime_trial(n) and oracles.is_prime_trial(2 * n + 1)))
-    assert psi_g(x) == pytest.approx(main + rest, rel=1e-9)
+    assert pair_sums([x])[0][1] == pytest.approx(main + rest, rel=1e-9)
 
 
 def test_psi_g_ratio_near_one(c2_1e6):
     x = 10 ** 5
-    assert 0.8 < psi_g(x) / (2 * c2_1e6.value * x) < 1.2
+    assert 0.8 < pair_sums([x])[0][1] / (2 * c2_1e6.value * x) < 1.2
 
 
 def test_psi_g_slope_four_grows():
-    vals = [psi_g(x, 4, 1) for x in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)]
+    vals = [pg for _, pg, _ in pair_sums([10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6], 4, 1)]
     assert all(v > 0 for v in vals)
     assert vals == sorted(vals)
 
 
 def test_psi0_small_values():
-    assert psi0(1) == 0.0
-    assert psi0(3) == pytest.approx(
+    (_, _, at_1), (_, _, at_3) = pair_sums([1, 3])
+    assert at_1 == 0.0
+    assert at_3 == pytest.approx(
         log(2) * log(5) ** 2 + log(3) * log(7) ** 2, rel=1e-14)
 
 
@@ -100,19 +100,37 @@ def test_psi0_matches_filtered_loop():
     brute = fsum(
         oracles.von_mangoldt_naive(n) * oracles.von_mangoldt_naive(2 * n + 1) ** 2
         for n in range(1, x + 1) if oracles.von_mangoldt_naive(2 * n + 1) > 0)
-    assert psi0(x) == pytest.approx(brute, rel=1e-12)
+    assert pair_sums([x])[0][2] == pytest.approx(brute, rel=1e-12)
+
+
+def test_pair_sums_below_two_are_zero_without_a_pass(monkeypatch):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the pair sieve ran")
+
+    monkeypatch.setattr(counting, "pair_primes", no_pass)
+    assert pair_sums([1]) == [(0, 0.0, 0.0)]
+    assert pair_sums([]) == []
+
+
+def test_pair_sums_rejects_unordered_or_nonpositive_checkpoints():
+    with pytest.raises(ValueError, match="strictly ascending"):
+        pair_sums([100, 10])
+    with pytest.raises(ValueError, match="strictly ascending"):
+        pair_sums([10, 10])
+    with pytest.raises(ValueError, match="x must be >= 1, got 0"):
+        pair_sums([0, 10])
 
 
 def test_partition_with_full_box_has_no_error_term():
     x = 80
     m, e = psi0_partition(x, 2 * x + 1)
     assert e == 0.0
-    assert m == pytest.approx(psi0(x), rel=1e-9)
+    assert m == pytest.approx(pair_sums([x])[0][2], rel=1e-9)
 
 
 def test_partition_reproduces_psi0():
     m, e = psi0_partition(50, 5)
-    assert m + e == pytest.approx(psi0(50), rel=1e-8)
+    assert m + e == pytest.approx(pair_sums([50])[0][2], rel=1e-8)
 
 
 def test_partition_main_term_positive_at_log_squared_cutoff():
@@ -126,7 +144,7 @@ def test_partition_random_cases():
         x = rng.randrange(10, 301)
         x1 = 1 + rng.random() * (2 * x)
         m, e = psi0_partition(x, x1)
-        p0 = psi0(x)
+        p0 = pair_sums([x])[0][2]
         assert abs(m + e - p0) <= 1e-8 * abs(p0)
 
 
@@ -202,36 +220,57 @@ def test_hl_prediction_monotone(c2_1e6):
     assert 0 < vals[0] < vals[1] < vals[2]
 
 
-def test_reciprocal_sum_values():
-    assert germain_reciprocal_sum(2) == 0.5
-    assert germain_reciprocal_sum(23) == pytest.approx(
-        1.167720685111989459, rel=1e-15)
+def test_reciprocal_sum_values(c2_1e6):
+    (at_2, _, _), (at_23, _, _) = reciprocal_sums([2, 23], c2_1e6)
+    assert at_2 == 0.5
+    assert at_23 == pytest.approx(1.167720685111989459, rel=1e-15)
 
 
-def test_reciprocal_sum_tail_is_slim():
-    r6 = germain_reciprocal_sum(10 ** 6)
-    r7 = germain_reciprocal_sum(10 ** 7)
+def test_reciprocal_sum_tail_is_slim(c2_1e6):
+    (r6, _, _), (r7, _, _) = reciprocal_sums([10 ** 6, 10 ** 7], c2_1e6)
     # the tail decays like 1/log^2: about 0.013 across this decade
     assert 0 < r7 - r6 < 0.02
 
 
 def test_logp_sum_small_values(c2_1e6):
-    assert germain_logp_sum(2, c2_1e6).value == pytest.approx(log(2) / 2, rel=1e-14)
-    assert germain_logp_sum(3, c2_1e6).value == pytest.approx(
-        log(2) / 2 + log(3) / 3, rel=1e-14)
+    (_, at_2, _), (_, at_3, _) = reciprocal_sums([2, 3], c2_1e6)
+    assert at_2 == pytest.approx(log(2) / 2, rel=1e-14)
+    assert at_3 == pytest.approx(log(2) / 2 + log(3) / 3, rel=1e-14)
 
 
 def test_logp_fit_residual_bounded_and_not_growing(c2_1e6):
-    residuals = [abs(germain_logp_sum(x, c2_1e6).fit_residual)
-                 for x in (10 ** 4, 10 ** 5, 10 ** 6)]
+    residuals = [abs(r) for _, _, r in
+                 reciprocal_sums([10 ** 4, 10 ** 5, 10 ** 6], c2_1e6)]
     assert all(r < 0.6 for r in residuals)
     assert residuals[2] <= residuals[0]
 
 
+def test_reciprocal_sums_equal_the_per_prime_loop(c2_1e6, monkeypatch):
+    # the loop over Python ints the one-pass arrays replaced: the same
+    # doubles, so the fsums are equal, not just close
+    monkeypatch.setattr(sieve, "PAIR_WINDOW", 1 << 9)
+    xs = [2, 23, 1000, 10 ** 4, 10 ** 5]
+    rows = reciprocal_sums(xs, c2_1e6)
+    a0 = 2.0 * c2_1e6.value
+    for x, (rec, logp, residual) in zip(xs, rows):
+        ps = pair_primes(x, 2, 1).tolist()
+        assert rec == fsum(1.0 / p for p in ps)
+        assert logp == fsum(math.log(p) / p for p in ps)
+        assert residual == logp - (a0 * math.log(math.log(x)) + a0 / math.log(x))
+    assert reciprocal_sums(xs, c2_1e6, threads=2) == rows
+
+
+def test_reciprocal_sums_refuse_x_below_two_and_unordered(c2_1e6):
+    with pytest.raises(ValueError, match="x must be >= 2, got 1"):
+        reciprocal_sums([1, 10], c2_1e6)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        reciprocal_sums([100, 10], c2_1e6)
+
+
 def test_census_report_consistency(c2_1e6):
     [r] = census([10 ** 3], 2, 1, c2_1e6)
-    assert r.pi_g == len(germain_pairs(10 ** 3))
-    assert r.psi_g == pytest.approx(psi_g(10 ** 3), rel=1e-15)
+    assert r.pi_g == len(pair_primes(10 ** 3))
+    assert r.psi_g == pytest.approx(pair_sums([10 ** 3])[0][1], rel=1e-15)
     assert r.ratio == pytest.approx(r.psi_g / (2 * c2_1e6.value * 10 ** 3), rel=1e-15)
     assert r.hl_prediction > 0
 
@@ -256,8 +295,8 @@ def test_pair_sums_beyond_former_dense_table_guard():
     x, a, b = 30, 1 << 26, 1
     expected = [p for p in oracles.primes_upto(x)
                 if oracles.is_prime_trial(a * p + b)]
-    assert [g.p for g in germain_pairs(x, a, b)] == expected
-    assert psi_g(x, a, b) == pytest.approx(
+    assert pair_primes(x, a, b).tolist() == expected
+    assert pair_sums([x], a, b)[0][1] == pytest.approx(
         oracles.psi_pair_brute(x, a, b, 1), rel=1e-12)
 
 
@@ -267,9 +306,9 @@ def test_census_one_pass_equals_single_checkpoint_calls(c2_1e6, monkeypatch):
     for a, b in [(2, 1), (4, 1), (2, -1)]:
         rows = census(xs, a, b, c2_1e6)
         assert rows == [census([x], a, b, c2_1e6)[0] for x in xs]
-        assert [r.psi_g for r in rows] == [psi_g(x, a, b) for x in xs]
-        assert [r.psi0 for r in rows] == [psi0(x, a, b) for x in xs]
-        assert [r.pi_g for r in rows] == [len(germain_pairs(x, a, b)) for x in xs]
+        assert [r.psi_g for r in rows] == [pair_sums([x], a, b)[0][1] for x in xs]
+        assert [r.psi0 for r in rows] == [pair_sums([x], a, b)[0][2] for x in xs]
+        assert [r.pi_g for r in rows] == [len(pair_primes(x, a, b)) for x in xs]
 
 
 def test_census_rows_do_not_depend_on_threads(c2_1e6, monkeypatch):
@@ -278,11 +317,16 @@ def test_census_rows_do_not_depend_on_threads(c2_1e6, monkeypatch):
     assert census(xs, 2, 1, c2_1e6, threads=1) == census(xs, 2, 1, c2_1e6, threads=2)
 
 
-def test_census_rejects_unordered_or_tiny_checkpoints(c2_1e6):
+def test_census_rejects_unordered_or_tiny_checkpoints(c2_1e6, monkeypatch):
     with pytest.raises(ValueError):
         census([100, 10], 2, 1, c2_1e6)
-    with pytest.raises(ValueError):
-        census([1, 10], 2, 1, c2_1e6)
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the pair sieve ran")
+
+    monkeypatch.setattr(counting, "pair_primes", no_pass)
+    with pytest.raises(ValueError, match="x must be >= 2, got 1"):
+        census([1, 10 ** 8], 2, 1, c2_1e6)
 
 
 def test_census_report_bytes_pinned(capsys):

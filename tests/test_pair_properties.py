@@ -1,0 +1,62 @@
+"""Property tests of the pair parameters (x, a, b) against trial division.
+
+The draws cover b <= 0, a*p + b < 2 and a + b even. derandomize=True makes
+Hypothesis draw the same cases on every run, so the suite stays
+deterministic.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from germain_lab import sieve
+from germain_lab.counting import pair_sums
+from germain_lab.sieve import pair_primes
+
+I64 = 1 << 63
+
+xs = st.integers(min_value=2, max_value=3000)
+slopes = st.integers(min_value=1, max_value=8)
+offsets = st.integers(min_value=-60, max_value=60)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(x=xs, a=slopes, b=offsets)
+def test_pairs_and_sums_match_the_oracles(x, a, b):
+    expected = [p for p in oracles.primes_upto(x)
+                if oracles.is_prime_trial(a * p + b)]
+    assert pair_primes(x, a, b).tolist() == expected
+    [(pi_g, psi_g, psi0)] = pair_sums([x], a, b)
+    assert pi_g == len(expected)
+    assert psi_g == pytest.approx(oracles.psi_pair_brute(x, a, b, 1), rel=1e-12)
+    assert psi0 == pytest.approx(oracles.psi_pair_brute(x, a, b, 2), rel=1e-12)
+
+
+@settings(derandomize=True, deadline=None)
+@given(x=st.integers(max_value=1), a=slopes, b=offsets)
+def test_x_below_two_is_refused(x, a, b):
+    with pytest.raises(ValueError, match="x must be >= 2"):
+        pair_primes(x, a, b)
+
+
+@settings(derandomize=True, deadline=None)
+@given(x=xs, a=st.integers(max_value=0), b=offsets)
+def test_slope_below_one_is_refused(x, a, b):
+    with pytest.raises(ValueError, match="a must be >= 1"):
+        pair_primes(x, a, b)
+
+
+@settings(derandomize=True, deadline=None)
+@given(x=st.integers(min_value=2, max_value=1 << 40),
+       excess=st.integers(min_value=0, max_value=1 << 40), b=offsets)
+def test_companion_beyond_64_bits_is_refused_before_any_table(x, excess, b):
+    # the smallest slope that puts a*x + b at or above 2^63, plus excess
+    a = -(-(I64 - b) // x) + excess
+    assert a * x + b >= I64
+    no_table = AssertionError("a prime table was built")
+    with mock.patch.object(sieve, "primes_upto", side_effect=no_table), \
+            pytest.raises(ValueError, match="overflows the supported 64-bit range"):
+        pair_primes(x, a, b)
