@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from math import fsum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -100,16 +99,10 @@ def totient_sieve(limit: int) -> np.ndarray:
     return phi
 
 
-class MobiusLogSum(NamedTuple):
-    value: float
-    ratio: float  # |value| / x, the normalized size used in trend reports
-
-
-def mobius_log_sum(x: int) -> MobiusLogSum:
-    """sum_{n<=x} mu(n) log n, compensated summation, plus |sum|/x."""
+def mobius_log_sum(x: int) -> float:
+    """sum_{n<=x} mu(n) log n, compensated summation."""
     if x < 1:
         raise ValueError(f"mobius_log_sum needs x >= 1, got {x}")
     mu = mobius_sieve(x)
     logs = np.log(np.arange(1, x + 1, dtype=np.float64))
-    value = fsum((mu[1:] * logs).tolist())
-    return MobiusLogSum(value=value, ratio=abs(value) / x)
+    return fsum((mu[1:] * logs).tolist())

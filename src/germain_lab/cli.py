@@ -2,9 +2,9 @@
 
 One subcommand per verification cluster; every run emits one deterministic
 CSV or JSON report (stdout by default). Same config and seed give
-byte-identical reports regardless of thread count: parallel sections all
-reduce in fixed order, and volatile fields (threads, output path) are kept
-out of the report body.
+byte-identical reports regardless of thread count: --threads reaches only
+the twin-prime-constant product, which reduces its windows in fixed order,
+and volatile fields (threads, output path) are kept out of the report body.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, fields
 from decimal import Decimal, InvalidOperation
@@ -87,23 +86,6 @@ def parse_int_list(text: str) -> list[int]:
     return values
 
 
-def _resolve_threads(flag_value: int | None) -> int:
-    if flag_value is not None:
-        if flag_value < 1:
-            raise CliError("--threads must be >= 1")
-        return flag_value
-    env = os.environ.get("GERMAIN_LAB_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise CliError(f"GERMAIN_LAB_THREADS={env!r} is not an integer") from None
-        if n < 1:
-            raise CliError("GERMAIN_LAB_THREADS must be >= 1")
-        return n
-    return 1
-
-
 def _require_limit(limit: int | None, minimum: int) -> None:
     """Refuse a --limit below the first value the check would look at."""
     if limit is not None and limit < minimum:
@@ -136,8 +118,7 @@ def _cmd_census(config: RunConfig):
     c2 = constants.twin_prime_constant(config.c2_cutoff, threads=config.threads)
     header = ["x", "pi_g", "psi_g", "psi0", "hl_prediction", "ratio"]
     rows = [[r.x, r.pi_g, r.psi_g, r.psi0, r.hl_prediction, r.ratio]
-            for r in counting.census(config.x_checkpoints, config.a, config.b, c2,
-                                     threads=config.threads)]
+            for r in counting.census(config.x_checkpoints, config.a, config.b, c2)]
     return header, rows, 0
 
 
@@ -150,7 +131,7 @@ def _cmd_psi0_partition(config: RunConfig):
     x1_opt = config.options.get("x1")
     header = ["x", "x1", "main", "error", "psi0", "partition_residual"]
     rows = []
-    sums_at_x = counting.pair_sums(config.x_checkpoints, threads=config.threads)
+    sums_at_x = counting.pair_sums(config.x_checkpoints)
     for x, (_, _, p0) in zip(config.x_checkpoints, sums_at_x):
         x1 = x1_opt if x1_opt is not None else max(1.0, math.log(x) ** 2)
         m, e = counting.psi0_partition(x, x1)
@@ -164,8 +145,7 @@ def _cmd_hl_compare(config: RunConfig):
     header = ["x", "pi_g", "hl_prediction", "prediction_over_actual"]
     rows = [[r.x, r.pi_g, r.hl_prediction,
              r.hl_prediction / r.pi_g if r.pi_g else float("inf")]
-            for r in counting.census(config.x_checkpoints, config.a, config.b, c2,
-                                     threads=config.threads)]
+            for r in counting.census(config.x_checkpoints, config.a, config.b, c2)]
     return header, rows, 0
 
 
@@ -286,8 +266,7 @@ def _cmd_primroot(config: RunConfig):
         _require_limit(limit, 3)  # the first pair is (3, 13)
         header = ["p", "q", "two_generates"]
         rows = [[p, 4 * p + 1, primroot.theorem_4p1_check(p)]
-                for p in sieve.pair_primes(limit, 4, 1,
-                                           threads=config.threads).tolist()]
+                for p in sieve.pair_primes(limit, 4, 1).tolist()]
         return header, rows, 0 if all(ok for _, _, ok in rows) else 1
     if mode == "fermat":
         import random
@@ -339,7 +318,7 @@ def _cmd_reciprocal_sum(config: RunConfig):
     header = ["x", "reciprocal_sum", "logp_sum", "logp_fit_residual"]
     rows = [[x, *sums_at_x] for x, sums_at_x in zip(
         config.x_checkpoints,
-        counting.reciprocal_sums(config.x_checkpoints, c2, threads=config.threads))]
+        counting.reciprocal_sums(config.x_checkpoints, c2))]
     return header, rows, 0
 
 
@@ -404,8 +383,8 @@ _COMMON = (
           help="report format (default csv)"),
     _flag("--output", dest="output_path", metavar="OUTPUT", default=None,
           help="report file (default stdout)"),
-    _flag("--threads", type=int, default=None,
-          help="worker threads; overrides GERMAIN_LAB_THREADS"),
+    _flag("--threads", type=int, default=1,
+          help="worker threads for the twin-prime-constant product (default 1)"),
 )
 
 COMMANDS: dict[str, Command] = {
@@ -572,7 +551,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     """RunConfig from parsed flags; unset options (None) are left out."""
     values = vars(args)  # in flag declaration order
     known = {k: v for k, v in values.items() if k in _CONFIG_FIELDS}
-    known["threads"] = _resolve_threads(known["threads"])
+    if known["threads"] < 1:
+        raise CliError("--threads must be >= 1")
     options = {k: v for k, v in values.items()
                if k not in _CONFIG_FIELDS and v is not None}
     return RunConfig(**known, options=options)

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import sieve
 from .arith import factorize
-from .sieve import _map_windows, _odd_primes, _windows, primes_upto
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,7 @@ class SingularValue:
     tail_bound: float
 
 
-def _segment_log_sum(lo: int, hi: int, base: list[int]) -> float:
-    primes = _odd_primes(lo, hi, base)
+def _segment_log_sum(primes: np.ndarray) -> float:
     pm1 = primes.astype(np.float64) - 1.0
     return fsum(np.log1p(-1.0 / (pm1 * pm1)).tolist())
 
@@ -49,15 +47,14 @@ def twin_prime_constant(prime_cutoff: int, *, threads: int = 1) -> SingularValue
     The bound sum_{p > P} 1/(p-1)^2 < 2/(P log P) follows from partial
     summation against pi(t) < 2t/log t, and since the omitted factors all
     lie in (0, 1) the product is within that bound of the full constant.
-    Segments have fixed boundaries and are reduced in ascending order, so
-    the result is independent of the thread count.
+    The sieve windows are reduced on up to threads worker threads and
+    summed in window order, so the result is independent of the thread
+    count.
     """
     if prime_cutoff < 3:
         raise ValueError(f"cutoff must be >= 3, got {prime_cutoff}")
-    base = primes_upto(math.isqrt(prime_cutoff))[1:].tolist()
-    partials = _map_windows(lambda lo, hi: _segment_log_sum(lo, hi, base),
-                            _windows(3, prime_cutoff, 2 * sieve.PAIR_WINDOW),
-                            threads)
+    partials = sieve.map_prime_windows(_segment_log_sum, prime_cutoff,
+                                       threads=threads)
     value = math.exp(fsum(partials))
     tail = 2.0 / (prime_cutoff * math.log(prime_cutoff))
     return SingularValue(d=2, value=value, prime_cutoff=prime_cutoff, tail_bound=tail)

@@ -10,8 +10,7 @@ prime pairs themselves, n = p^k (k >= 2) with a*n + b prime, and
 a*n + b = q^k (k >= 2) with n a prime power. The last two groups hold only
 O(sqrt(a*x + b)) terms. reciprocal_sums gives the sums of 1/p and log p / p
 over the Germain primes (a, b = 2, 1). fsum rounds correctly, so a
-checkpoint's value does not depend on the other checkpoints of the pass or
-on the thread count.
+checkpoint's value does not depend on the other checkpoints of the pass.
 
 psi0_partition splits the divisor-expanded form of psi0(x) at a cutoff:
 expanding each Lambda(2n+1) factor through Lambda(m) = -sum_{d|m} mu(d) log d
@@ -56,8 +55,7 @@ def _flags(limit: int) -> np.ndarray:
     return primes_upto(limit)
 
 
-def _pass(xs: Sequence[int], a: int, b: int,
-          threads: int) -> tuple[np.ndarray, list[int]]:
+def _pass(xs: Sequence[int], a: int, b: int) -> tuple[np.ndarray, list[int]]:
     """One pair-sieve pass to the last checkpoint, and each checkpoint's prefix.
 
     The checkpoints ascend strictly and are >= 1; below 2 there is no pair,
@@ -69,18 +67,18 @@ def _pass(xs: Sequence[int], a: int, b: int,
         raise ValueError(f"x must be >= 1, got {xs[0]}")
     if not xs or xs[-1] < 2:
         return np.zeros(0, dtype=np.int64), [0] * len(xs)
-    ps = pair_primes(xs[-1], a, b, threads=threads)
+    ps = pair_primes(xs[-1], a, b)
     return ps, np.searchsorted(ps, xs, side="right").tolist()
 
 
-def pair_sums(xs: Sequence[int], a: int = 2, b: int = 1, *,
-              threads: int = 1) -> list[tuple[int, float, float]]:
+def pair_sums(xs: Sequence[int], a: int = 2,
+              b: int = 1) -> list[tuple[int, float, float]]:
     """(pi_g, psi_g, psi0) at each ascending checkpoint x >= 1, from one pass.
 
     psi_g(x) = sum_{n<=x} Lambda(n) Lambda(a n + b) and psi0 weights by
     Lambda(a n + b)^2 instead; a checkpoint below 2 gives (0, 0.0, 0.0).
     """
-    ps, ks = _pass(xs, a, b, threads)
+    ps, ks = _pass(xs, a, b)
     if not xs or xs[-1] < 2:
         return [(0, 0.0, 0.0)] * len(xs)
     x_max = xs[-1]
@@ -119,8 +117,8 @@ def pair_sums(xs: Sequence[int], a: int = 2, b: int = 1, *,
     return out
 
 
-def reciprocal_sums(xs: Sequence[int], c2: SingularValue, *,
-                    threads: int = 1) -> list[tuple[float, float, float]]:
+def reciprocal_sums(xs: Sequence[int],
+                    c2: SingularValue) -> list[tuple[float, float, float]]:
     """(sum 1/p, sum log p / p, fit residual) over the Germain primes p <= x.
 
     One pass serves every ascending checkpoint x >= 2. The fit
@@ -130,7 +128,7 @@ def reciprocal_sums(xs: Sequence[int], c2: SingularValue, *,
     """
     if xs and xs[0] < 2:
         raise ValueError(f"x must be >= 2, got {xs[0]}")
-    ps, ks = _pass(xs, 2, 1, threads)
+    ps, ks = _pass(xs, 2, 1)
     inverse = 1.0 / ps
     # math.log, not np.log: the last bits of the two differ
     log_over_p = np.fromiter(map(math.log, ps), np.float64, ps.size)
@@ -213,29 +211,34 @@ def _adaptive_simpson(f, a: float, b: float) -> float:
     return recurse(a, fa, mid, fm, b, fb, whole, eps, 0)
 
 
-def hl_prediction(x: float, a: int = 2, b: int = 1,
-                  c2: SingularValue | None = None) -> float:
-    """2 C2 * integral_2^x dt / (log t * log(a t + b)), adaptive Simpson."""
-    if c2 is None:
-        raise ValueError("a twin-prime-constant value is required")
+def hl_prediction(x: float, a: int = 2, b: int = 1, *,
+                  c2: SingularValue) -> float:
+    """2 C2 * integral_2^x dt / (log t * log(a t + b)), adaptive Simpson.
+
+    The integrand needs log(a t + b) > 0 on [2, x]: a >= 1 and 2a + b >= 2.
+    """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
+    if a < 1:
+        raise ValueError(f"a must be >= 1, got {a}")
+    if 2 * a + b < 2:
+        raise ValueError(f"2a+b must be >= 2 for the prediction from t = 2, "
+                         f"got a={a}, b={b}, 2a+b={2 * a + b}")
     if x == 2:
         return 0.0
     f = lambda t: 1.0 / (math.log(t) * math.log(a * t + b))
     return 2.0 * c2.value * _adaptive_simpson(f, 2.0, float(x))
 
 
-def census(xs: Sequence[int], a: int, b: int, c2: SingularValue, *,
-           threads: int = 1) -> list[CountReport]:
+def census(xs: Sequence[int], a: int, b: int,
+           c2: SingularValue) -> list[CountReport]:
     """Census rows at the ascending checkpoints xs, from one pair-sieve pass.
 
     Each row holds pi_g(x), psi_g(x), psi0(x), the integral prediction and
-    the ratio psi_g / (2 C2 x).
+    the ratio psi_g / (2 C2 x). The predictions come first, so that an x or
+    (a, b) they refuse is refused before the pass.
     """
-    if xs and xs[0] < 2:  # the prediction's bound; refused before the pass
-        raise ValueError(f"x must be >= 2, got {xs[0]}")
-    return [CountReport(x=x, pi_g=pi, psi_g=pg, psi0=p0,
-                        hl_prediction=hl_prediction(x, a, b, c2),
+    predictions = [hl_prediction(x, a, b, c2=c2) for x in xs]
+    return [CountReport(x=x, pi_g=pi, psi_g=pg, psi0=p0, hl_prediction=hl,
                         ratio=pg / (2.0 * c2.value * x))
-            for x, (pi, pg, p0) in zip(xs, pair_sums(xs, a, b, threads=threads))]
+            for x, hl, (pi, pg, p0) in zip(xs, predictions, pair_sums(xs, a, b))]

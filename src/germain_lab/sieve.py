@@ -2,12 +2,16 @@
 
 Every prime of the library comes from one kernel, _odd_flags, which sieves
 a window of odd integers with the odd base primes up to its square root
-(the segmented sieve of Bays and Hudson). primes_upto tiles [3, limit] with
-such windows and prime_powers lists the p^k (k >= 2) of its primes. The pair
-sieve strikes the companions a*n + b on top of the same window, which gives
-the primes p with a*p + b also prime. A window holds one byte per odd
-integer, so the pair sieve and the twin-prime product keep only the base
-primes and one window per worker, whatever the range.
+(the segmented sieve of Bays and Hudson). map_prime_windows tiles [3, limit]
+with such windows of fixed boundaries and applies a function to the primes
+of each, in window order, on worker threads if asked; primes_upto and the
+twin-prime product are built on it, and prime_powers lists the p^k (k >= 2)
+of its primes. The pair sieve strikes the companions a*n + b on top of the
+same window, which gives the primes p with a*p + b also prime. It runs its
+windows in order on one thread: its strike loop holds the interpreter lock,
+so threads did not speed it up. A window holds one byte per odd integer, so
+both keep only the base primes and one window per worker, whatever the
+range.
 
 is_prime is a deterministic strong-pseudoprime (Miller-Rabin) test for
 n < 2^64. Let psi_k be the least odd composite that is a strong probable
@@ -66,14 +70,6 @@ def _windows(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
     return [(s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size)]
 
 
-def _map_windows(fn, bounds: list[tuple[int, int]], threads: int) -> list:
-    """fn(lo, hi) for every window, in window order whatever the thread count."""
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda w: fn(*w), bounds))
-    return [fn(lo, hi) for lo, hi in bounds]
-
-
 def _odd_flags(lo: int, hi: int, base: list[int]) -> np.ndarray:
     """flags[i] iff n = lo + 2i is prime, for the odd n in [lo, hi] (lo odd, >= 3).
 
@@ -91,9 +87,26 @@ def _odd_flags(lo: int, hi: int, base: list[int]) -> np.ndarray:
     return flags
 
 
-def _odd_primes(lo: int, hi: int, base: list[int]) -> np.ndarray:
-    """The primes in the odd window [lo, hi], ascending (int64)."""
-    return np.flatnonzero(_odd_flags(lo, hi, base)) * 2 + lo
+def map_prime_windows(fn, limit: int, *, threads: int = 1) -> list:
+    """fn(primes) for the odd primes of each window of [3, limit], in window order.
+
+    primes is the ascending int64 array of one window of PAIR_WINDOW odd
+    integers, sieved with the odd base primes <= sqrt(limit). fn runs on up
+    to threads worker threads; the windows have fixed boundaries and the
+    results come back in their order, so the list does not depend on the
+    thread count.
+    """
+    base = primes_upto(math.isqrt(limit))[1:].tolist()
+
+    def one(window: tuple[int, int]):
+        lo, hi = window
+        return fn(np.flatnonzero(_odd_flags(lo, hi, base)) * 2 + lo)
+
+    bounds = _windows(3, limit, 2 * PAIR_WINDOW)
+    if threads > 1 and len(bounds) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(one, bounds))
+    return [one(window) for window in bounds]
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -102,9 +115,7 @@ def primes_upto(limit: int) -> np.ndarray:
         raise ValueError("limit must be nonnegative")
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    base = primes_upto(math.isqrt(limit))[1:].tolist()
-    parts = [_odd_primes(lo, hi, base)
-             for lo, hi in _windows(3, limit, 2 * PAIR_WINDOW)]
+    parts = map_prime_windows(lambda primes: primes, limit)
     return np.concatenate([np.array([2], dtype=np.int64), *parts])
 
 
@@ -151,14 +162,13 @@ def _pair_segment(lo: int, hi: int, a: int, b: int, base: list[int],
     return np.flatnonzero(flags) * 2 + lo
 
 
-def pair_primes(x: int, a: int = 2, b: int = 1, *, threads: int = 1) -> np.ndarray:
+def pair_primes(x: int, a: int = 2, b: int = 1) -> np.ndarray:
     """All primes p <= x with a*p + b prime, ascending (int64).
 
     One segmented pass over the odd n <= x sieves n and its companion
-    a*n + b together. Only the base primes up to sqrt(max(x, a*x + b)) and
-    one window of PAIR_WINDOW bytes per worker are held in memory. Windows
-    have fixed boundaries and are merged in order, so the result does not
-    depend on the thread count.
+    a*n + b together, one window after the other. Only the base primes up
+    to sqrt(max(x, a*x + b)) and one window of PAIR_WINDOW bytes are held
+    in memory besides the result.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
@@ -175,8 +185,8 @@ def pair_primes(x: int, a: int = 2, b: int = 1, *, threads: int = 1) -> np.ndarr
             r += l  # the odd n = r (mod l) are n = r + l (mod 2l)
         companion.append((l, r, (l - b) // a + 1))
     two = np.array([2] if 2 * a + b >= 2 and is_prime(2 * a + b) else [], np.int64)
-    parts = _map_windows(lambda lo, hi: _pair_segment(lo, hi, a, b, base, companion),
-                         _windows(3, x, 2 * PAIR_WINDOW), threads)
+    parts = [_pair_segment(lo, hi, a, b, base, companion)
+             for lo, hi in _windows(3, x, 2 * PAIR_WINDOW)]
     return np.concatenate([two, *parts])
 
 

@@ -25,9 +25,7 @@ default first; it is the one place that says which method a formula takes.
 
 from __future__ import annotations
 
-import math
 from math import fsum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -165,19 +163,13 @@ def mobius_phi_lcm_sum(x: int, method: str = "brute") -> float:
 
 # -- single sums ------------------------------------------------------------
 
-class SquarefreeHarmonic(NamedTuple):
-    value: float
-    residual: float  # value - (6/pi^2) log x
-
-
-def squarefree_harmonic_sum(x: int) -> SquarefreeHarmonic:
-    """sum_{d<=x} mu^2(d)/d, with its residual against (6/pi^2) log x."""
+def squarefree_harmonic_sum(x: int) -> float:
+    """sum_{d<=x} mu^2(d)/d, which grows like (6/pi^2) log x."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     mu = mobius_sieve(x)
     d = np.arange(1, x + 1, dtype=np.float64)
-    value = fsum((1.0 / d[mu[1:] != 0]).tolist())
-    return SquarefreeHarmonic(value, value - 6.0 / math.pi ** 2 * math.log(x))
+    return fsum((1.0 / d[mu[1:] != 0]).tolist())
 
 
 def twisted_mobius_sum(m: int, x: int, with_log: bool) -> float:
@@ -218,6 +210,6 @@ FORMULAS = {
         "brute": lambda x: mobius_phi_lcm_sum(x, "brute"),
         "relaxed": lambda x: mobius_phi_lcm_sum(x, "relaxed"),
     },
-    "squarefree-harmonic": {"direct": lambda x: squarefree_harmonic_sum(x).value},
-    "mobius-log": {"direct": lambda x: mobius_log_sum(x).value},
+    "squarefree-harmonic": {"direct": lambda x: squarefree_harmonic_sum(x)},
+    "mobius-log": {"direct": lambda x: mobius_log_sum(x)},
 }

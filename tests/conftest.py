@@ -1,6 +1,6 @@
 import pytest
 
-from germain_lab import constants, sieve
+from germain_lab import sieve
 from germain_lab.constants import twin_prime_constant
 
 
@@ -11,19 +11,20 @@ def c2_1e6():
 
 @pytest.fixture
 def small_windows(monkeypatch):
-    """Windows of 2^11 odd integers; returns the (windows, threads) of each fan-out.
+    """Windows of 2^11 odd integers; returns the (windows, threads) of each
+    sieve.map_prime_windows call.
 
-    Small windows make the checkpoints of the determinism tests span several
+    Small windows make the ranges of the determinism tests span several
     windows, so that more than one thread really runs.
     """
     monkeypatch.setattr(sieve, "PAIR_WINDOW", 1 << 11)
     calls = []
-    for module in (sieve, constants):
-        fan_out = module._map_windows
+    fan_out = sieve.map_prime_windows
 
-        def recorded(fn, bounds, threads, fan_out=fan_out):
-            calls.append((len(bounds), threads))
-            return fan_out(fn, bounds, threads)
+    def recorded(fn, limit, *, threads=1):
+        out = fan_out(fn, limit, threads=threads)
+        calls.append((len(out), threads))
+        return out
 
-        monkeypatch.setattr(module, "_map_windows", recorded)
+    monkeypatch.setattr(sieve, "map_prime_windows", recorded)
     return calls

@@ -212,9 +212,10 @@ def test_criterion_11_determinism(tmp_path, small_windows):
                             output_path=str(path))
         assert cli.run(cfg) == 0
         outs.append(path.read_bytes())
-    # the pair sieve and the C2 product each ran on several threads
-    split = [(w, t) for w, t in small_windows if w > 1 and t == 4]
-    assert len(split) == 2
+    # only the C2 product fanned out, over several windows; the pair sieve
+    # has no thread path
+    [(windows, _)] = [call for call in small_windows if call[1] > 1]
+    assert windows > 1
     ok = outs[0] == outs[1] and outs[2] == outs[3]
     assert report(11, "determinism", ok,
                   "census and large-sieve reports byte-identical across thread counts")

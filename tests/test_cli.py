@@ -37,8 +37,10 @@ def test_census_csv_deterministic_across_thread_counts(tmp_path, small_windows):
     base = dict(command="census", x_checkpoints=[100, 1000], c2_cutoff=10 ** 4)
     assert run(RunConfig(**base, output_path=str(out1), threads=1)) == 0
     assert run(RunConfig(**base, output_path=str(out2), threads=4)) == 0
-    # the C2 product ran on several threads
-    assert any(windows > 1 and threads == 4 for windows, threads in small_windows)
+    # only the C2 product fanned out, over several windows; the pair sieve
+    # has no thread path
+    [(windows, _)] = [call for call in small_windows if call[1] > 1]
+    assert windows > 1
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header == "x,pi_g,psi_g,psi0,hl_prediction,ratio"
@@ -80,15 +82,6 @@ def test_cli_reals_use_15_significant_digits(capsys):
     assert row[1] == "1.16772068511199"
 
 
-def test_threads_env_override(monkeypatch):
-    from germain_lab.cli import build_parser, config_from_args
-    monkeypatch.setenv("GERMAIN_LAB_THREADS", "3")
-    args = build_parser().parse_args(["table-errata"])
-    assert config_from_args(args).threads == 3
-    args = build_parser().parse_args(["table-errata", "--threads", "2"])
-    assert config_from_args(args).threads == 2  # flag wins over env
-
-
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_threads_flag_below_one_is_rejected(threads, capsys):
     assert main(["census", "--x", "100", "--threads", threads]) == 1
@@ -96,6 +89,27 @@ def test_threads_flag_below_one_is_rejected(threads, capsys):
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": "CliError",
                                         "message": "--threads must be >= 1"}
+
+
+@pytest.mark.parametrize("argv", ["census --x 100 --a 1 --b -1",
+                                  "hl-compare --x 100 --a 1 --b -1",
+                                  "census --x 100 --a 1 --b -5"])
+def test_prediction_domain_is_refused_before_the_pass(argv, monkeypatch, capsys):
+    # 2a + b < 2: log(a t + b) <= 0 at t = 2, where the prediction starts
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the pair sieve ran")
+
+    # counting holds its own reference to the sieve's function
+    monkeypatch.setattr(sieve, "pair_primes", no_pass)
+    monkeypatch.setattr(counting, "pair_primes", no_pass)
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    b = int(argv.split()[-1])
+    assert json.loads(captured.err) == {
+        "error": "ValueError",
+        "message": f"2a+b must be >= 2 for the prediction from t = 2, got a=1, "
+                   f"b={b}, 2a+b={2 + b}"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -265,7 +279,7 @@ def test_psi0_partition_above_cap_is_refused_before_any_table(monkeypatch,
     # the cap itself is admitted
     monkeypatch.setattr(counting, "psi0_partition", lambda x, x1: (1.0, 2.0))
     monkeypatch.setattr(counting, "pair_sums",
-                        lambda xs, threads: [(0, 0.0, 3.0)] * len(xs))
+                        lambda xs: [(0, 0.0, 3.0)] * len(xs))
     assert main(["psi0-partition", "--x", str(cap)]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith(f"{cap},")
 

@@ -3,10 +3,8 @@ import random
 
 import pytest
 
-from germain_lab import sieve
 from germain_lab.arith import factorize
 from germain_lab.constants import singular_series, twin_prime_constant
-from germain_lab.sieve import _windows
 
 # Classical twin-prime constant, prod_{p>=3} (1 - 1/(p-1)^2), OEIS A005597.
 TRUE_C2 = 0.6601618158468695739278121100145
@@ -42,12 +40,12 @@ def test_successive_gaps_below_tail_bound():
     assert v6.tail_bound < v4.tail_bound
 
 
-def test_thread_count_does_not_change_value(monkeypatch):
-    # small windows, so that three threads really split the product
-    monkeypatch.setattr(sieve, "PAIR_WINDOW", 1 << 11)
-    assert len(_windows(3, 10 ** 6, 2 * sieve.PAIR_WINDOW)) > 200
+def test_thread_count_does_not_change_value(small_windows):
     a = twin_prime_constant(10 ** 6, threads=1)
     b = twin_prime_constant(10 ** 6, threads=3)
+    # three threads really split the product
+    [(windows, _)] = [call for call in small_windows if call[1] == 3]
+    assert windows > 200
     assert a.value == b.value
     assert abs(a.value - TRUE_C2) <= a.tail_bound
 
