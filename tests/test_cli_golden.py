@@ -52,6 +52,13 @@ CASES = [
     "table-errata --limit 100",
     "constants --cutoff 1e4 --d 2,6,30",
     "constants",
+    # every flag at its default, so each report config is pinned
+    "verify-identities",
+    "ap-census --x 100",
+    "twisted-sums --x 100",
+    "primroot --fermat",
+    "primroot --short-test",
+    "large-sieve --sequence random",
     # errors
     "census --x 1e6 --sieve-limit 1e4",  # beyond the sieve capability
     "census --x 100,50",
