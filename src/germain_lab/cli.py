@@ -1,7 +1,11 @@
 """Command-line surface tying the verification modules together.
 
 One subcommand per verification cluster; every run emits one deterministic
-CSV or JSON report (stdout by default). Same config and seed give
+CSV or JSON report (stdout by default). The parsed argparse namespace is the
+run config: each handler reads its flags from it, and each flag's default
+is stated once, in COMMANDS or, for the report-base keys, in _REPORT_BASE.
+The pair and primroot commands refuse their input before any sieve or
+C2 product. Same config and seed give
 byte-identical reports regardless of thread count: --threads reaches only
 the twin-prime-constant product, which reduces its windows in fixed order,
 and volatile fields (threads, output path) are kept out of the report body.
@@ -13,45 +17,24 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Callable
 
 from . import constants, counting, primroot, progressions, sieve, sums
 from .reports import render_csv, render_json
 
-DEFAULT_C2_CUTOFF = 10 ** 6
 # Largest a*x+b the pair commands sieve to unless --sieve-limit says otherwise
 DEFAULT_SIEVE_LIMIT = 1 << 31
 # trend reports default to a log-spaced grid; heavy but desk scale
 DEFAULT_TREND_GRID = [10 ** k for k in range(2, 9)]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    x_checkpoints: list[int] = field(default_factory=list)
-    a: int = 2
-    b: int = 1
-    sieve_limit: int | None = None  # None: DEFAULT_SIEVE_LIMIT
-    c2_cutoff: int = DEFAULT_C2_CUTOFF
-    output_format: str = "csv"
-    output_path: str | None = None
-    threads: int = 1
-    seed: int = 0
-    options: dict = field(default_factory=dict)
-    # dests of the valued flags given on the command line; not in the report
-    given: frozenset[str] = frozenset()
-
-    def report_config(self) -> dict:
-        # threads and output path must not influence report bytes
-        cfg = {
-            "x_checkpoints": self.x_checkpoints, "a": self.a, "b": self.b,
-            "sieve_limit": self.sieve_limit, "c2_cutoff": self.c2_cutoff,
-            "seed": self.seed,
-        }
-        cfg.update(self.options)
-        return cfg
+# The keys every JSON report config starts with, in this order. A flag that
+# sets one and states no default of its own, and a command without that
+# flag, take the value here.
+_REPORT_BASE = {"x_checkpoints": [], "a": 2, "b": 1, "sieve_limit": None,
+                "c2_cutoff": 10 ** 6, "seed": 0}
+# parsed values that must not influence report bytes
+_VOLATILE = {"command", "output_format", "output_path", "threads", "given"}
 
 
 class CliError(ValueError):
@@ -93,69 +76,72 @@ def _require_limit(limit: int | None, minimum: int) -> None:
                        f"checks; got {limit}")
 
 
-def _refuse_unread(config: RunConfig, unread: set[str], mode: str) -> None:
+def _refuse_unread(args: argparse.Namespace, unread: set[str], mode: str) -> None:
     """Refuse a flag the user gave that the chosen mode does not read."""
-    given = sorted(config.given & unread)
+    given = sorted(args.given & unread)
     if given:
         raise CliError(f"--{given[0]} does not apply to {mode}")
 
 
-def _require_capacity(config: RunConfig) -> None:
-    if not config.x_checkpoints:
+def _require_capacity(args: argparse.Namespace) -> None:
+    if not args.x_checkpoints:
         return
-    need = config.a * max(config.x_checkpoints) + config.b
-    cap = config.sieve_limit if config.sieve_limit is not None else DEFAULT_SIEVE_LIMIT
+    need = args.a * max(args.x_checkpoints) + args.b
+    cap = args.sieve_limit if args.sieve_limit is not None else DEFAULT_SIEVE_LIMIT
     if need > cap:
         raise CliError(
             f"checkpoint needs primality up to {need}, beyond the sieve "
             f"capability {cap}; raise --sieve-limit or lower the checkpoint")
 
 
+def _c2(args: argparse.Namespace) -> constants.SingularValue:
+    """The twin-prime-constant product at --c2-cutoff."""
+    return constants.twin_prime_constant(args.c2_cutoff, threads=args.threads)
+
+
 # -- command handlers: each returns (header, rows, exit_status) --------------
 
-def _cmd_census(config: RunConfig):
-    _require_capacity(config)
-    c2 = constants.twin_prime_constant(config.c2_cutoff, threads=config.threads)
+def _cmd_census(args: argparse.Namespace):
+    _require_capacity(args)
     header = ["x", "pi_g", "psi_g", "psi0", "hl_prediction", "ratio"]
     rows = [[r.x, r.pi_g, r.psi_g, r.psi0, r.hl_prediction, r.ratio]
-            for r in counting.census(config.x_checkpoints, config.a, config.b, c2)]
+            for r in counting.census(args.x_checkpoints, args.a, args.b,
+                                     lambda: _c2(args))]
     return header, rows, 0
 
 
-def _cmd_psi0_partition(config: RunConfig):
-    _require_capacity(config)
-    largest = max(config.x_checkpoints, default=0)
+def _cmd_psi0_partition(args: argparse.Namespace):
+    _require_capacity(args)
+    largest = max(args.x_checkpoints, default=0)
     if largest > counting.PARTITION_CAP:
         raise CliError(f"--x {largest} is above the cap {counting.PARTITION_CAP}: the "
                        "partition walks every odd squarefree d <= 2x+1 in Python")
-    x1_opt = config.options.get("x1")
     header = ["x", "x1", "main", "error", "psi0", "partition_residual"]
     rows = []
-    sums_at_x = counting.pair_sums(config.x_checkpoints)
-    for x, (_, _, p0) in zip(config.x_checkpoints, sums_at_x):
-        x1 = x1_opt if x1_opt is not None else max(1.0, math.log(x) ** 2)
+    sums_at_x = counting.pair_sums(args.x_checkpoints)
+    for x, (_, _, p0) in zip(args.x_checkpoints, sums_at_x):
+        x1 = args.x1 if args.x1 is not None else max(1.0, math.log(x) ** 2)
         m, e = counting.psi0_partition(x, x1)
         rows.append([x, x1, m, e, p0, m + e - p0])
     return header, rows, 0
 
 
-def _cmd_hl_compare(config: RunConfig):
-    _require_capacity(config)
-    c2 = constants.twin_prime_constant(config.c2_cutoff, threads=config.threads)
+def _cmd_hl_compare(args: argparse.Namespace):
+    _require_capacity(args)
     header = ["x", "pi_g", "hl_prediction", "prediction_over_actual"]
     rows = [[r.x, r.pi_g, r.hl_prediction,
              r.hl_prediction / r.pi_g if r.pi_g else float("inf")]
-            for r in counting.census(config.x_checkpoints, config.a, config.b, c2)]
+            for r in counting.census(args.x_checkpoints, args.a, args.b,
+                                     lambda: _c2(args))]
     return header, rows, 0
 
 
-def _cmd_ap_census(config: RunConfig):
-    q = config.options.get("q", 3)
-    weighted = config.options.get("weighted", False)
+def _cmd_ap_census(args: argparse.Namespace):
+    q = args.q
     rows = []
-    if weighted:
+    if args.weighted:
         header = ["x", "q", "a", "value", "expected", "residual"]
-        for x in config.x_checkpoints:
+        for x in args.x_checkpoints:
             for a in range(q):
                 r = progressions.chebyshev_ap(x, q, a)
                 rows.append([r.x, r.q, r.a, r.value,
@@ -163,15 +149,15 @@ def _cmd_ap_census(config: RunConfig):
                              "" if r.residual is None else r.residual])
     else:
         header = ["x", "q", "a", "count", "residual"]
-        for x in config.x_checkpoints:
+        for x in args.x_checkpoints:
             for a in range(q):
                 r = progressions.count_ap(x, q, a)
                 rows.append([r.x, r.q, r.a, r.count, r.residual])
     return header, rows, 0
 
 
-def _cmd_verify_identities(config: RunConfig):
-    top = config.options.get("max", 300)
+def _cmd_verify_identities(args: argparse.Namespace):
+    top = args.max
     if top > sums.IDENTITY_CAP:
         raise CliError(f"--max {top} is above the cap {sums.IDENTITY_CAP}: the "
                        f"phi table up to max^2 would take {8 * (top * top + 1)} bytes")
@@ -189,9 +175,8 @@ def _cmd_verify_identities(config: RunConfig):
     return header, rows, 0 if sum(nonzero) == 0 else 1
 
 
-def _cmd_sums(config: RunConfig):
-    formula = config.options["formula"]
-    method = config.options.get("method", "auto")
+def _cmd_sums(args: argparse.Namespace):
+    formula, method = args.formula, args.method
     table = sums.FORMULAS[formula]
     default = next(iter(table))
     methods = {"auto": [default], "both": ["brute", default]}.get(method, [method])
@@ -200,50 +185,43 @@ def _cmd_sums(config: RunConfig):
                        f"it takes {', '.join(table)}")
     header = ["formula_id", "x", "value", "method"]
     rows = [[formula, x, table[m](x), m]
-            for m in methods for x in config.x_checkpoints]
+            for m in methods for x in args.x_checkpoints]
     return header, rows, 0
 
 
-def _cmd_twisted_sums(config: RunConfig):
-    c2 = constants.twin_prime_constant(config.c2_cutoff, threads=config.threads)
-    m = config.options.get("m", 2)
-    with_log = config.options.get("with_log", True)
-    target = constants.singular_series(m, c2).value if with_log else 0.0
+def _cmd_twisted_sums(args: argparse.Namespace):
+    m, with_log = args.m, args.with_log
+    target = constants.singular_series(m, _c2(args)).value if with_log else 0.0
     header = ["m", "x", "with_log", "value", "target_abs", "abs_gap", "sign"]
     rows = []
-    for x in config.x_checkpoints:
+    for x in args.x_checkpoints:
         v = sums.twisted_mobius_sum(m, x, with_log)
         sign = "+" if v > 0 else "-" if v < 0 else "0"
         rows.append([m, x, with_log, v, target, abs(abs(v) - target), sign])
     return header, rows, 0
 
 
-def _cmd_large_sieve(config: RunConfig):
-    x = config.options.get("x", 1000)
-    q_bound = config.options.get("Q", 30)
-    kind = config.options.get("sequence", "ones")
-    trials = config.options.get("trials", 1)
+def _cmd_large_sieve(args: argparse.Namespace):
+    x, kind, trials = args.x, args.sequence, args.trials
     if kind != "random":
         # ones and primes give the same row on every trial
         if trials > 1:
             raise CliError(f"--trials {trials} does not apply to large-sieve "
                            f"--sequence {kind}, which is deterministic; it "
                            f"takes --trials 1")
-        _refuse_unread(config, {"seed"}, f"large-sieve --sequence {kind}")
+        _refuse_unread(args, {"seed"}, f"large-sieve --sequence {kind}")
     header = ["x", "Q", "sequence", "seed", "lhs", "rhs", "slack"]
     rows = []
     bad = 0
     for t in range(trials):
-        seed = config.seed + t
+        seed = args.seed + t
         if kind == "ones":
             seq = progressions.ones_sequence(x)
         elif kind == "primes":
             seq = progressions.prime_indicator_sequence(x)
-        elif kind == "random":
-            seq = progressions.random_sign_sequence(x, seed)
         else:
-            raise CliError(f"unknown sequence kind {kind!r}")
-        rep = progressions.large_sieve_check(x, q_bound, seq)
+            seq = progressions.random_sign_sequence(x, seed)
+        rep = progressions.large_sieve_check(x, args.Q, seq)
         if rep.slack < 0:
             bad += 1
         rows.append([rep.x, rep.Q, kind, seed if kind == "random" else "",
@@ -256,24 +234,25 @@ _PRIMROOT_READS = {"theorem-4p1": {"limit"}, "fermat": {"trials", "seed"},
                    "short-test": {"limit", "trials", "seed"}}
 
 
-def _cmd_primroot(config: RunConfig):
-    mode = config.options["mode"]
-    _refuse_unread(config, _PRIMROOT_READS["short-test"] - _PRIMROOT_READS[mode],
+def _cmd_primroot(args: argparse.Namespace):
+    mode, limit, trials = args.mode, args.limit, args.trials
+    _refuse_unread(args, _PRIMROOT_READS["short-test"] - _PRIMROOT_READS[mode],
                    f"primroot --{mode}")
-    limit = config.options.get("limit", 10 ** 4)
-    trials = config.options.get("trials", 20)
+    if "limit" in _PRIMROOT_READS[mode] and limit > primroot.SWEEP_CAP:
+        raise CliError(f"--limit {limit} is above the cap {primroot.SWEEP_CAP}: "
+                       f"the {mode} sweep tests every prime up to it in Python")
     if mode == "theorem-4p1":
         _require_limit(limit, 3)  # the first pair is (3, 13)
         header = ["p", "q", "two_generates"]
         rows = [[p, 4 * p + 1, primroot.theorem_4p1_check(p)]
                 for p in sieve.pair_primes(limit, 4, 1).tolist()]
         return header, rows, 0 if all(ok for _, _, ok in rows) else 1
+    import random
+    rng = random.Random(args.seed)
+    bad = 0
+    rows = []
     if mode == "fermat":
-        import random
-        rng = random.Random(config.seed)
         header = ["modulus", "bases_checked", "biconditional_holds"]
-        rows = []
-        bad = 0
         for f in primroot.FERMAT_PRIMES:
             if f <= 257:
                 bases = range(2, f)
@@ -284,48 +263,40 @@ def _cmd_primroot(config: RunConfig):
                 bad += 1
             rows.append([f, len(bases), ok])
         return header, rows, 0 if bad == 0 else 1
-    if mode == "short-test":
-        _require_limit(limit, 7)  # the first modulus is 7 = 2*3 + 1
-        import random
-        rng = random.Random(config.seed)
-        header = ["q", "s", "r", "trials", "agreements"]
-        rows = []
-        bad = 0
-        for g in primroot.germain_moduli_upto(limit):
-            bases = [rng.randrange(2, g.q) for _ in range(trials)]
-            certs = primroot.primitive_root_test(g.q, bases)
-            agree = sum(primroot.germain_short_test(g, u) == c.verdict
-                        for u, c in zip(bases, certs))
-            if agree != trials:
-                bad += 1
-            rows.append([g.q, g.s, g.r, trials, agree])
-        return header, rows, 0 if bad == 0 else 1
-    raise CliError(f"unknown primroot mode {mode!r}")
+    _require_limit(limit, 7)  # the first modulus is 7 = 2*3 + 1
+    header = ["q", "s", "r", "trials", "agreements"]
+    for g in primroot.germain_moduli_upto(limit):
+        bases = [rng.randrange(2, g.q) for _ in range(trials)]
+        certs = primroot.primitive_root_test(g.q, bases)
+        agree = sum(primroot.germain_short_test(g, u) == c.verdict
+                    for u, c in zip(bases, certs))
+        if agree != trials:
+            bad += 1
+        rows.append([g.q, g.s, g.r, trials, agree])
+    return header, rows, 0 if bad == 0 else 1
 
 
-def _cmd_table_errata(config: RunConfig):
-    limit = config.options.get("limit")
-    _require_limit(limit, primroot.CLAIMED_PAIR_TABLE[0][0])
+def _cmd_table_errata(args: argparse.Namespace):
+    _require_limit(args.limit, primroot.CLAIMED_PAIR_TABLE[0][0])
     header = ["p", "claimed_q", "computed_q", "claimed_is_prime", "match"]
     rows = [[r.p, r.claimed_q, r.computed_q, r.claimed_is_prime, r.match]
-            for r in primroot.reproduce_pair_table(limit)]
+            for r in primroot.reproduce_pair_table(args.limit)]
     return header, rows, 0
 
 
-def _cmd_reciprocal_sum(config: RunConfig):
-    _require_capacity(config)
-    c2 = constants.twin_prime_constant(config.c2_cutoff, threads=config.threads)
+def _cmd_reciprocal_sum(args: argparse.Namespace):
+    _require_capacity(args)
     header = ["x", "reciprocal_sum", "logp_sum", "logp_fit_residual"]
     rows = [[x, *sums_at_x] for x, sums_at_x in zip(
-        config.x_checkpoints,
-        counting.reciprocal_sums(config.x_checkpoints, c2))]
+        args.x_checkpoints,
+        counting.reciprocal_sums(args.x_checkpoints, lambda: _c2(args)))]
     return header, rows, 0
 
 
-def _cmd_constants(config: RunConfig):
-    cutoff = config.options.get("cutoff", config.c2_cutoff)
-    offsets = config.options.get("d", [2])
-    c2 = constants.twin_prime_constant(cutoff, threads=config.threads)
+def _cmd_constants(args: argparse.Namespace):
+    cutoff = args.cutoff if args.cutoff is not None else args.c2_cutoff
+    offsets = args.d if args.d is not None else [2]
+    c2 = constants.twin_prime_constant(cutoff, threads=args.threads)
     header = ["kind", "d", "prime_cutoff", "value", "tail_bound"]
     rows = [["twin-prime-constant", 2, c2.prime_cutoff, c2.value, c2.tail_bound]]
     for d in offsets:
@@ -351,12 +322,12 @@ class _OneOf:
 class Command:
     """A subcommand: its handler, its help text and every flag the handler reads.
 
-    A flag whose dest is a RunConfig field sets that field; every other
-    flag lands in RunConfig.options, in declaration order, which is also
-    the key order of the JSON report config.
+    The handler reads the parsed flags by dest. The JSON report config holds
+    the _REPORT_BASE keys, then every other flag that is set, in declaration
+    order.
     """
 
-    handler: Callable[[RunConfig], tuple[list, list, int]]
+    handler: Callable[[argparse.Namespace], tuple[list, list, int]]
     help: str
     flags: tuple
 
@@ -367,21 +338,22 @@ _X = _flag("--x", dest="x_checkpoints", metavar="X", type=parse_int_list,
 _X_GRID = _flag("--x", dest="x_checkpoints", metavar="X", type=parse_int_list,
                 default=DEFAULT_TREND_GRID,
                 help=_CHECKPOINT_HELP + " (default powers of 10 up to 1e8)")
-_SIEVE_LIMIT = _flag("--sieve-limit", type=parse_exact_int, default=None,
+# --sieve-limit, --c2-cutoff, --a, --b and --seed default to _REPORT_BASE
+_SIEVE_LIMIT = _flag("--sieve-limit", type=parse_exact_int,
                      help="largest companion a*x+b the pair commands may "
                           "sieve to (default 2^31)")
-_C2_CUTOFF = _flag("--c2-cutoff", type=parse_exact_int, default=DEFAULT_C2_CUTOFF,
+_C2_CUTOFF = _flag("--c2-cutoff", type=parse_exact_int,
                    help="prime cutoff for the twin-prime Euler product")
-_PAIR = (_flag("--a", type=int, default=2, help="pair slope (q = a p + b)"),
-         _flag("--b", type=int, default=1, help="pair offset"),
+_PAIR = (_flag("--a", type=int, help="pair slope (q = a p + b)"),
+         _flag("--b", type=int, help="pair offset"),
          _SIEVE_LIMIT, _C2_CUTOFF)
-_SEED = _flag("--seed", type=int, default=0, help="seed for randomized sweeps")
+_SEED = _flag("--seed", type=int, help="seed for randomized sweeps")
 
 # every command takes these
 _COMMON = (
     _flag("--format", dest="output_format", choices=("csv", "json"), default="csv",
           help="report format (default csv)"),
-    _flag("--output", dest="output_path", metavar="OUTPUT", default=None,
+    _flag("--output", dest="output_path", metavar="OUTPUT",
           help="report file (default stdout)"),
     _flag("--threads", type=int, default=1,
           help="worker threads for the twin-prime-constant product (default 1)"),
@@ -401,7 +373,7 @@ COMMANDS: dict[str, Command] = {
         "main box (d1,d2 <= x1) plus complement must reproduce psi0(x) "
         "exactly up to rounding.",
         (_X,
-         _flag("--x1", type=float, default=None,
+         _flag("--x1", type=float,
                help="partition cutoff (default max(1, (log x)^2) per checkpoint)"),
          _SIEVE_LIMIT)),
     "hl-compare": Command(
@@ -475,7 +447,7 @@ COMMANDS: dict[str, Command] = {
         _cmd_table_errata,
         "Audit the published (p, 4p+1) pair table: recompute 4p+1, check "
         "primality of the claimed entry, flag mismatches.",
-        (_flag("--limit", type=parse_exact_int, default=None),)),
+        (_flag("--limit", type=parse_exact_int),)),
     "reciprocal-sum": Command(
         _cmd_reciprocal_sum,
         "Sums of 1/p and log p/p over Germain primes p <= x, with the "
@@ -485,26 +457,32 @@ COMMANDS: dict[str, Command] = {
         _cmd_constants,
         "The twin-prime Euler product at a cutoff with its rigorous tail "
         "bound, and singular-series values for chosen offsets.",
-        (_flag("--cutoff", type=parse_exact_int, default=None,
+        (_flag("--cutoff", type=parse_exact_int,
                help="Euler product cutoff (default 1e6)"),
-         _flag("--d", type=parse_int_list, default=None,
+         _flag("--d", type=parse_int_list,
                help="singular-series offsets, e.g. 2,6,30"))),
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command and emit its report; nonzero on any failure."""
-    if config.command not in COMMANDS:
-        raise CliError(f"unknown command {config.command!r}")
-    if config.output_format not in ("csv", "json"):
-        raise CliError(f"unknown output format {config.output_format!r}")
-    header, rows, status = COMMANDS[config.command].handler(config)
-    if config.output_format == "csv":
+def _report_config(args: argparse.Namespace) -> dict:
+    """The report-base keys, then every other set, non-volatile flag in order."""
+    values = vars(args)  # in flag declaration order
+    config = {key: values[key] for key in _REPORT_BASE}
+    config.update((key, value) for key, value in values.items()
+                  if key not in config and key not in _VOLATILE
+                  and value is not None)
+    return config
+
+
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command and emit its report; nonzero on any failure."""
+    header, rows, status = COMMANDS[args.command].handler(args)
+    if args.output_format == "csv":
         text = render_csv(header, rows)
     else:
-        text = render_json(config.command, config.report_config(), header, rows)
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+        text = render_json(args.command, _report_config(args), header, rows)
+    if args.output_path:
+        with open(args.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -516,7 +494,7 @@ class _Given(argparse.Action):
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
-        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+        namespace.given = namespace.given | {self.dest}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -541,21 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 names, kwargs = spec
                 p.add_argument(*names, **{"action": _Given, **kwargs})
+        p.set_defaults(given=frozenset(), **{
+            key: value for key, value in _REPORT_BASE.items()
+            if p.get_default(key) is None})
     return parser
-
-
-_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from parsed flags; unset options (None) are left out."""
-    values = vars(args)  # in flag declaration order
-    known = {k: v for k, v in values.items() if k in _CONFIG_FIELDS}
-    if known["threads"] < 1:
-        raise CliError("--threads must be >= 1")
-    options = {k: v for k, v in values.items()
-               if k not in _CONFIG_FIELDS and v is not None}
-    return RunConfig(**known, options=options)
 
 
 def main(argv=None) -> int:
@@ -565,8 +532,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        config = config_from_args(args)
-        return run(config)
+        if args.threads < 1:
+            raise CliError("--threads must be >= 1")
+        return run(args)
     except (CliError, ValueError, OSError, MemoryError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(record) + "\n")

@@ -23,7 +23,7 @@ d1, and l = d1*k <= 2x+1: O(x log^2 x) terms instead of x^2.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from math import fsum
 from typing import NamedTuple
@@ -117,23 +117,25 @@ def pair_sums(xs: Sequence[int], a: int = 2,
     return out
 
 
-def reciprocal_sums(xs: Sequence[int],
-                    c2: SingularValue) -> list[tuple[float, float, float]]:
+def reciprocal_sums(xs: Sequence[int], make_c2: Callable[[], SingularValue]
+                    ) -> list[tuple[float, float, float]]:
     """(sum 1/p, sum log p / p, fit residual) over the Germain primes p <= x.
 
     One pass serves every ascending checkpoint x >= 2. The fit
     a0 log log x + a0/log x (a0 = 2 C2) is the shape the conjectured pair
     density implies for the log p / p sum; the residual is that sum minus
     the fit, and is only meaningful once log log x settles (x >= 16 or so).
+    make_c2 returns C2; it is called once, after x >= 2 is checked and
+    before the pass.
     """
     if xs and xs[0] < 2:
         raise ValueError(f"x must be >= 2, got {xs[0]}")
+    a0 = 2.0 * make_c2().value
     ps, ks = _pass(xs, 2, 1)
     inverse = 1.0 / ps
     # math.log, not np.log: the last bits of the two differ
     log_over_p = np.fromiter(map(math.log, ps), np.float64, ps.size)
     log_over_p /= ps
-    a0 = 2.0 * c2.value
     out = []
     for x, k in zip(xs, ks):
         value = fsum(log_over_p[:k])
@@ -211,12 +213,8 @@ def _adaptive_simpson(f, a: float, b: float) -> float:
     return recurse(a, fa, mid, fm, b, fb, whole, eps, 0)
 
 
-def hl_prediction(x: float, a: int = 2, b: int = 1, *,
-                  c2: SingularValue) -> float:
-    """2 C2 * integral_2^x dt / (log t * log(a t + b)), adaptive Simpson.
-
-    The integrand needs log(a t + b) > 0 on [2, x]: a >= 1 and 2a + b >= 2.
-    """
+def _prediction_domain(x: float, a: int, b: int) -> None:
+    """Refuse an x or (a, b) outside the domain of hl_prediction."""
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     if a < 1:
@@ -224,6 +222,15 @@ def hl_prediction(x: float, a: int = 2, b: int = 1, *,
     if 2 * a + b < 2:
         raise ValueError(f"2a+b must be >= 2 for the prediction from t = 2, "
                          f"got a={a}, b={b}, 2a+b={2 * a + b}")
+
+
+def hl_prediction(x: float, a: int = 2, b: int = 1, *,
+                  c2: SingularValue) -> float:
+    """2 C2 * integral_2^x dt / (log t * log(a t + b)), adaptive Simpson.
+
+    The integrand needs log(a t + b) > 0 on [2, x]: a >= 1 and 2a + b >= 2.
+    """
+    _prediction_domain(x, a, b)
     if x == 2:
         return 0.0
     f = lambda t: 1.0 / (math.log(t) * math.log(a * t + b))
@@ -231,13 +238,17 @@ def hl_prediction(x: float, a: int = 2, b: int = 1, *,
 
 
 def census(xs: Sequence[int], a: int, b: int,
-           c2: SingularValue) -> list[CountReport]:
+           make_c2: Callable[[], SingularValue]) -> list[CountReport]:
     """Census rows at the ascending checkpoints xs, from one pair-sieve pass.
 
     Each row holds pi_g(x), psi_g(x), psi0(x), the integral prediction and
-    the ratio psi_g / (2 C2 x). The predictions come first, so that an x or
-    (a, b) they refuse is refused before the pass.
+    the ratio psi_g / (2 C2 x). make_c2 returns C2. It is called once, after
+    every x and (a, b) the prediction refuses has been refused, and the
+    predictions come before the pass.
     """
+    for x in xs:
+        _prediction_domain(x, a, b)
+    c2 = make_c2()
     predictions = [hl_prediction(x, a, b, c2=c2) for x in xs]
     return [CountReport(x=x, pi_g=pi, psi_g=pg, psi0=p0, hl_prediction=hl,
                         ratio=pg / (2.0 * c2.value * x))

@@ -69,7 +69,7 @@ def test_criterion_01_constant_reproduction(c2_1e6):
 
 def test_criterion_02_reciprocal_sum_reproduction(c2_1e6):
     t0 = time.perf_counter()
-    [(value, _, _)] = reciprocal_sums([23], c2_1e6)
+    [(value, _, _)] = reciprocal_sums([23], lambda: c2_1e6)
     elapsed = time.perf_counter() - t0
     target = 1.167720685111989459
     ok = abs(value - target) <= 1e-15 * target and elapsed < 1.0
@@ -199,18 +199,14 @@ def test_criterion_11_determinism(tmp_path, small_windows):
     outs = []
     for threads in (1, 4):
         path = tmp_path / f"census_t{threads}.csv"
-        cfg = cli.RunConfig(command="census", x_checkpoints=[1000, 100000],
-                            c2_cutoff=10 ** 5, threads=threads,
-                            output_path=str(path))
-        assert cli.run(cfg) == 0
+        assert cli.main(["census", "--x", "1000,100000", "--c2-cutoff", "1e5",
+                         "--threads", str(threads), "--output", str(path)]) == 0
         outs.append(path.read_bytes())
     for threads in (1, 3):
         path = tmp_path / f"sieve_t{threads}.csv"
-        cfg = cli.RunConfig(command="large-sieve", seed=5, threads=threads,
-                            options={"x": 1000, "Q": 30, "sequence": "random",
-                                     "trials": 10},
-                            output_path=str(path))
-        assert cli.run(cfg) == 0
+        assert cli.main(["large-sieve", "--x", "1000", "--Q", "30", "--sequence",
+                         "random", "--trials", "10", "--seed", "5", "--threads",
+                         str(threads), "--output", str(path)]) == 0
         outs.append(path.read_bytes())
     # only the C2 product fanned out, over several windows; the pair sieve
     # has no thread path

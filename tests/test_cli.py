@@ -3,11 +3,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from germain_lab import arith, counting, primroot, sieve, sums
-from germain_lab.cli import (COMMANDS, RunConfig, _OneOf, main,
-                             parse_exact_int, parse_int_list, run)
+from germain_lab import arith, constants, counting, primroot, sieve, sums
+from germain_lab.cli import (COMMANDS, _OneOf, main, parse_exact_int,
+                             parse_int_list)
 from germain_lab.counting import pair_sums
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,9 +35,9 @@ def test_parse_int_list_requires_ascending():
 def test_census_csv_deterministic_across_thread_counts(tmp_path, small_windows):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    base = dict(command="census", x_checkpoints=[100, 1000], c2_cutoff=10 ** 4)
-    assert run(RunConfig(**base, output_path=str(out1), threads=1)) == 0
-    assert run(RunConfig(**base, output_path=str(out2), threads=4)) == 0
+    base = ["census", "--x", "100,1000", "--c2-cutoff", "1e4"]
+    assert main([*base, "--threads", "1", "--output", str(out1)]) == 0
+    assert main([*base, "--threads", "4", "--output", str(out2)]) == 0
     # only the C2 product fanned out, over several windows; the pair sieve
     # has no thread path
     [(windows, _)] = [call for call in small_windows if call[1] > 1]
@@ -48,9 +49,7 @@ def test_census_csv_deterministic_across_thread_counts(tmp_path, small_windows):
 
 def test_json_report_shape(tmp_path):
     out = tmp_path / "r.json"
-    cfg = RunConfig(command="table-errata", output_format="json",
-                    output_path=str(out))
-    assert run(cfg) == 0
+    assert main(["table-errata", "--format", "json", "--output", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["schema_version"] == 1
     assert doc["command"] == "table-errata"
@@ -91,25 +90,48 @@ def test_threads_flag_below_one_is_rejected(threads, capsys):
                                         "message": "--threads must be >= 1"}
 
 
-@pytest.mark.parametrize("argv", ["census --x 100 --a 1 --b -1",
-                                  "hl-compare --x 100 --a 1 --b -1",
-                                  "census --x 100 --a 1 --b -5"])
-def test_prediction_domain_is_refused_before_the_pass(argv, monkeypatch, capsys):
-    # 2a + b < 2: log(a t + b) <= 0 at t = 2, where the prediction starts
-    def no_pass(*args, **kwargs):
-        raise AssertionError("the pair sieve ran")
+def _domain_message(b: int) -> str:
+    return (f"2a+b must be >= 2 for the prediction from t = 2, got a=1, "
+            f"b={b}, 2a+b={2 + b}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("census --x 100 --a 1 --b -1", _domain_message(-1)),
+    ("hl-compare --x 100 --a 1 --b -1", _domain_message(-1)),
+    ("census --x 100 --a 1 --b -5", _domain_message(-5)),
+    ("census --x 100 --a 1 --b -1 --c2-cutoff 1e8", _domain_message(-1)),
+    ("reciprocal-sum --x 1,1000 --c2-cutoff 1e8", "x must be >= 2, got 1"),
+    ("hl-compare --x 1 --c2-cutoff 1e8", "x must be >= 2, got 1"),
+])
+def test_prediction_domain_is_refused_before_the_pass(argv, message, monkeypatch,
+                                                      capsys):
+    # 2a + b < 2: log(a t + b) <= 0 at t = 2, where the prediction starts;
+    # x < 2 ends before it starts
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
 
     # counting holds its own reference to the sieve's function
-    monkeypatch.setattr(sieve, "pair_primes", no_pass)
-    monkeypatch.setattr(counting, "pair_primes", no_pass)
+    monkeypatch.setattr(sieve, "pair_primes", no_work)
+    monkeypatch.setattr(counting, "pair_primes", no_work)
+    monkeypatch.setattr(constants, "twin_prime_constant", no_work)
     assert main(argv.split()) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    b = int(argv.split()[-1])
-    assert json.loads(captured.err) == {
-        "error": "ValueError",
-        "message": f"2a+b must be >= 2 for the prediction from t = 2, got a=1, "
-                   f"b={b}, 2a+b={2 + b}"}
+    assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("command", ["census", "hl-compare", "reciprocal-sum"])
+def test_c2_cutoff_is_refused_before_the_pass(command, monkeypatch, capsys):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the pair sieve ran")
+
+    monkeypatch.setattr(sieve, "pair_primes", no_pass)
+    monkeypatch.setattr(counting, "pair_primes", no_pass)
+    assert main([command, "--x", "1e3,1e8", "--c2-cutoff", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError",
+                                        "message": "cutoff must be >= 3, got 2"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -284,6 +306,38 @@ def test_psi0_partition_above_cap_is_refused_before_any_table(monkeypatch,
     assert capsys.readouterr().out.splitlines()[1].startswith(f"{cap},")
 
 
+@pytest.mark.parametrize("mode", ["theorem-4p1", "short-test"])
+def test_primroot_limit_above_cap_is_refused_before_any_sieve(mode, monkeypatch,
+                                                              capsys):
+    def no_sieve(*args):
+        raise AssertionError("a sieve ran")
+
+    for module, name in ((sieve, "pair_primes"), (sieve, "primes_upto"),
+                         (primroot, "primes_upto")):
+        monkeypatch.setattr(module, name, no_sieve)
+    cap = primroot.SWEEP_CAP
+    for limit in (cap + 1, 10 ** 13):
+        assert main(["primroot", f"--{mode}", "--limit", str(limit)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "CliError",
+            "message": f"--limit {limit} is above the cap {cap}: the {mode} "
+                       "sweep tests every prime up to it in Python"}
+    # the cap itself is admitted
+    swept = []
+
+    def empty_sweep(limit, *args):
+        swept.append(limit)
+        return np.zeros(0, dtype=np.int64)
+
+    monkeypatch.setattr(sieve, "pair_primes", empty_sweep)
+    monkeypatch.setattr(primroot, "primes_upto", empty_sweep)
+    assert main(["primroot", f"--{mode}", "--limit", str(cap)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1  # the header alone
+    assert swept == [cap]
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     fn = getattr(module, name)
@@ -420,15 +474,14 @@ def test_twisted_sums_rows(capsys):
 
 
 def test_large_sieve_random_trials_deterministic(tmp_path):
-    args = dict(command="large-sieve", seed=11,
-                options={"x": 200, "Q": 12, "sequence": "random", "trials": 5})
+    argv = ["large-sieve", "--x", "200", "--Q", "12", "--sequence", "random",
+            "--trials", "5"]
     out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-    assert run(RunConfig(**args, output_path=str(out1))) == 0
-    assert run(RunConfig(**args, output_path=str(out2))) == 0
+    assert main([*argv, "--seed", "11", "--output", str(out1)]) == 0
+    assert main([*argv, "--seed", "11", "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     shifted = tmp_path / "s3.csv"
-    args["seed"] = 12
-    assert run(RunConfig(**args, output_path=str(shifted))) == 0
+    assert main([*argv, "--seed", "12", "--output", str(shifted)]) == 0
     assert out1.read_bytes() != shifted.read_bytes()
 
 

@@ -231,26 +231,26 @@ def test_hl_prediction_monotone(c2_1e6):
 
 
 def test_reciprocal_sum_values(c2_1e6):
-    (at_2, _, _), (at_23, _, _) = reciprocal_sums([2, 23], c2_1e6)
+    (at_2, _, _), (at_23, _, _) = reciprocal_sums([2, 23], lambda: c2_1e6)
     assert at_2 == 0.5
     assert at_23 == pytest.approx(1.167720685111989459, rel=1e-15)
 
 
 def test_reciprocal_sum_tail_is_slim(c2_1e6):
-    (r6, _, _), (r7, _, _) = reciprocal_sums([10 ** 6, 10 ** 7], c2_1e6)
+    (r6, _, _), (r7, _, _) = reciprocal_sums([10 ** 6, 10 ** 7], lambda: c2_1e6)
     # the tail decays like 1/log^2: about 0.013 across this decade
     assert 0 < r7 - r6 < 0.02
 
 
 def test_logp_sum_small_values(c2_1e6):
-    (_, at_2, _), (_, at_3, _) = reciprocal_sums([2, 3], c2_1e6)
+    (_, at_2, _), (_, at_3, _) = reciprocal_sums([2, 3], lambda: c2_1e6)
     assert at_2 == pytest.approx(log(2) / 2, rel=1e-14)
     assert at_3 == pytest.approx(log(2) / 2 + log(3) / 3, rel=1e-14)
 
 
 def test_logp_fit_residual_bounded_and_not_growing(c2_1e6):
     residuals = [abs(r) for _, _, r in
-                 reciprocal_sums([10 ** 4, 10 ** 5, 10 ** 6], c2_1e6)]
+                 reciprocal_sums([10 ** 4, 10 ** 5, 10 ** 6], lambda: c2_1e6)]
     assert all(r < 0.6 for r in residuals)
     assert residuals[2] <= residuals[0]
 
@@ -260,7 +260,7 @@ def test_reciprocal_sums_equal_the_per_prime_loop(c2_1e6, monkeypatch):
     # doubles, so the fsums are equal, not just close
     monkeypatch.setattr(sieve, "PAIR_WINDOW", 1 << 9)
     xs = [2, 23, 1000, 10 ** 4, 10 ** 5]
-    rows = reciprocal_sums(xs, c2_1e6)
+    rows = reciprocal_sums(xs, lambda: c2_1e6)
     a0 = 2.0 * c2_1e6.value
     for x, (rec, logp, residual) in zip(xs, rows):
         ps = pair_primes(x, 2, 1).tolist()
@@ -269,15 +269,19 @@ def test_reciprocal_sums_equal_the_per_prime_loop(c2_1e6, monkeypatch):
         assert residual == logp - (a0 * math.log(math.log(x)) + a0 / math.log(x))
 
 
+def _no_c2():
+    raise AssertionError("the C2 product was built")
+
+
 def test_reciprocal_sums_refuse_x_below_two_and_unordered(c2_1e6):
     with pytest.raises(ValueError, match="x must be >= 2, got 1"):
-        reciprocal_sums([1, 10], c2_1e6)
+        reciprocal_sums([1, 10], _no_c2)
     with pytest.raises(ValueError, match="strictly ascending"):
-        reciprocal_sums([100, 10], c2_1e6)
+        reciprocal_sums([100, 10], lambda: c2_1e6)
 
 
 def test_census_report_consistency(c2_1e6):
-    [r] = census([10 ** 3], 2, 1, c2_1e6)
+    [r] = census([10 ** 3], 2, 1, lambda: c2_1e6)
     assert r.pi_g == len(pair_primes(10 ** 3))
     assert r.psi_g == pytest.approx(pair_sums([10 ** 3])[0][1], rel=1e-15)
     assert r.ratio == pytest.approx(r.psi_g / (2 * c2_1e6.value * 10 ** 3), rel=1e-15)
@@ -312,8 +316,8 @@ def test_census_one_pass_equals_single_checkpoint_calls(c2_1e6, monkeypatch):
     monkeypatch.setattr(sieve, "PAIR_WINDOW", 1 << 9)
     xs = [10, 100, 1000, 10 ** 4, 10 ** 5]
     for a, b in [(2, 1), (4, 1), (2, -1)]:
-        rows = census(xs, a, b, c2_1e6)
-        assert rows == [census([x], a, b, c2_1e6)[0] for x in xs]
+        rows = census(xs, a, b, lambda: c2_1e6)
+        assert rows == [census([x], a, b, lambda: c2_1e6)[0] for x in xs]
         assert [r.psi_g for r in rows] == [pair_sums([x], a, b)[0][1] for x in xs]
         assert [r.psi0 for r in rows] == [pair_sums([x], a, b)[0][2] for x in xs]
         assert [r.pi_g for r in rows] == [len(pair_primes(x, a, b)) for x in xs]
@@ -321,14 +325,16 @@ def test_census_one_pass_equals_single_checkpoint_calls(c2_1e6, monkeypatch):
 
 def test_census_rejects_unordered_or_tiny_checkpoints(c2_1e6, monkeypatch):
     with pytest.raises(ValueError):
-        census([100, 10], 2, 1, c2_1e6)
+        census([100, 10], 2, 1, lambda: c2_1e6)
 
     def no_pass(*args, **kwargs):
         raise AssertionError("the pair sieve ran")
 
     monkeypatch.setattr(counting, "pair_primes", no_pass)
     with pytest.raises(ValueError, match="x must be >= 2, got 1"):
-        census([1, 10 ** 8], 2, 1, c2_1e6)
+        census([1, 10 ** 8], 2, 1, _no_c2)
+    with pytest.raises(ValueError, match="2a\\+b must be >= 2"):
+        census([100], 1, -1, _no_c2)
 
 
 def test_census_report_bytes_pinned(capsys):
