@@ -1,8 +1,9 @@
 """Numerical verification suite for Germain prime pairs.
 
 Library layout:
-  sieve        one odd-window sieve kernel: primes, prime powers, prime
-               pairs (p, a*p+b); deterministic 64-bit primality
+  sieve        one strike kernel over a progression c + W*i: primes
+               (W = 2), prime powers, prime pairs (p, a*p+b) on the wheel
+               W = 30; deterministic 64-bit primality
   arith        mobius / von Mangoldt / totient and their summatory forms
   constants    twin-prime constant and the pair singular series
   sums         exact gcd/lcm/phi identities and rearranged double sums

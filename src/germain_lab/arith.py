@@ -45,10 +45,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """All divisors of n, unordered (recursive expansion of the factorization)."""
+def divisors(factors: list[tuple[int, int]]) -> list[int]:
+    """All divisors of the n with the (prime, exponent) pairs factors, unordered."""
     ds = [1]
-    for p, e in factorize(n):
+    for p, e in factors:
         ds = [d * p ** k for d in ds for k in range(e + 1)]
     return ds
 

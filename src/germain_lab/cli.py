@@ -191,11 +191,11 @@ def _cmd_sums(args: argparse.Namespace):
 
 def _cmd_twisted_sums(args: argparse.Namespace):
     m, with_log = args.m, args.with_log
-    target = constants.singular_series(m, _c2(args)).value if with_log else 0.0
+    target, values = sums.twisted_mobius_sums(m, args.x_checkpoints, with_log,
+                                              lambda: _c2(args))
     header = ["m", "x", "with_log", "value", "target_abs", "abs_gap", "sign"]
     rows = []
-    for x in args.x_checkpoints:
-        v = sums.twisted_mobius_sum(m, x, with_log)
+    for x, v in zip(args.x_checkpoints, values):
         sign = "+" if v > 0 else "-" if v < 0 else "0"
         rows.append([m, x, with_log, v, target, abs(abs(v) - target), sign])
     return header, rows, 0

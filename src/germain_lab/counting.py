@@ -17,7 +17,8 @@ expanding each Lambda(2n+1) factor through Lambda(m) = -sum_{d|m} mu(d) log d
 turns psi0 into a double sum over odd squarefree (d1, d2) of the Chebyshev
 sums S(l) of Lambda(n) over n <= x with l = [d1, d2] | 2n+1. S vanishes for
 l > 2x+1, so row d1 visits only d2 = g*k with g | d1, k odd and coprime to
-d1, and l = d1*k <= 2x+1: O(x log^2 x) terms instead of x^2.
+d1, and l = d1*k <= 2x+1: O(x log^2 x) terms instead of x^2. The divisors
+g of each row come from a smallest-prime-factor table up to 2x+1.
 """
 
 from __future__ import annotations
@@ -53,6 +54,15 @@ class PsiPartition(NamedTuple):
 def _flags(limit: int) -> np.ndarray:
     """The primes <= limit for psi0_partition; perfbench traces this name."""
     return primes_upto(limit)
+
+
+def _smallest_prime_factors(limit: int) -> np.ndarray:
+    """spf[n] is the least prime factor of n, for 2 <= n <= limit (int32)."""
+    spf = np.arange(limit + 1, dtype=np.int32)
+    # descending, so that the least prime writes last
+    for p in primes_upto(math.isqrt(limit))[::-1].tolist():
+        spf[p * p::p] = p
+    return spf
 
 
 def _pass(xs: Sequence[int], a: int, b: int) -> tuple[np.ndarray, list[int]]:
@@ -172,12 +182,18 @@ def psi0_partition(x: int, x1: float) -> PsiPartition:
     S = np.zeros(top + 1)
     for d in dlist.tolist():
         S[d] = np.cumsum(lam[(d - 1) // 2::d])[-1]
+    spf = _smallest_prime_factors(top)
     # one fsum per row and box side, then over rows; skipped pairs are zeros
     main_rows, err_rows = [], []
     for d1 in dlist.tolist():
         ks = odd_sf[:np.searchsorted(odd_sf, top // d1, side="right")]
         ks = ks[np.gcd(ks, d1) == 1]
-        d2 = np.multiply.outer(divisors(d1), ks)
+        factors, m = [], d1
+        while m > 1:  # d1 is squarefree
+            p = spf.item(m)
+            factors.append((p, 1))
+            m //= p
+        d2 = np.multiply.outer(divisors(factors), ks)
         terms = S[d1 * ks] * (w[d1] * w[d2])
         box = (d2 <= x1) & (d1 <= x1)
         main_rows.append(fsum(terms[box].tolist()))

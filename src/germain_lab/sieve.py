@@ -1,17 +1,21 @@
 """Prime sieves and deterministic 64-bit primality.
 
-Every prime of the library comes from one kernel, _odd_flags, which sieves
-a window of odd integers with the odd base primes up to its square root
-(the segmented sieve of Bays and Hudson). map_prime_windows tiles [3, limit]
-with such windows of fixed boundaries and applies a function to the primes
-of each, in window order, on worker threads if asked; primes_upto and the
-twin-prime product are built on it, and prime_powers lists the p^k (k >= 2)
-of its primes. The pair sieve strikes the companions a*n + b on top of the
-same window, which gives the primes p with a*p + b also prime. It runs its
-windows in order on one thread: its strike loop holds the interpreter lock,
-so threads did not speed it up. A window holds one byte per odd integer, so
-both keep only the base primes and one window per worker, whatever the
-range.
+Every prime of the library comes from one strike kernel, _strike, a
+segmented sieve (Bays and Hudson) of a window of the progression
+n = c + W*i: for each row (l, r, first) it strikes the n = r (mod l) with
+n >= first, and numpy finds the first index of every row in the window at
+once. Plain primes use W = 2, c = 1: map_prime_windows tiles [3, limit]
+with windows of odd integers of fixed boundaries, strikes the multiples of
+the odd base primes l <= sqrt(limit) from l^2 on, and applies a function
+to the primes of each window, in window order, on worker threads if
+asked; primes_upto and the twin-prime product are built on it, and
+prime_powers lists the p^k (k >= 2) of its primes. The pair sieve uses the
+wheel W = 30: it sieves only the classes c with c and a*c + b prime to 30,
+and strikes the companions a*n + b too, which gives the primes p with
+a*p + b also prime. It runs its windows in order on one thread: its strike
+loop holds the interpreter lock, so threads did not speed it up. A window
+holds one byte per entry, so both keep only the base primes and one
+window per worker, whatever the range.
 
 is_prime is a deterministic strong-pseudoprime (Miller-Rabin) test for
 n < 2^64. Let psi_k be the least odd composite that is a strong probable
@@ -61,29 +65,46 @@ _MR_TIERS = (
     (_U64, 12),
 )
 
-# Odd integers per window of the sieve kernel, one byte each while sieved.
+# Entries per window of the strike kernel, one byte each while sieved: odd
+# integers for the plain primes, integers of one residue class for the pairs.
 PAIR_WINDOW = 1 << 20
 
+# The pair sieve's wheel and its primes. A pair (n, a*n + b) has n and
+# a*n + b prime to the wheel, unless one of them is a wheel prime.
+_WHEEL = 30
+_WHEEL_PRIMES = (2, 3, 5)
 
-def _windows(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
-    """Fixed boundaries of the windows [s, e] that tile [lo, hi]."""
-    return [(s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size)]
+# Strike rows on a progression c + step*i: (l, j, start) int64 arrays, and
+# row k strikes the i = j[k] (mod l[k]) with i >= start[k].
+_Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _odd_flags(lo: int, hi: int, base: list[int]) -> np.ndarray:
-    """flags[i] iff n = lo + 2i is prime, for the odd n in [lo, hi] (lo odd, >= 3).
+def _progressions(step: int, classes: list[int], l: np.ndarray, r,
+                  first) -> list[_Rows]:
+    """The rows (l, r, first) on the progression c + step*i of each class c.
 
-    base holds the odd primes up to at least sqrt(hi), ascending. This is the
-    one loop of the library that strikes composites.
+    Row (l, r, first) strikes the n = r (mod l) with n >= first. Each l is
+    prime to step, or 1, which strikes every n >= first.
     """
-    flags = np.ones((hi - lo) // 2 + 1, dtype=bool)
-    for l in base:
-        if l * l > hi:
-            break
-        m = max(l * l, -(-lo // l) * l)
-        if m % 2 == 0:
-            m += l
-        flags[(m - lo) // 2::l] = False
+    inverse = np.array([pow(step, -1, m) for m in l.tolist()], dtype=np.int64)
+    # both factors are below l <= sqrt(2^63), so their product fits in int64
+    return [(l, (r - c) % l * inverse % l, -((c - first) // step)) for c in classes]
+
+
+def _strike(size: int, i0: int, rows: _Rows) -> np.ndarray:
+    """flags[k] for the entry i0 + k of a window of size entries, struck by rows.
+
+    This is the one loop of the library that strikes composites; numpy finds
+    the first index of every row in the window at once.
+    """
+    l, j, start = rows
+    s = np.maximum(start, i0)
+    s += (j - s) % l
+    s -= i0
+    hit = s < size
+    flags = np.ones(size, dtype=bool)
+    for k, step in zip(s[hit].tolist(), l[hit].tolist()):
+        flags[k::step] = False
     return flags
 
 
@@ -91,22 +112,27 @@ def map_prime_windows(fn, limit: int, *, threads: int = 1) -> list:
     """fn(primes) for the odd primes of each window of [3, limit], in window order.
 
     primes is the ascending int64 array of one window of PAIR_WINDOW odd
-    integers, sieved with the odd base primes <= sqrt(limit). fn runs on up
-    to threads worker threads; the windows have fixed boundaries and the
-    results come back in their order, so the list does not depend on the
-    thread count.
+    integers n = 1 + 2i, struck by the odd base primes l <= sqrt(limit) from
+    l^2 on. fn runs on up to threads worker threads; the windows have fixed
+    boundaries and the results come back in their order, so the list does
+    not depend on the thread count.
     """
-    base = primes_upto(math.isqrt(limit))[1:].tolist()
+    base = primes_upto(math.isqrt(limit))[1:]
+    [rows] = _progressions(2, [1], base, 0, base * base)
+    end = (limit - 1) // 2 + 1  # the odd n <= limit are i < end
 
-    def one(window: tuple[int, int]):
-        lo, hi = window
-        return fn(np.flatnonzero(_odd_flags(lo, hi, base)) * 2 + lo)
+    def one(i0: int):
+        # in place, and no name holds the flags: fn runs with one array alive
+        primes = np.flatnonzero(_strike(min(PAIR_WINDOW, end - i0), i0, rows))
+        primes *= 2
+        primes += 1 + 2 * i0
+        return fn(primes)
 
-    bounds = _windows(3, limit, 2 * PAIR_WINDOW)
-    if threads > 1 and len(bounds) > 1:
+    starts = range(1, end, PAIR_WINDOW)
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, bounds))
-    return [one(window) for window in bounds]
+            return list(pool.map(one, starts))
+    return [one(i0) for i0 in starts]
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -131,43 +157,45 @@ def prime_powers(x: int) -> list[tuple[int, float]]:
     return sorted(out)
 
 
-def _pair_segment(lo: int, hi: int, a: int, b: int, base: list[int],
-                  companion: list[tuple[int, int, int]]) -> np.ndarray:
-    """Odd primes p in [lo, hi] (lo odd) with a*p + b prime, ascending (int64).
+def _pair_rows(x: int, a: int, b: int, base: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pair sieve's strike rows (l, r, first), for the base primes off the wheel.
 
-    Entry i of the window stands for n = lo + 2i. base holds the odd primes
-    <= sqrt(max(hi, a*hi + b)), and companion one (l, r, first) for each of
-    them: for odd n >= first, a*n + b is a proper multiple of l exactly when
-    n = r (mod 2l). r is -1 where l divides a; then l divides every a*n + b
-    if it divides b, and none otherwise. Below first, a*n + b <= l, so the
-    one n with a*n + b == l is never struck.
+    n is struck from l^2 on where l divides it, and from (l - b)//a + 1 on,
+    the first n with a*n + b > l, where l divides a*n + b: n = -b/a (mod l).
+    A prime l that divides a and b divides every a*n + b: the row (1, 0, first).
     """
-    flags = _odd_flags(lo, hi, base)
-    # a*n + b < 2 is never prime
-    low = -((b - 2) // a)
-    if low > lo:
-        flags[:(low - lo + 1) // 2] = False
-    # a + b even: the companion of every odd n is even, so prime only if 2
-    if (a + b) % 2 == 0:
-        flags[max(0, ((2 - b) // a + 2 - lo) // 2):] = False
-    top = a * hi + b
-    for l, r, first in companion:
-        if l * l > top:
-            break
-        first = max(first, lo)
-        if r >= 0:
-            flags[(first + (r - first) % (2 * l) - lo) // 2::l] = False
+    rows = []
+    for l in base.tolist():
+        if _WHEEL % l == 0:
+            continue
+        if l * l <= x:
+            rows.append((l, 0, l * l))
+        first = (l - b) // a + 1
+        if a % l:
+            rows.append((l, -b * pow(a, -1, l) % l, first))
         elif b % l == 0:
-            flags[(first - lo + 1) // 2:] = False
-    return np.flatnonzero(flags) * 2 + lo
+            rows.append((1, 0, first))
+    return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
+
+
+def _is_prime_by(m: int, base: np.ndarray) -> bool:
+    """Is m prime? base holds every prime <= sqrt(m), ascending."""
+    if m < 2:
+        return False
+    divisors = base[:np.searchsorted(base, math.isqrt(m), side="right")]
+    return not np.any(m % divisors == 0)
 
 
 def pair_primes(x: int, a: int = 2, b: int = 1) -> np.ndarray:
     """All primes p <= x with a*p + b prime, ascending (int64).
 
-    One segmented pass over the odd n <= x sieves n and its companion
-    a*n + b together, one window after the other. Only the base primes up
-    to sqrt(max(x, a*x + b)) and one window of PAIR_WINDOW bytes are held
+    One segmented pass sieves n and its companion a*n + b together, only on
+    the classes c mod 30 with c and a*c + b prime to 30: 3 of the 30 for
+    (2, 1). A window holds PAIR_WINDOW entries n = c + 30*i of every class;
+    its classes are struck one after the other and merged in ascending
+    order. The wheel primes, and the n whose companion is one, are decided
+    apart: n = 2 by is_prime, the others by the base primes. Only the base
+    primes up to sqrt(max(x, a*x + b)) and one class of one window are held
     in memory besides the result.
     """
     if x < 2:
@@ -177,17 +205,34 @@ def pair_primes(x: int, a: int = 2, b: int = 1) -> np.ndarray:
     top = a * x + b
     if top >= _I64:  # callers form a*p + b in int64
         raise ValueError(f"a*x+b = {top} overflows the supported 64-bit range")
-    base = primes_upto(math.isqrt(max(x, top)))[1:].tolist()
-    companion = []
-    for l in base:
-        r = -b * pow(a, -1, l) % l if a % l else -1
-        if r >= 0 and r % 2 == 0:
-            r += l  # the odd n = r (mod l) are n = r + l (mod 2l)
-        companion.append((l, r, (l - b) // a + 1))
-    two = np.array([2] if 2 * a + b >= 2 and is_prime(2 * a + b) else [], np.int64)
-    parts = [_pair_segment(lo, hi, a, b, base, companion)
-             for lo, hi in _windows(3, x, 2 * PAIR_WINDOW)]
-    return np.concatenate([two, *parts])
+    base = primes_upto(math.isqrt(max(x, top)))
+    classes = [c for c in range(1, _WHEEL)
+               if math.gcd(c, _WHEEL) == math.gcd(a * c + b, _WHEEL) == 1]
+    class_rows = _progressions(_WHEEL, classes, *_pair_rows(x, a, b, base))
+    extra = [2] if 2 * a + b >= 2 and is_prime(2 * a + b) else []
+    odd = {*_WHEEL_PRIMES[1:],
+           *((q - b) // a for q in _WHEEL_PRIMES if (q - b) % a == 0)}
+    extra += sorted(n for n in odd if 2 < n <= x and _is_prime_by(n, base)
+                    and _is_prime_by(a * n + b, base))
+    extra = np.array(extra, dtype=np.int64)
+    span = _WHEEL * PAIR_WINDOW
+    parts = []
+    for i0 in range(0, x // _WHEEL + 1, PAIR_WINDOW):
+        lo = _WHEEL * i0
+        window = [extra[(lo <= extra) & (extra < lo + span)]]
+        for c, rows in zip(classes, class_rows):
+            size = min(PAIR_WINDOW, (x - c) // _WHEEL + 1 - i0)
+            if size > 0:
+                ns = np.flatnonzero(_strike(size, i0, rows))
+                ns *= _WHEEL
+                ns += lo + c
+                window.append(ns)
+        merged = np.concatenate(window)
+        merged.sort(kind="stable")  # ascending runs, so timsort merges them
+        parts.append(merged)
+    ps = np.concatenate(parts)
+    # nothing strikes n = 1, nor the n whose companion a*n + b is below 2
+    return ps[np.searchsorted(ps, max(2, -((b - 2) // a))):]
 
 
 def is_prime(n: int) -> bool:

@@ -25,11 +25,13 @@ default first; it is the one place that says which method a formula takes.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from math import fsum
 
 import numpy as np
 
 from .arith import mobius_log_sum, mobius_sieve, totient_sieve
+from .constants import SingularValue, singular_series
 
 BRUTE_CAP = 2000  # 4e6 terms; the rearranged forms carry the load beyond
 
@@ -172,26 +174,36 @@ def squarefree_harmonic_sum(x: int) -> float:
     return fsum((1.0 / d[mu[1:] != 0]).tolist())
 
 
-def twisted_mobius_sum(m: int, x: int, with_log: bool) -> float:
-    """sum_{n<=x, gcd(m,n)=1} mu(n)/phi(n), optionally weighted by log n.
+def twisted_mobius_sums(m: int, xs: Sequence[int], with_log: bool,
+                        make_c2: Callable[[], SingularValue]
+                        ) -> tuple[float, list[float]]:
+    """The target, and sum_{n<=x, gcd(m,n)=1} mu(n)/phi(n) at each checkpoint x.
 
-    The log-weighted form converges to the singular series of |2m| up to
-    sign; the plain form converges to 0. The signed finite sum is returned
-    as-is so reports can record the sign the data shows.
+    with_log weights each term by log n. The log-weighted form converges
+    to the singular series of m up to sign, which is the target; the plain
+    form converges to 0, its target. The signed finite sums are returned
+    as-is so reports can record the sign the data shows. make_c2 returns C2;
+    it is called only with_log, after m and every x are checked and before
+    the sieves. One mu and one phi table up to the last x serve every x.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    mu = mobius_sieve(x)
-    phi = totient_sieve(x)
-    n = np.arange(x + 1, dtype=np.int64)
+    for x in xs:
+        if x < 1:
+            raise ValueError(f"x must be >= 1, got {x}")
+    target = singular_series(m, make_c2()).value if with_log else 0.0
+    top = max(xs, default=0)
+    mu = mobius_sieve(top)
+    phi = totient_sieve(top)
+    n = np.arange(top + 1, dtype=np.int64)
     keep = (mu != 0) & (np.gcd(n, m) == 1)
     keep[0] = False
+    n = n[keep]
     vals = mu[keep].astype(np.float64) / phi[keep]
     if with_log:
-        vals = vals * np.log(n[keep].astype(np.float64))
-    return fsum(vals.tolist())
+        vals *= np.log(n.astype(np.float64))
+    ks = np.searchsorted(n, xs, side="right").tolist()
+    return target, [fsum(vals[:k].tolist()) for k in ks]
 
 
 # -- the formulas of the `sums` report ---------------------------------------

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import oracles
-from germain_lab.arith import (divisors, mobius_log_sum, mobius_sieve, totient,
-                               totient_sieve, von_mangoldt)
+from germain_lab.arith import (divisors, factorize, mobius_log_sum, mobius_sieve,
+                               totient, totient_sieve, von_mangoldt)
 
 
 def test_mobius_examples():
@@ -68,12 +68,12 @@ def test_multiplicativity_on_random_coprime_pairs():
 
 def test_totient_divisor_sum_identity():
     for n in range(1, 10 ** 4 + 1):
-        assert sum(totient(d) for d in divisors(n)) == n
+        assert sum(totient(d) for d in divisors(factorize(n))) == n
 
 
 def test_divisors_match_naive():
     for n in (1, 2, 12, 97, 360, 1024, 99991):
-        assert sorted(divisors(n)) == oracles.divisors_naive(n)
+        assert sorted(divisors(factorize(n))) == oracles.divisors_naive(n)
 
 
 def _mertens(mu, x):
@@ -120,7 +120,8 @@ def _lambda_identity_residual(n, mu):
     """|Lambda(n) + sum_{d|n} mu(d) log d|: the point von_mangoldt against the
     sieved mu; zero up to rounding for every n."""
     return abs(von_mangoldt(n) + fsum(int(mu[d]) * math.log(d)
-                                      for d in divisors(n) if d > 1 and mu[d]))
+                                      for d in divisors(factorize(n))
+                                      if d > 1 and mu[d]))
 
 
 def test_lambda_divisor_identity_examples():

@@ -102,6 +102,8 @@ def _domain_message(b: int) -> str:
     ("census --x 100 --a 1 --b -1 --c2-cutoff 1e8", _domain_message(-1)),
     ("reciprocal-sum --x 1,1000 --c2-cutoff 1e8", "x must be >= 2, got 1"),
     ("hl-compare --x 1 --c2-cutoff 1e8", "x must be >= 2, got 1"),
+    ("twisted-sums --m 0 --x 100 --c2-cutoff 1e8", "m must be >= 1, got 0"),
+    ("twisted-sums --x 0 --c2-cutoff 1e8", "x must be >= 1, got 0"),
 ])
 def test_prediction_domain_is_refused_before_the_pass(argv, message, monkeypatch,
                                                       capsys):
@@ -114,19 +116,23 @@ def test_prediction_domain_is_refused_before_the_pass(argv, message, monkeypatch
     monkeypatch.setattr(sieve, "pair_primes", no_work)
     monkeypatch.setattr(counting, "pair_primes", no_work)
     monkeypatch.setattr(constants, "twin_prime_constant", no_work)
+    monkeypatch.setattr(sums, "mobius_sieve", no_work)
     assert main(argv.split()) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": "ValueError", "message": message}
 
 
-@pytest.mark.parametrize("command", ["census", "hl-compare", "reciprocal-sum"])
+@pytest.mark.parametrize("command", ["census", "hl-compare", "reciprocal-sum",
+                                     "twisted-sums"])
 def test_c2_cutoff_is_refused_before_the_pass(command, monkeypatch, capsys):
     def no_pass(*args, **kwargs):
-        raise AssertionError("the pair sieve ran")
+        raise AssertionError("the pair sieve or the sums' tables ran")
 
     monkeypatch.setattr(sieve, "pair_primes", no_pass)
     monkeypatch.setattr(counting, "pair_primes", no_pass)
+    monkeypatch.setattr(sums, "mobius_sieve", no_pass)
+    monkeypatch.setattr(sums, "totient_sieve", no_pass)
     assert main([command, "--x", "1e3,1e8", "--c2-cutoff", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

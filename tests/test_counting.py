@@ -289,11 +289,13 @@ def test_census_report_consistency(c2_1e6):
 
 
 @pytest.mark.parametrize("a,b", [(2, 1), (4, 1), (2, -1), (1, 2), (3, 3), (6, 1),
-                                 (1, 1), (1, -5), (6, 3), (15, -40)])
+                                 (1, 1), (1, -5), (6, 3), (15, -40), (7, 14),
+                                 (21, -7)])
 def test_pair_sieve_matches_trial_division(a, b, monkeypatch):
     # (3, 3), (6, 3): 3 divides a and b; (1, 1): a + b even, so every
     # companion of an odd p is even; (1, -5): a*p+b < 2 for the smallest p;
-    # (15, -40): 5 divides every companion, and 15*3 - 40 is 5 itself
+    # (15, -40): 5 divides every companion, and 15*3 - 40 is 5 itself;
+    # (7, 14), (21, -7): 7 divides every companion, and a + b is odd
     x = 3000
     expected = [p for p in oracles.primes_upto(x)
                 if oracles.is_prime_trial(a * p + b)]

@@ -167,3 +167,50 @@ def test_prime_powers_match_brute_scan():
             brute.append((n, math.log(p)))
     for x in (-1, 0, 1, 3, 4, 7, 8, 9, 10 ** 4):
         assert prime_powers(x) == [t for t in brute if t[0] <= x]
+
+
+def _pairs_by_trial_division(x, a, b):
+    return [p for p in oracles.primes_upto(x) if oracles.is_prime_trial(a * p + b)]
+
+
+@pytest.mark.parametrize("a,b,pairs", [
+    (1, -29, {31}),      # 31 - 29 = 2
+    (1, -26, {29, 31}),  # 29 - 26 = 3, 31 - 26 = 5
+])
+def test_pairs_whose_companion_is_a_small_prime(a, b, pairs, monkeypatch):
+    # the companions 2, 3 and 5 share a factor with every modulus of 30
+    for window in (1, 37, 1 << 20):
+        monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
+        got = sieve.pair_primes(1000, a, b).tolist()
+        assert got == _pairs_by_trial_division(1000, a, b)
+        assert pairs <= set(got)
+
+
+@pytest.mark.parametrize("a", [15, 30])
+@pytest.mark.parametrize("b", [1, 7, -7, 2, 3, -3, 5, 6, 10, 15, -15, -29])
+def test_pair_sieve_with_slopes_divisible_by_2_3_and_5(a, b, monkeypatch):
+    # b coprime to a, and b sharing 2, 3, 5 or all of a's primes with it
+    for window in (1, 37, 1 << 20):
+        monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
+        assert sieve.pair_primes(3000, a, b).tolist() == \
+            _pairs_by_trial_division(3000, a, b)
+
+
+@pytest.mark.parametrize("window", [1, 37, 256])
+def test_pair_sieve_at_window_edges(window, monkeypatch):
+    # a window of the pair sieve holds window integers of each class mod 30,
+    # so its boundaries are at multiples of 30 * window
+    monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
+    edges = {30 * window * k + d for k in (1, 2, 3) for d in range(-2, 3)}
+    top = max(edges)
+    for a, b in [(2, 1), (4, 3), (2, -1)]:
+        expected = _pairs_by_trial_division(top, a, b)
+        for x in sorted(edges | {2, 3, 5, 29, 30, 31}):
+            got = sieve.pair_primes(x, a, b)
+            assert got.dtype == np.int64
+            assert got.tolist() == [p for p in expected if p <= x]
+
+
+def test_germain_prime_count_at_1e8():
+    # 423140 Sophie Germain primes p <= 10^8 (OEIS A092816)
+    assert len(sieve.pair_primes(10 ** 8)) == 423140

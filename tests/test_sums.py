@@ -8,7 +8,7 @@ import oracles
 from germain_lab.constants import singular_series
 from germain_lab.sums import (IDENTITIES, identity_residual_rows,
                               log_lcm_double_sum, mobius_phi_lcm_sum,
-                              squarefree_harmonic_sum, twisted_mobius_sum)
+                              squarefree_harmonic_sum, twisted_mobius_sums)
 
 
 def test_gcd_via_phi_examples():
@@ -145,32 +145,63 @@ def test_squarefree_harmonic_residual_settles():
     assert abs(r6 - r5) < 1e-2
 
 
-def test_twisted_sum_examples():
-    assert twisted_mobius_sum(1, 1, True) == 0.0
+def _no_c2():
+    raise AssertionError("the C2 product was built")
+
+
+def twisted_mobius_sum(m, x, with_log, c2=None):
+    """The sum at the one checkpoint x."""
+    _, [value] = twisted_mobius_sums(m, [x], with_log,
+                                     (lambda: c2) if with_log else _no_c2)
+    return value
+
+
+def test_twisted_sum_examples(c2_1e6):
+    assert twisted_mobius_sum(1, 1, True, c2_1e6) == 0.0
     v = twisted_mobius_sum(2, 10, False)
     assert v == pytest.approx(1 - 1 / 2 - 1 / 4 - 1 / 6, abs=1e-14)  # n in {1,3,5,7}
 
 
-def test_twisted_sum_matches_brute_enumeration():
+def test_twisted_sum_matches_brute_enumeration(c2_1e6):
     for m, x, with_log in ((2, 50, True), (3, 40, False), (6, 30, True)):
         brute = fsum(
             oracles.mobius_naive(n) * (log(n) if with_log else 1.0)
             / oracles.totient_brute(n)
             for n in range(1, x + 1)
             if math.gcd(n, m) == 1 and oracles.mobius_naive(n) != 0)
-        assert twisted_mobius_sum(m, x, with_log) == pytest.approx(brute, abs=1e-12)
+        assert twisted_mobius_sum(m, x, with_log, c2_1e6) == pytest.approx(brute, abs=1e-12)
 
 
 def test_twisted_log_sum_approaches_singular_series_in_absolute_value(c2_1e6):
     target = singular_series(2, c2_1e6).value
-    gaps = [abs(abs(twisted_mobius_sum(2, x, True)) - target)
+    gaps = [abs(abs(twisted_mobius_sum(2, x, True, c2_1e6)) - target)
             for x in (10 ** 3, 10 ** 4, 10 ** 5)]
     assert gaps[-1] < gaps[0]
     assert all(g < 0.05 for g in gaps)
     # observed sign of the finite sums is negative throughout this range
-    assert twisted_mobius_sum(2, 10 ** 4, True) < 0
+    assert twisted_mobius_sum(2, 10 ** 4, True, c2_1e6) < 0
 
 
 def test_plain_twisted_sum_tends_to_zero():
     assert abs(twisted_mobius_sum(2, 10 ** 5, False)) < 0.01
+
+
+def test_twisted_sums_one_pass_equals_single_checkpoint_calls(c2_1e6):
+    xs = [1, 2, 10, 99, 100, 1000]
+    for m, with_log in ((1, True), (2, False), (6, True), (15, False)):
+        make_c2 = (lambda: c2_1e6) if with_log else _no_c2
+        target, values = twisted_mobius_sums(m, xs, with_log, make_c2)
+        assert target == (singular_series(m, c2_1e6).value if with_log else 0.0)
+        assert values == [twisted_mobius_sum(m, x, with_log, c2_1e6) for x in xs]
+
+
+@pytest.mark.parametrize("m, xs, message", [
+    (0, [100], "m must be >= 1, got 0"),
+    (-3, [100], "m must be >= 1, got -3"),
+    (2, [0, 100], "x must be >= 1, got 0"),
+    (2, [100, -1], "x must be >= 1, got -1"),
+])
+def test_twisted_sums_refuse_before_the_c2_product(m, xs, message):
+    with pytest.raises(ValueError, match=message):
+        twisted_mobius_sums(m, xs, True, _no_c2)
 
