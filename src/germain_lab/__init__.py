@@ -3,12 +3,14 @@
 Library layout:
   sieve        one strike kernel over a progression c + W*i: primes
                (W = 2), prime powers, prime pairs (p, a*p+b) on the wheel
-               W = 30; deterministic 64-bit primality
-  arith        mobius / von Mangoldt / totient and their summatory forms
+               W = 30, streamed window by window; deterministic 64-bit
+               primality
+  arith        mobius / totient and their summatory forms
   constants    twin-prime constant and the pair singular series
   sums         exact gcd/lcm/phi identities and rearranged double sums
   counting     pair counts and weighted sums from one pass of the pair
-               sieve, the psi0 partition, predictions
+               sieve, reduced exactly window by window; the psi0
+               partition, predictions
   progressions integers and prime weights in arithmetic progressions
   primroot     primitive-root tests, quadratic residue laws, pair-table audit
   cli          report-generating command-line interface

@@ -1,14 +1,15 @@
 """Multiplicative arithmetic functions and their summatory forms.
 
-Point evaluations (von_mangoldt, totient) factor their argument by trial
-division. The tables (mobius_sieve, totient_sieve) and the summatory form
-mobius_log_sum are sieved instead, so tests can cross-check the two
-independent routes.
+The point evaluation totient factors its argument by trial division
+(factorize), and divisors expands a factorization. The tables
+(mobius_sieve, totient_sieve) and the summatory form mobius_log_sum are
+sieved instead, so tests can cross-check the two independent routes. The
+von Mangoldt weights of the pair sums come from the sieve (primes and
+prime_powers), not from factoring.
 """
 
 from __future__ import annotations
 
-import math
 from math import fsum
 
 import numpy as np
@@ -51,18 +52,6 @@ def divisors(factors: list[tuple[int, int]]) -> list[int]:
     for p, e in factors:
         ds = [d * p ** k for d in ds for k in range(e + 1)]
     return ds
-
-
-def von_mangoldt(n: int) -> float:
-    """log p when n = p^k (the standard convention), else 0."""
-    if n < 1:
-        raise ValueError(f"von Mangoldt undefined for n={n}")
-    if n == 1:
-        return 0.0
-    fac = factorize(n)
-    if len(fac) == 1:
-        return math.log(fac[0][0])
-    return 0.0
 
 
 def totient(n: int) -> int:

@@ -210,6 +210,14 @@ def _cmd_large_sieve(args: argparse.Namespace):
                            f"--sequence {kind}, which is deterministic; it "
                            f"takes --trials 1")
         _refuse_unread(args, {"seed"}, f"large-sieve --sequence {kind}")
+    if x > progressions.LARGE_SIEVE_X_CAP:
+        raise CliError(f"--x {x} is above the cap {progressions.LARGE_SIEVE_X_CAP}: "
+                       "the check holds about 55 bytes per integer")
+    updates = x * args.Q * trials
+    if updates > progressions.LARGE_SIEVE_OPS_CAP:
+        raise CliError(f"--x {x} --Q {args.Q} --trials {trials} make {updates} class "
+                       f"updates, above the cap {progressions.LARGE_SIEVE_OPS_CAP}: "
+                       "each trial updates x classes for every modulus up to Q")
     header = ["x", "Q", "sequence", "seed", "lhs", "rhs", "slack"]
     rows = []
     bad = 0

@@ -1,16 +1,26 @@
 """The Germain-pair counting functions and sums, each from one sieve pass.
 
 Every pair command makes one pass of the segmented pair sieve
-(sieve.pair_primes) up to its largest checkpoint, which yields the ascending
-primes p with a*p + b prime; each checkpoint x reads the prefix p <= x.
-pair_sums gives pi_g(x), the length of the prefix, and psi_g and psi0,
-which weight by the von Mangoldt function, whose support is the prime
-powers. Each is summed as three math.fsum groups over the same prefix: the
-prime pairs themselves, n = p^k (k >= 2) with a*n + b prime, and
-a*n + b = q^k (k >= 2) with n a prime power. The last two groups hold only
-O(sqrt(a*x + b)) terms. reciprocal_sums gives the sums of 1/p and log p / p
-over the Germain primes (a, b = 2, 1). fsum rounds correctly, so a
-checkpoint's value does not depend on the other checkpoints of the pass.
+(sieve.pair_windows) up to its largest checkpoint, which yields the
+ascending primes p with a*p + b prime one window at a time; each
+checkpoint x reads the prefix p <= x. pair_sums gives pi_g(x), the length
+of the prefix, and psi_g and psi0, which weight by the von Mangoldt
+function, whose support is the prime powers. Each is summed as three
+math.fsum groups over the same prefix: the prime pairs themselves,
+n = p^k (k >= 2) with a*n + b prime, and a*n + b = q^k (k >= 2) with n a
+prime power. The last two groups hold only O(sqrt(a*x + b)) terms, and
+their weights come from the sieve's primes and prime powers, without
+factoring. reciprocal_sums gives the sums of 1/p and log p / p over the
+Germain primes (a, b = 2, 1).
+
+The pair terms are reduced as the windows stream past, and only one
+window's arrays are alive at a time. _prefix_slices splits a window's
+terms into a few slices of fixed binary exponent whose numpy sums are
+exact, so a handful of doubles per window and cut carries the exact sum;
+the fsum of those, over the windows below a checkpoint and its own cut,
+is the fsum of the whole prefix bit for bit. fsum rounds correctly, so a
+checkpoint's value does not depend on the other checkpoints of the pass,
+nor on the window size.
 
 psi0_partition splits the divisor-expanded form of psi0(x) at a cutoff:
 expanding each Lambda(2n+1) factor through Lambda(m) = -sum_{d|m} mu(d) log d
@@ -31,9 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import divisors, mobius_sieve, von_mangoldt
+from .arith import divisors, mobius_sieve
 from .constants import SingularValue
-from .sieve import is_prime, pair_primes, prime_powers, primes_upto
+from .sieve import is_prime, pair_windows, prime_powers, primes_upto
 
 
 @dataclass(frozen=True)
@@ -65,20 +75,74 @@ def _smallest_prime_factors(limit: int) -> np.ndarray:
     return spf
 
 
-def _pass(xs: Sequence[int], a: int, b: int) -> tuple[np.ndarray, list[int]]:
-    """One pair-sieve pass to the last checkpoint, and each checkpoint's prefix.
+def _prefix_slices(t: np.ndarray, cuts: Sequence[int]) -> list[list[float]]:
+    """For each k in cuts, doubles whose exact sum is the exact sum of t[:k].
 
-    The checkpoints ascend strictly and are >= 1; below 2 there is no pair,
-    so no pass runs when the last one is.
+    t holds finite nonnegative doubles; the positive ones lie in
+    [2^-1000, 2^900]. Each step extracts the slice h = (r + sigma) - sigma
+    of the remainder r, sigma = 1.5 * 2^(g + 52) (ExtractVector of Rump,
+    Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008): while |r| <= 2^(g + 51),
+    h is r rounded to a multiple of 2^g and r - h is exact. g starts width
+    bits below the top of t and steps down by width, to the ulp of the
+    least positive term, where the remainder is 0. Every h is a multiple of
+    2^g of magnitude at most 2^(g + width), and width + bit_length(t.size)
+    is 52, so every partial sum of a slice is a multiple of 2^g below
+    2^(g + 52): numpy sums a slice exactly, in any order. fsum, which rounds
+    the exact sum of its inputs, is then the same double on these partials
+    as on t[:k] itself, and partials of consecutive windows concatenate.
+    """
+    parts = [[] for _ in cuts]
+    if not np.any(t):
+        return parts
+    width = 52 - t.size.bit_length()
+    assert width + 1 + math.log2(t.size) <= 53
+    low = int(np.frexp(np.min(t, initial=np.inf, where=t > 0))[1]) - 53
+    g = max(int(np.frexp(t.max())[1]) - width, low)
+    r = t
+    while True:
+        sigma = math.ldexp(1.5, g + 52)
+        h = r + sigma
+        h -= sigma
+        r = r - h
+        for part, k in zip(parts, cuts):
+            part.append(float(h[:k].sum()))
+        if g == low:
+            return parts
+        g = max(g - width, low)
+
+
+def _pass(xs: Sequence[int], a: int, b: int,
+          terms: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+          ) -> list[tuple[int, list[float]]]:
+    """One pair-sieve pass to the last checkpoint, reduced window by window.
+
+    terms(ps) gives arrays of terms, one entry per pair of the window ps.
+    At each checkpoint x comes the number of pairs p <= x and, per array,
+    the fsum of its terms over the p <= x, the same double as the fsum of
+    the whole prefix. Only one window's arrays are alive at a time. The
+    checkpoints ascend strictly and are >= 1; below 2 there is no pair, so
+    no pass runs when the last one is.
     """
     if any(y <= x for x, y in zip(xs, xs[1:])):
         raise ValueError(f"checkpoints must be strictly ascending: {list(xs)}")
     if xs and xs[0] < 1:
         raise ValueError(f"x must be >= 1, got {xs[0]}")
-    if not xs or xs[-1] < 2:
-        return np.zeros(0, dtype=np.int64), [0] * len(xs)
-    ps = pair_primes(xs[-1], a, b)
-    return ps, np.searchsorted(ps, xs, side="right").tolist()
+    last = xs[-1] if xs else 0
+    windows = (pair_windows(last, a, b) if last >= 2
+               else [np.zeros(0, dtype=np.int64)])
+    out, count, carry, pending = [], 0, [], list(xs)
+    for ps in windows:
+        ks = np.searchsorted(ps, pending, side="right").tolist()
+        done = sum(k < ps.size for k in ks)  # the checkpoints this window ends
+        slices = [_prefix_slices(t, ks[:done] + [ps.size]) for t in terms(ps)]
+        carry = carry or [[] for _ in slices]
+        for j, k in enumerate(ks[:done]):
+            out.append((count + k, [fsum(c + s[j]) for c, s in zip(carry, slices)]))
+        for c, s in zip(carry, slices):
+            c.extend(s[-1])
+        count += ps.size
+        pending = pending[done:]
+    return out + [(count, [fsum(c) for c in carry])] * len(pending)
 
 
 def pair_sums(xs: Sequence[int], a: int = 2,
@@ -88,38 +152,41 @@ def pair_sums(xs: Sequence[int], a: int = 2,
     psi_g(x) = sum_{n<=x} Lambda(n) Lambda(a n + b) and psi0 weights by
     Lambda(a n + b)^2 instead; a checkpoint below 2 gives (0, 0.0, 0.0).
     """
-    ps, ks = _pass(xs, a, b)
-    if not xs or xs[-1] < 2:
-        return [(0, 0.0, 0.0)] * len(xs)
-    x_max = xs[-1]
-    log_p = np.log(ps.astype(np.float64))
-    log_m = np.log((a * ps + b).astype(np.float64))
-    # log_p * log_m ** power for powers 1 and 2, in place: the products
-    # commute, so these are the same doubles, without temporary arrays
-    main = {2: np.square(log_m)}
-    main[2] *= log_p
-    main[1] = np.multiply(log_m, log_p, out=log_m)
+    def terms(ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        log_p = np.log(ps.astype(np.float64))
+        log_m = np.log((a * ps + b).astype(np.float64))
+        # log_p * log_m ** power for powers 1 and 2, in place: the products
+        # commute, so these are the same doubles, without temporary arrays
+        squared = np.square(log_m)
+        squared *= log_p
+        return np.multiply(log_m, log_p, out=log_m), squared
+
+    mains = _pass(xs, a, b, terms)
+    x_max = xs[-1] if xs else 0
+    # Lambda(n) of the prime powers n = p^k <= x_max with k >= 2, ascending
+    weights = dict(prime_powers(x_max))
     # n = p^k with k >= 2 and a*n+b prime: (n, Lambda(n), log(a*n+b))
     powers = []
-    for n, w in prime_powers(x_max):
+    for n, w in weights.items():
         m = a * n + b
         if m >= 2 and is_prime(m):
             powers.append((n, w, math.log(m)))
-    # a*n+b = q^k with k >= 2 and Lambda(n) > 0: (n, Lambda(n), log q)
+    # a*n+b = q^k with k >= 2 and Lambda(n) > 0: (n, Lambda(n), log q), with
+    # Lambda(n) = log n for a prime n and from the table for a prime power
     companions = []
     for m, w in prime_powers(a * x_max + b):
         n = m - b
         if n > 0 and n % a == 0:
             n //= a
             if 1 <= n <= x_max:
-                wn = von_mangoldt(n)
+                wn = math.log(n) if is_prime(n) else weights.get(n, 0.0)
                 if wn > 0.0:
                     companions.append((n, wn, w))
     out = []
-    for x, k in zip(xs, ks):
+    for x, (k, main) in zip(xs, mains):
         psi = []
-        for power in (1, 2):
-            parts = [fsum(main[power][:k]),
+        for power, total in zip((1, 2), main):
+            parts = [total,
                      fsum(w * lm ** power for n, w, lm in powers if n <= x),
                      fsum(wn * w ** power for n, wn, w in companions if n <= x)]
             psi.append(fsum(parts))
@@ -141,16 +208,17 @@ def reciprocal_sums(xs: Sequence[int], make_c2: Callable[[], SingularValue]
     if xs and xs[0] < 2:
         raise ValueError(f"x must be >= 2, got {xs[0]}")
     a0 = 2.0 * make_c2().value
-    ps, ks = _pass(xs, 2, 1)
-    inverse = 1.0 / ps
-    # math.log, not np.log: the last bits of the two differ
-    log_over_p = np.fromiter(map(math.log, ps), np.float64, ps.size)
-    log_over_p /= ps
+
+    def terms(ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # math.log, not np.log: the last bits of the two differ
+        log_over_p = np.fromiter(map(math.log, ps), np.float64, ps.size)
+        log_over_p /= ps
+        return 1.0 / ps, log_over_p
+
     out = []
-    for x, k in zip(xs, ks):
-        value = fsum(log_over_p[:k])
+    for x, (_, (inverse, value)) in zip(xs, _pass(xs, 2, 1, terms)):
         fit = a0 * math.log(math.log(x)) + a0 / math.log(x)
-        out.append((fsum(inverse[:k]), value, value - fit))
+        out.append((inverse, value, value - fit))
     return out
 
 

@@ -13,9 +13,11 @@ prime_powers lists the p^k (k >= 2) of its primes. The pair sieve uses the
 wheel W = 30: it sieves only the classes c with c and a*c + b prime to 30,
 and strikes the companions a*n + b too, which gives the primes p with
 a*p + b also prime. It runs its windows in order on one thread: its strike
-loop holds the interpreter lock, so threads did not speed it up. A window
-holds one byte per entry, so both keep only the base primes and one
-window per worker, whatever the range.
+loop holds the interpreter lock, so threads did not speed it up.
+pair_windows yields the pairs of each window as soon as it is sieved, so
+a caller can reduce the pass window by window; pair_primes joins them into
+one array. A window holds one byte per entry, so both sieves keep only the
+base primes and one window per worker, whatever the range.
 
 is_prime is a deterministic strong-pseudoprime (Miller-Rabin) test for
 n < 2^64. Let psi_k be the least odd composite that is a strong probable
@@ -43,6 +45,7 @@ psi_12 from Jiang and Deng (Math. Comp. 83, 2014) and Sorenson and Webster
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -108,6 +111,17 @@ def _strike(size: int, i0: int, rows: _Rows) -> np.ndarray:
     return flags
 
 
+def _survivors(size: int, i0: int, rows: _Rows, step: int, n0: int) -> np.ndarray:
+    """The n = n0 + step*k of the entries k that rows leave unstruck (int64).
+
+    Computed in place, and no name holds the flags once they are read.
+    """
+    ns = np.flatnonzero(_strike(size, i0, rows))
+    ns *= step
+    ns += n0
+    return ns
+
+
 def map_prime_windows(fn, limit: int, *, threads: int = 1) -> list:
     """fn(primes) for the odd primes of each window of [3, limit], in window order.
 
@@ -122,11 +136,8 @@ def map_prime_windows(fn, limit: int, *, threads: int = 1) -> list:
     end = (limit - 1) // 2 + 1  # the odd n <= limit are i < end
 
     def one(i0: int):
-        # in place, and no name holds the flags: fn runs with one array alive
-        primes = np.flatnonzero(_strike(min(PAIR_WINDOW, end - i0), i0, rows))
-        primes *= 2
-        primes += 1 + 2 * i0
-        return fn(primes)
+        # fn runs with one array alive
+        return fn(_survivors(min(PAIR_WINDOW, end - i0), i0, rows, 2, 1 + 2 * i0))
 
     starts = range(1, end, PAIR_WINDOW)
     if threads > 1 and len(starts) > 1:
@@ -186,17 +197,19 @@ def _is_prime_by(m: int, base: np.ndarray) -> bool:
     return not np.any(m % divisors == 0)
 
 
-def pair_primes(x: int, a: int = 2, b: int = 1) -> np.ndarray:
-    """All primes p <= x with a*p + b prime, ascending (int64).
+def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
+    """The primes p <= x with a*p + b prime, one ascending int64 array per window.
 
     One segmented pass sieves n and its companion a*n + b together, only on
     the classes c mod 30 with c and a*c + b prime to 30: 3 of the 30 for
     (2, 1). A window holds PAIR_WINDOW entries n = c + 30*i of every class;
     its classes are struck one after the other and merged in ascending
     order. The wheel primes, and the n whose companion is one, are decided
-    apart: n = 2 by is_prime, the others by the base primes. Only the base
-    primes up to sqrt(max(x, a*x + b)) and one class of one window are held
-    in memory besides the result.
+    apart: n = 2 by is_prime, the others by the base primes. Besides the
+    window the caller holds, only the base primes up to sqrt(max(x, a*x + b)),
+    one class's flags and the window being merged are in memory. Every
+    window is yielded, empty or not, and the input is checked before the
+    first.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
@@ -215,24 +228,25 @@ def pair_primes(x: int, a: int = 2, b: int = 1) -> np.ndarray:
     extra += sorted(n for n in odd if 2 < n <= x and _is_prime_by(n, base)
                     and _is_prime_by(a * n + b, base))
     extra = np.array(extra, dtype=np.int64)
+    # nothing strikes n = 1, nor the n whose companion a*n + b is below 2
+    least = max(2, -((b - 2) // a))
     span = _WHEEL * PAIR_WINDOW
-    parts = []
     for i0 in range(0, x // _WHEEL + 1, PAIR_WINDOW):
         lo = _WHEEL * i0
         window = [extra[(lo <= extra) & (extra < lo + span)]]
         for c, rows in zip(classes, class_rows):
             size = min(PAIR_WINDOW, (x - c) // _WHEEL + 1 - i0)
             if size > 0:
-                ns = np.flatnonzero(_strike(size, i0, rows))
-                ns *= _WHEEL
-                ns += lo + c
-                window.append(ns)
+                window.append(_survivors(size, i0, rows, _WHEEL, lo + c))
         merged = np.concatenate(window)
+        del window  # the class arrays are not kept while the caller works
         merged.sort(kind="stable")  # ascending runs, so timsort merges them
-        parts.append(merged)
-    ps = np.concatenate(parts)
-    # nothing strikes n = 1, nor the n whose companion a*n + b is below 2
-    return ps[np.searchsorted(ps, max(2, -((b - 2) // a))):]
+        yield merged[np.searchsorted(merged, least):]
+
+
+def pair_primes(x: int, a: int = 2, b: int = 1) -> np.ndarray:
+    """All primes p <= x with a*p + b prime, ascending (int64): pair_windows joined."""
+    return np.concatenate(list(pair_windows(x, a, b)))
 
 
 def is_prime(n: int) -> bool:

@@ -2,11 +2,14 @@
 
 Everything here is written the slow, obvious way on purpose and shares no
 code path with the library: bytearray sieving, trial division, brute-force
-double loops, fixed-grid quadrature.
+double loops, fixed-grid quadrature, and sums that fsum each checkpoint's
+whole prefix.
 """
 
 import math
 from math import fsum, gcd
+
+import numpy as np
 
 
 def sieve_flags(limit):
@@ -80,6 +83,22 @@ def von_mangoldt_naive(n):
     return math.log(fac[0][0]) if len(fac) == 1 else 0.0
 
 
+def von_mangoldt(n):
+    """log p when n = p^k (the standard convention), else 0; n >= 1.
+
+    Divides out the least prime factor, a route apart from the full
+    factorization of von_mangoldt_naive.
+    """
+    if n < 1:
+        raise ValueError(f"von Mangoldt undefined for n={n}")
+    if n == 1:
+        return 0.0
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    while n % p == 0:
+        n //= p
+    return math.log(p) if n == 1 else 0.0
+
+
 def divisors_naive(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -133,6 +152,64 @@ def mobius_phi_lcm_brute(x):
 def psi_pair_brute(x, a, b, power):
     return fsum(von_mangoldt_naive(n) * von_mangoldt_naive(a * n + b) ** power
                 for n in range(1, x + 1))
+
+
+def _pairs(x, a, b):
+    """The primes p <= x with a*p + b prime, as an int64 array."""
+    flags = sieve_flags(max(a * x + b, 2))
+    return np.array([p for p in primes_upto(x) if a * p + b >= 2 and flags[a * p + b]],
+                    dtype=np.int64)
+
+
+def pair_sums_prefix(xs, a, b):
+    """(pi_g, psi_g, psi0) at each checkpoint x >= 2, each sum an fsum from n = 1.
+
+    The pair terms are the library's doubles, computed over the whole pair
+    list at once and summed by one fsum of each checkpoint's prefix; the
+    prime-power terms (n = p^k or a*n + b = q^k, k >= 2) are fsum groups of
+    their own, and psi is the fsum of the three groups.
+    """
+    x_max = xs[-1]
+    ps = _pairs(x_max, a, b)
+    log_p = np.log(ps.astype(np.float64))
+    log_m = np.log((a * ps + b).astype(np.float64))
+    main = {1: log_m * log_p, 2: np.square(log_m) * log_p}
+    prime_powers = [(p ** k, math.log(p)) for p in primes_upto(math.isqrt(a * x_max + b))
+                    for k in range(2, (a * x_max + b).bit_length() + 1)
+                    if p ** k <= a * x_max + b]
+    flags = sieve_flags(max(a * x_max + b, 2))
+    powers = [(n, w, math.log(a * n + b)) for n, w in prime_powers
+              if n <= x_max and a * n + b >= 2 and flags[a * n + b]]
+    companions = []
+    for m, w in prime_powers:
+        n, rest = divmod(m - b, a)
+        if rest == 0 and 1 <= n <= x_max and von_mangoldt(n) > 0:
+            companions.append((n, von_mangoldt(n), w))
+    out = []
+    for x in xs:
+        k = int(np.searchsorted(ps, x, side="right"))
+        psi = [fsum([fsum(main[power][:k]),
+                     fsum(w * lm ** power for n, w, lm in powers if n <= x),
+                     fsum(wn * w ** power for n, wn, w in companions if n <= x)])
+               for power in (1, 2)]
+        out.append((k, psi[0], psi[1]))
+    return out
+
+
+def reciprocal_sums_prefix(xs, c2):
+    """(sum 1/p, sum log p / p, fit residual) over the Germain primes p <= x,
+    each sum one fsum of the checkpoint's prefix; c2 is the twin-prime constant."""
+    ps = _pairs(xs[-1], 2, 1)
+    inverse = 1.0 / ps
+    log_over_p = np.array([math.log(p) for p in ps.tolist()]) / ps
+    a0 = 2.0 * c2
+    out = []
+    for x in xs:
+        k = int(np.searchsorted(ps, x, side="right"))
+        value = fsum(log_over_p[:k])
+        fit = a0 * math.log(math.log(x)) + a0 / math.log(x)
+        out.append((fsum(inverse[:k]), value, value - fit))
+    return out
 
 
 def psi0_partition_brute(x, x1):

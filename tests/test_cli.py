@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from germain_lab import arith, constants, counting, primroot, sieve, sums
+from germain_lab import (arith, constants, counting, primroot, progressions, sieve,
+                         sums)
 from germain_lab.cli import (COMMANDS, _OneOf, main, parse_exact_int,
                              parse_int_list)
 from germain_lab.counting import pair_sums
@@ -112,9 +113,10 @@ def test_prediction_domain_is_refused_before_the_pass(argv, message, monkeypatch
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    # counting holds its own reference to the sieve's function
+    # counting holds its own reference to the sieve's window stream
     monkeypatch.setattr(sieve, "pair_primes", no_work)
-    monkeypatch.setattr(counting, "pair_primes", no_work)
+    monkeypatch.setattr(sieve, "pair_windows", no_work)
+    monkeypatch.setattr(counting, "pair_windows", no_work)
     monkeypatch.setattr(constants, "twin_prime_constant", no_work)
     monkeypatch.setattr(sums, "mobius_sieve", no_work)
     assert main(argv.split()) == 1
@@ -130,7 +132,8 @@ def test_c2_cutoff_is_refused_before_the_pass(command, monkeypatch, capsys):
         raise AssertionError("the pair sieve or the sums' tables ran")
 
     monkeypatch.setattr(sieve, "pair_primes", no_pass)
-    monkeypatch.setattr(counting, "pair_primes", no_pass)
+    monkeypatch.setattr(sieve, "pair_windows", no_pass)
+    monkeypatch.setattr(counting, "pair_windows", no_pass)
     monkeypatch.setattr(sums, "mobius_sieve", no_pass)
     monkeypatch.setattr(sums, "totient_sieve", no_pass)
     assert main([command, "--x", "1e3,1e8", "--c2-cutoff", "2"]) == 1
@@ -292,7 +295,7 @@ def test_psi0_partition_above_cap_is_refused_before_any_table(monkeypatch,
         raise AssertionError("work started")
 
     for name in ("psi0_partition", "pair_sums", "_flags", "mobius_sieve",
-                 "pair_primes"):
+                 "pair_windows"):
         monkeypatch.setattr(counting, name, no_work)
     cap = counting.PARTITION_CAP
     for checkpoints, largest in ((f"{cap + 1}", cap + 1),
@@ -344,6 +347,39 @@ def test_primroot_limit_above_cap_is_refused_before_any_sieve(mode, monkeypatch,
     assert swept == [cap]
 
 
+def test_large_sieve_above_its_caps_is_refused_before_any_sequence(monkeypatch,
+                                                                  capsys):
+    def no_work(*args):
+        raise AssertionError("a sequence was built")
+
+    for name in ("ones_sequence", "prime_indicator_sequence",
+                 "random_sign_sequence", "large_sieve_check"):
+        monkeypatch.setattr(progressions, name, no_work)
+    x_cap, ops_cap = progressions.LARGE_SIEVE_X_CAP, progressions.LARGE_SIEVE_OPS_CAP
+    for argv, x, Q, trials in ((f"--x {x_cap + 1}", x_cap + 1, 30, 1),
+                               ("--x 1e100 --sequence primes", 10 ** 100, 30, 1),
+                               (f"--x {x_cap} --Q 501", x_cap, 501, 1),
+                               ("--x 1e5 --Q 100 --sequence random --trials 101",
+                                10 ** 5, 100, 101)):
+        assert main(["large-sieve", *argv.split()]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if x > x_cap:
+            message = (f"--x {x} is above the cap {x_cap}: the check holds about "
+                       "55 bytes per integer")
+        else:
+            message = (f"--x {x} --Q {Q} --trials {trials} make {x * Q * trials} "
+                       f"class updates, above the cap {ops_cap}: each trial "
+                       "updates x classes for every modulus up to Q")
+        assert json.loads(captured.err) == {"error": "CliError", "message": message}
+    # the caps themselves are admitted
+    monkeypatch.setattr(progressions, "ones_sequence", lambda x: x)
+    monkeypatch.setattr(progressions, "large_sieve_check", lambda x, Q, seq:
+                        progressions.SieveInequalityReport(x, Q, 1.0, 2.0, 1.0))
+    assert main(["large-sieve", "--x", str(x_cap), "--Q", "500"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"{x_cap},500,")
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     fn = getattr(module, name)
@@ -389,15 +425,16 @@ def test_theorem_4p1_proves_each_prime_once_outside_the_sieve(monkeypatch, capsy
 ])
 def test_pair_commands_make_one_sieve_pass(argv, monkeypatch, capsys):
     calls = []
-    pass_ = sieve.pair_primes
+    pass_ = sieve.pair_windows
 
     def counted(*args, **kwargs):
         calls.append(args)
         return pass_(*args, **kwargs)
 
-    # counting holds its own reference to the sieve's function
-    monkeypatch.setattr(sieve, "pair_primes", counted)
-    monkeypatch.setattr(counting, "pair_primes", counted)
+    # every pass is a pair_windows stream (pair_primes joins one), and
+    # counting holds its own reference to it
+    monkeypatch.setattr(sieve, "pair_windows", counted)
+    monkeypatch.setattr(counting, "pair_windows", counted)
     assert main(argv.split()) == 0
     capsys.readouterr()
     assert len(calls) == 1, calls

@@ -107,7 +107,7 @@ def test_pair_sums_below_two_are_zero_without_a_pass(monkeypatch):
     def no_pass(*args, **kwargs):
         raise AssertionError("the pair sieve ran")
 
-    monkeypatch.setattr(counting, "pair_primes", no_pass)
+    monkeypatch.setattr(counting, "pair_windows", no_pass)
     assert pair_sums([1]) == [(0, 0.0, 0.0)]
     assert pair_sums([]) == []
 
@@ -332,7 +332,7 @@ def test_census_rejects_unordered_or_tiny_checkpoints(c2_1e6, monkeypatch):
     def no_pass(*args, **kwargs):
         raise AssertionError("the pair sieve ran")
 
-    monkeypatch.setattr(counting, "pair_primes", no_pass)
+    monkeypatch.setattr(counting, "pair_windows", no_pass)
     with pytest.raises(ValueError, match="x must be >= 2, got 1"):
         census([1, 10 ** 8], 2, 1, _no_c2)
     with pytest.raises(ValueError, match="2a\\+b must be >= 2"):
