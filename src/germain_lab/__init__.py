@@ -6,6 +6,7 @@ Library layout:
                W = 30, streamed window by window; deterministic 64-bit
                primality
   arith        mobius / totient and their summatory forms
+  summation    exact, correctly rounded sums of float64 arrays
   constants    twin-prime constant and the pair singular series
   sums         exact gcd/lcm/phi identities and rearranged double sums
   counting     pair counts and weighted sums from one pass of the pair

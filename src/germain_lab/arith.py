@@ -6,10 +6,21 @@ The point evaluation totient factors its argument by trial division
 sieved instead, so tests can cross-check the two independent routes. The
 von Mangoldt weights of the pair sums come from the sieve (primes and
 prime_powers), not from factoring.
+
+The two sieves split the primes at r = isqrt(limit). Each prime p <= r
+takes one strided pass over its multiples, as usual. A prime p > r
+divides an n <= limit at most once, with n = c*p and c <= limit // (r + 1)
+<= r, so every prime factor of c is at most r and mu(c), phi(c) are final
+once the small primes are done: then mu(n) = -mu(c) and
+phi(n) = phi(c) (p - 1). The large primes are applied with one
+fancy-index write per cofactor c, to the multiples c*p of all of them at
+once: about sqrt(limit) numpy calls instead of one per prime. The tables
+are integers, so the result does not depend on the order of the writes.
 """
 
 from __future__ import annotations
 
+import math
 from math import fsum
 
 import numpy as np
@@ -64,27 +75,53 @@ def totient(n: int) -> int:
     return t
 
 
+def _split_primes(limit: int) -> tuple[list[int], np.ndarray, int]:
+    """The primes <= limit split at r = isqrt(limit), and the largest cofactor.
+
+    Returns the primes p <= r as ints, the primes p > r as an ascending
+    int64 array, and limit // (r + 1): every n <= limit with a prime factor
+    p > r is n = c*p with c at most that.
+    """
+    ps = primes_upto(limit)
+    root = math.isqrt(limit)
+    k = int(np.searchsorted(ps, root, side="right"))
+    return ps[:k].tolist(), ps[k:], limit // (root + 1)
+
+
 def mobius_sieve(limit: int) -> np.ndarray:
     """mu(n) for 0 <= n <= limit as an int8 array (mu(0) stored as 0)."""
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in primes_upto(limit):
-        p = int(p)
+    small, large, cofactors = _split_primes(limit)
+    for p in small:
         mu[p::p] *= -1
-        if p * p <= limit:
-            mu[p * p::p * p] = 0
+        mu[p * p::p * p] = 0
+    # n = c*p with p > sqrt(limit) prime: mu(c) is final, and mu(n) = -mu(c)
+    for c in range(1, cofactors + 1):
+        ps = large[:np.searchsorted(large, limit // c, side="right")]
+        mu[c * ps] = -mu[c]
     return mu
 
 
 def totient_sieve(limit: int) -> np.ndarray:
     """phi(n) for 0 <= n <= limit as an int64 array."""
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in primes_upto(limit):
-        p = int(p)
+    small, large, cofactors = _split_primes(limit)
+    for p in small:
         # in place: p still divides phi-so-far(n) for every multiple n of p
         multiples = phi[p::p]
         multiples //= p
         multiples *= p - 1
+    # n = c*p with p > sqrt(limit) prime: phi(c) is final, and
+    # phi(n) = phi(c) (p - 1). c = 1 indexes by the primes themselves, so
+    # next to phi and the primes only one value array is held, or an index
+    # array and a value array of at most half as many entries.
+    phi[large] = large - 1
+    for c in range(2, cofactors + 1):
+        ps = large[:np.searchsorted(large, limit // c, side="right")]
+        values = ps - 1
+        values *= phi[c]
+        phi[c * ps] = values
     return phi
 
 

@@ -212,7 +212,7 @@ def _cmd_large_sieve(args: argparse.Namespace):
         _refuse_unread(args, {"seed"}, f"large-sieve --sequence {kind}")
     if x > progressions.LARGE_SIEVE_X_CAP:
         raise CliError(f"--x {x} is above the cap {progressions.LARGE_SIEVE_X_CAP}: "
-                       "the check holds about 55 bytes per integer")
+                       "the check holds about 24 bytes per integer")
     updates = x * args.Q * trials
     if updates > progressions.LARGE_SIEVE_OPS_CAP:
         raise CliError(f"--x {x} --Q {args.Q} --trials {trials} make {updates} class "

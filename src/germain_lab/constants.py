@@ -5,6 +5,11 @@ with a rigorous truncation bound carried alongside the value, so every
 downstream comparison can be tolerance-aware. The classical value is
 0.66016181584686957... (OEIS A005597); a direct product at cutoff 10^8
 reaches it to ~9 digits, which is all this library promises.
+
+The product is summed as logs. Each sieve window's log1p terms are summed
+exactly by summation.exact_sum, which gives the correctly rounded window
+sum (the fsum of its terms) without a Python list, and the window partials
+are fsum'd in window order, so C2 does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 
 from . import sieve
 from .arith import factorize
+from .summation import exact_sum
 
 
 @dataclass(frozen=True)
@@ -37,8 +43,9 @@ class SingularValue:
 
 
 def _segment_log_sum(primes: np.ndarray) -> float:
+    """The correctly rounded sum of log(1 - 1/(p-1)^2) over one window's primes."""
     pm1 = primes.astype(np.float64) - 1.0
-    return fsum(np.log1p(-1.0 / (pm1 * pm1)).tolist())
+    return exact_sum(np.log1p(-1.0 / (pm1 * pm1)))
 
 
 def twin_prime_constant(prime_cutoff: int, *, threads: int = 1) -> SingularValue:

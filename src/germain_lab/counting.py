@@ -14,9 +14,9 @@ factoring. reciprocal_sums gives the sums of 1/p and log p / p over the
 Germain primes (a, b = 2, 1).
 
 The pair terms are reduced as the windows stream past, and only one
-window's arrays are alive at a time. _prefix_slices splits a window's
-terms into a few slices of fixed binary exponent whose numpy sums are
-exact, so a handful of doubles per window and cut carries the exact sum;
+window's arrays are alive at a time. summation.prefix_slices splits a
+window's terms into a few slices of fixed binary exponent whose numpy sums
+are exact, so a handful of doubles per window and cut carries the exact sum;
 the fsum of those, over the windows below a checkpoint and its own cut,
 is the fsum of the whole prefix bit for bit. fsum rounds correctly, so a
 checkpoint's value does not depend on the other checkpoints of the pass,
@@ -44,6 +44,7 @@ import numpy as np
 from .arith import divisors, mobius_sieve
 from .constants import SingularValue
 from .sieve import is_prime, pair_windows, prime_powers, primes_upto
+from .summation import prefix_slices
 
 
 @dataclass(frozen=True)
@@ -75,42 +76,6 @@ def _smallest_prime_factors(limit: int) -> np.ndarray:
     return spf
 
 
-def _prefix_slices(t: np.ndarray, cuts: Sequence[int]) -> list[list[float]]:
-    """For each k in cuts, doubles whose exact sum is the exact sum of t[:k].
-
-    t holds finite nonnegative doubles; the positive ones lie in
-    [2^-1000, 2^900]. Each step extracts the slice h = (r + sigma) - sigma
-    of the remainder r, sigma = 1.5 * 2^(g + 52) (ExtractVector of Rump,
-    Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008): while |r| <= 2^(g + 51),
-    h is r rounded to a multiple of 2^g and r - h is exact. g starts width
-    bits below the top of t and steps down by width, to the ulp of the
-    least positive term, where the remainder is 0. Every h is a multiple of
-    2^g of magnitude at most 2^(g + width), and width + bit_length(t.size)
-    is 52, so every partial sum of a slice is a multiple of 2^g below
-    2^(g + 52): numpy sums a slice exactly, in any order. fsum, which rounds
-    the exact sum of its inputs, is then the same double on these partials
-    as on t[:k] itself, and partials of consecutive windows concatenate.
-    """
-    parts = [[] for _ in cuts]
-    if not np.any(t):
-        return parts
-    width = 52 - t.size.bit_length()
-    assert width + 1 + math.log2(t.size) <= 53
-    low = int(np.frexp(np.min(t, initial=np.inf, where=t > 0))[1]) - 53
-    g = max(int(np.frexp(t.max())[1]) - width, low)
-    r = t
-    while True:
-        sigma = math.ldexp(1.5, g + 52)
-        h = r + sigma
-        h -= sigma
-        r = r - h
-        for part, k in zip(parts, cuts):
-            part.append(float(h[:k].sum()))
-        if g == low:
-            return parts
-        g = max(g - width, low)
-
-
 def _pass(xs: Sequence[int], a: int, b: int,
           terms: Callable[[np.ndarray], tuple[np.ndarray, ...]]
           ) -> list[tuple[int, list[float]]]:
@@ -134,7 +99,7 @@ def _pass(xs: Sequence[int], a: int, b: int,
     for ps in windows:
         ks = np.searchsorted(ps, pending, side="right").tolist()
         done = sum(k < ps.size for k in ks)  # the checkpoints this window ends
-        slices = [_prefix_slices(t, ks[:done] + [ps.size]) for t in terms(ps)]
+        slices = [prefix_slices(t, ks[:done] + [ps.size]) for t in terms(ps)]
         carry = carry or [[] for _ in slices]
         for j, k in enumerate(ks[:done]):
             out.append((count + k, [fsum(c + s[j]) for c, s in zip(carry, slices)]))

@@ -16,8 +16,13 @@ The second regrouping needs the inner e-level because phi(rs) equals
 phi(r)phi(s) * g/phi(g) with g = gcd(r,s); collapsing it to a single square
 (i.e. pretending phi(rs) = phi(r)phi(s)) is not an identity, and that
 single-square shortcut is kept available only as method "relaxed" for
-diagnostics. All real-valued sums use error-free-transformation summation
-(math.fsum) in a fixed deterministic order.
+diagnostics.
+
+Every real-valued sum is correctly rounded, so it does not depend on the
+order of its terms: a brute row of x terms by summation.exact_sum, which
+builds no Python list, and the shorter sums, and the sums over rows, by
+math.fsum. A brute row's gcd(m, n) comes from the divisors of m, written
+at their multiples in ascending order, not from np.gcd over every n.
 
 FORMULAS maps each formula the `sums` command reports to its methods, the
 default first; it is the one place that says which method a formula takes.
@@ -30,8 +35,10 @@ from math import fsum
 
 import numpy as np
 
-from .arith import mobius_log_sum, mobius_sieve, totient_sieve
+from .arith import (divisors, factorize, mobius_log_sum, mobius_sieve,
+                    totient_sieve)
 from .constants import SingularValue, singular_series
+from .summation import exact_sum
 
 BRUTE_CAP = 2000  # 4e6 terms; the rearranged forms carry the load beyond
 
@@ -74,6 +81,19 @@ def identity_residual_rows(top: int):
 
 # -- double sums ------------------------------------------------------------
 
+def _gcd_row(m: int, x: int) -> np.ndarray:
+    """gcd(m, n) for n = 1..x (int64), from the divisors of m.
+
+    Each divisor d > 1 of m is written at the multiples of d, in ascending
+    order of d, so the last write at n is the largest divisor of m that
+    divides n.
+    """
+    g = np.ones(x, dtype=np.int64)
+    for d in sorted(divisors(factorize(m)))[1:]:
+        g[d - 1::d] = d
+    return g
+
+
 def log_lcm_double_sum(x: int, method: str = "brute") -> float:
     """sum_{m,n<=x} log m log n / [m,n].
 
@@ -90,9 +110,9 @@ def log_lcm_double_sum(x: int, method: str = "brute") -> float:
         logs = np.log(n.astype(np.float64))
         rows = []
         for m in range(2, x + 1):
-            g = np.gcd(m, n)
+            g = _gcd_row(m, x)
             l = (m // g) * n
-            rows.append(fsum((logs[m - 1] * logs / l).tolist()))
+            rows.append(exact_sum(logs[m - 1] * logs / l))
         return fsum(rows)
     if method in ("rearranged", "relaxed"):
         phi = totient_sieve(x)
@@ -128,10 +148,10 @@ def mobius_phi_lcm_sum(x: int, method: str = "brute") -> float:
         for m in range(2, x + 1):
             if mu[m] == 0:
                 continue
-            g = np.gcd(m, n)
+            g = _gcd_row(m, x)
             l = (m // g) * n
             terms = int(mu[m]) * logs[m - 1] * mu_n * logs / phi[l]
-            rows.append(fsum(terms.tolist()))
+            rows.append(exact_sum(terms))
         return fsum(rows)
     if method in ("diagonalized", "relaxed"):
         phi = totient_sieve(x)

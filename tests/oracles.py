@@ -65,6 +65,24 @@ def factorize_trial(n):
     return out
 
 
+def mobius_sieve_per_prime(limit):
+    """mu(n) for 0 <= n <= limit (int8), one strided pass per prime p <= limit."""
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in primes_upto(limit):
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    return mu
+
+
+def totient_sieve_per_prime(limit):
+    """phi(n) for 0 <= n <= limit (int64), one strided pass per prime p <= limit."""
+    phi = np.arange(limit + 1, dtype=np.int64)
+    for p in primes_upto(limit):
+        phi[p::p] = phi[p::p] // p * (p - 1)
+    return phi
+
+
 def mobius_naive(n):
     fac = factorize_trial(n)
     if any(e > 1 for _, e in fac):
@@ -227,6 +245,22 @@ def psi0_partition_brute(x, x1):
                 term = von_mangoldt_naive(n) * w1 * w2
                 (main if d1 <= x1 and d2 <= x1 else error).append(term)
     return fsum(main), fsum(error)
+
+
+def twin_prime_window_partials(cutoff, window):
+    """Per window, the fsum over list floats of log1p(-1/(p-1)^2), 3 <= p <= cutoff.
+
+    Window k holds the odd n = 1 + 2i with 1 + k*window <= i < 1 + (k+1)*window,
+    the library's window boundaries; windows without a prime give 0.0.
+    """
+    windows = [[] for _ in range(-(-((cutoff - 1) // 2) // window))]
+    for p in primes_upto(cutoff)[1:]:
+        windows[((p - 1) // 2 - 1) // window].append(p)
+    partials = []
+    for ps in windows:
+        pm1 = np.array(ps, dtype=np.float64) - 1.0
+        partials.append(fsum(np.log1p(-1.0 / (pm1 * pm1)).tolist()))
+    return partials
 
 
 def simpson_fixed(f, a, b, nodes):

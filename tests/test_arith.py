@@ -149,6 +149,20 @@ def test_totient_sieve_works_in_place():
     assert peak <= 1.25 * phi.nbytes
 
 
+SPLIT_LIMITS = sorted({*range(301), 10 ** 6,
+                       *(p * p + d for p in oracles.primes_upto(100) for d in (-1, 0, 1))})
+
+
+def test_split_sieves_equal_the_per_prime_loop():
+    # the primes above sqrt(limit) are applied one cofactor at a time;
+    # limits on and beside p^2 move a prime across that split
+    for limit in SPLIT_LIMITS:
+        for got, want in ((mobius_sieve(limit), oracles.mobius_sieve_per_prime(limit)),
+                          (totient_sieve(limit), oracles.totient_sieve_per_prime(limit))):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), limit
+
+
 def test_totient_sieve_edge_limits():
     for limit in (0, 1, 2, 10):
         assert totient_sieve(limit).tolist() == [0] + [

@@ -366,7 +366,7 @@ def test_large_sieve_above_its_caps_is_refused_before_any_sequence(monkeypatch,
         assert captured.out == ""
         if x > x_cap:
             message = (f"--x {x} is above the cap {x_cap}: the check holds about "
-                       "55 bytes per integer")
+                       "24 bytes per integer")
         else:
             message = (f"--x {x} --Q {Q} --trials {trials} make {x * Q * trials} "
                        f"class updates, above the cap {ops_cap}: each trial "
@@ -404,6 +404,11 @@ def test_sweeps_factor_once_per_modulus_and_never_per_pair(monkeypatch, capsys):
     # one factorization of q - 1 per modulus, not one per base (29,300)
     assert len(rows) == len(in_primroot) == 1465
     assert in_arith == []
+    # the theorem-4p1 sweep takes the primes of q - 1 = 4p from the pair
+    del in_primroot[:]
+    assert main("primroot --theorem-4p1 --limit 1e6".split()) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 7422
+    assert (len(in_arith), len(in_primroot)) == (0, 0)
 
 
 def test_theorem_4p1_proves_each_prime_once_outside_the_sieve(monkeypatch, capsys):

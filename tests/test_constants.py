@@ -1,8 +1,11 @@
 import math
 import random
+from math import fsum
 
 import pytest
 
+import oracles
+from germain_lab import constants, sieve
 from germain_lab.arith import factorize
 from germain_lab.constants import singular_series, twin_prime_constant
 
@@ -90,3 +93,20 @@ def test_printed_claim_matches_truncated_product_not_the_limit():
     v6 = twin_prime_constant(10 ** 6).value
     assert abs(v6 - claim) < 5e-16
     assert abs(TRUE_C2 - claim) > 4e-8
+
+
+@pytest.mark.parametrize("window", [1 << 20, 37])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_window_partials_are_the_correctly_rounded_window_sums(window, threads,
+                                                               monkeypatch):
+    # cutoffs on and beside the window edges n = 1 + 2 window k
+    monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
+    ks = (1, 2) if window > 1000 else (1, 2, 27, 28, 100)
+    for k in ks:
+        for cutoff in (1 + 2 * window * k + d for d in (-2, 0, 2)):
+            want = oracles.twin_prime_window_partials(cutoff, window)
+            got = sieve.map_prime_windows(constants._segment_log_sum, cutoff,
+                                          threads=threads)
+            assert got == want, cutoff
+            assert twin_prime_constant(cutoff, threads=threads).value == \
+                math.exp(fsum(want)), cutoff

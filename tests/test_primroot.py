@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from germain_lab import primroot
 from germain_lab.primroot import (CLAIMED_PAIR_TABLE, FERMAT_PRIMES,
                                   GermainModulus, fermat_nonresidue_check,
                                   germain_moduli_upto, germain_short_test,
@@ -129,10 +130,31 @@ def test_germain_short_test_agrees_with_full_test():
 def test_theorem_4p1_examples():
     assert theorem_4p1_check(7)   # q = 29
     assert theorem_4p1_check(3)   # q = 13, below the generic q > 16 regime
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^modulus 21 must be an odd prime$"):
         theorem_4p1_check(5)      # 21 composite
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^p=4 is not prime$"):
         theorem_4p1_check(4)
+    with pytest.raises(ValueError, match=r"^modulus 9 must be an odd prime$"):
+        theorem_4p1_check(2)      # 4p = 2^3 has the one prime 2
+
+
+def test_theorem_4p1_agrees_with_the_factoring_test(monkeypatch):
+    # q - 1 = 4p taken from the pair, against q - 1 factored by trial division:
+    # the same verdicts, from the same witnesses
+    flags = oracles.sieve_flags(4 * 10 ** 5 + 1)
+    ps = [p for p in primes_upto(10 ** 5).tolist() if flags[4 * p + 1]]
+    assert len(ps) == 1057
+    want = [primitive_root_test(4 * p + 1, [2])[0] for p in ps]
+    got = []
+    certify = primroot._certificates
+
+    def recorded(q, ells, bases):
+        got.extend(certify(q, ells, bases))
+        return got[-len(bases):]
+
+    monkeypatch.setattr(primroot, "_certificates", recorded)
+    assert [theorem_4p1_check(p) for p in ps] == [c.verdict for c in want]
+    assert got == want
 
 
 def test_theorem_4p1_sweep_small():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from math import fsum, log
 
 import numpy as np
@@ -92,6 +93,36 @@ def test_large_sieve_standard_configurations():
         for seed in range(20):
             seq = random_sign_sequence(x, seed)
             assert large_sieve_check(x, Q, seq).slack >= 0
+
+
+def test_large_sieve_sums_are_the_fsums_of_their_terms():
+    # real-valued sequences whose sums round: the x-term sums are taken
+    # without a list, and must still be the fsum of the terms
+    rng = np.random.default_rng(2024)
+    for x, Q in ((1000, 30), (5000, 7)):
+        seq = rng.normal(size=x) * 2.0 ** rng.integers(-30, 30, size=x)
+        total = fsum(seq.tolist())
+        n = np.arange(1, x + 1)
+        lhs = fsum(q * fsum(((np.bincount(n % q, weights=seq, minlength=q)
+                              - total / q) ** 2).tolist())
+                   for q in range(1, Q + 1))
+        rhs = Q * (10.0 * Q + 2.0 * math.pi * x) * fsum((seq * seq).tolist())
+        rep = large_sieve_check(x, Q, seq)
+        assert (rep.lhs, rep.rhs) == (lhs, rhs)
+
+
+def test_large_sieve_holds_no_list_of_the_sequence():
+    # a Python float list holds 32 bytes per term; the check's own arrays
+    # are two int64 or float64 arrays of x entries at a time
+    x = 200_000
+    for seq in (ones_sequence(x), random_sign_sequence(x, 1)):
+        tracemalloc.start()
+        try:
+            large_sieve_check(x, 3, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * x
 
 
 def test_large_sieve_guards():

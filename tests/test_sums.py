@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from germain_lab import sums
 from germain_lab.constants import singular_series
 from germain_lab.sums import (IDENTITIES, identity_residual_rows,
                               log_lcm_double_sum, mobius_phi_lcm_sum,
@@ -42,6 +43,14 @@ def test_identity_residuals_exhaustive_small():
 def test_identity_residual_rows_rejects_top_below_one():
     with pytest.raises(ValueError):
         next(identity_residual_rows(0))
+
+
+def test_gcd_rows_from_divisors_equal_np_gcd():
+    n = np.arange(1, sums.BRUTE_CAP + 1)
+    for m in range(1, sums.BRUTE_CAP + 1):
+        row = sums._gcd_row(m, sums.BRUTE_CAP)
+        assert row.dtype == np.int64
+        assert np.array_equal(row, np.gcd(m, n)), m
 
 
 def test_log_lcm_smallest_case():

@@ -1,9 +1,9 @@
 """The pair sums stream the sieve's windows through an exact slice reduction.
 
-counting._prefix_slices turns a window's terms into a few doubles per cut
-whose exact sum is the prefix's; fsum of those, across windows, must be the
-fsum of the whole prefix bit for bit. derandomize=True makes Hypothesis
-draw the same cases on every run.
+summation.prefix_slices turns a window's terms, of either sign, into a few
+doubles per cut whose exact sum is the prefix's; fsum of those, across
+windows, must be the fsum of the whole prefix bit for bit. derandomize=True
+makes Hypothesis draw the same cases on every run.
 """
 
 import math
@@ -16,24 +16,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from germain_lab import counting, sieve
+from germain_lab import sieve, summation
 from germain_lab.counting import pair_sums, reciprocal_sums
+from germain_lab.summation import exact_sum, prefix_slices
 
 # zeros, doubles across 2^-40 .. 2^40, and ties: 1 + j 2^-52 is a half-ulp
 # away from the rounding boundary of many of their sums
-terms = st.one_of(
+positive = st.one_of(
     st.just(0.0),
     st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
               st.integers(-40, 40)),
     st.builds(lambda j, e: math.ldexp(1.0 + j * 2.0 ** -52, e),
               st.integers(0, 7), st.integers(-40, 40)),
 )
+# either sign: cancellation leaves sums far below the terms
+signed = st.builds(lambda t, negative: -t if negative else t,
+                   positive, st.booleans())
 
 # terms of one binade: their slices are all about as large as the window's
 # top, so their sums come closest to the 53 bits a slice may carry
 one_binade = st.builds(lambda ms, e: [math.ldexp(m, e) for m in ms],
                        st.lists(st.floats(1.0, 2.0, exclude_max=True), max_size=300),
                        st.integers(-40, 40))
+signed_binade = st.builds(lambda t, signs: [-v if s else v for v, s in zip(t, signs)],
+                          one_binade, st.lists(st.booleans(), min_size=300,
+                                               max_size=300))
 
 
 def _check_windows(t, edges, cuts_of):
@@ -41,15 +48,17 @@ def _check_windows(t, edges, cuts_of):
     carry = []
     for lo, hi in zip(edges, edges[1:]):
         cuts = cuts_of(hi - lo)
-        parts = counting._prefix_slices(np.array(t[lo:hi], dtype=np.float64), cuts)
+        parts = prefix_slices(np.array(t[lo:hi], dtype=np.float64), cuts)
         for k, part in zip(cuts, parts):
             assert fsum(carry + part) == fsum(t[:lo + k]), (lo, k)
         carry += parts[-1]
-    assert fsum(carry) == fsum(t)
+    assert fsum(carry) == fsum(t) == exact_sum(np.array(t, dtype=np.float64))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(t=st.one_of(st.lists(terms, max_size=200), one_binade), data=st.data())
+@given(t=st.one_of(st.lists(positive, max_size=200), one_binade,
+                   st.lists(signed, max_size=200), signed_binade),
+       data=st.data())
 def test_window_slices_give_the_prefix_fsum_at_every_cut(t, data):
     inner = data.draw(st.sets(st.integers(0, len(t)), max_size=4))
     edges = sorted(inner | {0, len(t)})
@@ -66,9 +75,35 @@ def test_window_slices_give_the_prefix_fsum_at_every_cut(t, data):
     [1.0 + j * 2.0 ** -52 for j in range(64)] + [0.0, 2.0 ** -40],
     [0.0] * 5,
     [],
+    # signed: the sums cancel to a few low bits, or to exactly 0
+    [1.0, -1.0 + 2.0 ** -52, 2.0 ** 40, -(2.0 ** 40), 2.0 ** -40] * 9,
+    [2.0 ** 30 + 1.0, -(2.0 ** 30), -1.0, 2.0 ** -30] * 40,
+    [-0.75 - 2.0 ** -51] * 7 + [0.75 + 2.0 ** -51] * 6,
+    [-1.5 - 2.0 ** -45 - 2.0 ** -52] * 255,
+    # the ends of the admitted range
+    [2.0 ** 900, 2.0 ** -1000, -(2.0 ** 900), 3.0 * 2.0 ** -1000],
 ])
 def test_window_slices_hold_every_bit(t):
     _check_windows(t, [0, len(t)], lambda size: list(range(size + 1)))
+
+
+def test_exact_sum_in_chunks(monkeypatch):
+    cases = [[1.0, -1.0 + 2.0 ** -52, 2.0 ** 40, -(2.0 ** 40), 2.0 ** -40] * 9,
+             [1.5 + 2.0 ** -45 + 2.0 ** -52] * 255,
+             [math.ldexp(1.0 + j * 2.0 ** -52, j % 80 - 40) * (-1) ** j
+              for j in range(1000)]]
+    for chunk in (1, 2, 7, 1 << 16):
+        monkeypatch.setattr(summation, "_CHUNK", chunk)
+        for t in cases:
+            assert exact_sum(np.array(t)) == fsum(t)
+    assert exact_sum(np.zeros(0)) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0 ** 901,
+                                 -(2.0 ** 901), 2.0 ** -1001, -5e-324])
+def test_terms_outside_the_slice_range_are_refused(bad):
+    with pytest.raises(ValueError, match="terms must be finite"):
+        exact_sum(np.array([1.0, bad, 0.0]))
 
 
 XS = [2, 3, 29, 30, 31, 1109, 1110, 1111, 3000, 7679, 7680, 7681, 10 ** 4]
