@@ -3,8 +3,9 @@
 The point evaluation totient factors its argument by trial division
 (factorize), and divisors expands a factorization. The tables
 (mobius_sieve, totient_sieve) and the summatory form mobius_log_sum are
-sieved instead, so tests can cross-check the two independent routes. The
-von Mangoldt weights of the pair sums come from the sieve (primes and
+sieved instead, so tests can cross-check the two independent routes;
+mobius_log_sum is correctly rounded, by summation.exact_sum. The von
+Mangoldt weights of the pair sums come from the sieve (primes and
 prime_powers), not from factoring.
 
 The two sieves split the primes at r = isqrt(limit). Each prime p <= r
@@ -21,11 +22,11 @@ are integers, so the result does not depend on the order of the writes.
 from __future__ import annotations
 
 import math
-from math import fsum
 
 import numpy as np
 
 from .sieve import primes_upto
+from .summation import exact_sum
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -126,9 +127,9 @@ def totient_sieve(limit: int) -> np.ndarray:
 
 
 def mobius_log_sum(x: int) -> float:
-    """sum_{n<=x} mu(n) log n, compensated summation."""
+    """sum_{n<=x} mu(n) log n, correctly rounded."""
     if x < 1:
         raise ValueError(f"mobius_log_sum needs x >= 1, got {x}")
     mu = mobius_sieve(x)
     logs = np.log(np.arange(1, x + 1, dtype=np.float64))
-    return fsum((mu[1:] * logs).tolist())
+    return exact_sum(mu[1:] * logs)

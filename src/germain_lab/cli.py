@@ -137,22 +137,16 @@ def _cmd_hl_compare(args: argparse.Namespace):
 
 
 def _cmd_ap_census(args: argparse.Namespace):
-    q = args.q
-    rows = []
+    q, xs = args.q, args.x_checkpoints
     if args.weighted:
         header = ["x", "q", "a", "value", "expected", "residual"]
-        for x in args.x_checkpoints:
-            for a in range(q):
-                r = progressions.chebyshev_ap(x, q, a)
-                rows.append([r.x, r.q, r.a, r.value,
-                             "" if r.expected is None else r.expected,
-                             "" if r.residual is None else r.residual])
+        rows = [[r.x, r.q, r.a, r.value, "" if r.expected is None else r.expected,
+                 "" if r.residual is None else r.residual]
+                for x in xs for r in progressions.chebyshev_ap(x, q)]
     else:
         header = ["x", "q", "a", "count", "residual"]
-        for x in args.x_checkpoints:
-            for a in range(q):
-                r = progressions.count_ap(x, q, a)
-                rows.append([r.x, r.q, r.a, r.count, r.residual])
+        rows = [[r.x, r.q, r.a, r.count, r.residual]
+                for r in (progressions.count_ap(x, q, a) for x in xs for a in range(q))]
     return header, rows, 0
 
 

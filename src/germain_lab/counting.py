@@ -13,14 +13,11 @@ their weights come from the sieve's primes and prime powers, without
 factoring. reciprocal_sums gives the sums of 1/p and log p / p over the
 Germain primes (a, b = 2, 1).
 
-The pair terms are reduced as the windows stream past, and only one
-window's arrays are alive at a time. summation.prefix_slices splits a
-window's terms into a few slices of fixed binary exponent whose numpy sums
-are exact, so a handful of doubles per window and cut carries the exact sum;
-the fsum of those, over the windows below a checkpoint and its own cut,
-is the fsum of the whole prefix bit for bit. fsum rounds correctly, so a
-checkpoint's value does not depend on the other checkpoints of the pass,
-nor on the window size.
+The pair terms are reduced as the windows stream past, through one
+summation.PrefixSums per array of terms, and only one window's arrays are
+alive at a time. Each checkpoint's sum is correctly rounded, the fsum of
+its whole prefix, so it does not depend on the other checkpoints of the
+pass, nor on the window size.
 
 psi0_partition splits the divisor-expanded form of psi0(x) at a cutoff:
 expanding each Lambda(2n+1) factor through Lambda(m) = -sum_{d|m} mu(d) log d
@@ -44,7 +41,7 @@ import numpy as np
 from .arith import divisors, mobius_sieve
 from .constants import SingularValue
 from .sieve import is_prime, pair_windows, prime_powers, primes_upto
-from .summation import prefix_slices
+from .summation import PrefixSums, exact_sum
 
 
 @dataclass(frozen=True)
@@ -83,10 +80,10 @@ def _pass(xs: Sequence[int], a: int, b: int,
 
     terms(ps) gives arrays of terms, one entry per pair of the window ps.
     At each checkpoint x comes the number of pairs p <= x and, per array,
-    the fsum of its terms over the p <= x, the same double as the fsum of
-    the whole prefix. Only one window's arrays are alive at a time. The
-    checkpoints ascend strictly and are >= 1; below 2 there is no pair, so
-    no pass runs when the last one is.
+    the correctly rounded sum of its terms over the p <= x. Only one
+    window's arrays are alive at a time. The checkpoints ascend strictly
+    and are >= 1; below 2 there is no pair, so no pass runs when the last
+    one is.
     """
     if any(y <= x for x, y in zip(xs, xs[1:])):
         raise ValueError(f"checkpoints must be strictly ascending: {list(xs)}")
@@ -95,19 +92,17 @@ def _pass(xs: Sequence[int], a: int, b: int,
     last = xs[-1] if xs else 0
     windows = (pair_windows(last, a, b) if last >= 2
                else [np.zeros(0, dtype=np.int64)])
-    out, count, carry, pending = [], 0, [], list(xs)
+    out, count, streams, pending = [], 0, [], list(xs)
     for ps in windows:
         ks = np.searchsorted(ps, pending, side="right").tolist()
         done = sum(k < ps.size for k in ks)  # the checkpoints this window ends
-        slices = [prefix_slices(t, ks[:done] + [ps.size]) for t in terms(ps)]
-        carry = carry or [[] for _ in slices]
-        for j, k in enumerate(ks[:done]):
-            out.append((count + k, [fsum(c + s[j]) for c, s in zip(carry, slices)]))
-        for c, s in zip(carry, slices):
-            c.extend(s[-1])
+        arrays = terms(ps)
+        streams = streams or [PrefixSums() for _ in arrays]
+        sums = [s.feed(t, ks[:done]) for s, t in zip(streams, arrays)]
+        out += [(count + k, list(row)) for k, *row in zip(ks[:done], *sums)]
         count += ps.size
         pending = pending[done:]
-    return out + [(count, [fsum(c) for c in carry])] * len(pending)
+    return out + [(count, [s.total() for s in streams])] * len(pending)
 
 
 def pair_sums(xs: Sequence[int], a: int = 2,
@@ -229,8 +224,8 @@ def psi0_partition(x: int, x1: float) -> PsiPartition:
         d2 = np.multiply.outer(divisors(factors), ks)
         terms = S[d1 * ks] * (w[d1] * w[d2])
         box = (d2 <= x1) & (d1 <= x1)
-        main_rows.append(fsum(terms[box].tolist()))
-        err_rows.append(fsum(terms[~box].tolist()))
+        main_rows.append(exact_sum(terms[box]))
+        err_rows.append(exact_sum(terms[~box]))
     return PsiPartition(main=fsum(main_rows), error=fsum(err_rows))
 
 

@@ -7,7 +7,8 @@ plus a numerical validator for the mean-square large-sieve inequality
 Counting in a progression is done exactly in closed form (the error against
 x/q never exceeds 1 in absolute value), so no analytic error model is
 needed anywhere downstream. Residues live in [0, q); a residue quoted as q
-means 0.
+means 0. Every sum over a numpy array is summation.exact_sum, correctly
+rounded; only the sums of Python floats, one per modulus, are math.fsum.
 """
 
 from __future__ import annotations
@@ -80,22 +81,27 @@ def count_ap(x: int, q: int, a: int) -> ApCensus:
                     residual=count - expected)
 
 
-def chebyshev_ap(x: int, q: int, a: int) -> ChebyshevAp:
-    """Lambda-weighted count over the class a mod q (raw sum, no gcd filter)."""
+def chebyshev_ap(x: int, q: int) -> list[ChebyshevAp]:
+    """The Lambda-weighted count over each class a mod q, a = 0..q-1, from one sieve.
+
+    Raw sums, with no gcd filter; only a class with gcd(a, q) = 1 gets the
+    x / phi(q) target. Each value is the exact_sum of its class's prime logs
+    and prime-power weights, taken together.
+    """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    if not 0 <= a < q:
-        raise ValueError(f"residue a={a} outside [0, {q})")
     primes = primes_upto(x)
-    terms = np.log(primes[primes % q == a].astype(np.float64)).tolist()
-    terms += [w for n, w in prime_powers(x) if n % q == a]
-    value = fsum(terms)
-    if math.gcd(a, q) == 1:
-        expected = x / totient(q)
-        return ChebyshevAp(x, q, a, value, expected, value - expected)
-    return ChebyshevAp(x, q, a, value, None, None)
+    powers = np.array(prime_powers(x), dtype=np.float64).reshape(-1, 2)  # (n, log p)
+    residues = np.concatenate([primes, powers[:, 0].astype(np.int64)]) % q
+    weights = np.concatenate([np.log(primes.astype(np.float64)), powers[:, 1]])
+    classes = np.split(weights[np.argsort(residues, kind="stable")],
+                       np.cumsum(np.bincount(residues, minlength=q))[:-1])
+    expected = x / totient(q)
+    return [ChebyshevAp(x, q, a, v, expected, v - expected) if math.gcd(a, q) == 1
+            else ChebyshevAp(x, q, a, v, None, None)
+            for a, v in enumerate(map(exact_sum, classes))]
 
 
 def ones_sequence(x: int) -> np.ndarray:
@@ -117,10 +123,10 @@ def large_sieve_check(x: int, Q: int, sequence: np.ndarray) -> SieveInequalityRe
     """Evaluate both sides of the inequality for a_1..a_x (sequence[i] = a_{i+1}).
 
     The left side is O(x Q) via per-modulus class sums; desk scale only.
-    Every sum is correctly rounded: the two sums over x terms by exact_sum,
-    which builds no x-element list, so each nonzero a_n and a_n^2 must lie
-    in [2^-1000, 2^900] in magnitude; the q-term sums of each modulus by
-    fsum.
+    Every sum is correctly rounded: the sums over x terms and the q-term
+    sums of each modulus by exact_sum, which builds no x-element list, so
+    each nonzero a_n, a_n^2 and squared class deviation must lie in
+    [2^-1000, 2^900] in magnitude; the sum over moduli by fsum.
     """
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
@@ -136,7 +142,7 @@ def large_sieve_check(x: int, Q: int, sequence: np.ndarray) -> SieveInequalityRe
     for q in range(1, Q + 1):
         class_sums = np.bincount(n % q, weights=seq, minlength=q)
         dev = class_sums - total / q
-        lhs_terms.append(q * fsum((dev * dev).tolist()))
+        lhs_terms.append(q * exact_sum(dev * dev))
     lhs = fsum(lhs_terms)
     rhs = Q * (10.0 * Q + 2.0 * math.pi * x) * sumsq
     return SieveInequalityReport(x=x, Q=Q, lhs=lhs, rhs=rhs, slack=rhs - lhs)

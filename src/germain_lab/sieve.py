@@ -189,14 +189,6 @@ def _pair_rows(x: int, a: int, b: int, base: np.ndarray) -> tuple[np.ndarray, ..
     return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
 
 
-def _is_prime_by(m: int, base: np.ndarray) -> bool:
-    """Is m prime? base holds every prime <= sqrt(m), ascending."""
-    if m < 2:
-        return False
-    divisors = base[:np.searchsorted(base, math.isqrt(m), side="right")]
-    return not np.any(m % divisors == 0)
-
-
 def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
     """The primes p <= x with a*p + b prime, one ascending int64 array per window.
 
@@ -205,11 +197,10 @@ def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
     (2, 1). A window holds PAIR_WINDOW entries n = c + 30*i of every class;
     its classes are struck one after the other and merged in ascending
     order. The wheel primes, and the n whose companion is one, are decided
-    apart: n = 2 by is_prime, the others by the base primes. Besides the
-    window the caller holds, only the base primes up to sqrt(max(x, a*x + b)),
-    one class's flags and the window being merged are in memory. Every
-    window is yielded, empty or not, and the input is checked before the
-    first.
+    apart, by is_prime. Besides the window the caller holds, only the base
+    primes up to sqrt(max(x, a*x + b)), one class's flags and the window
+    being merged are in memory. Every window is yielded, empty or not, and
+    the input is checked before the first.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
@@ -222,12 +213,9 @@ def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
     classes = [c for c in range(1, _WHEEL)
                if math.gcd(c, _WHEEL) == math.gcd(a * c + b, _WHEEL) == 1]
     class_rows = _progressions(_WHEEL, classes, *_pair_rows(x, a, b, base))
-    extra = [2] if 2 * a + b >= 2 and is_prime(2 * a + b) else []
-    odd = {*_WHEEL_PRIMES[1:],
-           *((q - b) // a for q in _WHEEL_PRIMES if (q - b) % a == 0)}
-    extra += sorted(n for n in odd if 2 < n <= x and _is_prime_by(n, base)
-                    and _is_prime_by(a * n + b, base))
-    extra = np.array(extra, dtype=np.int64)
+    off = {*_WHEEL_PRIMES, *((q - b) // a for q in _WHEEL_PRIMES if (q - b) % a == 0)}
+    extra = np.array(sorted(n for n in off if 2 <= n <= x and a * n + b >= 2
+                            and is_prime(n) and is_prime(a * n + b)), dtype=np.int64)
     # nothing strikes n = 1, nor the n whose companion a*n + b is below 2
     least = max(2, -((b - 2) // a))
     span = _WHEEL * PAIR_WINDOW

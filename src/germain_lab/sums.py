@@ -19,10 +19,11 @@ single-square shortcut is kept available only as method "relaxed" for
 diagnostics.
 
 Every real-valued sum is correctly rounded, so it does not depend on the
-order of its terms: a brute row of x terms by summation.exact_sum, which
-builds no Python list, and the shorter sums, and the sums over rows, by
-math.fsum. A brute row's gcd(m, n) comes from the divisors of m, written
-at their multiples in ascending order, not from np.gcd over every n.
+order of its terms: a sum over a numpy array by summation.exact_sum, the
+twisted sums' checkpoints by one summation.PrefixSums pass over the terms,
+and the sums over rows, of Python floats, by math.fsum. A brute row's
+gcd(m, n) comes from the divisors of m, written at their multiples in
+ascending order, not from np.gcd over every n.
 
 FORMULAS maps each formula the `sums` command reports to its methods, the
 default first; it is the one place that says which method a formula takes.
@@ -38,7 +39,7 @@ import numpy as np
 from .arith import (divisors, factorize, mobius_log_sum, mobius_sieve,
                     totient_sieve)
 from .constants import SingularValue, singular_series
-from .summation import exact_sum
+from .summation import PrefixSums, exact_sum
 
 BRUTE_CAP = 2000  # 4e6 terms; the rearranged forms carry the load beyond
 
@@ -110,8 +111,7 @@ def log_lcm_double_sum(x: int, method: str = "brute") -> float:
         logs = np.log(n.astype(np.float64))
         rows = []
         for m in range(2, x + 1):
-            g = _gcd_row(m, x)
-            l = (m // g) * n
+            l = (m // _gcd_row(m, x)) * n  # lcm(m, n)
             rows.append(exact_sum(logs[m - 1] * logs / l))
         return fsum(rows)
     if method in ("rearranged", "relaxed"):
@@ -121,7 +121,7 @@ def log_lcm_double_sum(x: int, method: str = "brute") -> float:
             y = x // d
             r = np.arange(1, y + 1, dtype=np.float64)
             w = np.log(r) if method == "relaxed" else np.log(d * r)
-            inner = fsum((w / r).tolist())
+            inner = exact_sum(w / r)
             terms.append(int(phi[d]) / (d * d) * inner * inner)
         return fsum(terms)
     raise ValueError(f"unknown method {method!r}")
@@ -148,10 +148,8 @@ def mobius_phi_lcm_sum(x: int, method: str = "brute") -> float:
         for m in range(2, x + 1):
             if mu[m] == 0:
                 continue
-            g = _gcd_row(m, x)
-            l = (m // g) * n
-            terms = int(mu[m]) * logs[m - 1] * mu_n * logs / phi[l]
-            rows.append(exact_sum(terms))
+            l = (m // _gcd_row(m, x)) * n  # lcm(m, n)
+            rows.append(exact_sum(int(mu[m]) * logs[m - 1] * mu_n * logs / phi[l]))
         return fsum(rows)
     if method in ("diagonalized", "relaxed"):
         phi = totient_sieve(x)
@@ -168,14 +166,14 @@ def mobius_phi_lcm_sum(x: int, method: str = "brute") -> float:
                        * np.log(d * r[keep].astype(np.float64))
                        / phi[:y + 1][keep])
             if method == "relaxed":
-                g1 = fsum(F.tolist())
+                g1 = exact_sum(F)
                 outer.append(g1 * g1 / d)
                 continue
             inner = []
             for e in range(1, y + 1):
                 if mu[e] == 0:
                     continue
-                ge = fsum(F[e::e].tolist())
+                ge = exact_sum(F[e::e])
                 if ge != 0.0:
                     inner.append(int(mu[e]) / e * ge * ge)
             outer.append(fsum(inner) / d)
@@ -191,7 +189,7 @@ def squarefree_harmonic_sum(x: int) -> float:
         raise ValueError(f"x must be >= 1, got {x}")
     mu = mobius_sieve(x)
     d = np.arange(1, x + 1, dtype=np.float64)
-    return fsum((1.0 / d[mu[1:] != 0]).tolist())
+    return exact_sum(1.0 / d[mu[1:] != 0])
 
 
 def twisted_mobius_sums(m: int, xs: Sequence[int], with_log: bool,
@@ -204,7 +202,8 @@ def twisted_mobius_sums(m: int, xs: Sequence[int], with_log: bool,
     form converges to 0, its target. The signed finite sums are returned
     as-is so reports can record the sign the data shows. make_c2 returns C2;
     it is called only with_log, after m and every x are checked and before
-    the sieves. One mu and one phi table up to the last x serve every x.
+    the sieves. The checkpoints ascend. One mu and one phi table up to the
+    last x, and one PrefixSums pass over the terms, serve every x.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -223,7 +222,7 @@ def twisted_mobius_sums(m: int, xs: Sequence[int], with_log: bool,
     if with_log:
         vals *= np.log(n.astype(np.float64))
     ks = np.searchsorted(n, xs, side="right").tolist()
-    return target, [fsum(vals[:k].tolist()) for k in ks]
+    return target, PrefixSums().feed(vals, ks)
 
 
 # -- the formulas of the `sums` report ---------------------------------------

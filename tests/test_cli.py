@@ -418,7 +418,9 @@ def test_theorem_4p1_proves_each_prime_once_outside_the_sieve(monkeypatch, capsy
     rows = capsys.readouterr().out.splitlines()[1:]
     # p once in theorem_4p1_check, q = 4p + 1 once in primitive_root_test
     assert len(rows) == 7422
-    assert len(in_primroot) + len(in_sieve) == 2 * 7422 + 1
+    assert len(in_primroot) == 2 * 7422
+    # the pair sieve proves only the wheel primes 2, 3, 5 and their companions
+    assert sorted(in_sieve) == [(2,), (3,), (5,), (9,), (13,), (21,)]
 
 
 @pytest.mark.parametrize("argv", [

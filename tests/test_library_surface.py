@@ -1,9 +1,11 @@
 """The library's surface, read from its source with ast (no module is imported).
 
 Every public function and class has a caller in the library: a public
-top-level name that only the tests use is an API nobody runs. And no module
+top-level name that only the tests use is an API nobody runs. No module
 reaches into another's private names: a decision such as the sieve's window
-tiling stays behind the module that owns it.
+tiling stays behind the module that owns it. And summation alone decides
+how an array is summed: no other module fsums a list made from an array,
+or handles the slices of the exact reduction.
 """
 
 import ast
@@ -77,4 +79,34 @@ def test_no_module_uses_another_modules_private_names():
         found = _private_uses(ast.parse(path.read_text(encoding="utf-8")))
         if found:
             uses[path.name] = found
+    assert uses == {}
+
+
+def _name(node):
+    """The name a Name, Attribute, alias or definition node carries, else None."""
+    for field in ("id", "attr", "name"):
+        if isinstance(getattr(node, field, None), str):
+            return getattr(node, field)
+    return None
+
+
+def _list_sums(tree):
+    """Lines of tree that fsum a .tolist() or name a slice helper of summation."""
+    lines = []
+    for node in ast.walk(tree):
+        if _name(node) in ("prefix_slices", "_slices"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and _name(node.func) == "fsum"
+              and any(_name(inner) == "tolist"
+                      for arg in node.args for inner in ast.walk(arg))):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_summation_sums_arrays_as_lists_or_handles_slices():
+    uses = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = _list_sums(ast.parse(path.read_text(encoding="utf-8")))
+        if lines and path.name != "summation.py":
+            uses[path.name] = lines
     assert uses == {}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from germain_lab import progressions
 from germain_lab.progressions import (chebyshev_ap, count_ap, large_sieve_check,
                                       ones_sequence, prime_indicator_sequence,
                                       random_sign_sequence)
@@ -43,9 +44,8 @@ def test_count_ap_guards():
 
 
 def test_chebyshev_examples():
-    odd = chebyshev_ap(10, 2, 1)
+    even, odd = chebyshev_ap(10, 2)
     assert odd.value == pytest.approx(2 * log(3) + log(5) + log(7), rel=1e-14)
-    even = chebyshev_ap(10, 2, 0)
     assert even.value == pytest.approx(3 * log(2), rel=1e-14)
     assert even.expected is None  # gcd(0, 2) != 1
 
@@ -54,23 +54,34 @@ def test_chebyshev_matches_naive_sum():
     for q, a in ((3, 1), (4, 3), (5, 0), (7, 2)):
         naive = fsum(oracles.von_mangoldt_naive(n)
                      for n in range(1, 2001) if n % q == a)
-        assert chebyshev_ap(2000, q, a).value == pytest.approx(naive, abs=1e-10)
+        assert chebyshev_ap(2000, q)[a].value == pytest.approx(naive, abs=1e-10)
 
 
 def test_chebyshev_classes_recombine_to_full_sum():
     x = 10 ** 4
     psi = fsum(oracles.von_mangoldt_naive(n) for n in range(1, x + 1))
     for q in (3, 4, 6):
-        coprime = fsum(chebyshev_ap(x, q, a).value
-                       for a in range(q) if math.gcd(a, q) == 1)
+        coprime = fsum(r.value for r in chebyshev_ap(x, q)
+                       if math.gcd(r.a, q) == 1)
         shared = fsum(oracles.von_mangoldt_naive(n)
                       for n in range(1, x + 1)
                       if math.gcd(n, q) > 1 and oracles.von_mangoldt_naive(n) > 0)
         assert coprime == pytest.approx(psi - shared, rel=1e-12)
 
 
+def test_chebyshev_reads_every_class_from_one_sieve(monkeypatch):
+    calls = []
+    for name in ("primes_upto", "prime_powers"):
+        real = getattr(progressions, name)
+        monkeypatch.setattr(progressions, name,
+                            lambda x, name=name, real=real: calls.append(name) or real(x))
+    classes = chebyshev_ap(1000, 12)
+    assert [(r.x, r.q, r.a) for r in classes] == [(1000, 12, a) for a in range(12)]
+    assert calls == ["primes_upto", "prime_powers"]
+
+
 def test_chebyshev_residual_is_small_at_1e6():
-    r = chebyshev_ap(10 ** 6, 3, 1)
+    r = chebyshev_ap(10 ** 6, 3)[1]
     assert r.expected == pytest.approx(5 * 10 ** 5, rel=1e-12)
     assert abs(r.residual) < 0.01 * 10 ** 6
 

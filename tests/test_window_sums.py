@@ -1,14 +1,17 @@
 """The pair sums stream the sieve's windows through an exact slice reduction.
 
-summation.prefix_slices turns a window's terms, of either sign, into a few
-doubles per cut whose exact sum is the prefix's; fsum of those, across
-windows, must be the fsum of the whole prefix bit for bit. derandomize=True
-makes Hypothesis draw the same cases on every run.
+summation.PrefixSums is fed a stream of arrays of terms, of either sign,
+and gives the sum at each cut; it must be the fsum of the whole prefix bit
+for bit, whatever the arrays and whatever its own chunks. exact_sum, its
+one-cut case, must be fsum(t.tolist()) on both sides of the size below
+which it sums the list itself. derandomize=True makes Hypothesis draw the
+same cases on every run.
 """
 
 import math
 import tracemalloc
 from math import fsum
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 import oracles
 from germain_lab import sieve, summation
 from germain_lab.counting import pair_sums, reciprocal_sums
-from germain_lab.summation import exact_sum, prefix_slices
+from germain_lab.summation import PrefixSums, _slices, exact_sum
 
 # zeros, doubles across 2^-40 .. 2^40, and ties: 1 + j 2^-52 is a half-ulp
 # away from the rounding boundary of many of their sums
@@ -44,15 +47,13 @@ signed_binade = st.builds(lambda t, signs: [-v if s else v for v, s in zip(t, si
 
 
 def _check_windows(t, edges, cuts_of):
-    """fsum of the slices of the windows t[lo:hi] below each cut == fsum(t[:k])."""
-    carry = []
+    """PrefixSums fed the windows t[lo:hi] gives fsum(t[:lo + k]) at each cut k."""
+    stream = PrefixSums()
     for lo, hi in zip(edges, edges[1:]):
         cuts = cuts_of(hi - lo)
-        parts = prefix_slices(np.array(t[lo:hi], dtype=np.float64), cuts)
-        for k, part in zip(cuts, parts):
-            assert fsum(carry + part) == fsum(t[:lo + k]), (lo, k)
-        carry += parts[-1]
-    assert fsum(carry) == fsum(t) == exact_sum(np.array(t, dtype=np.float64))
+        sums = stream.feed(np.array(t[lo:hi], dtype=np.float64), cuts)
+        assert sums == [fsum(t[:lo + k]) for k in cuts], (lo, cuts)
+    assert stream.total() == fsum(t) == exact_sum(np.array(t, dtype=np.float64))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -87,11 +88,47 @@ def test_window_slices_hold_every_bit(t):
     _check_windows(t, [0, len(t)], lambda size: list(range(size + 1)))
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(t=st.one_of(st.lists(signed, max_size=200), signed_binade,
+                   st.lists(st.sampled_from([0.0, -0.0]), max_size=20)),
+       data=st.data())
+def test_prefix_sums_give_the_prefix_fsum_at_every_cut(t, data):
+    # the stream's arrays, empty ones among them, and PrefixSums' own chunks
+    # of 1 to 8 terms; cuts at 0, on every chunk edge, anywhere, repeated
+    chunk = data.draw(st.integers(1, 8))
+    edges = sorted(data.draw(st.lists(st.integers(0, len(t)), max_size=5))
+                   + [0, 0, len(t)])
+    with mock.patch.object(summation, "_CHUNK", chunk):
+        _check_windows(t, edges, lambda size: sorted(
+            data.draw(st.lists(st.integers(0, size), max_size=4))
+            + list(range(0, size + 1, chunk)) + [size]))
+
+
+@pytest.mark.parametrize("cuts", [[3, 2], [-1, 2], [2, 6]])
+def test_prefix_sums_refuse_cuts_out_of_order_or_range(cuts):
+    with pytest.raises(ValueError, match=r"cuts must ascend within \[0, 5\]"):
+        PrefixSums().feed(np.ones(5), cuts)
+
+
+@pytest.mark.parametrize("size", [0, 1, summation._SMALL, summation._SMALL + 1,
+                                  3 * summation._SMALL])
+def test_exact_sum_is_the_list_fsum_on_both_sides_of_the_small_size(size):
+    rng = np.random.default_rng(size)
+    t = np.ldexp(rng.random(size) + 1.0, rng.integers(-40, 40, size))
+    t *= rng.choice([-1.0, 1.0], size)
+    sliced = []
+    with mock.patch.object(summation, "_slices",
+                           lambda *args: sliced.append(1) or _slices(*args)):
+        assert exact_sum(t) == fsum(t.tolist())
+    assert bool(sliced) == (size > summation._SMALL)
+
+
 def test_exact_sum_in_chunks(monkeypatch):
     cases = [[1.0, -1.0 + 2.0 ** -52, 2.0 ** 40, -(2.0 ** 40), 2.0 ** -40] * 9,
              [1.5 + 2.0 ** -45 + 2.0 ** -52] * 255,
              [math.ldexp(1.0 + j * 2.0 ** -52, j % 80 - 40) * (-1) ** j
               for j in range(1000)]]
+    monkeypatch.setattr(summation, "_SMALL", 0)  # every case is sliced
     for chunk in (1, 2, 7, 1 << 16):
         monkeypatch.setattr(summation, "_CHUNK", chunk)
         for t in cases:
@@ -102,8 +139,12 @@ def test_exact_sum_in_chunks(monkeypatch):
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0 ** 901,
                                  -(2.0 ** 901), 2.0 ** -1001, -5e-324])
 def test_terms_outside_the_slice_range_are_refused(bad):
-    with pytest.raises(ValueError, match="terms must be finite"):
-        exact_sum(np.array([1.0, bad, 0.0]))
+    # on both sides of the small size, and by the stream
+    for t in ([1.0, bad, 0.0], [bad], [1.0] * summation._SMALL + [bad]):
+        with pytest.raises(ValueError, match="terms must be finite"):
+            exact_sum(np.array(t))
+        with pytest.raises(ValueError, match="terms must be finite"):
+            PrefixSums().feed(np.array(t))
 
 
 XS = [2, 3, 29, 30, 31, 1109, 1110, 1111, 3000, 7679, 7680, 7681, 10 ** 4]
