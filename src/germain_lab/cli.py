@@ -5,10 +5,9 @@ CSV or JSON report (stdout by default). The parsed argparse namespace is the
 run config: each handler reads its flags from it, and each flag's default
 is stated once, in COMMANDS or, for the report-base keys, in _REPORT_BASE.
 The pair and primroot commands refuse their input before any sieve or
-C2 product. Same config and seed give
-byte-identical reports regardless of thread count: --threads reaches only
-the twin-prime-constant product, which reduces its windows in fixed order,
-and volatile fields (threads, output path) are kept out of the report body.
+C2 product. Same config and seed give byte-identical reports: every
+command runs on one thread, --threads is checked but read by no command,
+and volatile fields (threads, output path) stay out of the report body.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ def _require_capacity(args: argparse.Namespace) -> None:
 
 def _c2(args: argparse.Namespace) -> constants.SingularValue:
     """The twin-prime-constant product at --c2-cutoff."""
-    return constants.twin_prime_constant(args.c2_cutoff, threads=args.threads)
+    return constants.twin_prime_constant(args.c2_cutoff)
 
 
 # -- command handlers: each returns (header, rows, exit_status) --------------
@@ -206,7 +205,7 @@ def _cmd_large_sieve(args: argparse.Namespace):
         _refuse_unread(args, {"seed"}, f"large-sieve --sequence {kind}")
     if x > progressions.LARGE_SIEVE_X_CAP:
         raise CliError(f"--x {x} is above the cap {progressions.LARGE_SIEVE_X_CAP}: "
-                       "the check holds about 24 bytes per integer")
+                       "the check holds about 16 bytes per integer")
     updates = x * args.Q * trials
     if updates > progressions.LARGE_SIEVE_OPS_CAP:
         raise CliError(f"--x {x} --Q {args.Q} --trials {trials} make {updates} class "
@@ -298,7 +297,9 @@ def _cmd_reciprocal_sum(args: argparse.Namespace):
 def _cmd_constants(args: argparse.Namespace):
     cutoff = args.cutoff if args.cutoff is not None else args.c2_cutoff
     offsets = args.d if args.d is not None else [2]
-    c2 = constants.twin_prime_constant(cutoff, threads=args.threads)
+    for d in offsets:
+        constants.check_offset(d)
+    c2 = constants.twin_prime_constant(cutoff)
     header = ["kind", "d", "prime_cutoff", "value", "tail_bound"]
     rows = [["twin-prime-constant", 2, c2.prime_cutoff, c2.value, c2.tail_bound]]
     for d in offsets:
@@ -358,7 +359,7 @@ _COMMON = (
     _flag("--output", dest="output_path", metavar="OUTPUT",
           help="report file (default stdout)"),
     _flag("--threads", type=int, default=1,
-          help="worker threads for the twin-prime-constant product (default 1)"),
+          help="checked (>= 1) but unused: every command runs on one thread"),
 )
 
 COMMANDS: dict[str, Command] = {

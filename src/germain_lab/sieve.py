@@ -4,20 +4,17 @@ Every prime of the library comes from one strike kernel, _strike, a
 segmented sieve (Bays and Hudson) of a window of the progression
 n = c + W*i: for each row (l, r, first) it strikes the n = r (mod l) with
 n >= first, and numpy finds the first index of every row in the window at
-once. Plain primes use W = 2, c = 1: map_prime_windows tiles [3, limit]
-with windows of odd integers of fixed boundaries, strikes the multiples of
-the odd base primes l <= sqrt(limit) from l^2 on, and applies a function
-to the primes of each window, in window order, on worker threads if
-asked; primes_upto and the twin-prime product are built on it, and
-prime_powers lists the p^k (k >= 2) of its primes. The pair sieve uses the
-wheel W = 30: it sieves only the classes c with c and a*c + b prime to 30,
-and strikes the companions a*n + b too, which gives the primes p with
-a*p + b also prime. It runs its windows in order on one thread: its strike
-loop holds the interpreter lock, so threads did not speed it up.
-pair_windows yields the pairs of each window as soon as it is sieved, so
-a caller can reduce the pass window by window; pair_primes joins them into
-one array. A window holds one byte per entry, so both sieves keep only the
-base primes and one window per worker, whatever the range.
+once. One window loop, _windows, serves both sieves, on one thread: it
+yields each window, merged and ascending, as soon as it is sieved, so a
+caller can reduce a pass window by window. Plain primes use W = 2, c = 1:
+prime_windows tiles [3, limit] with windows of odd integers of fixed
+boundaries; primes_upto and the twin-prime product are built on it, and
+prime_powers lists the p^k (k >= 2) of its primes. The pair sieve uses
+the wheel W = 30: it sieves only the classes c with c and a*c + b prime
+to 30, and strikes the companions a*n + b too, which gives the primes p
+with a*p + b also prime; pair_primes joins its windows. A window holds
+one byte per entry, so both sieves keep only the base primes and one
+window, whatever the range.
 
 is_prime is a deterministic strong-pseudoprime (Miller-Rabin) test for
 n < 2^64. Let psi_k be the least odd composite that is a strong probable
@@ -46,7 +43,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -122,28 +118,39 @@ def _survivors(size: int, i0: int, rows: _Rows, step: int, n0: int) -> np.ndarra
     return ns
 
 
-def map_prime_windows(fn, limit: int, *, threads: int = 1) -> list:
-    """fn(primes) for the odd primes of each window of [3, limit], in window order.
+def _windows(step: int, classes: list[int], class_rows: list[_Rows], top: int,
+             first: int, extra: np.ndarray, least: int) -> Iterator[np.ndarray]:
+    """Per window, the ascending n <= top that its class rows leave, and its extras.
 
-    primes is the ascending int64 array of one window of PAIR_WINDOW odd
-    integers n = 1 + 2i, struck by the odd base primes l <= sqrt(limit) from
-    l^2 on. fn runs on up to threads worker threads; the windows have fixed
-    boundaries and the results come back in their order, so the list does
-    not depend on the thread count.
+    Window k holds the entries i of first + k*PAIR_WINDOW <= i <
+    first + (k+1)*PAIR_WINDOW of every class c, n = c + step*i, struck one
+    class after the other; the n below least are trimmed. Every window is
+    yielded, empty or not.
+    """
+    for i0 in range(first, top // step + 1, PAIR_WINDOW):
+        lo = step * i0
+        window = [extra[(lo <= extra) & (extra < lo + step * PAIR_WINDOW)]]
+        for c, rows in zip(classes, class_rows):
+            size = min(PAIR_WINDOW, (top - c) // step + 1 - i0)
+            if size > 0:
+                window.append(_survivors(size, i0, rows, step, lo + c))
+        merged = np.concatenate(window)
+        del window  # the class arrays are not kept while the caller works
+        merged.sort(kind="stable")  # ascending runs, so timsort merges them
+        yield merged[np.searchsorted(merged, least):]
+
+
+def prime_windows(limit: int) -> Iterator[np.ndarray]:
+    """The odd primes <= limit, one ascending int64 array per window.
+
+    Window k holds the odd n = 1 + 2i with 1 + k*PAIR_WINDOW <= i <
+    1 + (k+1)*PAIR_WINDOW, struck by the odd base primes l <= sqrt(limit)
+    from l^2 on: fixed boundaries, whoever reduces the windows.
     """
     base = primes_upto(math.isqrt(limit))[1:]
-    [rows] = _progressions(2, [1], base, 0, base * base)
-    end = (limit - 1) // 2 + 1  # the odd n <= limit are i < end
-
-    def one(i0: int):
-        # fn runs with one array alive
-        return fn(_survivors(min(PAIR_WINDOW, end - i0), i0, rows, 2, 1 + 2 * i0))
-
-    starts = range(1, end, PAIR_WINDOW)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, starts))
-    return [one(i0) for i0 in starts]
+    # (limit - 1) | 1 is the largest odd n <= limit; no n is decided apart
+    return _windows(2, [1], _progressions(2, [1], base, 0, base * base),
+                    (limit - 1) | 1, 1, np.zeros(0, dtype=np.int64), 3)
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -152,8 +159,7 @@ def primes_upto(limit: int) -> np.ndarray:
         raise ValueError("limit must be nonnegative")
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    parts = map_prime_windows(lambda primes: primes, limit)
-    return np.concatenate([np.array([2], dtype=np.int64), *parts])
+    return np.concatenate([np.array([2], dtype=np.int64), *prime_windows(limit)])
 
 
 def prime_powers(x: int) -> list[tuple[int, float]]:
@@ -194,13 +200,11 @@ def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
 
     One segmented pass sieves n and its companion a*n + b together, only on
     the classes c mod 30 with c and a*c + b prime to 30: 3 of the 30 for
-    (2, 1). A window holds PAIR_WINDOW entries n = c + 30*i of every class;
-    its classes are struck one after the other and merged in ascending
-    order. The wheel primes, and the n whose companion is one, are decided
-    apart, by is_prime. Besides the window the caller holds, only the base
-    primes up to sqrt(max(x, a*x + b)), one class's flags and the window
-    being merged are in memory. Every window is yielded, empty or not, and
-    the input is checked before the first.
+    (2, 1), PAIR_WINDOW entries n = c + 30*i of each per window. The wheel
+    primes, and the n whose companion is one, are decided apart, by
+    is_prime. Besides the window the caller holds, only the base primes up
+    to sqrt(max(x, a*x + b)), one class's flags and the window being merged
+    are in memory. The input is checked before the first window.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
@@ -218,18 +222,7 @@ def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
                             and is_prime(n) and is_prime(a * n + b)), dtype=np.int64)
     # nothing strikes n = 1, nor the n whose companion a*n + b is below 2
     least = max(2, -((b - 2) // a))
-    span = _WHEEL * PAIR_WINDOW
-    for i0 in range(0, x // _WHEEL + 1, PAIR_WINDOW):
-        lo = _WHEEL * i0
-        window = [extra[(lo <= extra) & (extra < lo + span)]]
-        for c, rows in zip(classes, class_rows):
-            size = min(PAIR_WINDOW, (x - c) // _WHEEL + 1 - i0)
-            if size > 0:
-                window.append(_survivors(size, i0, rows, _WHEEL, lo + c))
-        merged = np.concatenate(window)
-        del window  # the class arrays are not kept while the caller works
-        merged.sort(kind="stable")  # ascending runs, so timsort merges them
-        yield merged[np.searchsorted(merged, least):]
+    yield from _windows(_WHEEL, classes, class_rows, x, 0, extra, least)
 
 
 def pair_primes(x: int, a: int = 2, b: int = 1) -> np.ndarray:

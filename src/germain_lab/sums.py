@@ -38,7 +38,7 @@ import numpy as np
 
 from .arith import (divisors, factorize, mobius_log_sum, mobius_sieve,
                     totient_sieve)
-from .constants import SingularValue, singular_series
+from .constants import SingularValue, check_offset, singular_series
 from .summation import PrefixSums, exact_sum
 
 BRUTE_CAP = 2000  # 4e6 terms; the rearranged forms carry the load beyond
@@ -203,10 +203,10 @@ def twisted_mobius_sums(m: int, xs: Sequence[int], with_log: bool,
     as-is so reports can record the sign the data shows. make_c2 returns C2;
     it is called only with_log, after m and every x are checked and before
     the sieves. The checkpoints ascend. One mu and one phi table up to the
-    last x, and one PrefixSums pass over the terms, serve every x.
+    last x, and one PrefixSums pass over the terms, serve every x; the n
+    prime to m are the squarefree n off the multiples of each prime of m.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    check_offset(m, "m")
     for x in xs:
         if x < 1:
             raise ValueError(f"x must be >= 1, got {x}")
@@ -214,11 +214,11 @@ def twisted_mobius_sums(m: int, xs: Sequence[int], with_log: bool,
     top = max(xs, default=0)
     mu = mobius_sieve(top)
     phi = totient_sieve(top)
-    n = np.arange(top + 1, dtype=np.int64)
-    keep = (mu != 0) & (np.gcd(n, m) == 1)
-    keep[0] = False
-    n = n[keep]
-    vals = mu[keep].astype(np.float64) / phi[keep]
+    keep = mu != 0  # mu(0) is stored as 0
+    for p, _ in factorize(m):
+        keep[::p] = False
+    n = np.flatnonzero(keep)
+    vals = mu[n].astype(np.float64) / phi[n]
     if with_log:
         vals *= np.log(n.astype(np.float64))
     ks = np.searchsorted(n, xs, side="right").tolist()

@@ -11,20 +11,22 @@ def c2_1e6():
 
 @pytest.fixture
 def small_windows(monkeypatch):
-    """Windows of 2^11 odd integers; returns the (windows, threads) of each
-    sieve.map_prime_windows call.
+    """Windows of 2^11 odd integers; returns the window count of each
+    sieve.prime_windows call that ran to its end.
 
     Small windows make the ranges of the determinism tests span several
-    windows, so that more than one thread really runs.
+    windows, so that the order in which the window partials are summed
+    matters.
     """
     monkeypatch.setattr(sieve, "PAIR_WINDOW", 1 << 11)
-    calls = []
-    fan_out = sieve.map_prime_windows
+    counts = []
+    prime_windows = sieve.prime_windows
 
-    def recorded(fn, limit, *, threads=1):
-        out = fan_out(fn, limit, threads=threads)
-        calls.append((len(out), threads))
-        return out
+    def recorded(limit):
+        count = 0
+        for count, primes in enumerate(prime_windows(limit), 1):
+            yield primes
+        counts.append(count)
 
-    monkeypatch.setattr(sieve, "map_prime_windows", recorded)
-    return calls
+    monkeypatch.setattr(sieve, "prime_windows", recorded)
+    return counts

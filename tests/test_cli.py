@@ -39,10 +39,8 @@ def test_census_csv_deterministic_across_thread_counts(tmp_path, small_windows):
     base = ["census", "--x", "100,1000", "--c2-cutoff", "1e4"]
     assert main([*base, "--threads", "1", "--output", str(out1)]) == 0
     assert main([*base, "--threads", "4", "--output", str(out2)]) == 0
-    # only the C2 product fanned out, over several windows; the pair sieve
-    # has no thread path
-    [(windows, _)] = [call for call in small_windows if call[1] > 1]
-    assert windows > 1
+    # the C2 product spans several windows
+    assert max(small_windows) > 1
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header == "x,pi_g,psi_g,psi0,hl_prediction,ratio"
@@ -141,6 +139,59 @@ def test_c2_cutoff_is_refused_before_the_pass(command, monkeypatch, capsys):
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": "ValueError",
                                         "message": "cutoff must be >= 3, got 2"}
+
+
+@pytest.mark.parametrize("argv, cutoff", [
+    ("constants --cutoff 10000000001", 10 ** 10 + 1),
+    ("constants --cutoff 1e12 --d 6", 10 ** 12),
+    ("census --x 100 --c2-cutoff 1e11", 10 ** 11),
+    ("twisted-sums --x 10 --c2-cutoff 1e11", 10 ** 11),
+])
+def test_c2_cutoff_above_the_cap_is_refused_before_the_sieve(argv, cutoff,
+                                                            monkeypatch, capsys):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the prime sieve ran")
+
+    monkeypatch.setattr(sieve, "prime_windows", no_sieve)
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError",
+        "message": f"cutoff {cutoff} is above the cap {constants.C2_CUTOFF_CAP}"}
+
+
+_M89 = 2 ** 89 - 1  # a Mersenne prime: trial division would never end
+
+
+@pytest.mark.parametrize("argv, flag, offset", [
+    (f"constants --d 2,{2 * _M89}", "offset", 2 * _M89),
+    ("constants --d 1e30", "offset", 10 ** 30),
+    ("constants --d 100000000000001", "offset", 10 ** 14 + 1),
+    (f"twisted-sums --x 10 --m {_M89}", "m", _M89),
+    (f"twisted-sums --x 10 --m {_M89} --no-log", "m", _M89),
+])
+def test_offsets_above_the_cap_are_refused_before_any_work(argv, flag, offset,
+                                                           monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(constants, "twin_prime_constant", no_work)
+    monkeypatch.setattr(constants, "factorize", no_work)
+    monkeypatch.setattr(sums, "factorize", no_work)
+    monkeypatch.setattr(sums, "mobius_sieve", no_work)
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError",
+        "message": f"{flag} {offset} is above the factoring cap {constants.OFFSET_CAP}"}
+
+
+def test_offset_at_the_cap_is_served(capsys):
+    assert main(["constants", "--cutoff", "1e3", "--d", "1e14"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "singular-series,100000000000000,1000,")
 
 
 @pytest.mark.parametrize("argv", [
@@ -366,7 +417,7 @@ def test_large_sieve_above_its_caps_is_refused_before_any_sequence(monkeypatch,
         assert captured.out == ""
         if x > x_cap:
             message = (f"--x {x} is above the cap {x_cap}: the check holds about "
-                       "24 bytes per integer")
+                       "16 bytes per integer")
         else:
             message = (f"--x {x} --Q {Q} --trials {trials} make {x * Q * trials} "
                        f"class updates, above the cap {ops_cap}: each trial "

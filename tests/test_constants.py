@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from math import fsum
@@ -7,6 +8,7 @@ import pytest
 import oracles
 from germain_lab import constants, sieve
 from germain_lab.arith import factorize
+from germain_lab.cli import main
 from germain_lab.constants import singular_series, twin_prime_constant
 
 # Classical twin-prime constant, prod_{p>=3} (1 - 1/(p-1)^2), OEIS A005597.
@@ -43,14 +45,18 @@ def test_successive_gaps_below_tail_bound():
     assert v6.tail_bound < v4.tail_bound
 
 
-def test_thread_count_does_not_change_value(small_windows):
-    a = twin_prime_constant(10 ** 6, threads=1)
-    b = twin_prime_constant(10 ** 6, threads=3)
-    # three threads really split the product
-    [(windows, _)] = [call for call in small_windows if call[1] == 3]
-    assert windows > 200
-    assert a.value == b.value
-    assert abs(a.value - TRUE_C2) <= a.tail_bound
+def _constants_report(capsys, *argv):
+    assert main(["constants", "--format", "json", *argv]) == 0
+    return capsys.readouterr().out
+
+
+def test_thread_count_does_not_change_value(small_windows, capsys):
+    a = _constants_report(capsys, "--cutoff", "1e6", "--threads", "1")
+    b = _constants_report(capsys, "--cutoff", "1e6", "--threads", "3")
+    assert max(small_windows) > 200
+    assert a == b
+    row = json.loads(a)["rows"][0]
+    assert abs(row["value"] - TRUE_C2) <= row["tail_bound"]
 
 
 def test_singular_series_odd_offsets_vanish(c2_1e6):
@@ -98,15 +104,18 @@ def test_printed_claim_matches_truncated_product_not_the_limit():
 @pytest.mark.parametrize("window", [1 << 20, 37])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_window_partials_are_the_correctly_rounded_window_sums(window, threads,
-                                                               monkeypatch):
+                                                               monkeypatch, capsys):
     # cutoffs on and beside the window edges n = 1 + 2 window k
     monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
     ks = (1, 2) if window > 1000 else (1, 2, 27, 28, 100)
     for k in ks:
         for cutoff in (1 + 2 * window * k + d for d in (-2, 0, 2)):
             want = oracles.twin_prime_window_partials(cutoff, window)
-            got = sieve.map_prime_windows(constants._segment_log_sum, cutoff,
-                                          threads=threads)
+            got = [constants._segment_log_sum(ps)
+                   for ps in sieve.prime_windows(cutoff)]
             assert got == want, cutoff
-            assert twin_prime_constant(cutoff, threads=threads).value == \
-                math.exp(fsum(want)), cutoff
+            assert twin_prime_constant(cutoff).value == math.exp(fsum(want)), cutoff
+            report = _constants_report(capsys, "--cutoff", str(cutoff),
+                                       "--threads", str(threads))
+            row = json.loads(report)["rows"][0]
+            assert row["value"] == math.exp(fsum(want)), cutoff

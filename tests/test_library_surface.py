@@ -5,7 +5,8 @@ top-level name that only the tests use is an API nobody runs. No module
 reaches into another's private names: a decision such as the sieve's window
 tiling stays behind the module that owns it. And summation alone decides
 how an array is summed: no other module fsums a list made from an array,
-or handles the slices of the exact reduction.
+or handles the slices of the exact reduction. No module starts a thread,
+and only the sieve may hold a worker pool.
 """
 
 import ast
@@ -109,4 +110,28 @@ def test_only_summation_sums_arrays_as_lists_or_handles_slices():
         lines = _list_sums(ast.parse(path.read_text(encoding="utf-8")))
         if lines and path.name != "summation.py":
             uses[path.name] = lines
+    assert uses == {}
+
+
+def _imported_packages(tree):
+    """The top-level package of every absolute import in tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_module_starts_threads_and_only_sieve_may_pool_workers():
+    uses = {}
+    for path in sorted(SRC.glob("*.py")):
+        packages = _imported_packages(ast.parse(path.read_text(encoding="utf-8")))
+        forbidden = {"threading", "_thread"}
+        if path.name != "sieve.py":
+            forbidden.add("concurrent")
+        found = sorted(packages & forbidden)
+        if found:
+            uses[path.name] = found
     assert uses == {}

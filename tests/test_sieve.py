@@ -151,6 +151,22 @@ def test_primes_upto_across_window_edges(window, monkeypatch):
         assert got.tolist() == oracles.primes_upto(limit)
 
 
+@pytest.mark.parametrize("window", [1, 37, 1 << 11])
+def test_prime_windows_against_trial_division(window, monkeypatch):
+    # window k holds the odd n = 1 + 2i with 1 + k window <= i < 1 + (k+1) window
+    monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
+    edges = {1 + 2 * window * k + d for k in (1, 2, 3) for d in (-2, -1, 0, 1, 2)}
+    primes = [n for n in range(3, max(edges) + 1, 2) if oracles.is_prime_trial(n)]
+    for limit in sorted(edges | {2, 3, 4, 5}):
+        windows = list(sieve.prime_windows(limit))
+        assert len(windows) == -(-((limit - 1) // 2) // window)
+        for k, got in enumerate(windows):
+            lo = 3 + 2 * window * k
+            assert got.dtype == np.int64
+            assert got.tolist() == [p for p in primes
+                                    if lo <= p < lo + 2 * window and p <= limit]
+
+
 def test_primes_upto_rejects_negative_limit():
     with pytest.raises(ValueError):
         primes_upto(-1)
