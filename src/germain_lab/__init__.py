@@ -15,15 +15,37 @@ Library layout:
   progressions integers and prime weights in arithmetic progressions
   primroot     primitive-root tests, quadratic residue laws, pair-table audit
   cli          report-generating command-line interface
+
+Each name of __all__ is imported from its module when it is first read
+(PEP 562), so importing the package, or cli, loads no numpy.
 """
 
-from .constants import SingularValue, singular_series, twin_prime_constant
-from .counting import (CountReport, census, hl_prediction, pair_sums,
-                       psi0_partition, reciprocal_sums)
-from .sieve import is_prime, pair_primes, primes_upto
+from __future__ import annotations
 
-__all__ = [
-    "CountReport", "SingularValue", "census", "hl_prediction", "is_prime",
-    "pair_primes", "pair_sums", "primes_upto", "psi0_partition",
-    "reciprocal_sums", "singular_series", "twin_prime_constant",
-]
+import importlib
+
+# public name -> the module that defines it
+_HOMES = {
+    "CountReport": "counting", "SingularValue": "constants",
+    "census": "counting", "hl_prediction": "counting", "is_prime": "sieve",
+    "pair_primes": "sieve", "pair_sums": "counting", "primes_upto": "sieve",
+    "psi0_partition": "counting", "reciprocal_sums": "counting",
+    "singular_series": "constants", "twin_prime_constant": "constants",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        # an AttributeError lets `from germain_lab import sieve` import the
+        # submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -17,16 +17,18 @@ phi(n) = phi(c) (p - 1). The large primes are applied with one
 fancy-index write per cofactor c, to the multiples c*p of all of them at
 once: about sqrt(limit) numpy calls instead of one per prime. The tables
 are integers, so the result does not depend on the order of the writes.
+
+The module imports without numpy, as sieve does: factorize, divisors and
+totient need none. The sieved tables import numpy when they are called,
+and mobius_log_sum imports summation too; numpy loads on the first sieve
+call.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .sieve import primes_upto
-from .summation import exact_sum
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -83,6 +85,7 @@ def _split_primes(limit: int) -> tuple[list[int], np.ndarray, int]:
     int64 array, and limit // (r + 1): every n <= limit with a prime factor
     p > r is n = c*p with c at most that.
     """
+    import numpy as np
     ps = primes_upto(limit)
     root = math.isqrt(limit)
     k = int(np.searchsorted(ps, root, side="right"))
@@ -91,6 +94,7 @@ def _split_primes(limit: int) -> tuple[list[int], np.ndarray, int]:
 
 def mobius_sieve(limit: int) -> np.ndarray:
     """mu(n) for 0 <= n <= limit as an int8 array (mu(0) stored as 0)."""
+    import numpy as np
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     small, large, cofactors = _split_primes(limit)
@@ -106,6 +110,7 @@ def mobius_sieve(limit: int) -> np.ndarray:
 
 def totient_sieve(limit: int) -> np.ndarray:
     """phi(n) for 0 <= n <= limit as an int64 array."""
+    import numpy as np
     phi = np.arange(limit + 1, dtype=np.int64)
     small, large, cofactors = _split_primes(limit)
     for p in small:
@@ -128,6 +133,9 @@ def totient_sieve(limit: int) -> np.ndarray:
 
 def mobius_log_sum(x: int) -> float:
     """sum_{n<=x} mu(n) log n, correctly rounded."""
+    import numpy as np
+
+    from .summation import exact_sum
     if x < 1:
         raise ValueError(f"mobius_log_sum needs x >= 1, got {x}")
     mu = mobius_sieve(x)

@@ -8,6 +8,13 @@ The pair and primroot commands refuse their input before any sieve or
 C2 product. Same config and seed give byte-identical reports: every
 command runs on one thread, --threads is checked but read by no command,
 and volatile fields (threads, output path) stay out of the report body.
+
+Importing this module and building the parser load no numpy: each handler
+imports the layers it reads when it runs, and numpy loads on the first
+sieve or array call. So a usage error, a refusal made from the flags alone,
+table-errata and primroot --fermat never load it. FORMULAS, the table of
+the `sums` report's formulas and methods, lives here beside the `sums`
+command, so that its --formula choices need no layer.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Callable
 
-from . import constants, counting, primroot, progressions, sieve, sums
 from .reports import render_csv, render_json
 
 # Largest a*x+b the pair commands sieve to unless --sieve-limit says otherwise
@@ -41,11 +47,22 @@ class CliError(ValueError):
 
 
 def parse_exact_int(token: str) -> int:
-    """Checkpoint numbers, scientific notation allowed, parsed exactly."""
+    """Checkpoint numbers, scientific notation allowed, parsed exactly.
+
+    Infinities, NaNs and any magnitude of sys.get_int_max_str_digits()
+    digits or more are refused before int() is called: int() of a huge
+    Decimal takes time quadratic in its digits.
+    """
     try:
         d = Decimal(token.strip())
     except InvalidOperation:
         raise CliError(f"not a number: {token!r}") from None
+    if not d.is_finite():
+        raise CliError(f"not a finite number: {token!r}")
+    digits = sys.get_int_max_str_digits()  # 0: no limit
+    if d and digits and d.adjusted() >= digits:
+        raise CliError(f"{token!r} has more than the {digits} digits an integer "
+                       "may take")
     if d != d.to_integral_value():
         raise CliError(f"checkpoint {token!r} is not an integer")
     return int(d)
@@ -95,6 +112,7 @@ def _require_capacity(args: argparse.Namespace) -> None:
 
 def _c2(args: argparse.Namespace) -> constants.SingularValue:
     """The twin-prime-constant product at --c2-cutoff."""
+    from . import constants
     return constants.twin_prime_constant(args.c2_cutoff)
 
 
@@ -102,6 +120,7 @@ def _c2(args: argparse.Namespace) -> constants.SingularValue:
 
 def _cmd_census(args: argparse.Namespace):
     _require_capacity(args)
+    from . import counting
     header = ["x", "pi_g", "psi_g", "psi0", "hl_prediction", "ratio"]
     rows = [[r.x, r.pi_g, r.psi_g, r.psi0, r.hl_prediction, r.ratio]
             for r in counting.census(args.x_checkpoints, args.a, args.b,
@@ -111,6 +130,7 @@ def _cmd_census(args: argparse.Namespace):
 
 def _cmd_psi0_partition(args: argparse.Namespace):
     _require_capacity(args)
+    from . import counting
     largest = max(args.x_checkpoints, default=0)
     if largest > counting.PARTITION_CAP:
         raise CliError(f"--x {largest} is above the cap {counting.PARTITION_CAP}: the "
@@ -127,6 +147,7 @@ def _cmd_psi0_partition(args: argparse.Namespace):
 
 def _cmd_hl_compare(args: argparse.Namespace):
     _require_capacity(args)
+    from . import counting
     header = ["x", "pi_g", "hl_prediction", "prediction_over_actual"]
     rows = [[r.x, r.pi_g, r.hl_prediction,
              r.hl_prediction / r.pi_g if r.pi_g else float("inf")]
@@ -136,6 +157,7 @@ def _cmd_hl_compare(args: argparse.Namespace):
 
 
 def _cmd_ap_census(args: argparse.Namespace):
+    from . import progressions
     q, xs = args.q, args.x_checkpoints
     if args.weighted:
         header = ["x", "q", "a", "value", "expected", "residual"]
@@ -150,6 +172,7 @@ def _cmd_ap_census(args: argparse.Namespace):
 
 
 def _cmd_verify_identities(args: argparse.Namespace):
+    from . import sums
     top = args.max
     if top > sums.IDENTITY_CAP:
         raise CliError(f"--max {top} is above the cap {sums.IDENTITY_CAP}: the "
@@ -169,20 +192,22 @@ def _cmd_verify_identities(args: argparse.Namespace):
 
 
 def _cmd_sums(args: argparse.Namespace):
+    from . import sums
     formula, method = args.formula, args.method
-    table = sums.FORMULAS[formula]
+    table = FORMULAS[formula]
     default = next(iter(table))
     methods = {"auto": [default], "both": ["brute", default]}.get(method, [method])
     if any(m not in table for m in methods):
         raise CliError(f"--method {method} does not apply to --formula {formula}; "
                        f"it takes {', '.join(table)}")
     header = ["formula_id", "x", "value", "method"]
-    rows = [[formula, x, table[m](x), m]
+    rows = [[formula, x, table[m](sums, x), m]
             for m in methods for x in args.x_checkpoints]
     return header, rows, 0
 
 
 def _cmd_twisted_sums(args: argparse.Namespace):
+    from . import sums
     m, with_log = args.m, args.with_log
     target, values = sums.twisted_mobius_sums(m, args.x_checkpoints, with_log,
                                               lambda: _c2(args))
@@ -195,6 +220,7 @@ def _cmd_twisted_sums(args: argparse.Namespace):
 
 
 def _cmd_large_sieve(args: argparse.Namespace):
+    from . import progressions
     x, kind, trials = args.x, args.sequence, args.trials
     if kind != "random":
         # ones and primes give the same row on every trial
@@ -236,12 +262,16 @@ _PRIMROOT_READS = {"theorem-4p1": {"limit"}, "fermat": {"trials", "seed"},
 
 
 def _cmd_primroot(args: argparse.Namespace):
+    from . import primroot, sieve
     mode, limit, trials = args.mode, args.limit, args.trials
     _refuse_unread(args, _PRIMROOT_READS["short-test"] - _PRIMROOT_READS[mode],
                    f"primroot --{mode}")
     if "limit" in _PRIMROOT_READS[mode] and limit > primroot.SWEEP_CAP:
         raise CliError(f"--limit {limit} is above the cap {primroot.SWEEP_CAP}: "
                        f"the {mode} sweep tests every prime up to it in Python")
+    if "trials" in _PRIMROOT_READS[mode] and trials > primroot.TRIALS_CAP:
+        raise CliError(f"--trials {trials} is above the cap {primroot.TRIALS_CAP}: "
+                       f"the {mode} sweep holds every base of a modulus in Python")
     if mode == "theorem-4p1":
         _require_limit(limit, 3)  # the first pair is (3, 13)
         header = ["p", "q", "two_generates"]
@@ -278,6 +308,7 @@ def _cmd_primroot(args: argparse.Namespace):
 
 
 def _cmd_table_errata(args: argparse.Namespace):
+    from . import primroot
     _require_limit(args.limit, primroot.CLAIMED_PAIR_TABLE[0][0])
     header = ["p", "claimed_q", "computed_q", "claimed_is_prime", "match"]
     rows = [[r.p, r.claimed_q, r.computed_q, r.claimed_is_prime, r.match]
@@ -287,6 +318,7 @@ def _cmd_table_errata(args: argparse.Namespace):
 
 def _cmd_reciprocal_sum(args: argparse.Namespace):
     _require_capacity(args)
+    from . import counting
     header = ["x", "reciprocal_sum", "logp_sum", "logp_fit_residual"]
     rows = [[x, *sums_at_x] for x, sums_at_x in zip(
         args.x_checkpoints,
@@ -295,6 +327,7 @@ def _cmd_reciprocal_sum(args: argparse.Namespace):
 
 
 def _cmd_constants(args: argparse.Namespace):
+    from . import constants
     cutoff = args.cutoff if args.cutoff is not None else args.c2_cutoff
     offsets = args.d if args.d is not None else [2]
     for d in offsets:
@@ -362,6 +395,26 @@ _COMMON = (
           help="checked (>= 1) but unused: every command runs on one thread"),
 )
 
+# The `sums` report: formula id -> {method: (sums module, x) -> value}, the
+# default method first; the one place that says which method a formula
+# takes. The lambdas look each sum up on the module at call time, so sums
+# is imported only when the command runs, and a wrapper that perfbench's
+# tracer installs on the module function is the one that runs.
+FORMULAS = {
+    "log-lcm": {
+        "rearranged": lambda sums, x: sums.log_lcm_double_sum(x, "rearranged"),
+        "brute": lambda sums, x: sums.log_lcm_double_sum(x, "brute"),
+        "relaxed": lambda sums, x: sums.log_lcm_double_sum(x, "relaxed"),
+    },
+    "mobius-phi-lcm": {
+        "diagonalized": lambda sums, x: sums.mobius_phi_lcm_sum(x, "diagonalized"),
+        "brute": lambda sums, x: sums.mobius_phi_lcm_sum(x, "brute"),
+        "relaxed": lambda sums, x: sums.mobius_phi_lcm_sum(x, "relaxed"),
+    },
+    "squarefree-harmonic": {"direct": lambda sums, x: sums.squarefree_harmonic_sum(x)},
+    "mobius-log": {"direct": lambda sums, x: sums.mobius_log_sum(x)},
+}
+
 COMMANDS: dict[str, Command] = {
     "census": Command(
         _cmd_census,
@@ -405,7 +458,7 @@ COMMANDS: dict[str, Command] = {
         "Checkpointed series of the double sums log m log n/[m,n] and "
         "mu mu log log/phi([m,n]), by brute-force or rearranged method.",
         (_X,
-         _flag("--formula", required=True, choices=tuple(sums.FORMULAS)),
+         _flag("--formula", required=True, choices=tuple(FORMULAS)),
          _flag("--method", default="auto",
                choices=("auto", "both", "brute", "rearranged", "diagonalized",
                         "relaxed")))),

@@ -27,6 +27,11 @@ FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 # theorem-4p1 sweep took 1.7 s, 47 MB and the short test 15.4 s, 72 MB
 # (2-core Xeon, Python 3.11, numpy 2.4).
 SWEEP_CAP = 10 ** 7
+# Largest --trials of the fermat and short-test sweeps, which hold the bases
+# of a modulus and their certificates, about 300 bytes a trial. On one
+# modulus 10^5 trials took 0.6 s and 47-60 MB, 10^6 trials 5.3-7.1 s and
+# 322-336 MB (2-core Xeon, Python 3.11).
+TRIALS_CAP = 10 ** 5
 
 # Claimed (p, 4p+1) rows as published; reproduce_pair_table recomputes 4p+1
 # and checks primality of the claimed entry, flagging disagreements.

@@ -14,7 +14,13 @@ the wheel W = 30: it sieves only the classes c with c and a*c + b prime
 to 30, and strikes the companions a*n + b too, which gives the primes p
 with a*p + b also prime; pair_primes joins its windows. A window holds
 one byte per entry, so both sieves keep only the base primes and one
-window, whatever the range.
+window, whatever the range. A window of one class and no extras is its
+survivors array as struck, ascending already; only windows of several
+classes are merged.
+
+The module imports without numpy: each function that builds an array
+imports it, so numpy loads on the first sieve call, and is_prime, which
+the primitive-root sweeps call, never loads it.
 
 is_prime is a deterministic strong-pseudoprime (Miller-Rabin) test for
 n < 2^64. Let psi_k be the least odd composite that is a strong probable
@@ -44,8 +50,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
-import numpy as np
-
 _U64 = 1 << 64
 _I64 = 1 << 63
 
@@ -74,8 +78,9 @@ _WHEEL = 30
 _WHEEL_PRIMES = (2, 3, 5)
 
 # Strike rows on a progression c + step*i: (l, j, start) int64 arrays, and
-# row k strikes the i = j[k] (mod l[k]) with i >= start[k].
-_Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
+# row k strikes the i = j[k] (mod l[k]) with i >= start[k]. A string, as
+# this module imports numpy only inside the functions that use it.
+_Rows = "tuple[np.ndarray, np.ndarray, np.ndarray]"
 
 
 def _progressions(step: int, classes: list[int], l: np.ndarray, r,
@@ -85,6 +90,7 @@ def _progressions(step: int, classes: list[int], l: np.ndarray, r,
     Row (l, r, first) strikes the n = r (mod l) with n >= first. Each l is
     prime to step, or 1, which strikes every n >= first.
     """
+    import numpy as np
     inverse = np.array([pow(step, -1, m) for m in l.tolist()], dtype=np.int64)
     # both factors are below l <= sqrt(2^63), so their product fits in int64
     return [(l, (r - c) % l * inverse % l, -((c - first) // step)) for c in classes]
@@ -96,6 +102,7 @@ def _strike(size: int, i0: int, rows: _Rows) -> np.ndarray:
     This is the one loop of the library that strikes composites; numpy finds
     the first index of every row in the window at once.
     """
+    import numpy as np
     l, j, start = rows
     s = np.maximum(start, i0)
     s += (j - s) % l
@@ -112,6 +119,7 @@ def _survivors(size: int, i0: int, rows: _Rows, step: int, n0: int) -> np.ndarra
 
     Computed in place, and no name holds the flags once they are read.
     """
+    import numpy as np
     ns = np.flatnonzero(_strike(size, i0, rows))
     ns *= step
     ns += n0
@@ -127,6 +135,7 @@ def _windows(step: int, classes: list[int], class_rows: list[_Rows], top: int,
     class after the other; the n below least are trimmed. Every window is
     yielded, empty or not.
     """
+    import numpy as np
     for i0 in range(first, top // step + 1, PAIR_WINDOW):
         lo = step * i0
         window = [extra[(lo <= extra) & (extra < lo + step * PAIR_WINDOW)]]
@@ -134,9 +143,12 @@ def _windows(step: int, classes: list[int], class_rows: list[_Rows], top: int,
             size = min(PAIR_WINDOW, (top - c) // step + 1 - i0)
             if size > 0:
                 window.append(_survivors(size, i0, rows, step, lo + c))
-        merged = np.concatenate(window)
+        if len(window) == 2 and not window[0].size:
+            merged = window[1]  # one class and no extras: already ascending
+        else:
+            merged = np.concatenate(window)
+            merged.sort(kind="stable")  # ascending runs, so timsort merges them
         del window  # the class arrays are not kept while the caller works
-        merged.sort(kind="stable")  # ascending runs, so timsort merges them
         yield merged[np.searchsorted(merged, least):]
 
 
@@ -147,6 +159,7 @@ def prime_windows(limit: int) -> Iterator[np.ndarray]:
     1 + (k+1)*PAIR_WINDOW, struck by the odd base primes l <= sqrt(limit)
     from l^2 on: fixed boundaries, whoever reduces the windows.
     """
+    import numpy as np
     base = primes_upto(math.isqrt(limit))[1:]
     # (limit - 1) | 1 is the largest odd n <= limit; no n is decided apart
     return _windows(2, [1], _progressions(2, [1], base, 0, base * base),
@@ -155,6 +168,7 @@ def prime_windows(limit: int) -> Iterator[np.ndarray]:
 
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array, ascending."""
+    import numpy as np
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     if limit < 2:
@@ -181,6 +195,7 @@ def _pair_rows(x: int, a: int, b: int, base: np.ndarray) -> tuple[np.ndarray, ..
     the first n with a*n + b > l, where l divides a*n + b: n = -b/a (mod l).
     A prime l that divides a and b divides every a*n + b: the row (1, 0, first).
     """
+    import numpy as np
     rows = []
     for l in base.tolist():
         if _WHEEL % l == 0:
@@ -206,6 +221,7 @@ def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
     to sqrt(max(x, a*x + b)), one class's flags and the window being merged
     are in memory. The input is checked before the first window.
     """
+    import numpy as np
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     if a < 1:
@@ -227,6 +243,7 @@ def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
 
 def pair_primes(x: int, a: int = 2, b: int = 1) -> np.ndarray:
     """All primes p <= x with a*p + b prime, ascending (int64): pair_windows joined."""
+    import numpy as np
     return np.concatenate(list(pair_windows(x, a, b)))
 
 

@@ -25,8 +25,9 @@ and the sums over rows, of Python floats, by math.fsum. A brute row's
 gcd(m, n) comes from the divisors of m, written at their multiples in
 ascending order, not from np.gcd over every n.
 
-FORMULAS maps each formula the `sums` command reports to its methods, the
-default first; it is the one place that says which method a formula takes.
+The `sums` command reads the double sums, squarefree_harmonic_sum and
+arith's mobius_log_sum through this module, by the FORMULAS table that
+cli keeps beside the command, so importing the CLI loads none of them.
 """
 
 from __future__ import annotations
@@ -224,23 +225,3 @@ def twisted_mobius_sums(m: int, xs: Sequence[int], with_log: bool,
     ks = np.searchsorted(n, xs, side="right").tolist()
     return target, PrefixSums().feed(vals, ks)
 
-
-# -- the formulas of the `sums` report ---------------------------------------
-
-# formula id -> {method: x -> value}, the default method first. The lambdas
-# look each sum up by name at call time, so a wrapper that perfbench's tracer
-# installs on the module function is the one that runs.
-FORMULAS = {
-    "log-lcm": {
-        "rearranged": lambda x: log_lcm_double_sum(x, "rearranged"),
-        "brute": lambda x: log_lcm_double_sum(x, "brute"),
-        "relaxed": lambda x: log_lcm_double_sum(x, "relaxed"),
-    },
-    "mobius-phi-lcm": {
-        "diagonalized": lambda x: mobius_phi_lcm_sum(x, "diagonalized"),
-        "brute": lambda x: mobius_phi_lcm_sum(x, "brute"),
-        "relaxed": lambda x: mobius_phi_lcm_sum(x, "relaxed"),
-    },
-    "squarefree-harmonic": {"direct": lambda x: squarefree_harmonic_sum(x)},
-    "mobius-log": {"direct": lambda x: mobius_log_sum(x)},
-}

@@ -25,6 +25,36 @@ def test_parse_exact_int_scientific_notation():
         parse_exact_int("abc")
 
 
+@pytest.mark.parametrize("token", ["inf", "-Infinity", "nan", "sNaN", "1e4300",
+                                   "-1e4300", "1e1000000"])
+def test_parse_exact_int_refuses_what_int_cannot_take_quickly(token):
+    with pytest.raises(ValueError):
+        parse_exact_int(token)
+
+
+def test_parse_exact_int_takes_the_widest_integer_and_any_zero():
+    assert parse_exact_int("1e4299") == 10 ** 4299
+    assert parse_exact_int("-9.9e4299") == -99 * 10 ** 4298
+    assert parse_exact_int("0e99999999") == 0
+
+
+@pytest.mark.parametrize("argv, flag, token", [
+    (["census", "--x", "inf"], "--x", "inf"),
+    (["census", "--x", "1e2,sNaN"], "--x", "1e2,sNaN"),
+    (["constants", "--cutoff=-Infinity"], "--cutoff", "-Infinity"),
+    (["constants", "--cutoff", "1e1000000"], "--cutoff", "1e1000000"),
+    (["ap-census", "--x", "10", "--q", "inf"], "--q", "inf"),
+])
+def test_unbounded_number_is_a_usage_error(argv, flag, token, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "usage"
+    assert record["message"].startswith(f"argument {flag}: invalid ")
+    assert record["message"].endswith(f" value: {token!r}")
+
+
 def test_parse_int_list_requires_ascending():
     assert parse_int_list("1e2,1e4,1e6") == [100, 10000, 1000000]
     with pytest.raises(ValueError):
@@ -396,6 +426,40 @@ def test_primroot_limit_above_cap_is_refused_before_any_sieve(mode, monkeypatch,
     assert main(["primroot", f"--{mode}", "--limit", str(cap)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1  # the header alone
     assert swept == [cap]
+
+
+@pytest.mark.parametrize("mode", ["fermat", "short-test"])
+def test_primroot_trials_above_cap_are_refused_before_any_base(mode, monkeypatch,
+                                                               capsys):
+    import random
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sieve ran or a base was drawn")
+
+    for module, name in ((sieve, "primes_upto"), (primroot, "primes_upto"),
+                         (primroot, "germain_moduli_upto"),
+                         (primroot, "primitive_root_test"),
+                         (primroot, "fermat_nonresidue_check"), (random, "Random")):
+        monkeypatch.setattr(module, name, no_work)
+    cap = primroot.TRIALS_CAP
+    for trials in (cap + 1, 10 ** 9):
+        assert main(["primroot", f"--{mode}", "--trials", str(trials)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "CliError",
+            "message": f"--trials {trials} is above the cap {cap}: the {mode} "
+                       "sweep holds every base of a modulus in Python"}
+    # the cap itself is admitted
+    monkeypatch.undo()
+    monkeypatch.setattr(primroot, "germain_moduli_upto", lambda limit: [])
+    monkeypatch.setattr(primroot, "fermat_nonresidue_check", lambda f, bases: True)
+    assert main(["primroot", f"--{mode}", "--trials", str(cap)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    if mode == "fermat":
+        assert rows[-1] == f"65537,{cap},true"
+    else:
+        assert len(rows) == 1  # the header alone
 
 
 def test_large_sieve_above_its_caps_is_refused_before_any_sequence(monkeypatch,

@@ -6,7 +6,9 @@ reaches into another's private names: a decision such as the sieve's window
 tiling stays behind the module that owns it. And summation alone decides
 how an array is summed: no other module fsums a list made from an array,
 or handles the slices of the exact reduction. No module starts a thread,
-and only the sieve may hold a worker pool.
+and only the sieve may hold a worker pool. The modules the CLI loads before
+a command needs an array import no numpy, nor any module that does, when
+they are imported.
 """
 
 import ast
@@ -135,3 +137,42 @@ def test_no_module_starts_threads_and_only_sieve_may_pool_workers():
         if found:
             uses[path.name] = found
     assert uses == {}
+
+
+# Importing these must not load numpy: the package, the CLI and its parser,
+# and the layers of the commands that need no array.
+NUMPY_FREE = {"__init__", "cli", "reports", "primroot", "sieve", "arith"}
+
+
+def _import_time_statements(tree):
+    """The statements that run when the module is imported: none in a def."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _loads_numpy(node):
+    """Does node import numpy, or a sibling module outside NUMPY_FREE?"""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return node.module.split(".")[0] == "numpy"
+    if isinstance(node, ast.ImportFrom):
+        siblings = [node.module] if node.module else [a.name for a in node.names]
+        return any(m not in NUMPY_FREE for m in siblings)
+    return False
+
+
+def test_modules_loaded_before_a_command_import_no_numpy():
+    found = {}
+    for name in sorted(NUMPY_FREE):
+        tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+        lines = sorted((node.lineno, ast.unparse(node))
+                       for node in _import_time_statements(tree)
+                       if _loads_numpy(node))
+        if lines:
+            found[name] = lines
+    assert found == {}
