@@ -51,20 +51,22 @@ def parse_exact_int(token: str) -> int:
 
     Infinities, NaNs and any magnitude of sys.get_int_max_str_digits()
     digits or more are refused before int() is called: int() of a huge
-    Decimal takes time quadratic in its digits.
+    Decimal takes time quadratic in its digits. The parse functions raise
+    argparse.ArgumentTypeError, whose message argparse puts in the usage
+    error; it drops the message of any other exception.
     """
     try:
         d = Decimal(token.strip())
     except InvalidOperation:
-        raise CliError(f"not a number: {token!r}") from None
+        raise argparse.ArgumentTypeError(f"not a number: {token!r}") from None
     if not d.is_finite():
-        raise CliError(f"not a finite number: {token!r}")
+        raise argparse.ArgumentTypeError(f"not a finite number: {token!r}")
     digits = sys.get_int_max_str_digits()  # 0: no limit
     if d and digits and d.adjusted() >= digits:
-        raise CliError(f"{token!r} has more than the {digits} digits an integer "
-                       "may take")
+        raise argparse.ArgumentTypeError(f"{token!r} has more than the {digits} "
+                                         "digits an integer may take")
     if d != d.to_integral_value():
-        raise CliError(f"checkpoint {token!r} is not an integer")
+        raise argparse.ArgumentTypeError(f"not an integer: {token!r}")
     return int(d)
 
 
@@ -79,9 +81,10 @@ def parse_positive_int(token: str) -> int:
 def parse_int_list(text: str) -> list[int]:
     values = [parse_exact_int(tok) for tok in text.split(",") if tok.strip()]
     if not values:
-        raise CliError("empty checkpoint list")
+        raise argparse.ArgumentTypeError("empty checkpoint list")
     if any(b <= a for a, b in zip(values, values[1:])):
-        raise CliError(f"checkpoints must be strictly ascending: {values}")
+        raise argparse.ArgumentTypeError(
+            f"checkpoints must be strictly ascending: {values}")
     return values
 
 
@@ -272,6 +275,10 @@ def _cmd_primroot(args: argparse.Namespace):
     if "trials" in _PRIMROOT_READS[mode] and trials > primroot.TRIALS_CAP:
         raise CliError(f"--trials {trials} is above the cap {primroot.TRIALS_CAP}: "
                        f"the {mode} sweep holds every base of a modulus in Python")
+    if mode == "short-test" and limit * trials > primroot.SHORT_TEST_BUDGET:
+        raise CliError(f"--limit {limit} times --trials {trials} is {limit * trials}, "
+                       f"above the budget {primroot.SHORT_TEST_BUDGET}: the short-test "
+                       f"sweep tests every base of every modulus in Python")
     if mode == "theorem-4p1":
         _require_limit(limit, 3)  # the first pair is (3, 13)
         header = ["p", "q", "two_generates"]

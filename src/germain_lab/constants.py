@@ -6,11 +6,12 @@ downstream comparison can be tolerance-aware. The classical value is
 0.66016181584686957... (OEIS A005597); a direct product at cutoff 10^8
 reaches it to ~9 digits, which is all this library promises.
 
-The product is summed as logs. Each sieve window's log1p terms are summed
-exactly by summation.exact_sum, which gives the correctly rounded window
-sum (the fsum of its terms) without a Python list, and the window partials
-are fsum'd in window order, on the fixed boundaries of sieve.prime_windows
-that the rounded partials depend on.
+The product is summed as logs. Each sieve window's log1p terms are computed
+in place, in one array the size of the window's primes, and summed exactly
+by summation.exact_sum, which gives the correctly rounded window sum (the
+fsum of its terms) without a Python list; the window partials are fsum'd in
+window order, on the fixed boundaries of sieve.prime_windows that the
+rounded partials depend on.
 """
 
 from __future__ import annotations
@@ -52,9 +53,17 @@ class SingularValue:
 
 
 def _segment_log_sum(primes: np.ndarray) -> float:
-    """The correctly rounded sum of log(1 - 1/(p-1)^2) over one window's primes."""
-    pm1 = primes.astype(np.float64) - 1.0
-    return exact_sum(np.log1p(-1.0 / (pm1 * pm1)))
+    """The correctly rounded sum of log(1 - 1/(p-1)^2) over one window's primes.
+
+    The terms are log1p(-1.0 / ((p - 1.0) * (p - 1.0))), the same IEEE
+    operations in the same order, computed in place in one array.
+    """
+    t = primes.astype(np.float64)
+    t -= 1.0
+    t *= t
+    np.divide(-1.0, t, out=t)
+    np.log1p(t, out=t)
+    return exact_sum(t)
 
 
 def twin_prime_constant(prime_cutoff: int) -> SingularValue:

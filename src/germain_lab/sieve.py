@@ -5,18 +5,19 @@ segmented sieve (Bays and Hudson) of a window of the progression
 n = c + W*i: for each row (l, r, first) it strikes the n = r (mod l) with
 n >= first, and numpy finds the first index of every row in the window at
 once. One window loop, _windows, serves both sieves, on one thread: it
-yields each window, merged and ascending, as soon as it is sieved, so a
-caller can reduce a pass window by window. Plain primes use W = 2, c = 1:
+yields each window as its separate ascending arrays, the extras decided
+apart and then each class's survivors, and strikes a class only when the
+caller asks for its array, so a caller can reduce a pass one class window
+at a time and no window is ever merged. Plain primes use W = 2, c = 1:
 prime_windows tiles [3, limit] with windows of odd integers of fixed
-boundaries; primes_upto and the twin-prime product are built on it, and
-prime_powers lists the p^k (k >= 2) of its primes. The pair sieve uses
-the wheel W = 30: it sieves only the classes c with c and a*c + b prime
-to 30, and strikes the companions a*n + b too, which gives the primes p
-with a*p + b also prime; pair_primes joins its windows. A window holds
-one byte per entry, so both sieves keep only the base primes and one
-window, whatever the range. A window of one class and no extras is its
-survivors array as struck, ascending already; only windows of several
-classes are merged.
+boundaries, one class and no extras, so each of its windows is one
+survivors array as struck; primes_upto and the twin-prime product are built
+on it, and prime_powers lists the p^k (k >= 2) of its primes. The pair
+sieve uses the wheel W = 30: it sieves only the classes c with c and
+a*c + b prime to 30, and strikes the companions a*n + b too, which gives
+the primes p with a*p + b also prime; pair_primes sorts its windows'
+arrays into one. A window holds one byte per entry, so both sieves keep
+only the base primes and one class window, whatever the range.
 
 The module imports without numpy: each function that builds an array
 imports it, so numpy loads on the first sieve call, and is_prime, which
@@ -114,8 +115,9 @@ def _strike(size: int, i0: int, rows: _Rows) -> np.ndarray:
     return flags
 
 
-def _survivors(size: int, i0: int, rows: _Rows, step: int, n0: int) -> np.ndarray:
-    """The n = n0 + step*k of the entries k that rows leave unstruck (int64).
+def _survivors(size: int, i0: int, rows: _Rows, step: int, n0: int,
+               least: int) -> np.ndarray:
+    """The n = n0 + step*k >= least of the entries k that rows leave unstruck (int64).
 
     Computed in place, and no name holds the flags once they are read.
     """
@@ -123,33 +125,38 @@ def _survivors(size: int, i0: int, rows: _Rows, step: int, n0: int) -> np.ndarra
     ns = np.flatnonzero(_strike(size, i0, rows))
     ns *= step
     ns += n0
-    return ns
+    return ns[np.searchsorted(ns, least):]
+
+
+def _window(step: int, classes: list[int], class_rows: list[_Rows], top: int,
+            i0: int, extra: np.ndarray, least: int) -> Iterator[np.ndarray]:
+    """The extras of the window at entry i0, then each class's ascending survivors.
+
+    A class is struck only when its array is asked for, and the generator
+    keeps no name on an array it has yielded, so only the caller holds it.
+    """
+    lo = step * i0
+    yield extra[(lo <= extra) & (extra < lo + step * PAIR_WINDOW)]
+    for c, rows in zip(classes, class_rows):
+        size = min(PAIR_WINDOW, (top - c) // step + 1 - i0)
+        if size > 0:
+            yield _survivors(size, i0, rows, step, lo + c, least)
 
 
 def _windows(step: int, classes: list[int], class_rows: list[_Rows], top: int,
-             first: int, extra: np.ndarray, least: int) -> Iterator[np.ndarray]:
-    """Per window, the ascending n <= top that its class rows leave, and its extras.
+             first: int, extra: np.ndarray, least: int
+             ) -> Iterator[Iterator[np.ndarray]]:
+    """Per window, its arrays of the n <= top that its class rows leave, and its extras.
 
     Window k holds the entries i of first + k*PAIR_WINDOW <= i <
-    first + (k+1)*PAIR_WINDOW of every class c, n = c + step*i, struck one
-    class after the other; the n below least are trimmed. Every window is
-    yielded, empty or not.
+    first + (k+1)*PAIR_WINDOW of every class c, n = c + step*i; it comes as
+    an iterator of separate ascending arrays, the extras in the window and
+    then each class's survivors, with the n below least trimmed. Every n of
+    window k is below every n of window k + 1. Every window is yielded,
+    empty or not, and each class with entries in it gives an array.
     """
-    import numpy as np
     for i0 in range(first, top // step + 1, PAIR_WINDOW):
-        lo = step * i0
-        window = [extra[(lo <= extra) & (extra < lo + step * PAIR_WINDOW)]]
-        for c, rows in zip(classes, class_rows):
-            size = min(PAIR_WINDOW, (top - c) // step + 1 - i0)
-            if size > 0:
-                window.append(_survivors(size, i0, rows, step, lo + c))
-        if len(window) == 2 and not window[0].size:
-            merged = window[1]  # one class and no extras: already ascending
-        else:
-            merged = np.concatenate(window)
-            merged.sort(kind="stable")  # ascending runs, so timsort merges them
-        del window  # the class arrays are not kept while the caller works
-        yield merged[np.searchsorted(merged, least):]
+        yield _window(step, classes, class_rows, top, i0, extra, least)
 
 
 def prime_windows(limit: int) -> Iterator[np.ndarray]:
@@ -161,9 +168,11 @@ def prime_windows(limit: int) -> Iterator[np.ndarray]:
     """
     import numpy as np
     base = primes_upto(math.isqrt(limit))[1:]
-    # (limit - 1) | 1 is the largest odd n <= limit; no n is decided apart
-    return _windows(2, [1], _progressions(2, [1], base, 0, base * base),
-                    (limit - 1) | 1, 1, np.zeros(0, dtype=np.int64), 3)
+    # (limit - 1) | 1 is the largest odd n <= limit; no n is decided apart,
+    # and every window has entries of the one class: (no extras, survivors)
+    windows = _windows(2, [1], _progressions(2, [1], base, 0, base * base),
+                       (limit - 1) | 1, 1, np.zeros(0, dtype=np.int64), 3)
+    return (primes for _, primes in windows)
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -210,16 +219,21 @@ def _pair_rows(x: int, a: int, b: int, base: np.ndarray) -> tuple[np.ndarray, ..
     return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
 
 
-def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
-    """The primes p <= x with a*p + b prime, one ascending int64 array per window.
+def pair_windows(x: int, a: int = 2, b: int = 1
+                 ) -> Iterator[Iterator[np.ndarray]]:
+    """The primes p <= x with a*p + b prime, per window an iterator of int64 arrays.
 
     One segmented pass sieves n and its companion a*n + b together, only on
     the classes c mod 30 with c and a*c + b prime to 30: 3 of the 30 for
     (2, 1), PAIR_WINDOW entries n = c + 30*i of each per window. The wheel
     primes, and the n whose companion is one, are decided apart, by
-    is_prime. Besides the window the caller holds, only the base primes up
-    to sqrt(max(x, a*x + b)), one class's flags and the window being merged
-    are in memory. The input is checked before the first window.
+    is_prime. A window gives those of them it holds, then each class's
+    pairs, each array ascending; the arrays of one window interleave, and
+    every pair of a window is below every pair of the next. A class is
+    struck when its array is asked for, so besides the array the caller
+    holds, only the base primes up to sqrt(max(x, a*x + b)) and one
+    class's flags are in memory. The input is checked before the first
+    window.
     """
     import numpy as np
     if x < 2:
@@ -242,9 +256,10 @@ def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
 
 
 def pair_primes(x: int, a: int = 2, b: int = 1) -> np.ndarray:
-    """All primes p <= x with a*p + b prime, ascending (int64): pair_windows joined."""
+    """All primes p <= x with a*p + b prime, ascending (int64): pair_windows sorted."""
     import numpy as np
-    return np.concatenate(list(pair_windows(x, a, b)))
+    return np.sort(np.concatenate([ps for window in pair_windows(x, a, b)
+                                   for ps in window]))
 
 
 def is_prime(n: int) -> bool:

@@ -8,9 +8,12 @@ the stream up to any cut, and exact_sum is its one-cut case for a single
 array. Neither builds one Python float per term, as fsum(t.tolist()) does:
 _slices splits the terms into a few slices whose numpy sums are exact, so a
 handful of doubles carries the exact sum of any prefix, and fsum of those
-doubles is fsum of the prefix bit for bit. Slices of consecutive pieces of
-a stream concatenate, so PrefixSums slices each array _CHUNK terms at a
-time and keeps only the slice doubles of what it was fed.
+doubles is fsum of the prefix bit for bit. The exact sum of slices does not
+depend on their order or on where the terms were split, so PrefixSums
+slices each array _CHUNK terms at a time and keeps only the slice doubles
+of what it was fed, and a window of the stream may come as several arrays,
+each cut at its own place: a sieve window comes as one array per residue
+class, and a checkpoint cuts each of them where its terms end.
 
 exact_sum sums an array of at most _SMALL terms as fsum(t.tolist()) instead,
 which is faster there and the same double. Both paths refuse the same
@@ -76,10 +79,10 @@ def _slices(t: np.ndarray, cuts: Sequence[int]) -> list[list[float]]:
     assert width + 1 + math.log2(t.size) <= 53
     low = math.frexp(least)[1] - 53
     g = max(math.frexp(top)[1] - width, low)
-    r = t
+    r, h = t, np.empty_like(t)
     while True:
         sigma = math.ldexp(1.5, g + 52)
-        h = r + sigma
+        np.add(r, sigma, out=h)
         h -= sigma
         if r is t:
             r = t - h  # t itself is never written
@@ -95,32 +98,60 @@ def _slices(t: np.ndarray, cuts: Sequence[int]) -> list[list[float]]:
 class PrefixSums:
     """The correctly rounded sums of a stream of 1-d float64 arrays, at its cuts.
 
-    Only the slice doubles of what was fed are kept, a few per _CHUNK terms,
-    so a caller can reduce a long stream one array at a time.
+    The stream comes in windows, each one array or more added in turn. A
+    window serves a list of checkpoints, and each of its arrays is cut once
+    per checkpoint; a checkpoint's sum is the fsum of every term of the
+    earlier windows and of each array of its window up to that array's cut.
+    Only the slice doubles of what was added are kept, a few per _CHUNK
+    terms, so a caller can reduce a long stream one array at a time.
     """
 
     def __init__(self) -> None:
-        self._parts: list[float] = []  # slices of every term fed so far
+        self._parts: list[float] = []  # slices of every window ended so far
+        self._window: list[float] = []  # slices of the open window's arrays
+        # per checkpoint of the open window, the slices of its cuts; None
+        # while no window is open
+        self._cuts: list[list[float]] | None = None
 
-    def feed(self, t: np.ndarray, cuts: Sequence[int] = ()) -> list[float]:
-        """Append t to the stream; for each k in cuts, the sum of the stream to t[:k].
+    def add(self, t: np.ndarray, cuts: Sequence[int] = ()) -> None:
+        """Add t to the open window, cut at t[:k] for each k in cuts.
 
-        The cuts ascend, with 0 <= k <= t.size. Each sum is the fsum of every
-        term fed before t and of t[:k].
+        cuts holds one k per checkpoint of the window, the same number for
+        each of its arrays, ascending with 0 <= k <= t.size.
         """
         if any(j > k for j, k in zip([0, *cuts], [*cuts, t.size])):
             raise ValueError(f"cuts must ascend within [0, {t.size}]: {list(cuts)}")
-        out = []
+        if self._cuts is None:
+            self._cuts = [[] for _ in cuts]
+        elif len(cuts) != len(self._cuts):
+            raise ValueError(f"{len(cuts)} cuts for a window of "
+                             f"{len(self._cuts)} checkpoints")
+        prefixes, whole = [], []  # per cut, and for all of t: t's slices
         for lo in range(0, t.size, _CHUNK):
             chunk = t[lo:lo + _CHUNK]
             inner = [k - lo for k in cuts if lo <= k < lo + chunk.size]
-            *at, whole = _slices(chunk, inner + [chunk.size])
-            out += [fsum(self._parts + part) for part in at]
-            self._parts += whole
-        return out + [self.total()] * sum(k == t.size for k in cuts)
+            *at, last = _slices(chunk, inner + [chunk.size])
+            prefixes += [whole + part for part in at]
+            whole += last
+        prefixes += [whole] * (len(cuts) - len(prefixes))  # the cuts at t.size
+        for slices, prefix in zip(self._cuts, prefixes):
+            slices += prefix
+        self._window += whole
+
+    def end_window(self) -> list[float]:
+        """End the open window: per checkpoint, the sum of the stream to its cuts."""
+        sums = [fsum(self._parts + slices) for slices in self._cuts or ()]
+        self._parts += self._window
+        self._window, self._cuts = [], None
+        return sums
+
+    def feed(self, t: np.ndarray, cuts: Sequence[int] = ()) -> list[float]:
+        """Add t as a window of its own: per k in cuts, the sum of the stream to t[:k]."""
+        self.add(t, cuts)
+        return self.end_window()
 
     def total(self) -> float:
-        """The correctly rounded sum of everything fed so far."""
+        """The correctly rounded sum of every window ended so far."""
         return fsum(self._parts)
 
 

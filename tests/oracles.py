@@ -192,9 +192,11 @@ def pair_sums_prefix(xs, a, b):
     log_p = np.log(ps.astype(np.float64))
     log_m = np.log((a * ps + b).astype(np.float64))
     main = {1: log_m * log_p, 2: np.square(log_m) * log_p}
-    prime_powers = [(p ** k, math.log(p)) for p in primes_upto(math.isqrt(a * x_max + b))
-                    for k in range(2, (a * x_max + b).bit_length() + 1)
-                    if p ** k <= a * x_max + b]
+    # the prime powers n <= x_max and a*n + b <= a*x_max + b: b < 0 can put
+    # the first bound above the second
+    top = max(x_max, a * x_max + b)
+    prime_powers = [(p ** k, math.log(p)) for p in primes_upto(math.isqrt(top))
+                    for k in range(2, top.bit_length() + 1) if p ** k <= top]
     flags = sieve_flags(max(a * x_max + b, 2))
     powers = [(n, w, math.log(a * n + b)) for n, w in prime_powers
               if n <= x_max and a * n + b >= 2 and flags[a * n + b]]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -19,16 +20,16 @@ def test_parse_exact_int_scientific_notation():
     assert parse_exact_int("1e6") == 1000000
     assert parse_exact_int("2500") == 2500
     assert parse_exact_int("1.5e1") == 15
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError, match="not an integer: '2.5'"):
         parse_exact_int("2.5")
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError, match="not a number: 'abc'"):
         parse_exact_int("abc")
 
 
 @pytest.mark.parametrize("token", ["inf", "-Infinity", "nan", "sNaN", "1e4300",
                                    "-1e4300", "1e1000000"])
 def test_parse_exact_int_refuses_what_int_cannot_take_quickly(token):
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_exact_int(token)
 
 
@@ -36,6 +37,13 @@ def test_parse_exact_int_takes_the_widest_integer_and_any_zero():
     assert parse_exact_int("1e4299") == 10 ** 4299
     assert parse_exact_int("-9.9e4299") == -99 * 10 ** 4298
     assert parse_exact_int("0e99999999") == 0
+
+
+# why each unbounded token is refused, as the usage error says it
+_WHY = {"inf": "not a finite number: 'inf'",
+        "1e2,sNaN": "not a finite number: 'sNaN'",
+        "-Infinity": "not a finite number: '-Infinity'",
+        "1e1000000": "'1e1000000' has more than the 4300 digits an integer may take"}
 
 
 @pytest.mark.parametrize("argv, flag, token", [
@@ -49,17 +57,32 @@ def test_unbounded_number_is_a_usage_error(argv, flag, token, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    record = json.loads(captured.err)
-    assert record["error"] == "usage"
-    assert record["message"].startswith(f"argument {flag}: invalid ")
-    assert record["message"].endswith(f" value: {token!r}")
+    assert json.loads(captured.err) == {"error": "usage",
+                                        "message": f"argument {flag}: {_WHY[token]}"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["census", "--x", "5,3"],
+     "argument --x: checkpoints must be strictly ascending: [5, 3]"),
+    (["census", "--x", "100,1e2"],
+     "argument --x: checkpoints must be strictly ascending: [100, 100]"),
+    (["census", "--x", ","], "argument --x: empty checkpoint list"),
+    (["constants", "--cutoff", "2.5"], "argument --cutoff: not an integer: '2.5'"),
+    (["primroot", "--short-test", "--limit", "1e3x"],
+     "argument --limit: not a number: '1e3x'"),
+])
+def test_malformed_number_is_a_usage_error_that_says_why(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "usage", "message": message}
 
 
 def test_parse_int_list_requires_ascending():
     assert parse_int_list("1e2,1e4,1e6") == [100, 10000, 1000000]
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError, match="strictly ascending"):
         parse_int_list("100,100")
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError, match="empty checkpoint list"):
         parse_int_list("")
 
 
@@ -423,7 +446,9 @@ def test_primroot_limit_above_cap_is_refused_before_any_sieve(mode, monkeypatch,
 
     monkeypatch.setattr(sieve, "pair_primes", empty_sweep)
     monkeypatch.setattr(primroot, "primes_upto", empty_sweep)
-    assert main(["primroot", f"--{mode}", "--limit", str(cap)]) == 0
+    # one trial keeps the short test's --limit times --trials within its budget
+    trials = ["--trials", "1"] if mode == "short-test" else []
+    assert main(["primroot", f"--{mode}", "--limit", str(cap), *trials]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1  # the header alone
     assert swept == [cap]
 
@@ -454,12 +479,50 @@ def test_primroot_trials_above_cap_are_refused_before_any_base(mode, monkeypatch
     monkeypatch.undo()
     monkeypatch.setattr(primroot, "germain_moduli_upto", lambda limit: [])
     monkeypatch.setattr(primroot, "fermat_nonresidue_check", lambda f, bases: True)
-    assert main(["primroot", f"--{mode}", "--trials", str(cap)]) == 0
+    # --limit 100 keeps the short test's --limit times --trials within its budget
+    limit = ["--limit", "100"] if mode == "short-test" else []
+    assert main(["primroot", f"--{mode}", "--trials", str(cap), *limit]) == 0
     rows = capsys.readouterr().out.splitlines()
     if mode == "fermat":
         assert rows[-1] == f"65537,{cap},true"
     else:
         assert len(rows) == 1  # the header alone
+
+
+def test_short_test_above_its_budget_is_refused_before_any_base(monkeypatch, capsys):
+    import random
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sieve ran or a base was drawn")
+
+    for module, name in ((sieve, "primes_upto"), (primroot, "primes_upto"),
+                         (primroot, "germain_moduli_upto"),
+                         (primroot, "primitive_root_test"), (random, "Random")):
+        monkeypatch.setattr(module, name, no_work)
+    budget = primroot.SHORT_TEST_BUDGET
+    # both under their own caps, their product above the budget
+    for limit, trials in ((10 ** 7, 10 ** 5), (10 ** 5, 101), (10 ** 7, 2)):
+        argv = ["primroot", "--short-test", "--limit", str(limit),
+                "--trials", str(trials)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "CliError",
+            "message": f"--limit {limit} times --trials {trials} is "
+                       f"{limit * trials}, above the budget {budget}: the "
+                       "short-test sweep tests every base of every modulus in Python"}
+    # the budget itself is admitted, and so is the benchmark's argv
+    monkeypatch.undo()
+    moduli = []
+    monkeypatch.setattr(primroot, "germain_moduli_upto",
+                        lambda limit: moduli.append(limit) or [])
+    for limit, trials in ((10 ** 5, 100), (10 ** 5, 20)):
+        argv = ["primroot", "--short-test", "--limit", str(limit),
+                "--trials", str(trials)]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1  # the header alone
+    assert moduli == [10 ** 5, 10 ** 5]
 
 
 def test_large_sieve_above_its_caps_is_refused_before_any_sequence(monkeypatch,

@@ -3,6 +3,7 @@ import math
 import random
 from math import fsum
 
+import numpy as np
 import pytest
 
 import oracles
@@ -10,6 +11,7 @@ from germain_lab import constants, sieve
 from germain_lab.arith import factorize
 from germain_lab.cli import main
 from germain_lab.constants import singular_series, twin_prime_constant
+from germain_lab.summation import exact_sum
 
 # Classical twin-prime constant, prod_{p>=3} (1 - 1/(p-1)^2), OEIS A005597.
 TRUE_C2 = 0.6601618158468695739278121100145
@@ -119,3 +121,17 @@ def test_window_partials_are_the_correctly_rounded_window_sums(window, threads,
                                        "--threads", str(threads))
             row = json.loads(report)["rows"][0]
             assert row["value"] == math.exp(fsum(want)), cutoff
+
+
+@pytest.mark.parametrize("primes", [
+    [], [3], [3, 5, 7], [2 ** 31 - 1, 9_999_999_967],
+    [p for p in oracles.primes_upto(20_000) if p > 2],
+])
+def test_segment_log_sum_in_place_is_the_expression_it_replaced(primes):
+    # the in-place steps must be the same IEEE operations, in the same order
+    ps = np.array(primes, dtype=np.int64)
+    pm1 = ps.astype(np.float64) - 1.0
+    want = exact_sum(np.log1p(-1.0 / (pm1 * pm1)))
+    assert constants._segment_log_sum(ps) == want
+    assert ps.tolist() == primes  # the primes are not written
+

@@ -5,7 +5,8 @@ top-level name that only the tests use is an API nobody runs. No module
 reaches into another's private names: a decision such as the sieve's window
 tiling stays behind the module that owns it. And summation alone decides
 how an array is summed: no other module fsums a list made from an array,
-or handles the slices of the exact reduction. No module starts a thread,
+or names the slices of the exact reduction, their chunk size or their
+range check, by any import. No module starts a thread,
 and only the sieve may hold a worker pool. The modules the CLI loads before
 a command needs an array import no numpy, nor any module that does, when
 they are imported.
@@ -93,26 +94,50 @@ def _name(node):
     return None
 
 
+# summation's private helpers: the slicing, its chunk size and its range check
+SUMMATION_PRIVATE = ("prefix_slices", "_slices", "_CHUNK", "_range")
+
+
 def _list_sums(tree):
-    """Lines of tree that fsum a .tolist() or name a slice helper of summation."""
+    """Lines of tree that fsum a .tolist() or name a private helper of summation."""
     lines = []
     for node in ast.walk(tree):
-        if _name(node) in ("prefix_slices", "_slices"):
+        if _name(node) in SUMMATION_PRIVATE:
             lines.append(node.lineno)
         elif (isinstance(node, ast.Call) and _name(node.func) == "fsum"
               and any(_name(inner) == "tolist"
                       for arg in node.args for inner in ast.walk(arg))):
             lines.append(node.lineno)
-    return lines
+    return sorted(lines)
+
+
+def _offending_lines(found):
+    """'file:line: source' for each (path, line) in found."""
+    return [f"{path.name}:{line}: "
+            f"{path.read_text(encoding='utf-8').splitlines()[line - 1].strip()}"
+            for path, line in found]
 
 
 def test_only_summation_sums_arrays_as_lists_or_handles_slices():
-    uses = {}
-    for path in sorted(SRC.glob("*.py")):
-        lines = _list_sums(ast.parse(path.read_text(encoding="utf-8")))
-        if lines and path.name != "summation.py":
-            uses[path.name] = lines
-    assert uses == {}
+    found = [(path, line) for path in sorted(SRC.glob("*.py"))
+             if path.name != "summation.py"
+             for line in _list_sums(ast.parse(path.read_text(encoding="utf-8")))]
+    assert _offending_lines(found) == []
+
+
+def test_the_guard_names_a_read_of_summation_internals(tmp_path):
+    # by any import: relative, absolute, as an attribute, or aliased
+    bad = tmp_path / "bad.py"
+    bad.write_text("from . import summation\n"
+                   "size = summation._CHUNK\n"
+                   "from germain_lab.summation import _range as r\n"
+                   "import germain_lab.summation as s\n"
+                   "parts = s._slices(t, [1])\n", encoding="utf-8")
+    found = [(bad, line) for line in _list_sums(ast.parse(bad.read_text()))]
+    assert _offending_lines(found) == [
+        "bad.py:2: size = summation._CHUNK",
+        "bad.py:3: from germain_lab.summation import _range as r",
+        "bad.py:5: parts = s._slices(t, [1])"]
 
 
 def _imported_packages(tree):

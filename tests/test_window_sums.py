@@ -104,10 +104,47 @@ def test_prefix_sums_give_the_prefix_fsum_at_every_cut(t, data):
             + list(range(0, size + 1, chunk)) + [size]))
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(windows=st.lists(st.lists(st.lists(signed, max_size=40), max_size=4),
+                        max_size=4),
+       data=st.data())
+def test_windows_of_several_arrays_give_each_checkpoint_its_prefix_fsum(windows,
+                                                                        data):
+    # a window is several arrays, as a sieve window is one array per class;
+    # each checkpoint cuts each array at its own place, so the sum is that of
+    # the earlier windows and of every array of its window up to its cut
+    chunk = data.draw(st.integers(1, 8))
+    stream, before = PrefixSums(), []
+    with mock.patch.object(summation, "_CHUNK", chunk):
+        for arrays in windows:
+            checkpoints = data.draw(st.integers(0, 3))
+            cuts_of = [sorted(data.draw(st.lists(st.integers(0, len(t)),
+                                                 min_size=checkpoints,
+                                                 max_size=checkpoints)))
+                       for t in arrays]
+            for t, cuts in zip(arrays, cuts_of):
+                stream.add(np.array(t, dtype=np.float64), cuts)
+            want = [fsum(before + [v for t, cuts in zip(arrays, cuts_of)
+                                   for v in t[:cuts[j]]])
+                    for j in range(checkpoints if arrays else 0)]
+            assert stream.end_window() == want
+            before += [v for t in arrays for v in t]
+            assert stream.total() == fsum(before)
+
+
 @pytest.mark.parametrize("cuts", [[3, 2], [-1, 2], [2, 6]])
 def test_prefix_sums_refuse_cuts_out_of_order_or_range(cuts):
     with pytest.raises(ValueError, match=r"cuts must ascend within \[0, 5\]"):
         PrefixSums().feed(np.ones(5), cuts)
+
+
+def test_prefix_sums_refuse_arrays_of_one_window_cut_unequally():
+    stream = PrefixSums()
+    stream.add(np.ones(5), [1, 2])
+    with pytest.raises(ValueError, match="1 cuts for a window of 2 checkpoints"):
+        stream.add(np.ones(5), [3])
+    stream.add(np.ones(5), [3, 4])
+    assert stream.end_window() == [4.0, 6.0]
 
 
 @pytest.mark.parametrize("size", [0, 1, summation._SMALL, summation._SMALL + 1,
@@ -165,6 +202,24 @@ def test_reciprocal_sums_equal_the_prefix_fsums(window, monkeypatch, c2_1e6):
         oracles.reciprocal_sums_prefix(XS, c2_1e6.value)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(window=st.sampled_from([1, 2, 5, 37]), a=st.integers(1, 6),
+       b=st.integers(-7, 7), data=st.data())
+def test_class_windows_reduce_to_the_merged_prefix_fsums(window, a, b, data, c2_1e6):
+    # checkpoints inside, at and across the window edges 30 * window * k, and
+    # anywhere between, where they cut each class array at its own place
+    edges = st.builds(lambda k, d: max(1, 30 * window * k + d),
+                      st.integers(0, 4), st.integers(-31, 31))
+    xs = sorted(data.draw(st.sets(st.one_of(edges, st.integers(1, 150 * window)),
+                                  min_size=1, max_size=6)))
+    ys = [x for x in xs if x >= 2]  # the reciprocal sums start at 2
+    with mock.patch.object(sieve, "PAIR_WINDOW", window):
+        assert pair_sums(xs, a, b) == oracles.pair_sums_prefix(xs, a, b)
+        if ys:
+            assert reciprocal_sums(ys, lambda: c2_1e6) == \
+                oracles.reciprocal_sums_prefix(ys, c2_1e6.value)
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -183,3 +238,13 @@ def test_pair_sums_hold_one_window_whatever_the_pair_count(monkeypatch, c2_1e6):
         assert _peak_bytes(lambda: pair_sums([x])) < 4 * window_bytes
         assert _peak_bytes(lambda: reciprocal_sums([x], lambda: c2_1e6)) \
             < 4 * window_bytes
+
+
+def test_pair_sums_hold_one_class_window_at_1e8():
+    # the flags of one class window take PAIR_WINDOW bytes, and the 423,140
+    # pairs below 10^8 take 3.4 MB as one float64 array: the pass holds the
+    # one and a class window's pairs, never an array over a merged window or
+    # over every pair (merging each window's classes peaked at 6.9 MB)
+    pair_sums([100])  # numpy's lazy set-up is not the pass's
+    peak = _peak_bytes(lambda: pair_sums([10 ** 8]))
+    assert peak < 3 * sieve.PAIR_WINDOW < 8 * 423_140
