@@ -162,6 +162,10 @@ def _cmd_hl_compare(args: argparse.Namespace):
 def _cmd_ap_census(args: argparse.Namespace):
     from . import progressions
     q, xs = args.q, args.x_checkpoints
+    if q * len(xs) > progressions.AP_CENSUS_ROWS_CAP:
+        raise CliError(f"--q {q} and --x make {q * len(xs)} rows, q per checkpoint, "
+                       f"above the cap {progressions.AP_CENSUS_ROWS_CAP}: each "
+                       "row is held in Python until the report is written")
     if args.weighted:
         header = ["x", "q", "a", "value", "expected", "residual"]
         rows = [[r.x, r.q, r.a, r.value, "" if r.expected is None else r.expected,

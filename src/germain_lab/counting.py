@@ -13,15 +13,15 @@ their weights come from the sieve's primes and prime powers, without
 factoring. reciprocal_sums gives the sums of 1/p and log p / p over the
 Germain primes (a, b = 2, 1).
 
-The pair terms are reduced as the windows stream past, through one
-summation.PrefixSums per array of terms. A window comes as one ascending
-array per residue class, never merged: a checkpoint's count is the sum of
-its searchsorted cuts over the class arrays, each array's terms are
-computed in place and added to the window at those cuts, and only one
-class's arrays are alive at a time. Each checkpoint's sum is correctly
-rounded, the fsum of its whole prefix, so it does not depend on the other
-checkpoints of the pass, on the window size, nor on how a window is split
-into classes.
+The pair terms are reduced as the sieve's arrays stream past, through one
+summation.PrefixSums per array of terms. The pass is a flat stream of
+ascending arrays, one per residue class and window, never merged: a
+checkpoint's count is the sum of its searchsorted cuts over the arrays,
+each array's terms are computed in place and added to the checkpoints'
+intervals at those cuts, and only one array and its terms are alive at a
+time. Each checkpoint's sum is correctly rounded, the fsum of its whole
+prefix, so it depends neither on the other checkpoints of the pass, nor on
+the window size, nor on how the pass is split into arrays.
 
 psi0_partition splits the divisor-expanded form of psi0(x) at a cutoff:
 expanding each Lambda(2n+1) factor through Lambda(m) = -sum_{d|m} mu(d) log d
@@ -80,43 +80,34 @@ def _smallest_prime_factors(limit: int) -> np.ndarray:
 def _pass(xs: Sequence[int], a: int, b: int,
           terms: Callable[[np.ndarray], tuple[np.ndarray, ...]]
           ) -> list[tuple[int, list[float]]]:
-    """One pair-sieve pass to the last checkpoint, reduced class window by class window.
+    """One pair-sieve pass to the last checkpoint, reduced one array at a time.
 
     terms(ps) gives arrays of terms, one entry per pair of the array ps.
     At each checkpoint x comes the number of pairs p <= x and, per array,
-    the correctly rounded sum of its terms over the p <= x. A window comes
-    as one ascending array per class, never merged: each is cut at its own
-    p <= x and dropped once its terms are added, so only one class's arrays
-    are alive at a time. A checkpoint is answered in the first window that
-    has a pair above it. The checkpoints ascend strictly and are >= 1;
-    below 2 there is no pair, so no pass runs when the last one is.
+    the correctly rounded sum of its terms over the p <= x. Each ascending
+    array of the pass is cut at its own p <= x and dropped once its terms
+    are added, so only one array and its terms are alive at a time. The
+    checkpoints ascend strictly and are >= 1; below 2 there is no pair, so
+    no pass runs when the last one is.
     """
     if any(y <= x for x, y in zip(xs, xs[1:])):
         raise ValueError(f"checkpoints must be strictly ascending: {list(xs)}")
     if xs and xs[0] < 1:
         raise ValueError(f"x must be >= 1, got {xs[0]}")
     last = xs[-1] if xs else 0
-    windows = (pair_windows(last, a, b) if last >= 2
-               else [[np.zeros(0, dtype=np.int64)]])
-    out, count, streams, pending = [], 0, [], list(xs)
-    for window in windows:
-        counts = [count] * len(pending)  # the pairs p <= x so far
-        done = 0  # the checkpoints below a pair of this window
-        for ps in window:
-            cuts = np.searchsorted(ps, pending, side="right").tolist()
-            counts = [n + k for n, k in zip(counts, cuts)]
-            done = max(done, sum(k < ps.size for k in cuts))
-            count += ps.size
-            arrays = terms(ps)
-            del ps
-            streams = streams or [PrefixSums() for _ in arrays]
-            for s, t in zip(streams, arrays):
-                s.add(t, cuts)
-            del arrays
-        sums = [s.end_window()[:done] for s in streams]
-        out += [(n, list(row)) for n, *row in zip(counts[:done], *sums)]
-        pending = pending[done:]
-    return out + [(count, [s.total() for s in streams])] * len(pending)
+    arrays = (pair_windows(last, a, b) if last >= 2
+              else [np.zeros(0, dtype=np.int64)])
+    counts, streams = [0] * len(xs), []  # the pairs p <= x so far
+    for ps in arrays:
+        cuts = np.searchsorted(ps, xs, side="right").tolist()
+        counts = [n + k for n, k in zip(counts, cuts)]
+        ts = terms(ps)
+        del ps
+        streams = streams or [PrefixSums(len(xs)) for _ in ts]
+        for s, t in zip(streams, ts):
+            s.add(t, cuts)
+        del ts
+    return [(n, list(row)) for n, *row in zip(counts, *(s.sums() for s in streams))]
 
 
 def pair_sums(xs: Sequence[int], a: int = 2,

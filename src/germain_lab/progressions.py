@@ -29,6 +29,11 @@ from .summation import exact_sum
 # 10^9 class updates (x * Q per trial) took 7.3-8.0 s.
 LARGE_SIEVE_X_CAP = 2_000_000
 LARGE_SIEVE_OPS_CAP = 10 ** 9
+# Most rows of one ap-census report, q per checkpoint, each held in Python
+# until the report is written. On a 2-core Xeon, 10^5 rows took 1.3-2.4 s
+# and 174-204 MB as JSON; 10^6 took 6.8 s and 345 MB as CSV, 16 s and
+# 1.5 GB as JSON.
+AP_CENSUS_ROWS_CAP = 100_000
 
 
 @dataclass(frozen=True)

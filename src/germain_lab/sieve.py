@@ -5,18 +5,18 @@ segmented sieve (Bays and Hudson) of a window of the progression
 n = c + W*i: for each row (l, r, first) it strikes the n = r (mod l) with
 n >= first, and numpy finds the first index of every row in the window at
 once. One window loop, _windows, serves both sieves, on one thread: it
-yields each window as its separate ascending arrays, the extras decided
-apart and then each class's survivors, and strikes a class only when the
-caller asks for its array, so a caller can reduce a pass one class window
-at a time and no window is ever merged. Plain primes use W = 2, c = 1:
-prime_windows tiles [3, limit] with windows of odd integers of fixed
-boundaries, one class and no extras, so each of its windows is one
-survivors array as struck; primes_upto and the twin-prime product are built
-on it, and prime_powers lists the p^k (k >= 2) of its primes. The pair
-sieve uses the wheel W = 30: it sieves only the classes c with c and
-a*c + b prime to 30, and strikes the companions a*n + b too, which gives
-the primes p with a*p + b also prime; pair_primes sorts its windows'
-arrays into one. A window holds one byte per entry, so both sieves keep
+yields a flat stream of ascending arrays, each class's survivors window by
+window, and strikes a class window only when the caller asks for its
+array, so a caller can reduce a pass one array at a time and no window is
+ever merged. Plain primes use W = 2, c = 1: prime_windows tiles [3, limit]
+with windows of odd integers of fixed boundaries and one class, so each of
+its arrays is one window as struck; primes_upto and the twin-prime product
+are built on it, and prime_powers lists the p^k (k >= 2) of its primes.
+The pair sieve uses the wheel W = 30: it sieves only the classes c with c
+and a*c + b prime to 30, and strikes the companions a*n + b too, which
+gives the primes p with a*p + b also prime; pair_windows yields the few
+pairs decided apart before the stream, and pair_primes sorts it all into
+one array. A class window holds one byte per entry, so both sieves keep
 only the base primes and one class window, whatever the range.
 
 The module imports without numpy: each function that builds an array
@@ -128,51 +128,37 @@ def _survivors(size: int, i0: int, rows: _Rows, step: int, n0: int,
     return ns[np.searchsorted(ns, least):]
 
 
-def _window(step: int, classes: list[int], class_rows: list[_Rows], top: int,
-            i0: int, extra: np.ndarray, least: int) -> Iterator[np.ndarray]:
-    """The extras of the window at entry i0, then each class's ascending survivors.
-
-    A class is struck only when its array is asked for, and the generator
-    keeps no name on an array it has yielded, so only the caller holds it.
-    """
-    lo = step * i0
-    yield extra[(lo <= extra) & (extra < lo + step * PAIR_WINDOW)]
-    for c, rows in zip(classes, class_rows):
-        size = min(PAIR_WINDOW, (top - c) // step + 1 - i0)
-        if size > 0:
-            yield _survivors(size, i0, rows, step, lo + c, least)
-
-
 def _windows(step: int, classes: list[int], class_rows: list[_Rows], top: int,
-             first: int, extra: np.ndarray, least: int
-             ) -> Iterator[Iterator[np.ndarray]]:
-    """Per window, its arrays of the n <= top that its class rows leave, and its extras.
+             first: int, least: int) -> Iterator[np.ndarray]:
+    """Each class's ascending survivors n <= top, window by window (int64 arrays).
 
     Window k holds the entries i of first + k*PAIR_WINDOW <= i <
-    first + (k+1)*PAIR_WINDOW of every class c, n = c + step*i; it comes as
-    an iterator of separate ascending arrays, the extras in the window and
-    then each class's survivors, with the n below least trimmed. Every n of
-    window k is below every n of window k + 1. Every window is yielded,
-    empty or not, and each class with entries in it gives an array.
+    first + (k+1)*PAIR_WINDOW of every class c, n = c + step*i, with the n
+    below least trimmed; each class with entries in a window gives one
+    array, empty or not, and every n of window k is below every n of
+    window k + 1. A class is struck only when its array is asked for, and
+    the generator keeps no name on an array it has yielded, so only the
+    caller holds it.
     """
     for i0 in range(first, top // step + 1, PAIR_WINDOW):
-        yield _window(step, classes, class_rows, top, i0, extra, least)
+        for c, rows in zip(classes, class_rows):
+            size = min(PAIR_WINDOW, (top - c) // step + 1 - i0)
+            if size > 0:
+                yield _survivors(size, i0, rows, step, c + step * i0, least)
 
 
 def prime_windows(limit: int) -> Iterator[np.ndarray]:
-    """The odd primes <= limit, one ascending int64 array per window.
+    """The odd primes <= limit, one ascending int64 array per window, in order.
 
     Window k holds the odd n = 1 + 2i with 1 + k*PAIR_WINDOW <= i <
     1 + (k+1)*PAIR_WINDOW, struck by the odd base primes l <= sqrt(limit)
     from l^2 on: fixed boundaries, whoever reduces the windows.
     """
-    import numpy as np
     base = primes_upto(math.isqrt(limit))[1:]
-    # (limit - 1) | 1 is the largest odd n <= limit; no n is decided apart,
-    # and every window has entries of the one class: (no extras, survivors)
-    windows = _windows(2, [1], _progressions(2, [1], base, 0, base * base),
-                       (limit - 1) | 1, 1, np.zeros(0, dtype=np.int64), 3)
-    return (primes for _, primes in windows)
+    # (limit - 1) | 1 is the largest odd n <= limit, and every window has
+    # entries of the one class
+    return _windows(2, [1], _progressions(2, [1], base, 0, base * base),
+                    (limit - 1) | 1, 1, 3)
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -219,21 +205,19 @@ def _pair_rows(x: int, a: int, b: int, base: np.ndarray) -> tuple[np.ndarray, ..
     return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
 
 
-def pair_windows(x: int, a: int = 2, b: int = 1
-                 ) -> Iterator[Iterator[np.ndarray]]:
-    """The primes p <= x with a*p + b prime, per window an iterator of int64 arrays.
+def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
+    """The primes p <= x with a*p + b prime, as a stream of ascending int64 arrays.
 
     One segmented pass sieves n and its companion a*n + b together, only on
     the classes c mod 30 with c and a*c + b prime to 30: 3 of the 30 for
     (2, 1), PAIR_WINDOW entries n = c + 30*i of each per window. The wheel
     primes, and the n whose companion is one, are decided apart, by
-    is_prime. A window gives those of them it holds, then each class's
-    pairs, each array ascending; the arrays of one window interleave, and
-    every pair of a window is below every pair of the next. A class is
-    struck when its array is asked for, so besides the array the caller
-    holds, only the base primes up to sqrt(max(x, a*x + b)) and one
-    class's flags are in memory. The input is checked before the first
-    window.
+    is_prime, and come first as one array; then come each class's pairs,
+    window by window. The arrays interleave, and each pair is in one of
+    them. A class window is struck when its array is asked for, so besides
+    the array the caller holds, only the base primes up to
+    sqrt(max(x, a*x + b)) and one class's flags are in memory. The input is
+    checked before the first array.
     """
     import numpy as np
     if x < 2:
@@ -252,14 +236,14 @@ def pair_windows(x: int, a: int = 2, b: int = 1
                             and is_prime(n) and is_prime(a * n + b)), dtype=np.int64)
     # nothing strikes n = 1, nor the n whose companion a*n + b is below 2
     least = max(2, -((b - 2) // a))
-    yield from _windows(_WHEEL, classes, class_rows, x, 0, extra, least)
+    yield extra
+    yield from _windows(_WHEEL, classes, class_rows, x, 0, least)
 
 
 def pair_primes(x: int, a: int = 2, b: int = 1) -> np.ndarray:
     """All primes p <= x with a*p + b prime, ascending (int64): pair_windows sorted."""
     import numpy as np
-    return np.sort(np.concatenate([ps for window in pair_windows(x, a, b)
-                                   for ps in window]))
+    return np.sort(np.concatenate(list(pair_windows(x, a, b))))
 
 
 def is_prime(n: int) -> bool:

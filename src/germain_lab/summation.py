@@ -3,17 +3,17 @@
 Every real-valued sum that a report prints is correctly rounded: it is the
 double nearest the exact sum of its terms, the value math.fsum gives. This
 module is the one place that decides how a numpy array of terms is summed.
-PrefixSums takes a stream of arrays and gives the correctly rounded sum of
-the stream up to any cut, and exact_sum is its one-cut case for a single
-array. Neither builds one Python float per term, as fsum(t.tolist()) does:
-_slices splits the terms into a few slices whose numpy sums are exact, so a
-handful of doubles carries the exact sum of any prefix, and fsum of those
-doubles is fsum of the prefix bit for bit. The exact sum of slices does not
-depend on their order or on where the terms were split, so PrefixSums
-slices each array _CHUNK terms at a time and keeps only the slice doubles
-of what it was fed, and a window of the stream may come as several arrays,
-each cut at its own place: a sieve window comes as one array per residue
-class, and a checkpoint cuts each of them where its terms end.
+PrefixSums takes a stream of arrays, each cut once per checkpoint, and
+gives each checkpoint the correctly rounded sum of the terms before its
+cuts; exact_sum gives it for one array. Neither builds one Python float
+per term, as fsum(t.tolist()) does: _slices splits the terms into a few
+slices whose numpy sums are exact, so a handful of doubles carries the
+exact sum of any run of terms, and fsum of those doubles is fsum of the
+run bit for bit. That sum does not depend on the order of the slices or on
+where the terms were split, so the arrays of a sieve pass, one per residue
+class and window, are each cut where a checkpoint's pairs end, and the
+doubles of each run between two cuts are folded into one exact expansion
+per checkpoint (_grow, the error-free additions that fsum runs on).
 
 exact_sum sums an array of at most _SMALL terms as fsum(t.tolist()) instead,
 which is faster there and the same double. Both paths refuse the same
@@ -23,6 +23,7 @@ terms: the slices need every nonzero magnitude in [2^-1000, 2^900].
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from math import fsum
 
@@ -55,8 +56,8 @@ def _range(t: np.ndarray) -> tuple[float, float]:
     return float(least), float(top)
 
 
-def _slices(t: np.ndarray, cuts: Sequence[int]) -> list[list[float]]:
-    """For each k in cuts, doubles whose exact sum is the exact sum of t[:k].
+def _slices(t: np.ndarray, pieces: Sequence[tuple[int, int]]) -> list[list[float]]:
+    """Per (lo, hi) of pieces, doubles whose exact sum is the exact sum of t[lo:hi].
 
     t holds float64 terms of either sign, refused as _range refuses them.
     Each step extracts the slice h = (r + sigma) - sigma of the remainder r,
@@ -67,11 +68,11 @@ def _slices(t: np.ndarray, cuts: Sequence[int]) -> list[list[float]]:
     where the remainder is 0. Every h is a multiple of 2^g of magnitude at
     most 2^(g + width), and width + bit_length(t.size) is 52, so every
     partial sum of a slice is a multiple of 2^g below 2^(g + 52) in
-    magnitude: numpy sums a slice exactly, in any order. fsum, which rounds
-    the exact sum of its inputs, is then the same double on these partials
-    as on t[:k] itself.
+    magnitude: numpy sums any run of a slice exactly, in any order. fsum,
+    which rounds the exact sum of its inputs, is then the same double on
+    these partials as on t[lo:hi] itself.
     """
-    parts = [[] for _ in cuts]
+    parts = [[] for _ in pieces]
     least, top = _range(t)
     if top == 0.0:
         return parts
@@ -88,80 +89,89 @@ def _slices(t: np.ndarray, cuts: Sequence[int]) -> list[list[float]]:
             r = t - h  # t itself is never written
         else:
             r -= h
-        for part, k in zip(parts, cuts):
-            part.append(float(h[:k].sum()))
+        for part, (lo, hi) in zip(parts, pieces):
+            part.append(float(h[lo:hi].sum()))
         if g == low:
             return parts
         g = max(g - width, low)
 
 
-class PrefixSums:
-    """The correctly rounded sums of a stream of 1-d float64 arrays, at its cuts.
+def _grow(expansion: list[float], v: float) -> None:
+    """Add v to expansion, nonoverlapping doubles whose exact sum it holds.
 
-    The stream comes in windows, each one array or more added in turn. A
-    window serves a list of checkpoints, and each of its arrays is cut once
-    per checkpoint; a checkpoint's sum is the fsum of every term of the
-    earlier windows and of each array of its window up to that array's cut.
-    Only the slice doubles of what was added are kept, a few per _CHUNK
-    terms, so a caller can reduce a long stream one array at a time.
+    Shewchuk's grow-expansion (Discrete Comput. Geom. 18, 1997), the msum
+    recipe that math.fsum runs on: each step is an error-free two-sum of
+    the larger and the smaller magnitude, and every nonzero error stays.
+    """
+    i = 0
+    for w in expansion:
+        if abs(v) < abs(w):
+            v, w = w, v
+        high = v + w
+        low = w - (high - v)
+        if low:
+            expansion[i] = low
+            i += 1
+        v = high
+    expansion[i:] = [v]
+
+
+class PrefixSums:
+    """The correctly rounded sums of a stream of 1-d float64 arrays, at checkpoints.
+
+    Each array is cut once per checkpoint; checkpoint j's interval holds,
+    of every array, the terms from cut j - 1 (0 for the first) up to cut j,
+    and its sum is the fsum of its interval and of every earlier one. Each
+    run between two cuts is sliced once, _CHUNK terms at a time, into its
+    interval's exact expansion: a few doubles per checkpoint, however long
+    the stream, which may come in any order, one array at a time.
     """
 
-    def __init__(self) -> None:
-        self._parts: list[float] = []  # slices of every window ended so far
-        self._window: list[float] = []  # slices of the open window's arrays
-        # per checkpoint of the open window, the slices of its cuts; None
-        # while no window is open
-        self._cuts: list[list[float]] | None = None
+    def __init__(self, checkpoints: int) -> None:
+        # per checkpoint, an expansion of the exact sum of its interval so far
+        self._intervals: list[list[float]] = [[] for _ in range(checkpoints)]
 
-    def add(self, t: np.ndarray, cuts: Sequence[int] = ()) -> None:
-        """Add t to the open window, cut at t[:k] for each k in cuts.
+    def add(self, t: np.ndarray, cuts: Sequence[int]) -> None:
+        """Add t, cut at t[:k] for each checkpoint's k in cuts.
 
-        cuts holds one k per checkpoint of the window, the same number for
-        each of its arrays, ascending with 0 <= k <= t.size.
+        cuts holds one k per checkpoint, ascending with 0 <= k <= t.size;
+        the terms past the last cut are in no interval.
         """
-        if any(j > k for j, k in zip([0, *cuts], [*cuts, t.size])):
+        if len(cuts) != len(self._intervals):
+            raise ValueError(f"{len(cuts)} cuts for {len(self._intervals)} checkpoints")
+        edges = [0, *cuts]
+        if any(j > k for j, k in zip(edges, [*cuts, t.size])):
             raise ValueError(f"cuts must ascend within [0, {t.size}]: {list(cuts)}")
-        if self._cuts is None:
-            self._cuts = [[] for _ in cuts]
-        elif len(cuts) != len(self._cuts):
-            raise ValueError(f"{len(cuts)} cuts for a window of "
-                             f"{len(self._cuts)} checkpoints")
-        prefixes, whole = [], []  # per cut, and for all of t: t's slices
-        for lo in range(0, t.size, _CHUNK):
-            chunk = t[lo:lo + _CHUNK]
-            inner = [k - lo for k in cuts if lo <= k < lo + chunk.size]
-            *at, last = _slices(chunk, inner + [chunk.size])
-            prefixes += [whole + part for part in at]
-            whole += last
-        prefixes += [whole] * (len(cuts) - len(prefixes))  # the cuts at t.size
-        for slices, prefix in zip(self._cuts, prefixes):
-            slices += prefix
-        self._window += whole
+        end = edges[-1]
+        for lo in range(0, end, _CHUNK):
+            hi = min(lo + _CHUNK, end)
+            # the checkpoints whose intervals meet the chunk t[lo:hi]
+            js = [j for j in range(bisect_right(cuts, lo), bisect_left(cuts, hi) + 1)
+                  if edges[j] < edges[j + 1]]
+            pieces = [(max(edges[j], lo) - lo, min(edges[j + 1], hi) - lo) for j in js]
+            for j, part in zip(js, _slices(t[lo:hi], pieces)):
+                for v in part:
+                    _grow(self._intervals[j], v)
 
-    def end_window(self) -> list[float]:
-        """End the open window: per checkpoint, the sum of the stream to its cuts."""
-        sums = [fsum(self._parts + slices) for slices in self._cuts or ()]
-        self._parts += self._window
-        self._window, self._cuts = [], None
-        return sums
-
-    def feed(self, t: np.ndarray, cuts: Sequence[int] = ()) -> list[float]:
-        """Add t as a window of its own: per k in cuts, the sum of the stream to t[:k]."""
-        self.add(t, cuts)
-        return self.end_window()
-
-    def total(self) -> float:
-        """The correctly rounded sum of every window ended so far."""
-        return fsum(self._parts)
+    def sums(self) -> list[float]:
+        """Per checkpoint, the correctly rounded sum up to the end of its interval."""
+        expansion, out = [], []
+        for interval in self._intervals:
+            for v in interval:
+                _grow(expansion, v)
+            out.append(fsum(expansion))
+        return out
 
 
 def exact_sum(t: np.ndarray) -> float:
     """fsum(t.tolist()), the correctly rounded sum of a 1-d t.
 
-    A t of more than _SMALL terms goes through PrefixSums, without the list.
+    A t of more than _SMALL terms is sliced _CHUNK terms at a time, without
+    the list.
     """
     if t.size > _SMALL:
-        return PrefixSums().feed(t, [t.size])[0]
+        chunks = (t[lo:lo + _CHUNK] for lo in range(0, t.size, _CHUNK))
+        return fsum(v for chunk in chunks for v in _slices(chunk, [(0, chunk.size)])[0])
     terms = t.tolist()
     if not all(_LOWEST <= abs(v) <= _HIGHEST for v in terms if v):
         _range(t)  # refuses them, naming the range of the terms

@@ -20,7 +20,7 @@ diagnostics.
 
 Every real-valued sum is correctly rounded, so it does not depend on the
 order of its terms: a sum over a numpy array by summation.exact_sum, the
-twisted sums' checkpoints by one summation.PrefixSums pass over the terms,
+twisted sums' checkpoints by one summation.PrefixSums cut at each of them,
 and the sums over rows, of Python floats, by math.fsum. A brute row's
 gcd(m, n) comes from the divisors of m, written at their multiples in
 ascending order, not from np.gcd over every n.
@@ -204,7 +204,7 @@ def twisted_mobius_sums(m: int, xs: Sequence[int], with_log: bool,
     as-is so reports can record the sign the data shows. make_c2 returns C2;
     it is called only with_log, after m and every x are checked and before
     the sieves. The checkpoints ascend. One mu and one phi table up to the
-    last x, and one PrefixSums pass over the terms, serve every x; the n
+    last x, and one PrefixSums cut at every x, serve every x; the n
     prime to m are the squarefree n off the multiples of each prime of m.
     """
     check_offset(m, "m")
@@ -222,6 +222,7 @@ def twisted_mobius_sums(m: int, xs: Sequence[int], with_log: bool,
     vals = mu[n].astype(np.float64) / phi[n]
     if with_log:
         vals *= np.log(n.astype(np.float64))
-    ks = np.searchsorted(n, xs, side="right").tolist()
-    return target, PrefixSums().feed(vals, ks)
+    stream = PrefixSums(len(xs))
+    stream.add(vals, np.searchsorted(n, xs, side="right").tolist())
+    return target, stream.sums()
 

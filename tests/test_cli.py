@@ -792,6 +792,36 @@ def test_ap_census_command(capsys):
     assert lines[1].split(",")[4] == ""  # gcd(0,4) != 1: no x/phi(q) target
 
 
+def test_ap_census_above_its_row_cap_is_refused_before_any_row(monkeypatch,
+                                                               capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sieve ran or a row was built")
+
+    for module, name in ((sieve, "primes_upto"), (sieve, "prime_windows"),
+                         (progressions, "primes_upto"),
+                         (progressions, "prime_powers"),
+                         (progressions, "count_ap"), (progressions, "chebyshev_ap")):
+        monkeypatch.setattr(module, name, no_work)
+    cap = progressions.AP_CENSUS_ROWS_CAP
+    for xs, q in (("10", cap + 1), ("10", 10 ** 9), ("10,100", cap // 2 + 1),
+                  ("1e3,1e4,1e5", cap)):
+        count = len(xs.split(","))
+        for weighted in ([], ["--weighted"]):
+            assert main(["ap-census", "--x", xs, "--q", str(q), *weighted]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err) == {
+                "error": "CliError",
+                "message": f"--q {q} and --x make {q * count} rows, q per "
+                           f"checkpoint, above the cap {cap}: each row is held in "
+                           "Python until the report is written"}
+    # the cap itself is admitted
+    monkeypatch.setattr(progressions, "chebyshev_ap", lambda x, q: [])
+    assert main(["ap-census", "--x", "10,100", "--q", str(cap // 2),
+                 "--weighted"]) == 0
+    assert capsys.readouterr().out == "x,q,a,value,expected,residual\n"
+
+
 def test_constants_command(capsys):
     assert main(["constants", "--cutoff", "1e4", "--d", "2,6,30"]) == 0
     lines = capsys.readouterr().out.splitlines()

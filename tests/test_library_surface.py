@@ -94,8 +94,9 @@ def _name(node):
     return None
 
 
-# summation's private helpers: the slicing, its chunk size and its range check
-SUMMATION_PRIVATE = ("prefix_slices", "_slices", "_CHUNK", "_range")
+# summation's private helpers: the slicing, its chunk size, its range check
+# and the exact expansion that folds the slice doubles
+SUMMATION_PRIVATE = ("prefix_slices", "_slices", "_CHUNK", "_range", "_grow")
 
 
 def _list_sums(tree):
@@ -132,12 +133,14 @@ def test_the_guard_names_a_read_of_summation_internals(tmp_path):
                    "size = summation._CHUNK\n"
                    "from germain_lab.summation import _range as r\n"
                    "import germain_lab.summation as s\n"
-                   "parts = s._slices(t, [1])\n", encoding="utf-8")
+                   "parts = s._slices(t, [(0, 1)])\n"
+                   "from .summation import _grow\n", encoding="utf-8")
     found = [(bad, line) for line in _list_sums(ast.parse(bad.read_text()))]
     assert _offending_lines(found) == [
         "bad.py:2: size = summation._CHUNK",
         "bad.py:3: from germain_lab.summation import _range as r",
-        "bad.py:5: parts = s._slices(t, [1])"]
+        "bad.py:5: parts = s._slices(t, [(0, 1)])",
+        "bad.py:6: from .summation import _grow"]
 
 
 def _imported_packages(tree):

@@ -1,10 +1,11 @@
-"""The pair sums stream the sieve's windows through an exact slice reduction.
+"""The pair sums stream the sieve's arrays through an exact slice reduction.
 
 summation.PrefixSums is fed a stream of arrays of terms, of either sign,
-and gives the sum at each cut; it must be the fsum of the whole prefix bit
-for bit, whatever the arrays and whatever its own chunks. exact_sum, its
-one-cut case, must be fsum(t.tolist()) on both sides of the size below
-which it sums the list itself. derandomize=True makes Hypothesis draw the
+each cut once per checkpoint, and gives each checkpoint the sum of every
+term before its cuts; it must be the fsum of the whole prefix bit for bit,
+whatever the arrays, wherever each is cut, and whatever its own chunks.
+exact_sum must be fsum(t.tolist()) on both sides of the size below which
+it sums the list itself. derandomize=True makes Hypothesis draw the
 same cases on every run.
 """
 
@@ -46,14 +47,18 @@ signed_binade = st.builds(lambda t, signs: [-v if s else v for v, s in zip(t, si
                                                max_size=300))
 
 
-def _check_windows(t, edges, cuts_of):
-    """PrefixSums fed the windows t[lo:hi] gives fsum(t[:lo + k]) at each cut k."""
-    stream = PrefixSums()
+def _check_windows(t, edges, marks):
+    """PrefixSums of the arrays t[lo:hi] gives fsum(t[:k]) at each mark k.
+
+    Each array is cut where the mark falls in it: at 0 for a mark before
+    the array, at its size for one after it.
+    """
+    stream = PrefixSums(len(marks))
     for lo, hi in zip(edges, edges[1:]):
-        cuts = cuts_of(hi - lo)
-        sums = stream.feed(np.array(t[lo:hi], dtype=np.float64), cuts)
-        assert sums == [fsum(t[:lo + k]) for k in cuts], (lo, cuts)
-    assert stream.total() == fsum(t) == exact_sum(np.array(t, dtype=np.float64))
+        stream.add(np.array(t[lo:hi], dtype=np.float64),
+                   [min(max(k - lo, 0), hi - lo) for k in marks])
+    assert stream.sums() == [fsum(t[:k]) for k in marks], marks
+    assert exact_sum(np.array(t, dtype=np.float64)) == fsum(t)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -63,9 +68,9 @@ def _check_windows(t, edges, cuts_of):
 def test_window_slices_give_the_prefix_fsum_at_every_cut(t, data):
     inner = data.draw(st.sets(st.integers(0, len(t)), max_size=4))
     edges = sorted(inner | {0, len(t)})
-    # cuts at both window edges, and anywhere between
-    _check_windows(t, edges, lambda size: sorted(
-        data.draw(st.sets(st.integers(0, size), max_size=4)) | {0, size}))
+    # cuts at every array edge, and anywhere between
+    _check_windows(t, edges, sorted(
+        data.draw(st.sets(st.integers(0, len(t)), max_size=8)) | set(edges)))
 
 
 @pytest.mark.parametrize("t", [
@@ -85,7 +90,7 @@ def test_window_slices_give_the_prefix_fsum_at_every_cut(t, data):
     [2.0 ** 900, 2.0 ** -1000, -(2.0 ** 900), 3.0 * 2.0 ** -1000],
 ])
 def test_window_slices_hold_every_bit(t):
-    _check_windows(t, [0, len(t)], lambda size: list(range(size + 1)))
+    _check_windows(t, [0, len(t)], list(range(len(t) + 1)))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -98,53 +103,67 @@ def test_prefix_sums_give_the_prefix_fsum_at_every_cut(t, data):
     chunk = data.draw(st.integers(1, 8))
     edges = sorted(data.draw(st.lists(st.integers(0, len(t)), max_size=5))
                    + [0, 0, len(t)])
+    chunk_edges = [k for lo, hi in zip(edges, edges[1:])
+                   for k in range(lo, hi + 1, chunk)]
     with mock.patch.object(summation, "_CHUNK", chunk):
-        _check_windows(t, edges, lambda size: sorted(
-            data.draw(st.lists(st.integers(0, size), max_size=4))
-            + list(range(0, size + 1, chunk)) + [size]))
+        _check_windows(t, edges, sorted(
+            data.draw(st.lists(st.integers(0, len(t)), max_size=8))
+            + chunk_edges + [len(t)]))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(windows=st.lists(st.lists(st.lists(signed, max_size=40), max_size=4),
                         max_size=4),
-       data=st.data())
-def test_windows_of_several_arrays_give_each_checkpoint_its_prefix_fsum(windows,
-                                                                        data):
-    # a window is several arrays, as a sieve window is one array per class;
-    # each checkpoint cuts each array at its own place, so the sum is that of
-    # the earlier windows and of every array of its window up to its cut
+       checkpoints=st.integers(0, 3), data=st.data())
+def test_windows_of_several_arrays_give_each_checkpoint_its_prefix_fsum(
+        windows, checkpoints, data):
+    # a window is several arrays, as a sieve window is one array per class,
+    # and the stream is every window's arrays in turn; each checkpoint cuts
+    # each array at its own place, so its sum is that of every array up to
+    # its cut, whatever the window
     chunk = data.draw(st.integers(1, 8))
-    stream, before = PrefixSums(), []
+    arrays = [t for window in windows for t in window]
+    cuts_of = [sorted(data.draw(st.lists(st.integers(0, len(t)),
+                                         min_size=checkpoints,
+                                         max_size=checkpoints)))
+               for t in arrays]
+    stream = PrefixSums(checkpoints)
     with mock.patch.object(summation, "_CHUNK", chunk):
-        for arrays in windows:
-            checkpoints = data.draw(st.integers(0, 3))
-            cuts_of = [sorted(data.draw(st.lists(st.integers(0, len(t)),
-                                                 min_size=checkpoints,
-                                                 max_size=checkpoints)))
-                       for t in arrays]
-            for t, cuts in zip(arrays, cuts_of):
-                stream.add(np.array(t, dtype=np.float64), cuts)
-            want = [fsum(before + [v for t, cuts in zip(arrays, cuts_of)
-                                   for v in t[:cuts[j]]])
-                    for j in range(checkpoints if arrays else 0)]
-            assert stream.end_window() == want
-            before += [v for t in arrays for v in t]
-            assert stream.total() == fsum(before)
+        for t, cuts in zip(arrays, cuts_of):
+            stream.add(np.array(t, dtype=np.float64), cuts)
+        sums = stream.sums()
+    assert sums == [fsum([v for t, cuts in zip(arrays, cuts_of)
+                          for v in t[:cuts[j]]])
+                    for j in range(checkpoints)]
+
+
+def test_prefix_sums_cut_at_every_index(monkeypatch):
+    # a checkpoint at every index 0..300 of one array: each interval after
+    # the first holds one term, and the 7-term chunks split none of them
+    rng = np.random.default_rng(7)
+    t = np.ldexp(rng.random(300) + 1.0, rng.integers(-40, 40, 300))
+    t *= rng.choice([-1.0, 1.0], 300)
+    monkeypatch.setattr(summation, "_CHUNK", 7)
+    stream = PrefixSums(t.size + 1)
+    stream.add(t, list(range(t.size + 1)))
+    assert stream.sums() == [fsum(t[:k].tolist()) for k in range(t.size + 1)]
 
 
 @pytest.mark.parametrize("cuts", [[3, 2], [-1, 2], [2, 6]])
 def test_prefix_sums_refuse_cuts_out_of_order_or_range(cuts):
     with pytest.raises(ValueError, match=r"cuts must ascend within \[0, 5\]"):
-        PrefixSums().feed(np.ones(5), cuts)
+        PrefixSums(2).add(np.ones(5), cuts)
 
 
-def test_prefix_sums_refuse_arrays_of_one_window_cut_unequally():
-    stream = PrefixSums()
+def test_prefix_sums_refuse_a_cut_count_other_than_their_checkpoints():
+    stream = PrefixSums(2)
     stream.add(np.ones(5), [1, 2])
-    with pytest.raises(ValueError, match="1 cuts for a window of 2 checkpoints"):
-        stream.add(np.ones(5), [3])
+    for cuts in ([3], [1, 2, 3]):
+        with pytest.raises(ValueError,
+                           match=f"{len(cuts)} cuts for 2 checkpoints"):
+            stream.add(np.ones(5), cuts)
     stream.add(np.ones(5), [3, 4])
-    assert stream.end_window() == [4.0, 6.0]
+    assert stream.sums() == [4.0, 6.0]
 
 
 @pytest.mark.parametrize("size", [0, 1, summation._SMALL, summation._SMALL + 1,
@@ -181,7 +200,7 @@ def test_terms_outside_the_slice_range_are_refused(bad):
         with pytest.raises(ValueError, match="terms must be finite"):
             exact_sum(np.array(t))
         with pytest.raises(ValueError, match="terms must be finite"):
-            PrefixSums().feed(np.array(t))
+            PrefixSums(1).add(np.array(t), [len(t)])
 
 
 XS = [2, 3, 29, 30, 31, 1109, 1110, 1111, 3000, 7679, 7680, 7681, 10 ** 4]
@@ -218,6 +237,25 @@ def test_class_windows_reduce_to_the_merged_prefix_fsums(window, a, b, data, c2_
         if ys:
             assert reciprocal_sums(ys, lambda: c2_1e6) == \
                 oracles.reciprocal_sums_prefix(ys, c2_1e6.value)
+
+
+@pytest.mark.parametrize("a,b", [(2, 1), (4, 3)])
+def test_a_few_hundred_checkpoints_equal_the_prefix_fsums(a, b, monkeypatch,
+                                                          c2_1e6):
+    # below 10^5 the pass is one window, one array per class, so most of the
+    # checkpoints cut inside each array: at a pair, just below one and
+    # anywhere; 7-term chunks put chunk edges inside many of the intervals
+    pairs = sieve.pair_primes(10 ** 5, a, b)
+    rng = np.random.default_rng(a)
+    xs = sorted({*rng.choice(pairs, 100).tolist(),
+                 *(rng.choice(pairs, 100) - 1).tolist(),
+                 *rng.integers(2, 10 ** 5, 150).tolist(), 10 ** 5} - {1})
+    assert len(xs) > 300 and pairs.size > 3 * len(xs)
+    monkeypatch.setattr(summation, "_CHUNK", 7)
+    assert pair_sums(xs, a, b) == oracles.pair_sums_prefix(xs, a, b)
+    if (a, b) == (2, 1):
+        assert reciprocal_sums(xs, lambda: c2_1e6) == \
+            oracles.reciprocal_sums_prefix(xs, c2_1e6.value)
 
 
 def _peak_bytes(fn):
