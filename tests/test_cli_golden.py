@@ -41,6 +41,12 @@ CASES = [
     "sums --formula mobius-phi-lcm --method both --x 50,100",
     "sums --formula squarefree-harmonic --x 1e3",
     "sums --formula mobius-log --x 1e3",
+    # several checkpoints of one table or pass; 121 has the companion 3^5
+    "census --x 8,9,25,27,49,121,125 --c2-cutoff 1e4",
+    "ap-census --x 1,10,100,1e3,1e4 --q 6 --weighted",
+    "sums --formula mobius-log --x 1,2,1e3,1e5",
+    "sums --formula squarefree-harmonic --x 1,1e3,1e5",
+    "twisted-sums --m 30 --x 1,2,3,1e5 --no-log",
     "verify-identities --max 40",
     "large-sieve",
     "large-sieve --x 300 --Q 12 --sequence random --trials 3 --seed 7",
