@@ -1,12 +1,11 @@
-"""Multiplicative arithmetic functions and their summatory forms.
+"""Multiplicative arithmetic functions: point functions and sieved tables.
 
 The point evaluation totient factors its argument by trial division
 (factorize), and divisors expands a factorization. The tables
-(mobius_sieve, totient_sieve) and the summatory form mobius_log_sum are
-sieved instead, so tests can cross-check the two independent routes;
-mobius_log_sum is correctly rounded, by summation.exact_sum. The von
-Mangoldt weights of the pair sums come from the sieve (primes and
-prime_powers), not from factoring.
+(mobius_sieve, totient_sieve) are sieved instead, so tests can
+cross-check the two independent routes. The sums over them live in sums,
+and the von Mangoldt weights of the pair sums come from the sieve (primes
+and prime_powers), not from factoring.
 
 The two sieves split the primes at r = isqrt(limit). Each prime p <= r
 takes one strided pass over its multiples, as usual. A prime p > r
@@ -19,9 +18,7 @@ once: about sqrt(limit) numpy calls instead of one per prime. The tables
 are integers, so the result does not depend on the order of the writes.
 
 The module imports without numpy, as sieve does: factorize, divisors and
-totient need none. The sieved tables import numpy when they are called,
-and mobius_log_sum imports summation too; numpy loads on the first sieve
-call.
+totient need none. The sieved tables import numpy when they are called.
 """
 
 from __future__ import annotations
@@ -130,14 +127,3 @@ def totient_sieve(limit: int) -> np.ndarray:
         phi[c * ps] = values
     return phi
 
-
-def mobius_log_sum(x: int) -> float:
-    """sum_{n<=x} mu(n) log n, correctly rounded."""
-    import numpy as np
-
-    from .summation import exact_sum
-    if x < 1:
-        raise ValueError(f"mobius_log_sum needs x >= 1, got {x}")
-    mu = mobius_sieve(x)
-    logs = np.log(np.arange(1, x + 1, dtype=np.float64))
-    return exact_sum(mu[1:] * logs)

@@ -140,8 +140,7 @@ def _cmd_psi0_partition(args: argparse.Namespace):
                        "partition walks every odd squarefree d <= 2x+1 in Python")
     header = ["x", "x1", "main", "error", "psi0", "partition_residual"]
     rows = []
-    sums_at_x = counting.pair_sums(args.x_checkpoints)
-    for x, (_, _, p0) in zip(args.x_checkpoints, sums_at_x):
+    for x, (_, _, p0) in zip(args.x_checkpoints, counting.pair_sums(args.x_checkpoints)):
         x1 = args.x1 if args.x1 is not None else max(1.0, math.log(x) ** 2)
         m, e = counting.psi0_partition(x, x1)
         rows.append([x, x1, m, e, p0, m + e - p0])
@@ -149,13 +148,10 @@ def _cmd_psi0_partition(args: argparse.Namespace):
 
 
 def _cmd_hl_compare(args: argparse.Namespace):
-    _require_capacity(args)
-    from . import counting
+    # the census rows; prediction/actual is undefined, an empty cell, at pi_g = 0
     header = ["x", "pi_g", "hl_prediction", "prediction_over_actual"]
-    rows = [[r.x, r.pi_g, r.hl_prediction,
-             r.hl_prediction / r.pi_g if r.pi_g else float("inf")]
-            for r in counting.census(args.x_checkpoints, args.a, args.b,
-                                     lambda: _c2(args))]
+    rows = [[x, pi_g, hl, hl / pi_g if pi_g else ""]
+            for x, pi_g, _, _, hl, _ in _cmd_census(args)[1]]
     return header, rows, 0
 
 
@@ -170,7 +166,7 @@ def _cmd_ap_census(args: argparse.Namespace):
         header = ["x", "q", "a", "value", "expected", "residual"]
         rows = [[r.x, r.q, r.a, r.value, "" if r.expected is None else r.expected,
                  "" if r.residual is None else r.residual]
-                for x in xs for r in progressions.chebyshev_ap(x, q)]
+                for r in progressions.chebyshev_ap(xs, q)]
     else:
         header = ["x", "q", "a", "count", "residual"]
         rows = [[r.x, r.q, r.a, r.count, r.residual]
@@ -208,8 +204,8 @@ def _cmd_sums(args: argparse.Namespace):
         raise CliError(f"--method {method} does not apply to --formula {formula}; "
                        f"it takes {', '.join(table)}")
     header = ["formula_id", "x", "value", "method"]
-    rows = [[formula, x, table[m](sums, x), m]
-            for m in methods for x in args.x_checkpoints]
+    rows = [[formula, x, value, m] for m in methods
+            for x, value in zip(args.x_checkpoints, table[m](sums, args.x_checkpoints))]
     return header, rows, 0
 
 
@@ -406,24 +402,22 @@ _COMMON = (
           help="checked (>= 1) but unused: every command runs on one thread"),
 )
 
-# The `sums` report: formula id -> {method: (sums module, x) -> value}, the
-# default method first; the one place that says which method a formula
-# takes. The lambdas look each sum up on the module at call time, so sums
-# is imported only when the command runs, and a wrapper that perfbench's
-# tracer installs on the module function is the one that runs.
+# The `sums` report: formula id -> {method: (sums module, checkpoints) ->
+# one value per checkpoint}, the default method first; the one place that
+# says which method a formula takes. A double sum is taken anew at each
+# checkpoint, as its terms change with x; a single sum is one table cut at
+# every checkpoint. The lambdas look each sum up on the module at call
+# time, so sums is imported only when the command runs, and a wrapper that
+# perfbench's tracer installs on the module function is the one that runs.
 FORMULAS = {
     "log-lcm": {
-        "rearranged": lambda sums, x: sums.log_lcm_double_sum(x, "rearranged"),
-        "brute": lambda sums, x: sums.log_lcm_double_sum(x, "brute"),
-        "relaxed": lambda sums, x: sums.log_lcm_double_sum(x, "relaxed"),
-    },
+        m: lambda sums, xs, m=m: [sums.log_lcm_double_sum(x, m) for x in xs]
+        for m in ("rearranged", "brute", "relaxed")},
     "mobius-phi-lcm": {
-        "diagonalized": lambda sums, x: sums.mobius_phi_lcm_sum(x, "diagonalized"),
-        "brute": lambda sums, x: sums.mobius_phi_lcm_sum(x, "brute"),
-        "relaxed": lambda sums, x: sums.mobius_phi_lcm_sum(x, "relaxed"),
-    },
-    "squarefree-harmonic": {"direct": lambda sums, x: sums.squarefree_harmonic_sum(x)},
-    "mobius-log": {"direct": lambda sums, x: sums.mobius_log_sum(x)},
+        m: lambda sums, xs, m=m: [sums.mobius_phi_lcm_sum(x, m) for x in xs]
+        for m in ("diagonalized", "brute", "relaxed")},
+    "squarefree-harmonic": {"direct": lambda sums, xs: sums.squarefree_harmonic_sums(xs)},
+    "mobius-log": {"direct": lambda sums, xs: sums.mobius_log_sums(xs)},
 }
 
 COMMANDS: dict[str, Command] = {

@@ -5,23 +5,21 @@ Every pair command makes one pass of the segmented pair sieve
 ascending primes p with a*p + b prime one window at a time; each
 checkpoint x reads the prefix p <= x. pair_sums gives pi_g(x), the length
 of the prefix, and psi_g and psi0, which weight by the von Mangoldt
-function, whose support is the prime powers. Each is summed as three
-math.fsum groups over the same prefix: the prime pairs themselves,
-n = p^k (k >= 2) with a*n + b prime, and a*n + b = q^k (k >= 2) with n a
-prime power. The last two groups hold only O(sqrt(a*x + b)) terms, and
-their weights come from the sieve's primes and prime powers, without
-factoring. reciprocal_sums gives the sums of 1/p and log p / p over the
-Germain primes (a, b = 2, 1).
+function, whose support is the prime powers. Each is the math.fsum of
+three correctly rounded groups: the prime pairs themselves, n = p^k
+(k >= 2) with a*n + b prime, and a*n + b = q^k (k >= 2) with n a prime
+power. The last two hold only O(sqrt(a*x + b)) terms, whose weights come
+from the sieve's primes and prime powers, without factoring; each is one
+array ascending in n. reciprocal_sums gives the sums of 1/p and log p / p
+over the Germain primes (a, b = 2, 1).
 
-The pair terms are reduced as the sieve's arrays stream past, through one
-summation.PrefixSums per array of terms. The pass is a flat stream of
-ascending arrays, one per residue class and window, never merged: a
-checkpoint's count is the sum of its searchsorted cuts over the arrays,
-each array's terms are computed in place and added to the checkpoints'
-intervals at those cuts, and only one array and its terms are alive at a
-time. Each checkpoint's sum is correctly rounded, the fsum of its whole
-prefix, so it depends neither on the other checkpoints of the pass, nor on
-the window size, nor on how the pass is split into arrays.
+Every group is summed to the last checkpoint and cut at each one, through
+summation.PrefixSums. The pass is a flat stream of ascending arrays, one
+per residue class and window, never merged: a checkpoint's count is the
+sum of its searchsorted cuts over the arrays, and only one array and its
+terms, computed in place, are alive at a time. Each sum is correctly
+rounded, the fsum of its whole prefix, so it depends neither on the other
+checkpoints, nor on the window size, nor on how the terms are split.
 
 psi0_partition splits the divisor-expanded form of psi0(x) at a cutoff:
 expanding each Lambda(2n+1) factor through Lambda(m) = -sum_{d|m} mu(d) log d
@@ -45,7 +43,7 @@ import numpy as np
 from .arith import divisors, mobius_sieve
 from .constants import SingularValue
 from .sieve import is_prime, pair_windows, prime_powers, primes_upto
-from .summation import PrefixSums, exact_sum
+from .summation import PrefixSums, exact_sum, sums_upto
 
 
 @dataclass(frozen=True)
@@ -154,16 +152,16 @@ def pair_sums(xs: Sequence[int], a: int = 2,
                 wn = math.log(n) if is_prime(n) else weights.get(n, 0.0)
                 if wn > 0.0:
                     companions.append((n, wn, w))
-    out = []
-    for x, (k, main) in zip(xs, mains):
-        psi = []
-        for power, total in zip((1, 2), main):
-            parts = [total,
-                     fsum(w * lm ** power for n, w, lm in powers if n <= x),
-                     fsum(wn * w ** power for n, wn, w in companions if n <= x)]
-            psi.append(fsum(parts))
-        out.append((k, psi[0], psi[1]))
-    return out
+    # psi at x is the fsum of the pass's sum and of each group's, one array
+    # ascending in n and cut at every x
+    psi = []
+    for power in (1, 2):
+        sums = [[row[power - 1] for _, row in mains]]
+        for group in (powers, companions):
+            sums.append(sums_upto(np.array([n for n, _, _ in group], dtype=np.int64),
+                                  np.array([w * v ** power for _, w, v in group]), xs))
+        psi.append([fsum(parts) for parts in zip(*sums)])
+    return [(k, psi_g, psi0) for (k, _), psi_g, psi0 in zip(mains, *psi)]
 
 
 def reciprocal_sums(xs: Sequence[int], make_c2: Callable[[], SingularValue]

@@ -14,6 +14,7 @@ rounded; only the sums of Python floats, one per modulus, are math.fsum.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import fsum
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .arith import totient
 from .sieve import prime_powers, primes_upto
-from .summation import exact_sum
+from .summation import PrefixSums, exact_sum
 
 
 # The large-sieve check's admission caps. On a 2-core Xeon, --x 2e6 peaked
@@ -34,6 +35,9 @@ LARGE_SIEVE_OPS_CAP = 10 ** 9
 # and 174-204 MB as JSON; 10^6 took 6.8 s and 345 MB as CSV, 16 s and
 # 1.5 GB as JSON.
 AP_CENSUS_ROWS_CAP = 100_000
+# Largest checkpoint of chebyshev_ap, which holds every prime up to it. On a
+# 2-core Xeon, ap-census --weighted --q 3 --x 1e8 took 0.9 s and 173 MB.
+CHEBYSHEV_X_CAP = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -86,27 +90,40 @@ def count_ap(x: int, q: int, a: int) -> ApCensus:
                     residual=count - expected)
 
 
-def chebyshev_ap(x: int, q: int) -> list[ChebyshevAp]:
-    """The Lambda-weighted count over each class a mod q, a = 0..q-1, from one sieve.
+def chebyshev_ap(xs: Sequence[int], q: int) -> list[ChebyshevAp]:
+    """The Lambda-weighted count of each class a mod q, x by x, then a = 0..q-1.
 
     Raw sums, with no gcd filter; only a class with gcd(a, q) = 1 gets the
-    x / phi(q) target. Each value is the exact_sum of its class's prime logs
-    and prime-power weights, taken together.
+    x / phi(q) target. One sieve to the last of the ascending xs serves
+    every x: the primes and the prime powers, each sorted stably by class,
+    are cut at every (a, x) into one PrefixSums, a group per class.
     """
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
+    top = max(xs, default=0)
+    if min(xs, default=1) < 1:
+        raise ValueError(f"x must be >= 1, got {min(xs)}")
+    if top > CHEBYSHEV_X_CAP:
+        raise ValueError(f"x {top} is above the prime table's cap {CHEBYSHEV_X_CAP}")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    primes = primes_upto(x)
-    powers = np.array(prime_powers(x), dtype=np.float64).reshape(-1, 2)  # (n, log p)
-    residues = np.concatenate([primes, powers[:, 0].astype(np.int64)]) % q
-    weights = np.concatenate([np.log(primes.astype(np.float64)), powers[:, 1]])
-    classes = np.split(weights[np.argsort(residues, kind="stable")],
-                       np.cumsum(np.bincount(residues, minlength=q))[:-1])
-    expected = x / totient(q)
-    return [ChebyshevAp(x, q, a, v, expected, v - expected) if math.gcd(a, q) == 1
+    classes = PrefixSums(len(xs), q)  # a group of checkpoints per class
+    ends = np.add.outer(np.arange(q) * (top + 1), xs).ravel()  # the key of each (a, x)
+
+    def add(n: np.ndarray, w: np.ndarray | None) -> None:
+        """Add the terms w of the ascending n, log n if w is None, to their classes."""
+        order = np.argsort(n % q, kind="stable")
+        n = n[order]  # the log after the sort: one array fewer alive
+        w = np.log(n, dtype=np.float64) if w is None else w[order]
+        del order
+        n += n % q * (top + 1)  # the key, ascending in (class, n)
+        classes.add(w, np.searchsorted(n, ends, side="right").tolist())
+
+    add(primes_upto(top), None)
+    powers = np.array(prime_powers(top), dtype=np.float64).reshape(-1, 2)  # (n, log p)
+    add(powers[:, 0].astype(np.int64), powers[:, 1])
+    phi, values = totient(q), classes.sums()
+    return [ChebyshevAp(x, q, a, v, x / phi, v - x / phi) if math.gcd(a, q) == 1
             else ChebyshevAp(x, q, a, v, None, None)
-            for a, v in enumerate(map(exact_sum, classes))]
+            for j, x in enumerate(xs) for a, v in enumerate(values[j::len(xs)])]
 
 
 def ones_sequence(x: int) -> np.ndarray:

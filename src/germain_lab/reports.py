@@ -31,4 +31,5 @@ def render_json(command: str, config: dict, header: list[str], rows: list[list])
         "config": config,
         "rows": [dict(zip(header, row)) for row in rows],
     }
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    # a NaN or an infinity is not JSON (RFC 8259): refuse it, never print it
+    return json.dumps(doc, indent=2, sort_keys=False, allow_nan=False) + "\n"

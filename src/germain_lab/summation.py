@@ -5,8 +5,10 @@ double nearest the exact sum of its terms, the value math.fsum gives. This
 module is the one place that decides how a numpy array of terms is summed.
 PrefixSums takes a stream of arrays, each cut once per checkpoint, and
 gives each checkpoint the correctly rounded sum of the terms before its
-cuts; exact_sum gives it for one array. Neither builds one Python float
-per term, as fsum(t.tolist()) does: _slices splits the terms into a few
+cuts. sums_upto is its case of one array whose terms ascend in a key, cut
+where each checkpoint's keys end, and exact_sum its case of one array and
+one cut. None of them builds one Python float per term, as
+fsum(t.tolist()) does: _slices splits the terms into a few
 slices whose numpy sums are exact, so a handful of doubles carries the
 exact sum of any run of terms, and fsum of those doubles is fsum of the
 run bit for bit. That sum does not depend on the order of the slices or on
@@ -125,11 +127,16 @@ class PrefixSums:
     run between two cuts is sliced once, _CHUNK terms at a time, into its
     interval's exact expansion: a few doubles per checkpoint, however long
     the stream, which may come in any order, one array at a time.
+
+    The checkpoints may come in groups of equal size, one after another,
+    such as one group per residue class of arrays sorted by class: a sum
+    then runs over the earlier intervals of its own group only.
     """
 
-    def __init__(self, checkpoints: int) -> None:
+    def __init__(self, checkpoints: int, groups: int = 1) -> None:
+        self._group = checkpoints
         # per checkpoint, an expansion of the exact sum of its interval so far
-        self._intervals: list[list[float]] = [[] for _ in range(checkpoints)]
+        self._intervals: list[list[float]] = [[] for _ in range(checkpoints * groups)]
 
     def add(self, t: np.ndarray, cuts: Sequence[int]) -> None:
         """Add t, cut at t[:k] for each checkpoint's k in cuts.
@@ -155,12 +162,25 @@ class PrefixSums:
 
     def sums(self) -> list[float]:
         """Per checkpoint, the correctly rounded sum up to the end of its interval."""
-        expansion, out = [], []
-        for interval in self._intervals:
+        out = []
+        for j, interval in enumerate(self._intervals):
+            if j % self._group == 0:
+                expansion = []
             for v in interval:
                 _grow(expansion, v)
             out.append(fsum(expansion))
         return out
+
+
+def sums_upto(keys: np.ndarray, t: np.ndarray, xs: Sequence[int]) -> list[float]:
+    """Per checkpoint x, the correctly rounded sum of the terms t whose key is <= x.
+
+    keys ascend, one per term of t, and so do the checkpoints xs: one
+    PrefixSums, cut once per checkpoint.
+    """
+    stream = PrefixSums(len(xs))
+    stream.add(t, np.searchsorted(keys, xs, side="right").tolist())
+    return stream.sums()
 
 
 def exact_sum(t: np.ndarray) -> float:

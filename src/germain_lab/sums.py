@@ -19,15 +19,17 @@ single-square shortcut is kept available only as method "relaxed" for
 diagnostics.
 
 Every real-valued sum is correctly rounded, so it does not depend on the
-order of its terms: a sum over a numpy array by summation.exact_sum, the
-twisted sums' checkpoints by one summation.PrefixSums cut at each of them,
-and the sums over rows, of Python floats, by math.fsum. A brute row's
+order of its terms: a sum over a numpy array by summation.exact_sum, and
+the sums over rows, of Python floats, by math.fsum. A brute row's
 gcd(m, n) comes from the divisors of m, written at their multiples in
-ascending order, not from np.gcd over every n.
+ascending order, not from np.gcd over every n. A double sum's terms change
+with x, so it is taken anew at each checkpoint.
 
-The `sums` command reads the double sums, squarefree_harmonic_sum and
-arith's mobius_log_sum through this module, by the FORMULAS table that
-cli keeps beside the command, so importing the CLI loads none of them.
+The single sums, squarefree_harmonic_sums, mobius_log_sums and the twisted
+sums, are prefix sums over the squarefree n: one mu table to the last
+checkpoint, and one summation.PrefixSums cut at every checkpoint. The
+`sums` command reads this module by the FORMULAS table that cli keeps
+beside the command, so importing the CLI loads none of it.
 """
 
 from __future__ import annotations
@@ -37,12 +39,16 @@ from math import fsum
 
 import numpy as np
 
-from .arith import (divisors, factorize, mobius_log_sum, mobius_sieve,
-                    totient_sieve)
+from .arith import divisors, factorize, mobius_sieve, totient_sieve
 from .constants import SingularValue, check_offset, singular_series
-from .summation import PrefixSums, exact_sum
+from .summation import exact_sum, sums_upto
 
 BRUTE_CAP = 2000  # 4e6 terms; the rearranged forms carry the load beyond
+# Largest checkpoint of the single sums, whose mu table (and the twisted
+# sums' phi table) is as long as it. On a 2-core Xeon at the cap,
+# sums --formula mobius-log took 4.7 s and 1.03 GB, and twisted-sums --m 1
+# --no-log, which keeps the most n, 10.4 s and 1.78 GB.
+MOBIUS_X_CAP = 100_000_000
 
 
 # -- exact identities -------------------------------------------------------
@@ -184,13 +190,44 @@ def mobius_phi_lcm_sum(x: int, method: str = "brute") -> float:
 
 # -- single sums ------------------------------------------------------------
 
-def squarefree_harmonic_sum(x: int) -> float:
-    """sum_{d<=x} mu^2(d)/d, which grows like (6/pi^2) log x."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    mu = mobius_sieve(x)
-    d = np.arange(1, x + 1, dtype=np.float64)
-    return exact_sum(1.0 / d[mu[1:] != 0])
+def _check(xs: Sequence[int]) -> None:
+    """Refuse a checkpoint below 1 or above MOBIUS_X_CAP, before any table."""
+    if min(xs, default=1) < 1:
+        raise ValueError(f"x must be >= 1, got {min(xs)}")
+    if max(xs, default=0) > MOBIUS_X_CAP:
+        raise ValueError(f"x {max(xs)} is above the mu table's cap {MOBIUS_X_CAP}")
+
+
+def _squarefree_sums(m: int, xs: Sequence[int],
+                     terms: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                     with_log: bool) -> list[float]:
+    """Per ascending x, the sum of the terms of the squarefree n <= x prime to m.
+
+    terms(n, mu) gives the terms from mu(n) (int8), times log n with_log;
+    one mu table and one PrefixSums cut at every x serve every x.
+    """
+    _check(xs)
+    mu = mobius_sieve(max(xs, default=0))
+    for p, _ in factorize(m):
+        mu[::p] = 0
+    n = np.flatnonzero(mu)  # mu(0) is stored as 0
+    mu = mu[n]  # the table goes before terms builds any array
+    t = terms(n, mu)
+    if with_log:  # the logs take the product, so that mu may stay int8
+        logs = np.log(n, dtype=np.float64)
+        logs *= t
+        t = logs
+    return sums_upto(n, t, xs)
+
+
+def squarefree_harmonic_sums(xs: Sequence[int]) -> list[float]:
+    """sum_{d<=x} mu^2(d)/d at each x, which grows like (6/pi^2) log x."""
+    return _squarefree_sums(1, xs, lambda n, mu: 1.0 / n, False)
+
+
+def mobius_log_sums(xs: Sequence[int]) -> list[float]:
+    """sum_{n<=x} mu(n) log n at each x."""
+    return _squarefree_sums(1, xs, lambda n, mu: mu, True)
 
 
 def twisted_mobius_sums(m: int, xs: Sequence[int], with_log: bool,
@@ -203,26 +240,10 @@ def twisted_mobius_sums(m: int, xs: Sequence[int], with_log: bool,
     form converges to 0, its target. The signed finite sums are returned
     as-is so reports can record the sign the data shows. make_c2 returns C2;
     it is called only with_log, after m and every x are checked and before
-    the sieves. The checkpoints ascend. One mu and one phi table up to the
-    last x, and one PrefixSums cut at every x, serve every x; the n
-    prime to m are the squarefree n off the multiples of each prime of m.
+    the sieves.
     """
     check_offset(m, "m")
-    for x in xs:
-        if x < 1:
-            raise ValueError(f"x must be >= 1, got {x}")
+    _check(xs)
     target = singular_series(m, make_c2()).value if with_log else 0.0
-    top = max(xs, default=0)
-    mu = mobius_sieve(top)
-    phi = totient_sieve(top)
-    keep = mu != 0  # mu(0) is stored as 0
-    for p, _ in factorize(m):
-        keep[::p] = False
-    n = np.flatnonzero(keep)
-    vals = mu[n].astype(np.float64) / phi[n]
-    if with_log:
-        vals *= np.log(n.astype(np.float64))
-    stream = PrefixSums(len(xs))
-    stream.add(vals, np.searchsorted(n, xs, side="right").tolist())
-    return target, stream.sums()
-
+    return target, _squarefree_sums(
+        m, xs, lambda n, mu: mu / totient_sieve(max(xs, default=0))[n], with_log)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import oracles
-from germain_lab.arith import (divisors, factorize, mobius_log_sum, mobius_sieve,
+from germain_lab.arith import (divisors, factorize, mobius_sieve,
                                totient, totient_sieve)
+from germain_lab.sums import mobius_log_sums
 from oracles import von_mangoldt
 
 
@@ -107,13 +108,14 @@ def test_mertens_1e6_against_spf_walk():
 
 
 def test_mobius_log_sum_small():
-    assert mobius_log_sum(1) == 0.0
-    v = mobius_log_sum(4)
-    assert v == pytest.approx(-math.log(2) - math.log(3), rel=1e-14)
+    at_1, at_4 = mobius_log_sums([1, 4])
+    assert at_1 == 0.0
+    assert at_4 == pytest.approx(-math.log(2) - math.log(3), rel=1e-14)
 
 
 def test_mobius_log_sum_ratio_trend():
-    ratios = [abs(mobius_log_sum(x)) / x for x in (10 ** 4, 10 ** 5, 10 ** 6)]
+    xs = (10 ** 4, 10 ** 5, 10 ** 6)
+    ratios = [abs(v) / x for x, v in zip(xs, mobius_log_sums(xs))]
     assert ratios[0] > ratios[1] > ratios[2]
 
 

@@ -12,6 +12,7 @@ from germain_lab import (arith, constants, counting, primroot, progressions, sie
 from germain_lab.cli import (COMMANDS, _OneOf, main, parse_exact_int,
                              parse_int_list)
 from germain_lab.counting import pair_sums
+from germain_lab.reports import render_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -125,6 +126,24 @@ def test_hl_compare_report_bytes_pinned(capsys):
         "100,10,10.1987867043475,1.01987867043475\n"
         "10000,190,194.578504115912,1.02409739008375\n"
         "1000000,7746,7810.71514127369,1.00835465288842\n")
+
+
+def test_hl_compare_leaves_the_ratio_empty_where_no_pair_exists(capsys):
+    # 7p + 1 is even for every odd p, and 15 is not prime: pi_g is 0 at every
+    # x, so prediction/actual is undefined; at x = 2 the prediction is 0 too
+    argv = ["hl-compare", "--x", "2,3,100", "--a", "7", "--b", "1", "--c2-cutoff", "1e4"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[1::2] for line in lines[1:]] == [["0", ""]] * 3
+    assert main([*argv, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["pi_g"], r["prediction_over_actual"]) for r in rows] == [(0, "")] * 3
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_json_reports_refuse_a_nan_or_an_infinity(value):
+    with pytest.raises(ValueError, match="JSON"):
+        render_json("census", {}, ["x", "value"], [[1, value]])
 
 
 def test_cli_reals_use_15_significant_digits(capsys):
@@ -662,7 +681,7 @@ def test_sums_method_the_formula_lacks_is_refused(formula, method, takes,
     def no_work(*args):
         raise AssertionError("a sum was computed")
     for name in ("log_lcm_double_sum", "mobius_phi_lcm_sum",
-                 "squarefree_harmonic_sum", "mobius_log_sum"):
+                 "squarefree_harmonic_sums", "mobius_log_sums"):
         monkeypatch.setattr(sums, name, no_work)
     assert main(["sums", "--formula", formula, "--method", method,
                  "--x", "100"]) == 1
@@ -816,10 +835,39 @@ def test_ap_census_above_its_row_cap_is_refused_before_any_row(monkeypatch,
                            f"checkpoint, above the cap {cap}: each row is held in "
                            "Python until the report is written"}
     # the cap itself is admitted
-    monkeypatch.setattr(progressions, "chebyshev_ap", lambda x, q: [])
+    monkeypatch.setattr(progressions, "chebyshev_ap", lambda xs, q: [])
     assert main(["ap-census", "--x", "10,100", "--q", str(cap // 2),
                  "--weighted"]) == 0
     assert capsys.readouterr().out == "x,q,a,value,expected,residual\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("ap-census --q 3 --weighted --x", "is above the prime table's cap 100000000"),
+    ("sums --formula squarefree-harmonic --x", "is above the mu table's cap 100000000"),
+    ("sums --formula mobius-log --x", "is above the mu table's cap 100000000"),
+    ("twisted-sums --m 6 --x", "is above the mu table's cap 100000000"),
+])
+def test_whole_range_tables_above_their_cap_are_refused_before_any_sieve(
+        argv, message, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sieve or the C2 product ran")
+
+    for module, name in ((sieve, "primes_upto"), (sieve, "prime_windows"),
+                         (progressions, "primes_upto"), (progressions, "prime_powers"),
+                         (sums, "mobius_sieve"), (sums, "totient_sieve"),
+                         (constants, "twin_prime_constant")):
+        monkeypatch.setattr(module, name, no_work)
+    assert progressions.CHEBYSHEV_X_CAP == sums.MOBIUS_X_CAP == 10 ** 8
+    for xs, largest in (("100000001", 10 ** 8 + 1), ("10,100000001", 10 ** 8 + 1),
+                        ("1e20", 10 ** 20)):
+        assert main([*argv.split(), xs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValueError",
+                                            "message": f"x {largest} {message}"}
+    # the cap itself is admitted: the stubs show that work starts
+    with pytest.raises(AssertionError, match="a sieve or the C2 product ran"):
+        main([*argv.split(), "1e8"])
 
 
 def test_constants_command(capsys):

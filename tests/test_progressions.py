@@ -44,7 +44,7 @@ def test_count_ap_guards():
 
 
 def test_chebyshev_examples():
-    even, odd = chebyshev_ap(10, 2)
+    even, odd = chebyshev_ap([10], 2)
     assert odd.value == pytest.approx(2 * log(3) + log(5) + log(7), rel=1e-14)
     assert even.value == pytest.approx(3 * log(2), rel=1e-14)
     assert even.expected is None  # gcd(0, 2) != 1
@@ -54,14 +54,14 @@ def test_chebyshev_matches_naive_sum():
     for q, a in ((3, 1), (4, 3), (5, 0), (7, 2)):
         naive = fsum(oracles.von_mangoldt_naive(n)
                      for n in range(1, 2001) if n % q == a)
-        assert chebyshev_ap(2000, q)[a].value == pytest.approx(naive, abs=1e-10)
+        assert chebyshev_ap([2000], q)[a].value == pytest.approx(naive, abs=1e-10)
 
 
 def test_chebyshev_classes_recombine_to_full_sum():
     x = 10 ** 4
     psi = fsum(oracles.von_mangoldt_naive(n) for n in range(1, x + 1))
     for q in (3, 4, 6):
-        coprime = fsum(r.value for r in chebyshev_ap(x, q)
+        coprime = fsum(r.value for r in chebyshev_ap([x], q)
                        if math.gcd(r.a, q) == 1)
         shared = fsum(oracles.von_mangoldt_naive(n)
                       for n in range(1, x + 1)
@@ -70,18 +70,29 @@ def test_chebyshev_classes_recombine_to_full_sum():
 
 
 def test_chebyshev_reads_every_class_from_one_sieve(monkeypatch):
+    # ten checkpoints, one sieve: at each x, each class's value is the fsum
+    # of the library's own class terms up to x, prime logs and prime-power
+    # weights together
+    xs = [1, 2, 3, 4, 8, 9, 25, 121, 997, 1000]
+    q = 12
+    primes = progressions.primes_upto(xs[-1])
+    powers = progressions.prime_powers(xs[-1])
+    logs = np.log(primes.astype(np.float64)).tolist()
+    terms = [*zip(primes.tolist(), logs), *powers]
     calls = []
     for name in ("primes_upto", "prime_powers"):
         real = getattr(progressions, name)
         monkeypatch.setattr(progressions, name,
                             lambda x, name=name, real=real: calls.append(name) or real(x))
-    classes = chebyshev_ap(1000, 12)
-    assert [(r.x, r.q, r.a) for r in classes] == [(1000, 12, a) for a in range(12)]
+    rows = chebyshev_ap(xs, q)
     assert calls == ["primes_upto", "prime_powers"]
+    assert [(r.x, r.q, r.a) for r in rows] == [(x, q, a) for x in xs for a in range(q)]
+    assert [r.value for r in rows] == [
+        fsum(w for n, w in terms if n <= x and n % q == a) for x in xs for a in range(q)]
 
 
 def test_chebyshev_residual_is_small_at_1e6():
-    r = chebyshev_ap(10 ** 6, 3)[1]
+    r = chebyshev_ap([10 ** 6], 3)[1]
     assert r.expected == pytest.approx(5 * 10 ** 5, rel=1e-12)
     assert abs(r.residual) < 0.01 * 10 ** 6
 

@@ -9,7 +9,7 @@ from germain_lab import sums
 from germain_lab.constants import singular_series
 from germain_lab.sums import (IDENTITIES, identity_residual_rows,
                               log_lcm_double_sum, mobius_phi_lcm_sum,
-                              squarefree_harmonic_sum, twisted_mobius_sums)
+                              squarefree_harmonic_sums, twisted_mobius_sums)
 
 
 def test_gcd_via_phi_examples():
@@ -141,17 +141,43 @@ def test_double_sums_symmetric_under_transposition():
 
 
 def test_squarefree_harmonic_examples():
-    assert squarefree_harmonic_sum(1) == 1.0
-    v = squarefree_harmonic_sum(10)
-    assert v == pytest.approx(171 / 70, abs=1e-14)  # 1,2,3,5,6,7,10
+    at_1, at_10 = squarefree_harmonic_sums([1, 10])
+    assert at_1 == 1.0
+    assert at_10 == pytest.approx(171 / 70, abs=1e-14)  # 1,2,3,5,6,7,10
 
 
 def test_squarefree_harmonic_residual_settles():
     # the residual against (6/pi^2) log x approaches a constant near 1.044
-    r5, r6 = (squarefree_harmonic_sum(x) - 6.0 / math.pi ** 2 * math.log(x)
-              for x in (10 ** 5, 10 ** 6))
+    xs = (10 ** 5, 10 ** 6)
+    r5, r6 = (v - 6.0 / math.pi ** 2 * math.log(x)
+              for x, v in zip(xs, squarefree_harmonic_sums(xs)))
     assert abs(r6) < 1.1
     assert abs(r6 - r5) < 1e-2
+
+
+def test_each_single_sum_sieves_mu_once_and_cuts_it_at_every_checkpoint(
+        monkeypatch, c2_1e6):
+    # each value is the fsum of the same doubles summed per checkpoint from
+    # a table of its own
+    xs = [1, 2, 3, 4, 10, 99, 100, 1000, 4321, 10 ** 4]
+    mu = sums.mobius_sieve(xs[-1])[1:]
+    n = np.arange(1, xs[-1] + 1, dtype=np.float64)
+    per_x = {
+        sums.squarefree_harmonic_sums:
+            lambda x: fsum((1.0 / n[:x])[mu[:x] != 0].tolist()),
+        sums.mobius_log_sums: lambda x: fsum((mu[:x] * np.log(n[:x])).tolist()),
+    }
+    calls = []
+    real = sums.mobius_sieve
+    monkeypatch.setattr(sums, "mobius_sieve",
+                        lambda limit: calls.append(limit) or real(limit))
+    for single, oracle in per_x.items():
+        calls.clear()
+        assert single(xs) == [oracle(x) for x in xs]
+        assert calls == [xs[-1]]
+    calls.clear()
+    sums.twisted_mobius_sums(6, xs, True, lambda: c2_1e6)
+    assert calls == [xs[-1]]
 
 
 def _no_c2():

@@ -149,6 +149,24 @@ def test_prefix_sums_cut_at_every_index(monkeypatch):
     assert stream.sums() == [fsum(t[:k].tolist()) for k in range(t.size + 1)]
 
 
+def test_prefix_sums_of_groups_run_over_their_own_group_only(monkeypatch):
+    # 40 groups of 3 checkpoints over two arrays, each group a run of the
+    # arrays that ends at its last cut: a sum restarts with its group, and
+    # 7-term chunks put chunk edges inside groups and intervals
+    rng = np.random.default_rng(11)
+    arrays = [np.ldexp(rng.random(size) + 1.0, rng.integers(-40, 40, size))
+              * rng.choice([-1.0, 1.0], size) for size in (300, 41)]
+    monkeypatch.setattr(summation, "_CHUNK", 7)
+    stream, expected = PrefixSums(3, 40), [[] for _ in range(40 * 3)]
+    for t in arrays:
+        cuts = np.sort(rng.integers(0, t.size + 1, 40 * 3)).tolist()
+        stream.add(t, cuts)
+        for i, k in enumerate(cuts):
+            start = cuts[i - i % 3 - 1] if i >= 3 else 0
+            expected[i] += t[start:k].tolist()
+    assert stream.sums() == [fsum(terms) for terms in expected]
+
+
 @pytest.mark.parametrize("cuts", [[3, 2], [-1, 2], [2, 6]])
 def test_prefix_sums_refuse_cuts_out_of_order_or_range(cuts):
     with pytest.raises(ValueError, match=r"cuts must ascend within \[0, 5\]"):
@@ -256,6 +274,20 @@ def test_a_few_hundred_checkpoints_equal_the_prefix_fsums(a, b, monkeypatch,
     if (a, b) == (2, 1):
         assert reciprocal_sums(xs, lambda: c2_1e6) == \
             oracles.reciprocal_sums_prefix(xs, c2_1e6.value)
+
+
+@pytest.mark.parametrize("a,b", [(2, 1), (4, 3), (2, -1)])
+def test_every_prime_power_edge_below_1e5_equals_the_prefix_fsums(a, b):
+    # the two prime-power groups are each one array cut at every checkpoint:
+    # cut at, just below and just above each n = p^k, and each n with
+    # a*n + b = q^k, k >= 2, their sums must be the oracle's fsums of n <= x
+    top = 10 ** 5
+    powers = [n for n, _ in sieve.prime_powers(a * top + b)]
+    ns = [n for n in powers if n <= top]
+    ns += [(m - b) // a for m in powers if (m - b) % a == 0]
+    xs = sorted({x for n in ns for x in (n - 1, n, n + 1) if 2 <= x <= top})
+    assert len(xs) > 300
+    assert pair_sums(xs, a, b) == oracles.pair_sums_prefix(xs, a, b)
 
 
 def _peak_bytes(fn):
