@@ -8,6 +8,10 @@ The pair and primroot commands refuse their input before any sieve or
 C2 product. Same config and seed give byte-identical reports: every
 command runs on one thread, --threads is checked but read by no command,
 and volatile fields (threads, output path) stay out of the report body.
+That one thread is the whole process: no layer calls a BLAS routine, so
+main sets OPENBLAS_NUM_THREADS=1 before any handler imports numpy, and
+numpy's OpenBLAS starts no worker thread. Importing this module or the
+package leaves the environment alone, as a library caller may use BLAS.
 
 Importing this module and building the parser load no numpy: each handler
 imports the layers it reads when it runs, and numpy loads on the first
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -587,6 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # no layer calls BLAS: before numpy loads, stop OpenBLAS starting a
+    # thread per extra core
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

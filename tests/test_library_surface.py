@@ -6,10 +6,10 @@ reaches into another's private names: a decision such as the sieve's window
 tiling stays behind the module that owns it. And summation alone decides
 how an array is summed: no other module fsums a list made from an array,
 or names the slices of the exact reduction, their chunk size or their
-range check, by any import. No module starts a thread,
-and only the sieve may hold a worker pool. The modules the CLI loads before
-a command needs an array import no numpy, nor any module that does, when
-they are imported.
+range check, by any import. No module calls a BLAS routine, by @ or by
+name. No module starts a thread, and only the sieve may hold a worker pool.
+The modules the CLI loads before a command needs an array import no numpy,
+nor any module that does, when they are imported.
 """
 
 import ast
@@ -141,6 +141,55 @@ def test_the_guard_names_a_read_of_summation_internals(tmp_path):
         "bad.py:3: from germain_lab.summation import _range as r",
         "bad.py:5: parts = s._slices(t, [(0, 1)])",
         "bad.py:6: from .summation import _grow"]
+
+
+# numpy's routines that run on BLAS; the CLI stops OpenBLAS's threads from
+# starting because no module calls one
+BLAS_NAMES = {"dot", "matmul", "linalg", "einsum", "inner", "vdot", "tensordot"}
+
+
+def _blas_uses(tree):
+    """Lines of tree that multiply by @ or reach a BLAS routine by attribute
+    or import. A local name such as `inner` is not a use."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.alias):
+            names = set(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names = set((node.module or "").split("."))
+        else:
+            names = set()
+        if names & BLAS_NAMES or isinstance(getattr(node, "op", None), ast.MatMult):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_calls_a_blas_routine():
+    found = [(path, line) for path in sorted(SRC.glob("*.py"))
+             for line in _blas_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert _offending_lines(found) == []
+
+
+def test_the_blas_guard_names_each_way_to_a_blas_routine(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import numpy as np\n"
+                   "c = a @ b\n"
+                   "c @= b\n"
+                   "v = np.dot(a, b)\n"
+                   "n = np.linalg.norm(v)\n"
+                   "from numpy import einsum\n"
+                   "from numpy.linalg import norm\n"
+                   "inner = a * b\n", encoding="utf-8")
+    found = [(bad, line) for line in _blas_uses(ast.parse(bad.read_text()))]
+    assert _offending_lines(found) == [
+        "bad.py:2: c = a @ b",
+        "bad.py:3: c @= b",
+        "bad.py:4: v = np.dot(a, b)",
+        "bad.py:5: n = np.linalg.norm(v)",
+        "bad.py:6: from numpy import einsum",
+        "bad.py:7: from numpy.linalg import norm"]
 
 
 def _imported_packages(tree):

@@ -1,5 +1,7 @@
 """Start-up: the package, the CLI parser and the commands that need no array
 load no numpy; each layer is imported when a command that reads it runs.
+A command that does load numpy runs on one OS thread, and the library alone
+leaves the environment that sets this as it was.
 """
 
 import json
@@ -37,14 +39,20 @@ sys.stdout.write("\\n" + json.dumps(seen) + "\\n")
 """
 
 
-def test_commands_without_arrays_load_no_numpy():
-    env = dict(os.environ)
+def _fresh(script: str, drop=()):
+    """The last stdout line, as JSON, of script run in a fresh interpreter
+    whose environment lacks the names in drop."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", _SCRIPT.format(steps=_STEPS)],
+    done = subprocess.run([sys.executable, "-c", script],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    seen = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_commands_without_arrays_load_no_numpy():
+    seen = _fresh(_SCRIPT.format(steps=_STEPS))
     assert seen == [
         ["import germain_lab", None, False],
         ["build_parser", None, False],
@@ -54,6 +62,42 @@ def test_commands_without_arrays_load_no_numpy():
         ["primroot --fermat", 0, False],
         ["constants", 0, True],
     ]
+
+
+_THREADS = """
+import json, os, sys
+{body}
+threads = next(int(line.split()[1]) for line in open("/proc/self/status")
+               if line.startswith("Threads:"))
+seen = [threads, os.environ.get("OPENBLAS_NUM_THREADS")]
+sys.stdout.write("\\n" + json.dumps(seen) + "\\n")
+"""
+_LIBRARY = """
+import importlib, pkgutil, germain_lab
+for module in pkgutil.iter_modules(germain_lab.__path__):
+    importlib.import_module("germain_lab." + module.name)
+germain_lab.counting.pair_sums([100])
+"""
+_CLI = "from germain_lab import cli; cli.main(['constants', '--cutoff', '1e3'])"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="no /proc/self/status to count the process's threads")
+@pytest.mark.skipif(os.cpu_count() == 1,
+                    reason="on one CPU OpenBLAS starts no extra thread, so "
+                           "there is nothing to stop")
+def test_a_numpy_command_runs_on_one_os_thread():
+    # OPENBLAS_NUM_THREADS is dropped: a cli.main call in this process has
+    # set it, and every child would inherit it
+    drop = ("OPENBLAS_NUM_THREADS",)
+    # the library alone leaves the environment as it was; the threads its
+    # numpy starts are the control
+    threads, variable = _fresh(_THREADS.format(body=_LIBRARY), drop)
+    assert variable is None
+    if threads == 1:
+        pytest.skip("this numpy starts no BLAS thread here, so there is "
+                    "nothing to stop")
+    assert _fresh(_THREADS.format(body=_CLI), drop) == [1, "1"]
 
 
 @pytest.mark.parametrize("name", germain_lab.__all__)
