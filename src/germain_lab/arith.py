@@ -17,6 +17,13 @@ fancy-index write per cofactor c, to the multiples c*p of all of them at
 once: about sqrt(limit) numpy calls instead of one per prime. The tables
 are integers, so the result does not depend on the order of the writes.
 
+Both sieves take a limit below 2^31, which they refuse before anything is
+allocated. Below it every n <= limit, and so every phi(n) <= n, fits 4
+bytes: mu is an int8 table, one byte per integer, and phi an int32 table
+(PHI_DTYPE), four bytes per integer. The large primes, their multiples
+c*p and the values phi(c) (p - 1) are int32 arrays too, so no transient
+is wider than the table it writes.
+
 The module imports without numpy, as sieve does: factorize, divisors and
 totient need none. The sieved tables import numpy when they are called.
 """
@@ -75,41 +82,57 @@ def totient(n: int) -> int:
     return t
 
 
-def _split_primes(limit: int) -> tuple[list[int], np.ndarray, int]:
-    """The primes <= limit split at r = isqrt(limit), and the largest cofactor.
+# The element type of totient_sieve's table, and the limit both sieves stay
+# below: phi(n) <= n < 2^31 fits it, as does every index n <= limit.
+PHI_DTYPE = "int32"
+SIEVE_LIMIT_CAP = 1 << 31
+
+
+def _split_primes(limit: int) -> tuple[list[int], np.ndarray, list[int]]:
+    """The primes <= limit split at r = isqrt(limit), and the large ones per cofactor.
 
     Returns the primes p <= r as ints, the primes p > r as an ascending
-    int64 array, and limit // (r + 1): every n <= limit with a prime factor
-    p > r is n = c*p with c at most that.
+    int32 array, and for c = 1 .. limit // (r + 1) the number of those p
+    with c*p <= limit: every n <= limit with a prime factor p > r is n = c*p
+    with c in that range. A limit of SIEVE_LIMIT_CAP or more is refused
+    before any prime is sieved.
     """
+    if limit >= SIEVE_LIMIT_CAP:
+        raise ValueError(f"limit {limit} is at or above the sieves' cap "
+                         f"2^31 = {SIEVE_LIMIT_CAP}")
     import numpy as np
     ps = primes_upto(limit)
     root = math.isqrt(limit)
     k = int(np.searchsorted(ps, root, side="right"))
-    return ps[:k].tolist(), ps[k:], limit // (root + 1)
+    small, large = ps[:k].tolist(), ps[k:].astype(PHI_DTYPE)
+    del ps
+    # int32 keys: a Python int key would make searchsorted copy large to int64
+    cofactors = np.arange(1, limit // (root + 1) + 1, dtype=PHI_DTYPE)
+    return small, large, np.searchsorted(large, limit // cofactors, side="right").tolist()
 
 
 def mobius_sieve(limit: int) -> np.ndarray:
-    """mu(n) for 0 <= n <= limit as an int8 array (mu(0) stored as 0)."""
+    """mu(n) for 0 <= n <= limit < 2^31 as an int8 array (mu(0) stored as 0)."""
     import numpy as np
+    small, large, ends = _split_primes(limit)
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    small, large, cofactors = _split_primes(limit)
     for p in small:
         mu[p::p] *= -1
         mu[p * p::p * p] = 0
-    # n = c*p with p > sqrt(limit) prime: mu(c) is final, and mu(n) = -mu(c)
-    for c in range(1, cofactors + 1):
-        ps = large[:np.searchsorted(large, limit // c, side="right")]
-        mu[c * ps] = -mu[c]
+    # n = c*p with p > sqrt(limit) prime: mu(c) is final, and mu(n) = -mu(c);
+    # c = 1 indexes by the primes themselves, with no copy of them
+    mu[large] = -1
+    for c, end in enumerate(ends[1:], 2):
+        mu[c * large[:end]] = -mu[c]
     return mu
 
 
 def totient_sieve(limit: int) -> np.ndarray:
-    """phi(n) for 0 <= n <= limit as an int64 array."""
+    """phi(n) for 0 <= n <= limit < 2^31 as an int32 array."""
     import numpy as np
-    phi = np.arange(limit + 1, dtype=np.int64)
-    small, large, cofactors = _split_primes(limit)
+    small, large, ends = _split_primes(limit)
+    phi = np.arange(limit + 1, dtype=PHI_DTYPE)
     for p in small:
         # in place: p still divides phi-so-far(n) for every multiple n of p
         multiples = phi[p::p]
@@ -120,10 +143,9 @@ def totient_sieve(limit: int) -> np.ndarray:
     # next to phi and the primes only one value array is held, or an index
     # array and a value array of at most half as many entries.
     phi[large] = large - 1
-    for c in range(2, cofactors + 1):
-        ps = large[:np.searchsorted(large, limit // c, side="right")]
+    for c, end in enumerate(ends[1:], 2):
+        ps = large[:end]
         values = ps - 1
         values *= phi[c]
         phi[c * ps] = values
     return phi
-

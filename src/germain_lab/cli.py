@@ -180,11 +180,13 @@ def _cmd_ap_census(args: argparse.Namespace):
 
 
 def _cmd_verify_identities(args: argparse.Namespace):
-    from . import sums
+    import numpy as np
+    from . import arith, sums
     top = args.max
     if top > sums.IDENTITY_CAP:
+        width = np.dtype(arith.PHI_DTYPE).itemsize
         raise CliError(f"--max {top} is above the cap {sums.IDENTITY_CAP}: the "
-                       f"phi table up to max^2 would take {8 * (top * top + 1)} bytes")
+                       f"phi table up to max^2 would take {width * (top * top + 1)} bytes")
     count = len(sums.IDENTITIES)
     nonzero = [0] * count
     worst = [0] * count
@@ -208,6 +210,15 @@ def _cmd_sums(args: argparse.Namespace):
     if any(m not in table for m in methods):
         raise CliError(f"--method {method} does not apply to --formula {formula}; "
                        f"it takes {', '.join(table)}")
+    # a double sum is taken anew at each x: refuse the largest x before
+    # any x is summed
+    caps = {"log-lcm": sums.LOG_LCM_CAPS,
+            "mobius-phi-lcm": sums.MOBIUS_PHI_LCM_CAPS}.get(formula, {})
+    largest = max(args.x_checkpoints)
+    for m in methods:
+        if largest > caps.get(m, largest):
+            raise CliError(f"--x {largest} is above the cap {caps[m]} of --formula "
+                           f"{formula} --method {m}")
     header = ["formula_id", "x", "value", "method"]
     rows = [[formula, x, value, m] for m in methods
             for x, value in zip(args.x_checkpoints, table[m](sums, args.x_checkpoints))]

@@ -27,9 +27,19 @@ with x, so it is taken anew at each checkpoint.
 
 The single sums, squarefree_harmonic_sums, mobius_log_sums and the twisted
 sums, are prefix sums over the squarefree n: one mu table to the last
-checkpoint, and one summation.PrefixSums cut at every checkpoint. The
-`sums` command reads this module by the FORMULAS table that cli keeps
-beside the command, so importing the CLI loads none of it.
+checkpoint (int8, 1 byte per integer), and for the twisted sums one phi
+table (int32, 4 bytes; arith refuses a limit of 2^31 or more). The mu
+table is read one block of _BLOCK integers at a time, and each block's
+terms go to one summation.PrefixSums cut at every checkpoint, so beside
+the tables only one block's arrays are alive, whatever x is. The tables
+are exact integers, and PrefixSums rounds correctly however its terms are
+split, so the blocks do not change a bit of any sum.
+
+Every sum refuses its input before it builds a table: a single sum's
+checkpoint above MOBIUS_X_CAP, set by the tables' memory, and a double
+sum's x above its method's cap in LOG_LCM_CAPS or MOBIUS_PHI_LCM_CAPS, set
+by time. The `sums` command reads this module by the FORMULAS table that
+cli keeps beside the command, so importing the CLI loads none of it.
 """
 
 from __future__ import annotations
@@ -41,21 +51,37 @@ import numpy as np
 
 from .arith import divisors, factorize, mobius_sieve, totient_sieve
 from .constants import SingularValue, check_offset, singular_series
-from .summation import exact_sum, sums_upto
+from .summation import PrefixSums, exact_sum
 
 BRUTE_CAP = 2000  # 4e6 terms; the rearranged forms carry the load beyond
-# Largest checkpoint of the single sums, whose mu table (and the twisted
-# sums' phi table) is as long as it. On a 2-core Xeon at the cap,
-# sums --formula mobius-log took 4.7 s and 1.03 GB, and twisted-sums --m 1
-# --no-log, which keeps the most n, 10.4 s and 1.78 GB.
+# Largest x of the regrouped double sums, set by time: each makes about x
+# numpy calls. On a 2-core Xeon, log-lcm took 0.55 s at 1e5 and 4.2-5.3 s
+# at the cap (relaxed: 4.0-4.4 s), and mobius-phi-lcm diagonalized 1.9 s at
+# 1e5 and 5.2-5.9 s at the cap (relaxed: 2.4 s).
+REARRANGED_CAP = 1_000_000
+DIAGONALIZED_CAP = 300_000
+# Largest x of each method of the two double sums
+LOG_LCM_CAPS = {"brute": BRUTE_CAP, "rearranged": REARRANGED_CAP,
+                "relaxed": REARRANGED_CAP}
+MOBIUS_PHI_LCM_CAPS = {"brute": BRUTE_CAP, "diagonalized": DIAGONALIZED_CAP,
+                       "relaxed": DIAGONALIZED_CAP}
+# Largest checkpoint of the single sums, whose mu table (1 byte per
+# integer) and the twisted sums' phi table (4 bytes) are as long as it. On
+# a 2-core Xeon at the cap, sums --formula mobius-log took 3.9 s and 159 MB
+# peak RSS, and twisted-sums --m 1 --no-log 11.1 s and 541 MB, most of it
+# in the two sieves.
 MOBIUS_X_CAP = 100_000_000
+# Integers of the mu table that the single sums read at a time: one block's
+# squarefree n, mu(n), terms and logs are the arrays beside the tables
+_BLOCK = 1 << 16
 
 
 # -- exact identities -------------------------------------------------------
 
 IDENTITIES = ("gcd-phi-divisor", "lcm-reciprocal", "phi-lcm-reciprocal")
-# Largest max for identity_residual_rows: its phi table up to max^2 is
-# 8 * (max^2 + 1) bytes, about 72 MB at the cap.
+# Largest max for identity_residual_rows: its phi table up to max^2 takes
+# 4 bytes per entry, 36 MB at the cap, where verify-identities peaked at
+# 69 MB RSS in 1.3 s on a 2-core Xeon.
 IDENTITY_CAP = 3000
 
 
@@ -102,18 +128,26 @@ def _gcd_row(m: int, x: int) -> np.ndarray:
     return g
 
 
+def _check_double(x: int, method: str, caps: dict[str, int]) -> None:
+    """Refuse x below 2, a method not in caps, or x above its cap, before any table."""
+    if x < 2:
+        raise ValueError(f"x must be >= 2, got {x}")
+    if method not in caps:
+        raise ValueError(f"unknown method {method!r}")
+    if x > caps[method]:
+        raise ValueError(f"{method} method capped at x={caps[method]}")
+
+
 def log_lcm_double_sum(x: int, method: str = "brute") -> float:
     """sum_{m,n<=x} log m log n / [m,n].
 
-    method: "brute" (row-major double loop, capped), "rearranged" (the exact
+    method: "brute" (row-major double loop), "rearranged" (the exact
     regrouping over common divisors d), or "relaxed" (same shape but with
     log r in place of log(dr); a diagnostic lower envelope, not an identity).
+    x above the method's cap in LOG_LCM_CAPS is refused before any table.
     """
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
+    _check_double(x, method, LOG_LCM_CAPS)
     if method == "brute":
-        if x > BRUTE_CAP:
-            raise ValueError(f"brute method capped at x={BRUTE_CAP}")
         n = np.arange(1, x + 1, dtype=np.int64)
         logs = np.log(n.astype(np.float64))
         rows = []
@@ -121,17 +155,15 @@ def log_lcm_double_sum(x: int, method: str = "brute") -> float:
             l = (m // _gcd_row(m, x)) * n  # lcm(m, n)
             rows.append(exact_sum(logs[m - 1] * logs / l))
         return fsum(rows)
-    if method in ("rearranged", "relaxed"):
-        phi = totient_sieve(x)
-        terms = []
-        for d in range(1, x + 1):
-            y = x // d
-            r = np.arange(1, y + 1, dtype=np.float64)
-            w = np.log(r) if method == "relaxed" else np.log(d * r)
-            inner = exact_sum(w / r)
-            terms.append(int(phi[d]) / (d * d) * inner * inner)
-        return fsum(terms)
-    raise ValueError(f"unknown method {method!r}")
+    phi = totient_sieve(x)
+    terms = []
+    for d in range(1, x + 1):
+        y = x // d
+        r = np.arange(1, y + 1, dtype=np.float64)
+        w = np.log(r) if method == "relaxed" else np.log(d * r)
+        inner = exact_sum(w / r)
+        terms.append(int(phi[d]) / (d * d) * inner * inner)
+    return fsum(terms)
 
 
 def mobius_phi_lcm_sum(x: int, method: str = "brute") -> float:
@@ -139,14 +171,12 @@ def mobius_phi_lcm_sum(x: int, method: str = "brute") -> float:
 
     method "diagonalized" is the exact two-level regrouping documented in
     the module docstring and matches "brute" to rounding error; "relaxed"
-    is the single-square shortcut, kept for diagnostics only.
+    is the single-square shortcut, kept for diagnostics only. x above the
+    method's cap in MOBIUS_PHI_LCM_CAPS is refused before any table.
     """
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
+    _check_double(x, method, MOBIUS_PHI_LCM_CAPS)
     mu = mobius_sieve(x)
     if method == "brute":
-        if x > BRUTE_CAP:
-            raise ValueError(f"brute method capped at x={BRUTE_CAP}")
         phi = totient_sieve(x * x)
         n = np.arange(1, x + 1, dtype=np.int64)
         logs = np.log(n.astype(np.float64))
@@ -158,34 +188,32 @@ def mobius_phi_lcm_sum(x: int, method: str = "brute") -> float:
             l = (m // _gcd_row(m, x)) * n  # lcm(m, n)
             rows.append(exact_sum(int(mu[m]) * logs[m - 1] * mu_n * logs / phi[l]))
         return fsum(rows)
-    if method in ("diagonalized", "relaxed"):
-        phi = totient_sieve(x)
-        outer = []
-        for d in range(1, x + 1):
-            if mu[d] == 0:
+    phi = totient_sieve(x)
+    outer = []
+    for d in range(1, x + 1):
+        if mu[d] == 0:
+            continue
+        y = x // d
+        r = np.arange(y + 1, dtype=np.int64)
+        keep = (mu[:y + 1] != 0) & (np.gcd(r, d) == 1)
+        keep[0] = False
+        F = np.zeros(y + 1)
+        F[keep] = (mu[:y + 1][keep].astype(np.float64)
+                   * np.log(d * r[keep].astype(np.float64))
+                   / phi[:y + 1][keep])
+        if method == "relaxed":
+            g1 = exact_sum(F)
+            outer.append(g1 * g1 / d)
+            continue
+        inner = []
+        for e in range(1, y + 1):
+            if mu[e] == 0:
                 continue
-            y = x // d
-            r = np.arange(y + 1, dtype=np.int64)
-            keep = (mu[:y + 1] != 0) & (np.gcd(r, d) == 1)
-            keep[0] = False
-            F = np.zeros(y + 1)
-            F[keep] = (mu[:y + 1][keep].astype(np.float64)
-                       * np.log(d * r[keep].astype(np.float64))
-                       / phi[:y + 1][keep])
-            if method == "relaxed":
-                g1 = exact_sum(F)
-                outer.append(g1 * g1 / d)
-                continue
-            inner = []
-            for e in range(1, y + 1):
-                if mu[e] == 0:
-                    continue
-                ge = exact_sum(F[e::e])
-                if ge != 0.0:
-                    inner.append(int(mu[e]) / e * ge * ge)
-            outer.append(fsum(inner) / d)
-        return fsum(outer)
-    raise ValueError(f"unknown method {method!r}")
+            ge = exact_sum(F[e::e])
+            if ge != 0.0:
+                inner.append(int(mu[e]) / e * ge * ge)
+        outer.append(fsum(inner) / d)
+    return fsum(outer)
 
 
 # -- single sums ------------------------------------------------------------
@@ -203,21 +231,27 @@ def _squarefree_sums(m: int, xs: Sequence[int],
                      with_log: bool) -> list[float]:
     """Per ascending x, the sum of the terms of the squarefree n <= x prime to m.
 
-    terms(n, mu) gives the terms from mu(n) (int8), times log n with_log;
-    one mu table and one PrefixSums cut at every x serve every x.
+    terms(n, mu) gives the terms of the ascending n of one block from
+    mu(n) (int8), times log n with_log. One mu table to the last x is read
+    _BLOCK integers at a time, and each block's terms go to one PrefixSums
+    cut at every x, so only one block's arrays are alive beside the tables.
     """
     _check(xs)
-    mu = mobius_sieve(max(xs, default=0))
+    last = max(xs, default=0)
+    mu = mobius_sieve(last)
     for p, _ in factorize(m):
         mu[::p] = 0
-    n = np.flatnonzero(mu)  # mu(0) is stored as 0
-    mu = mu[n]  # the table goes before terms builds any array
-    t = terms(n, mu)
-    if with_log:  # the logs take the product, so that mu may stay int8
-        logs = np.log(n, dtype=np.float64)
-        logs *= t
-        t = logs
-    return sums_upto(n, t, xs)
+    keys, stream = np.asarray(xs, dtype=np.int64), PrefixSums(len(xs))
+    for lo in range(0, last + 1, _BLOCK):
+        n = np.flatnonzero(mu[lo:lo + _BLOCK])  # mu(0) is stored as 0
+        n += lo
+        t = terms(n, mu[n])
+        if with_log:  # the logs take the product, so that mu may stay int8
+            logs = np.log(n, dtype=np.float64)
+            logs *= t
+            t = logs
+        stream.add(t, np.searchsorted(n, keys, side="right").tolist())
+    return stream.sums()
 
 
 def squarefree_harmonic_sums(xs: Sequence[int]) -> list[float]:
@@ -245,5 +279,5 @@ def twisted_mobius_sums(m: int, xs: Sequence[int], with_log: bool,
     check_offset(m, "m")
     _check(xs)
     target = singular_series(m, make_c2()).value if with_log else 0.0
-    return target, _squarefree_sums(
-        m, xs, lambda n, mu: mu / totient_sieve(max(xs, default=0))[n], with_log)
+    phi = totient_sieve(max(xs, default=0))
+    return target, _squarefree_sums(m, xs, lambda n, mu: mu / phi[n], with_log)

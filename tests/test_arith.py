@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from germain_lab import arith
 from germain_lab.arith import (divisors, factorize, mobius_sieve,
                                totient, totient_sieve)
 from germain_lab.sums import mobius_log_sums
@@ -158,10 +159,12 @@ SPLIT_LIMITS = sorted({*range(301), 10 ** 6,
 def test_split_sieves_equal_the_per_prime_loop():
     # the primes above sqrt(limit) are applied one cofactor at a time;
     # limits on and beside p^2 move a prime across that split
+    # mu in one byte, phi in four: the int64 oracle holds the same values
     for limit in SPLIT_LIMITS:
-        for got, want in ((mobius_sieve(limit), oracles.mobius_sieve_per_prime(limit)),
-                          (totient_sieve(limit), oracles.totient_sieve_per_prime(limit))):
-            assert got.dtype == want.dtype
+        for got, want, dtype in (
+                (mobius_sieve(limit), oracles.mobius_sieve_per_prime(limit), np.int8),
+                (totient_sieve(limit), oracles.totient_sieve_per_prime(limit), np.int32)):
+            assert got.dtype == dtype
             assert np.array_equal(got, want), limit
 
 
@@ -169,3 +172,24 @@ def test_totient_sieve_edge_limits():
     for limit in (0, 1, 2, 10):
         assert totient_sieve(limit).tolist() == [0] + [
             oracles.totient_brute(n) for n in range(1, limit + 1)]
+
+
+def test_sieves_refuse_a_limit_of_2_to_the_31_before_any_allocation(monkeypatch):
+    # every phi(n) and index n of the tables fits int32 only below 2^31
+    def no_primes(limit):
+        raise AssertionError("the primes were sieved")
+
+    monkeypatch.setattr(arith, "primes_upto", no_primes)
+    for sieve_table in (totient_sieve, mobius_sieve):
+        for limit in (2 ** 31, 10 ** 12):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="at or above the sieves' cap 2"):
+                    sieve_table(limit)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10_000, (sieve_table.__name__, limit, peak)
+    # the largest limit admitted, and so the largest phi(n) and index, is
+    # int32's largest value
+    assert arith.SIEVE_LIMIT_CAP - 1 == np.iinfo(arith.PHI_DTYPE).max

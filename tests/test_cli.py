@@ -409,7 +409,7 @@ def test_verify_identities_max_above_cap_is_refused_before_the_table(monkeypatch
         assert json.loads(captured.err) == {
             "error": "CliError",
             "message": f"--max {top} is above the cap 3000: the phi table up to "
-                       f"max^2 would take {8 * (top * top + 1)} bytes"}
+                       f"max^2 would take {4 * (top * top + 1)} bytes"}
 
 
 def test_psi0_partition_above_cap_is_refused_before_any_table(monkeypatch,
@@ -691,6 +691,44 @@ def test_sums_method_the_formula_lacks_is_refused(formula, method, takes,
         "error": "CliError",
         "message": f"--method {method} does not apply to --formula {formula}; "
                    f"it takes {takes}"}
+
+
+@pytest.mark.parametrize("formula, method, named, cap", [
+    ("log-lcm", "brute", "brute", 2000),
+    ("log-lcm", "rearranged", "rearranged", 10 ** 6),
+    ("log-lcm", "relaxed", "relaxed", 10 ** 6),
+    ("log-lcm", "both", "brute", 2000),
+    ("mobius-phi-lcm", "brute", "brute", 2000),
+    ("mobius-phi-lcm", "diagonalized", "diagonalized", 3 * 10 ** 5),
+    ("mobius-phi-lcm", "relaxed", "relaxed", 3 * 10 ** 5),
+    ("mobius-phi-lcm", "auto", "diagonalized", 3 * 10 ** 5),
+])
+def test_double_sums_above_their_caps_are_refused_before_any_table(
+        formula, method, named, cap, monkeypatch, capsys):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    for name in ("mobius_sieve", "totient_sieve", "_gcd_row"):
+        monkeypatch.setattr(sums, name, no_table)
+    # the smaller checkpoint first: it must not be summed either
+    for xs, largest in ((f"{cap + 1}", cap + 1), (f"100,{cap + 1}", cap + 1),
+                        ("3e7", 3 * 10 ** 7), ("1e20", 10 ** 20)):
+        assert main(["sums", "--formula", formula, "--method", method,
+                     "--x", xs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "CliError",
+            "message": f"--x {largest} is above the cap {cap} of --formula "
+                       f"{formula} --method {named}"}
+    # the library refuses the same x before its tables
+    total = {"log-lcm": sums.log_lcm_double_sum,
+             "mobius-phi-lcm": sums.mobius_phi_lcm_sum}[formula]
+    with pytest.raises(ValueError, match=f"^{named} method capped at x={cap}$"):
+        total(cap + 1, named)
+    # the cap itself is admitted: the stubs show that work starts
+    with pytest.raises(AssertionError, match="a table was built"):
+        main(["sums", "--formula", formula, "--method", method, "--x", str(cap)])
 
 
 def test_sums_unknown_formula_is_a_usage_error(capsys):

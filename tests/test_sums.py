@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from math import fsum, log
 
 import numpy as np
@@ -178,6 +179,51 @@ def test_each_single_sum_sieves_mu_once_and_cuts_it_at_every_checkpoint(
     calls.clear()
     sums.twisted_mobius_sums(6, xs, True, lambda: c2_1e6)
     assert calls == [xs[-1]]
+
+
+def test_single_sums_equal_the_prefix_fsums_across_block_edges(c2_1e6):
+    # the mu table is read a block at a time: checkpoints on and beside the
+    # block edges see the fsum of every term up to them
+    block = sums._BLOCK
+    xs = [1, block - 1, block, block + 1, 2 * block, 3 * block + 7]
+    mu = sums.mobius_sieve(xs[-1])[1:]
+    phi = sums.totient_sieve(xs[-1])[1:]
+    n = np.arange(1, xs[-1] + 1)
+    logs = np.log(n.astype(np.float64))
+    coprime = np.gcd(n, 6) == 1
+    per_x = [
+        (sums.squarefree_harmonic_sums(xs), lambda x: (1.0 / n[:x])[mu[:x] != 0]),
+        (sums.mobius_log_sums(xs), lambda x: mu[:x] * logs[:x]),
+        (sums.twisted_mobius_sums(6, xs, True, lambda: c2_1e6)[1],
+         lambda x: (mu[:x] / phi[:x] * logs[:x])[coprime[:x]]),
+    ]
+    for values, terms in per_x:
+        assert values == [fsum(terms(x).tolist()) for x in xs]
+
+
+def _rosser_schoenfeld_pi(x):
+    """An upper bound of the number of primes <= x (x > 1)."""
+    return 1.25506 * x / math.log(x)
+
+
+@pytest.mark.parametrize("x", [10 ** 6, 4 * 10 ** 6])
+def test_single_sums_hold_their_tables_and_one_block_of_terms(x):
+    # beside the tables, mu in one byte per integer and phi in four, only one
+    # block's squarefree n and terms are alive (about 1.3 MB for a block of
+    # 2^16 integers), and, while the tables are sieved, the int32 primes
+    # above sqrt(x) and the multiples of at most half of them: never an
+    # array over every squarefree n <= x
+    block = 2 << 20
+    primes = 6 * _rosser_schoenfeld_pi(x)
+    for tables, call in ((x + 1, lambda: sums.mobius_log_sums([x])),
+                         (5 * (x + 1), lambda: twisted_mobius_sums(6, [x], False, _no_c2))):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tables + block + primes, (x, tables, peak)
 
 
 def _no_c2():
