@@ -7,9 +7,10 @@ downstream comparison can be tolerance-aware. The classical value is
 reaches it to ~9 digits, which is all this library promises.
 
 The product is summed as logs. Each sieve window's log1p terms are computed
-in place, in one array the size of the window's primes, and summed exactly
-by summation.exact_sum, which gives the correctly rounded window sum (the
-fsum of its terms) without a Python list; the window partials are fsum'd in
+in place by summation.add_terms, one fixed-size slice of the window's
+primes at a time, into one PrefixSums, which gives the correctly rounded
+window sum (the fsum of its terms) however the slices fall; so no float
+array is as large as a window's primes. The window partials are fsum'd in
 window order, on the fixed boundaries of sieve.prime_windows that the
 rounded partials depend on.
 """
@@ -25,11 +26,11 @@ import numpy as np
 
 from . import sieve
 from .arith import factorize
-from .summation import exact_sum
+from .summation import PrefixSums, add_terms
 
 # Largest prime cutoff of twin_prime_constant. At the cap the product took
-# 49 s at 37 MB RSS, and 3.8-4.5 s at 10^9 (2-core Xeon, Python 3.11,
-# numpy 2.4).
+# 49 s at 37 MB RSS, and 3.7-4.3 s at 10^9 at 32 MB (2-core Xeon, Python
+# 3.11, numpy 2.4).
 C2_CUTOFF_CAP = 10 ** 10
 # Largest offset singular_series takes: trial division of the prime
 # 99,999,999,999,973 takes 0.40-0.44 s on the same machine.
@@ -52,18 +53,25 @@ class SingularValue:
     tail_bound: float
 
 
-def _segment_log_sum(primes: np.ndarray) -> float:
-    """The correctly rounded sum of log(1 - 1/(p-1)^2) over one window's primes.
-
-    The terms are log1p(-1.0 / ((p - 1.0) * (p - 1.0))), the same IEEE
-    operations in the same order, computed in place in one array.
-    """
+def _log_terms(primes: np.ndarray) -> tuple[np.ndarray]:
+    """log1p(-1.0 / ((p - 1.0) * (p - 1.0))) per prime p, computed in place."""
     t = primes.astype(np.float64)
     t -= 1.0
     t *= t
     np.divide(-1.0, t, out=t)
     np.log1p(t, out=t)
-    return exact_sum(t)
+    return (t,)
+
+
+def _segment_log_sum(primes: np.ndarray) -> float:
+    """The correctly rounded sum of log(1 - 1/(p-1)^2) over one window's primes.
+
+    The terms are log1p(-1.0 / ((p - 1.0) * (p - 1.0))), the same IEEE
+    operations in the same order, computed one slice of primes at a time.
+    """
+    window = PrefixSums(1)
+    add_terms([window], primes, _log_terms, [primes.size])
+    return window.sums()[0]
 
 
 def twin_prime_constant(prime_cutoff: int) -> SingularValue:

@@ -16,10 +16,12 @@ over the Germain primes (a, b = 2, 1).
 Every group is summed to the last checkpoint and cut at each one, through
 summation.PrefixSums. The pass is a flat stream of ascending arrays, one
 per residue class and window, never merged: a checkpoint's count is the
-sum of its searchsorted cuts over the arrays, and only one array and its
-terms, computed in place, are alive at a time. Each sum is correctly
-rounded, the fsum of its whole prefix, so it depends neither on the other
-checkpoints, nor on the window size, nor on how the terms are split.
+sum of its searchsorted cuts over the arrays, and each array's terms are
+computed in place one fixed-size slice at a time (summation.add_terms),
+so only one array and one slice's terms are alive at a time. Each sum is
+correctly rounded, the fsum of its whole prefix, so it depends neither on
+the other checkpoints, nor on the window size, nor on how the terms are
+split.
 
 psi0_partition splits the divisor-expanded form of psi0(x) at a cutoff:
 expanding each Lambda(2n+1) factor through Lambda(m) = -sum_{d|m} mu(d) log d
@@ -43,7 +45,7 @@ import numpy as np
 from .arith import divisors, mobius_sieve
 from .constants import SingularValue
 from .sieve import is_prime, pair_windows, prime_powers, primes_upto
-from .summation import PrefixSums, exact_sum, sums_upto
+from .summation import PrefixSums, add_terms, exact_sum, sums_upto
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,11 @@ def _pass(xs: Sequence[int], a: int, b: int,
     terms(ps) gives arrays of terms, one entry per pair of the array ps.
     At each checkpoint x comes the number of pairs p <= x and, per array,
     the correctly rounded sum of its terms over the p <= x. Each ascending
-    array of the pass is cut at its own p <= x and dropped once its terms
-    are added, so only one array and its terms are alive at a time. The
-    checkpoints ascend strictly and are >= 1; below 2 there is no pair, so
-    no pass runs when the last one is.
+    array of the pass is cut at its own p <= x, its terms are computed one
+    slice of summation.chunks at a time (add_terms), and it is dropped once
+    they are added, so only one array and one slice's terms are alive at a
+    time. The checkpoints ascend strictly and are >= 1; below 2 there is no
+    pair, so no pass runs when the last one is.
     """
     if any(y <= x for x, y in zip(xs, xs[1:])):
         raise ValueError(f"checkpoints must be strictly ascending: {list(xs)}")
@@ -95,17 +98,16 @@ def _pass(xs: Sequence[int], a: int, b: int,
     last = xs[-1] if xs else 0
     arrays = (pair_windows(last, a, b) if last >= 2
               else [np.zeros(0, dtype=np.int64)])
-    counts, streams = [0] * len(xs), []  # the pairs p <= x so far
+    keys = np.array(xs, dtype=np.int64)
+    counts = np.zeros(len(xs), dtype=np.int64)  # the pairs p <= x so far
+    streams = [PrefixSums(len(xs)) for _ in terms(keys[:0])]  # one per array
     for ps in arrays:
-        cuts = np.searchsorted(ps, xs, side="right").tolist()
-        counts = [n + k for n, k in zip(counts, cuts)]
-        ts = terms(ps)
+        cuts = np.searchsorted(ps, keys, side="right")
+        counts += cuts
+        add_terms(streams, ps, terms, cuts)
         del ps
-        streams = streams or [PrefixSums(len(xs)) for _ in ts]
-        for s, t in zip(streams, ts):
-            s.add(t, cuts)
-        del ts
-    return [(n, list(row)) for n, *row in zip(counts, *(s.sums() for s in streams))]
+    return [(n, list(row))
+            for n, *row in zip(counts.tolist(), *(s.sums() for s in streams))]
 
 
 def pair_sums(xs: Sequence[int], a: int = 2,

@@ -7,8 +7,10 @@ plus a numerical validator for the mean-square large-sieve inequality
 Counting in a progression is done exactly in closed form (the error against
 x/q never exceeds 1 in absolute value), so no analytic error model is
 needed anywhere downstream. Residues live in [0, q); a residue quoted as q
-means 0. Every sum over a numpy array is summation.exact_sum, correctly
-rounded; only the sums of Python floats, one per modulus, are math.fsum.
+means 0. Every sum over a numpy array is correctly rounded: the weighted
+census streams the sieve's prime windows into one summation.PrefixSums,
+and the large-sieve check sums by summation.exact_sum; only the sums of
+Python floats, one per modulus, are math.fsum.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import fsum
 
 import numpy as np
 
 from .arith import totient
-from .sieve import prime_powers, primes_upto
-from .summation import PrefixSums, exact_sum
+from .sieve import prime_powers, prime_windows, primes_upto
+from .summation import PrefixSums, chunks, exact_sum
 
 
 # The large-sieve check's admission caps. On a 2-core Xeon, --x 2e6 peaked
@@ -35,8 +38,10 @@ LARGE_SIEVE_OPS_CAP = 10 ** 9
 # and 174-204 MB as JSON; 10^6 took 6.8 s and 345 MB as CSV, 16 s and
 # 1.5 GB as JSON.
 AP_CENSUS_ROWS_CAP = 100_000
-# Largest checkpoint of chebyshev_ap, which holds every prime up to it. On a
-# 2-core Xeon, ap-census --weighted --q 3 --x 1e8 took 0.9 s and 173 MB.
+# Largest checkpoint of chebyshev_ap, kept as a bound on time: its memory is
+# one sieve window's, whatever x is. On a 2-core Xeon, ap-census --weighted
+# --x 1e8 took 0.78-0.79 s at 32.4 MB peak RSS with --q 3, and 1.9-2.3 s at
+# 73 MB with --q 1e5, the most rows the report admits.
 CHEBYSHEV_X_CAP = 100_000_000
 
 
@@ -94,30 +99,42 @@ def chebyshev_ap(xs: Sequence[int], q: int) -> list[ChebyshevAp]:
     """The Lambda-weighted count of each class a mod q, x by x, then a = 0..q-1.
 
     Raw sums, with no gcd filter; only a class with gcd(a, q) = 1 gets the
-    x / phi(q) target. One sieve to the last of the ascending xs serves
-    every x: the primes and the prime powers, each sorted stably by class,
-    are cut at every (a, x) into one PrefixSums, a group per class.
+    x / phi(q) target. One pass of sieve.prime_windows to the last of the
+    ascending xs serves every x: each slice of chunks of a window's primes,
+    and of the O(sqrt(x)) prime powers, is sorted stably by class and cut
+    at every (a, x) into one PrefixSums, a group per class. Only one
+    window's primes and one slice's terms are held, never every prime.
     """
     top = max(xs, default=0)
     if min(xs, default=1) < 1:
         raise ValueError(f"x must be >= 1, got {min(xs)}")
     if top > CHEBYSHEV_X_CAP:
         raise ValueError(f"x {top} is above the prime table's cap {CHEBYSHEV_X_CAP}")
+    if any(y < x for x, y in zip(xs, xs[1:])):
+        raise ValueError(f"checkpoints must ascend: {list(xs)}")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     classes = PrefixSums(len(xs), q)  # a group of checkpoints per class
-    ends = np.add.outer(np.arange(q) * (top + 1), xs).ravel()  # the key of each (a, x)
+    checkpoints = np.asarray(xs, dtype=np.int64)
 
-    def add(n: np.ndarray, w: np.ndarray | None) -> None:
-        """Add the terms w of the ascending n, log n if w is None, to their classes."""
-        order = np.argsort(n % q, kind="stable")
-        n = n[order]  # the log after the sort: one array fewer alive
-        w = np.log(n, dtype=np.float64) if w is None else w[order]
-        del order
-        n += n % q * (top + 1)  # the key, ascending in (class, n)
-        classes.add(w, np.searchsorted(n, ends, side="right").tolist())
+    def add(ns: np.ndarray, ws: np.ndarray | None) -> None:
+        """Add the terms ws of the ascending ns <= top, log n if ws is None,
+        to their classes, one slice of chunks at a time."""
+        for n, w in zip(chunks(ns), repeat(None) if ws is None else chunks(ws)):
+            a = n % q
+            order = np.argsort(a, kind="stable")
+            w = np.log(n[order], dtype=np.float64) if w is None else w[order]
+            del order
+            # the cut of (a, x_j), at a * len(xs) + j, follows the terms of
+            # the classes below a and those of class a up to x_j
+            a *= len(xs)
+            a += np.searchsorted(checkpoints, n)
+            classes.add(w, np.cumsum(np.bincount(a, minlength=q * len(xs))))
 
-    add(primes_upto(top), None)
+    two = [np.array([2], dtype=np.int64)] if top >= 2 else []
+    for window in chain(two, prime_windows(top)):
+        add(window, None)
+        del window  # before the next window is struck
     powers = np.array(prime_powers(top), dtype=np.float64).reshape(-1, 2)  # (n, log p)
     add(powers[:, 0].astype(np.int64), powers[:, 1])
     phi, values = totient(q), classes.sums()

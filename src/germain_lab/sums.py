@@ -250,7 +250,7 @@ def _squarefree_sums(m: int, xs: Sequence[int],
             logs = np.log(n, dtype=np.float64)
             logs *= t
             t = logs
-        stream.add(t, np.searchsorted(n, keys, side="right").tolist())
+        stream.add(t, np.searchsorted(n, keys, side="right"))
     return stream.sums()
 
 

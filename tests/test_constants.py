@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from math import fsum
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from germain_lab.arith import factorize
 from germain_lab.cli import main
 from germain_lab.constants import singular_series, twin_prime_constant
 from germain_lab.summation import exact_sum
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Classical twin-prime constant, prod_{p>=3} (1 - 1/(p-1)^2), OEIS A005597.
 TRUE_C2 = 0.6601618158468695739278121100145
@@ -135,3 +141,26 @@ def test_segment_log_sum_in_place_is_the_expression_it_replaced(primes):
     assert constants._segment_log_sum(ps) == want
     assert ps.tolist() == primes  # the primes are not written
 
+
+def _minor_faults(argv):
+    """ru_minflt of a fresh CLI process that runs argv; its output is dropped."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    child = subprocess.Popen([sys.executable, "-m", "germain_lab.cli", *argv],
+                             env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0, argv
+    return usage.ru_minflt
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="no os.wait4 to count faults")
+def test_c2_page_faults_do_not_grow_with_the_cutoff():
+    # 48 windows at 10^8 against one at 10^6: a window-sized float array
+    # given back to the system and faulted in again per window took 34k
+    # more minor faults at 10^8; one window's slices take under 1k
+    small = _minor_faults(["constants", "--cutoff", "1e6"])
+    if small == 0:
+        pytest.skip("os.wait4 reports no minor page faults here")
+    assert _minor_faults(["constants", "--cutoff", "1e8"]) - small < 2000

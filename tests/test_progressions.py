@@ -70,9 +70,9 @@ def test_chebyshev_classes_recombine_to_full_sum():
 
 
 def test_chebyshev_reads_every_class_from_one_sieve(monkeypatch):
-    # ten checkpoints, one sieve: at each x, each class's value is the fsum
-    # of the library's own class terms up to x, prime logs and prime-power
-    # weights together
+    # ten checkpoints, one pass of the prime windows and no table of every
+    # prime: at each x, each class's value is the fsum of the library's own
+    # class terms up to x, prime logs and prime-power weights together
     xs = [1, 2, 3, 4, 8, 9, 25, 121, 997, 1000]
     q = 12
     primes = progressions.primes_upto(xs[-1])
@@ -80,12 +80,12 @@ def test_chebyshev_reads_every_class_from_one_sieve(monkeypatch):
     logs = np.log(primes.astype(np.float64)).tolist()
     terms = [*zip(primes.tolist(), logs), *powers]
     calls = []
-    for name in ("primes_upto", "prime_powers"):
+    for name in ("primes_upto", "prime_windows", "prime_powers"):
         real = getattr(progressions, name)
         monkeypatch.setattr(progressions, name,
                             lambda x, name=name, real=real: calls.append(name) or real(x))
     rows = chebyshev_ap(xs, q)
-    assert calls == ["primes_upto", "prime_powers"]
+    assert calls == ["prime_windows", "prime_powers"]
     assert [(r.x, r.q, r.a) for r in rows] == [(x, q, a) for x in xs for a in range(q)]
     assert [r.value for r in rows] == [
         fsum(w for n, w in terms if n <= x and n % q == a) for x in xs for a in range(q)]

@@ -20,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from germain_lab import sieve, summation
+from germain_lab import constants, counting, sieve, summation
+from germain_lab.constants import twin_prime_constant
 from germain_lab.counting import pair_sums, reciprocal_sums
+from germain_lab.progressions import chebyshev_ap
 from germain_lab.summation import PrefixSums, _slices, exact_sum
 
 # zeros, doubles across 2^-40 .. 2^40, and ties: 1 + j 2^-52 is a half-ulp
@@ -313,8 +315,100 @@ def test_pair_sums_hold_one_window_whatever_the_pair_count(monkeypatch, c2_1e6):
 def test_pair_sums_hold_one_class_window_at_1e8():
     # the flags of one class window take PAIR_WINDOW bytes, and the 423,140
     # pairs below 10^8 take 3.4 MB as one float64 array: the pass holds the
-    # one and a class window's pairs, never an array over a merged window or
-    # over every pair (merging each window's classes peaked at 6.9 MB)
+    # one, a class window's pairs and one chunk's terms, never an array over
+    # a merged window or over every pair (merging each window's classes
+    # peaked at 6.9 MB, and the terms of a whole class window at 2.4 MB)
     pair_sums([100])  # numpy's lazy set-up is not the pass's
     peak = _peak_bytes(lambda: pair_sums([10 ** 8]))
-    assert peak < 3 * sieve.PAIR_WINDOW < 8 * 423_140
+    assert peak < 2 * sieve.PAIR_WINDOW < 8 * 423_140
+
+
+def _window_bytes(limit, chunks):
+    """The largest prime window to limit, as its flags and its int64 primes,
+    and chunks float64 slices of summation.chunks, in bytes."""
+    entries = min(sieve.PAIR_WINDOW, (limit - 1) // 2)
+    primes = max(w.size for w in sieve.prime_windows(limit))
+    return entries + 8 * primes + chunks * 8 * summation._CHUNK
+
+
+@pytest.mark.parametrize("cutoff", [10 ** 6, 10 ** 8])
+def test_c2_holds_one_window_and_a_few_chunks(cutoff):
+    # a window's flags and primes, and its terms one chunk at a time; a
+    # float64 array of a whole window's terms peaked at 2.3 MB at 10^6 and
+    # 3.6 MB at 10^8
+    twin_prime_constant(100)  # numpy's lazy set-up is not the product's
+    peak = _peak_bytes(lambda: twin_prime_constant(cutoff))
+    assert peak < _window_bytes(cutoff, 2)
+
+
+@pytest.mark.parametrize("x", [10 ** 6, 4 * 10 ** 6])
+def test_chebyshev_holds_one_window_not_every_prime(x):
+    # pi(4e6) = 283,146 primes; the table of every prime, sorted by class
+    # with its keys and logs, peaked at 6.9 MB at 4e6
+    chebyshev_ap([100], 12)
+    peak = _peak_bytes(lambda: chebyshev_ap([x // 2, x], 12))
+    assert peak < _window_bytes(x, 2)
+
+
+def _edges(arrays, every, least):
+    """The checkpoints at, below and above the entry before every so many
+    entries of each array, and its last, from least on."""
+    return sorted({int(t[i - 1]) + d for t in arrays
+                   for i in [*range(every, t.size, every), t.size] if i
+                   for d in (-1, 0, 1)} - set(range(least)))
+
+
+def _slice_sizes(monkeypatch, module):
+    """The size of each slice whose terms module computes by add_terms."""
+    sizes, add_terms = [], summation.add_terms
+    monkeypatch.setattr(module, "add_terms", lambda streams, keys, terms, cuts: add_terms(
+        streams, keys, lambda piece: sizes.append(piece.size) or terms(piece), cuts))
+    return sizes
+
+
+@pytest.mark.parametrize("chunk,every", [(1, 64), (7, 35), (64, 64)])
+def test_c2_in_small_chunks_is_the_product_of_the_window_fsums(chunk, every,
+                                                              monkeypatch):
+    # cutoffs at the edge of every so many chunks of the first two windows
+    # of 2^11 odd integers: each window partial is still its terms' fsum
+    monkeypatch.setattr(sieve, "PAIR_WINDOW", 1 << 11)
+    monkeypatch.setattr(summation, "_CHUNK", chunk)
+    sizes = _slice_sizes(monkeypatch, constants)
+    for cutoff in _edges(sieve.prime_windows(2 * 2 * sieve.PAIR_WINDOW), every, 3):
+        want = oracles.twin_prime_window_partials(cutoff, sieve.PAIR_WINDOW)
+        assert twin_prime_constant(cutoff).value == math.exp(fsum(want)), cutoff
+    assert sizes and max(sizes) <= chunk
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("a,b", [(2, 1), (4, 3), (2, -1)])
+def test_pair_sums_in_small_chunks_equal_the_prefix_fsums(chunk, a, b,
+                                                          monkeypatch):
+    monkeypatch.setattr(sieve, "PAIR_WINDOW", 37)
+    monkeypatch.setattr(summation, "_CHUNK", chunk)
+    xs = _edges(sieve.pair_windows(10 ** 4, a, b), chunk, 2)
+    sizes = _slice_sizes(monkeypatch, counting)
+    assert pair_sums(xs, a, b) == oracles.pair_sums_prefix(xs, a, b)
+    assert sizes and max(sizes) <= chunk
+
+
+@pytest.mark.parametrize("chunk,top", [(1, 600), (7, 3000)])
+@pytest.mark.parametrize("q", [1, 5])
+def test_chebyshev_in_small_chunks_equals_the_class_fsums(chunk, top, q,
+                                                          monkeypatch):
+    # the windows of 2^8 odd integers are cut into chunks, and so are the
+    # prime powers; each class's value is the fsum of its np.log prime
+    # terms and prime-power weights up to x
+    monkeypatch.setattr(sieve, "PAIR_WINDOW", 1 << 8)
+    monkeypatch.setattr(summation, "_CHUNK", chunk)
+    primes = sieve.primes_upto(top)
+    powers = sieve.prime_powers(top)
+    xs = [x for x in _edges([primes[:1], *sieve.prime_windows(top),
+                             np.array([n for n, _ in powers])], chunk, 1) if x <= top]
+    terms = [*zip(primes.tolist(), np.log(primes.astype(np.float64)).tolist()), *powers]
+    sizes, add = [], PrefixSums.add
+    monkeypatch.setattr(PrefixSums, "add",
+                        lambda self, t, cuts: sizes.append(t.size) or add(self, t, cuts))
+    assert [r.value for r in chebyshev_ap(xs, q)] == [
+        fsum(w for n, w in terms if n <= x and n % q == a) for x in xs for a in range(q)]
+    assert max(sizes) <= chunk
