@@ -10,12 +10,15 @@ needed anywhere downstream. Residues live in [0, q); a residue quoted as q
 means 0. Every sum over a numpy array is correctly rounded: the weighted
 census streams the sieve's prime windows into one summation.PrefixSums,
 and the large-sieve check sums by summation.exact_sum; only the sums of
-Python floats, one per modulus, are math.fsum.
+Python floats, one per modulus, are math.fsum. The seeded sign sequence
+takes its bits from the stdlib's random.Random, as the primroot sweeps
+do, so no command loads numpy.random.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -29,8 +32,9 @@ from .summation import PrefixSums, chunks, exact_sum
 
 
 # The large-sieve check's admission caps. On a 2-core Xeon, --x 2e6 peaked
-# at 62 MB RSS (76 MB while the check held an x-element index array), and
-# 10^9 class updates (x * Q per trial) took 7.3-8.0 s.
+# at 60 MB RSS (61 MB with the primes sequence), and 10^9 class updates
+# (x * Q per trial) took 1.0 s at --x 2e6 --Q 500 and 1.8-2.0 s at --x 1e5
+# --Q 100 --sequence random --trials 100.
 LARGE_SIEVE_X_CAP = 2_000_000
 LARGE_SIEVE_OPS_CAP = 10 ** 9
 # Most rows of one ap-census report, q per checkpoint, each held in Python
@@ -154,8 +158,20 @@ def prime_indicator_sequence(x: int) -> np.ndarray:
 
 
 def random_sign_sequence(x: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, size=x).astype(np.float64) * 2.0 - 1.0
+    """x signs +-1.0: a_n is +1 where bit n - 1 of Random(seed).getrandbits(x) is set.
+
+    The stdlib's Mersenne Twister, whose seeded stream Python keeps from
+    version to version, so no numpy.random is loaded. A negative seed is
+    refused: Random would seed it as its absolute value.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    bits = random.Random(seed).getrandbits(x).to_bytes((x + 7) // 8, "little")
+    seq = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=x,
+                        bitorder="little").astype(np.float64)
+    seq *= 2.0
+    seq -= 1.0
+    return seq
 
 
 def large_sieve_check(x: int, Q: int, sequence: np.ndarray) -> SieveInequalityReport:

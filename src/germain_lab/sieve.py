@@ -55,6 +55,8 @@ _U64 = 1 << 64
 _I64 = 1 << 63
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Their product: an n above 37 that shares a factor with it is composite
+_MR_PRIMORIAL = math.prod(_MR_BASES)
 # (psi_k, k): the first k bases decide every n < psi_k (see the module
 # docstring). psi_8 = psi_7 and psi_10 = psi_11 = psi_9 add no tier.
 _MR_TIERS = (
@@ -250,11 +252,10 @@ def is_prime(n: int) -> bool:
     """Deterministic primality for 0 <= n < 2^64 (no probabilistic error)."""
     if n < 0 or n >= _U64:
         raise ValueError(f"n={n} outside supported range [0, 2^64)")
-    if n < 2:
+    if n <= _MR_BASES[-1]:
+        return n in _MR_BASES
+    if math.gcd(n, _MR_PRIMORIAL) > 1:
         return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s

@@ -192,6 +192,53 @@ def test_the_blas_guard_names_each_way_to_a_blas_routine(tmp_path):
         "bad.py:7: from numpy.linalg import norm"]
 
 
+def _numpy_random_uses(tree):
+    """Lines of tree that name numpy.random: by import, from-import or as
+    an attribute of numpy (np.random). A local name `random`, or the
+    stdlib's random module, is not a use."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            names = []
+        if any(name.split(".")[:2] in (["numpy", "random"], ["np", "random"])
+               for name in names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_loads_numpy_random():
+    # the seeded signs come from the stdlib's generator; numpy.random costs
+    # about 6 MB of RSS to import
+    found = [(path, line) for path in sorted(SRC.glob("*.py"))
+             for line in _numpy_random_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert _offending_lines(found) == []
+
+
+def test_the_numpy_random_guard_names_each_way_to_it(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import numpy as np\n"
+                   "rng = np.random.default_rng(7)\n"
+                   "import numpy.random\n"
+                   "from numpy import random\n"
+                   "from numpy.random import default_rng\n"
+                   "import random\n"
+                   "bits = random.Random(7).getrandbits(8)\n"
+                   "import numpy.random as npr\n", encoding="utf-8")
+    found = [(bad, line) for line in _numpy_random_uses(ast.parse(bad.read_text()))]
+    assert _offending_lines(found) == [
+        "bad.py:2: rng = np.random.default_rng(7)",
+        "bad.py:3: import numpy.random",
+        "bad.py:4: from numpy import random",
+        "bad.py:5: from numpy.random import default_rng",
+        "bad.py:8: import numpy.random as npr"]
+
+
 def _imported_packages(tree):
     """The top-level package of every absolute import in tree."""
     names = set()

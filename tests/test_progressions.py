@@ -162,3 +162,22 @@ def test_random_sequence_is_seed_deterministic():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert set(np.unique(a)) == {-1.0, 1.0}
+
+
+def test_random_signs_are_the_bits_of_the_stdlib_generator():
+    # the first 32 signs of two seeds, pinned: a change of generator shows
+    # here; a_n is +1 where bit n - 1 of Random(seed).getrandbits(x) is set
+    signs = {0: "+-++--+++++-------++-+-----++-++",
+             7: "---+++----+-++-+-++--+++-+--+-+-"}
+    for seed, text in signs.items():
+        assert random_sign_sequence(32, seed).tolist() == [
+            1.0 if c == "+" else -1.0 for c in text]
+        # the first 32 signs are the same for every x >= 32
+        assert random_sign_sequence(1001, seed)[:32].tolist() == (
+            random_sign_sequence(32, seed).tolist())
+
+
+def test_random_signs_refuse_a_negative_seed():
+    # the stdlib seeds -s as s, so a report's seed would not name its signs
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        random_sign_sequence(10, -1)

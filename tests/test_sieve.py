@@ -124,6 +124,14 @@ def test_is_prime_at_the_primes_around_each_tier_bound():
             assert is_prime(n) == oracle(n), n
 
 
+def test_is_prime_below_and_at_the_bases_and_at_their_multiples():
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    assert [n for n in range(38) if is_prime(n)] == list(bases)
+    for p in bases:
+        for k in (2, 3, 41, 10 ** 6 + 3, 2 ** 40 + 15, ((1 << 64) - 1) // p):
+            assert not is_prime(p * k), (p, k)
+
+
 def test_is_prime_domain():
     with pytest.raises(ValueError):
         is_prime(-1)

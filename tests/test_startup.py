@@ -1,7 +1,8 @@
 """Start-up: the package, the CLI parser and the commands that need no array
 load no numpy; each layer is imported when a command that reads it runs.
 A command that does load numpy runs on one OS thread, and the library alone
-leaves the environment that sets this as it was.
+leaves the environment that sets this as it was. No command loads
+numpy.random.
 """
 
 import json
@@ -62,6 +63,22 @@ def test_commands_without_arrays_load_no_numpy():
         ["primroot --fermat", 0, False],
         ["constants", 0, True],
     ]
+
+
+_RANDOM_SIGNS = """
+import io, json, sys
+from contextlib import redirect_stdout
+from germain_lab import cli
+with redirect_stdout(io.StringIO()):
+    status = cli.main(["large-sieve", "--sequence", "random", "--x", "100", "--Q", "3"])
+seen = [status, "numpy" in sys.modules, "numpy.random" in sys.modules]
+sys.stdout.write("\\n" + json.dumps(seen) + "\\n")
+"""
+
+
+def test_random_signs_load_no_numpy_random():
+    # the signs come from the stdlib's generator; numpy itself is loaded
+    assert _fresh(_RANDOM_SIGNS) == [0, True, False]
 
 
 _THREADS = """

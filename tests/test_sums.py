@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from germain_lab import sums
+from germain_lab.arith import mobius_sieve, totient_sieve
 from germain_lab.constants import singular_series
 from germain_lab.sums import (IDENTITIES, identity_residual_rows,
                               log_lcm_double_sum, mobius_phi_lcm_sum,
@@ -102,6 +103,32 @@ def test_mobius_phi_lcm_smallest_case():
 def test_mobius_phi_lcm_brute_matches_oracle():
     assert mobius_phi_lcm_sum(60, "brute") == pytest.approx(
         oracles.mobius_phi_lcm_brute(60), rel=1e-12)
+
+
+def test_brute_phi_of_lcm_rows_equal_an_independent_table():
+    # every squarefree m, the brute's rows, against phi read at lcm(m, n)
+    # from a table to x^2
+    x = 300
+    table = totient_sieve(x * x)
+    mu, phi = mobius_sieve(x), totient_sieve(x)
+    n = np.arange(1, x + 1)
+    for m in range(1, x + 1):
+        if mu[m] == 0:
+            continue
+        row = sums._phi_lcm_row(m, phi)
+        assert row.dtype == np.int64
+        assert np.array_equal(row, table[np.lcm(m, n)]), m
+
+
+def test_brute_double_sum_holds_no_table_beyond_x():
+    # its rows read phi up to x only; a phi table to x^2 would be 16 MB
+    tracemalloc.start()
+    try:
+        mobius_phi_lcm_sum(sums.BRUTE_CAP, "brute")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_mobius_phi_lcm_diagonalized_matches_brute():
