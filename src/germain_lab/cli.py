@@ -285,6 +285,9 @@ def _cmd_primroot(args: argparse.Namespace):
     mode, limit, trials = args.mode, args.limit, args.trials
     _refuse_unread(args, _PRIMROOT_READS["short-test"] - _PRIMROOT_READS[mode],
                    f"primroot --{mode}")
+    if "seed" in _PRIMROOT_READS[mode] and args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}: random.Random "
+                       f"would seed it as {-args.seed}")
     if "limit" in _PRIMROOT_READS[mode] and limit > primroot.SWEEP_CAP:
         raise CliError(f"--limit {limit} is above the cap {primroot.SWEEP_CAP}: "
                        f"the {mode} sweep tests every prime up to it in Python")

@@ -12,7 +12,8 @@ primes at a time, into one PrefixSums, which gives the correctly rounded
 window sum (the fsum of its terms) however the slices fall; so no float
 array is as large as a window's primes. The window partials are fsum'd in
 window order, on the fixed boundaries of sieve.prime_windows that the
-rounded partials depend on.
+rounded partials depend on; each window is read from p = 3, so the
+stream's first array, [2], gives 0.0.
 """
 
 from __future__ import annotations
@@ -64,11 +65,12 @@ def _log_terms(primes: np.ndarray) -> tuple[np.ndarray]:
 
 
 def _segment_log_sum(primes: np.ndarray) -> float:
-    """The correctly rounded sum of log(1 - 1/(p-1)^2) over one window's primes.
+    """The correctly rounded sum of log(1 - 1/(p-1)^2) over one window's primes p >= 3.
 
     The terms are log1p(-1.0 / ((p - 1.0) * (p - 1.0))), the same IEEE
     operations in the same order, computed one slice of primes at a time.
     """
+    primes = primes[np.searchsorted(primes, 3):]  # a view: the product starts at 3
     window = PrefixSums(1)
     add_terms([window], primes, _log_terms, [primes.size])
     return window.sums()[0]

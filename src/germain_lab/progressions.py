@@ -21,7 +21,7 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from math import fsum
 
 import numpy as np
@@ -135,8 +135,7 @@ def chebyshev_ap(xs: Sequence[int], q: int) -> list[ChebyshevAp]:
             a += np.searchsorted(checkpoints, n)
             classes.add(w, np.cumsum(np.bincount(a, minlength=q * len(xs))))
 
-    two = [np.array([2], dtype=np.int64)] if top >= 2 else []
-    for window in chain(two, prime_windows(top)):
+    for window in prime_windows(top):
         add(window, None)
         del window  # before the next window is struck
     powers = np.array(prime_powers(top), dtype=np.float64).reshape(-1, 2)  # (n, log p)

@@ -1,23 +1,31 @@
 """Prime sieves and deterministic 64-bit primality.
 
-Every prime of the library comes from one strike kernel, _strike, a
-segmented sieve (Bays and Hudson) of a window of the progression
-n = c + W*i: for each row (l, r, first) it strikes the n = r (mod l) with
-n >= first, and numpy finds the first index of every row in the window at
-once. One window loop, _windows, serves both sieves, on one thread: it
-yields a flat stream of ascending arrays, each class's survivors window by
-window, and strikes a class window only when the caller asks for its
-array, so a caller can reduce a pass one array at a time and no window is
-ever merged. Plain primes use W = 2, c = 1: prime_windows tiles [3, limit]
-with windows of odd integers of fixed boundaries and one class, so each of
-its arrays is one window as struck; primes_upto and the twin-prime product
-are built on it, and prime_powers lists the p^k (k >= 2) of its primes.
-The pair sieve uses the wheel W = 30: it sieves only the classes c with c
-and a*c + b prime to 30, and strikes the companions a*n + b too, which
-gives the primes p with a*p + b also prime; pair_windows yields the few
-pairs decided apart before the stream, and pair_primes sorts it all into
-one array. A class window holds one byte per entry, so both sieves keep
-only the base primes and one class window, whatever the range.
+Every prime of the library comes from one sieve of a set of linear forms,
+_sieve(x, forms, W), which yields the n <= x at which every form a*n + b
+is prime. The wheel W decides some n apart: those with a form value that
+is a wheel prime come first, as one array, and is_prime proves their other
+values. Every other such n lies in a class c mod W with each a*c + b prime
+to W, and each class is sieved window by window on its progression
+n = c + W*i.
+
+One row rule serves every form. For each form (a, b) and base prime l that
+does not divide W, strike the n with l | a*n + b, from where a*n + b >= l^2
+on. A composite value whose least prime factor is l is at least l^2, and a
+smaller factor is either a wheel prime, which the classes exclude, or a
+base prime, whose own row strikes the value. Where l | a, the row strikes
+every n if l | b, and there is none otherwise. _rows turns the rule into
+rows on each class, with one inverse of a*W mod l per form and prime, and
+_strike, a segmented sieve (Bays and Hudson), strikes a window with them.
+
+The plain primes are the forms [(1, 0)] on W = 2: prime_windows yields
+[2], then the odd primes window by window, on fixed boundaries;
+primes_upto concatenates them, the twin-prime product reduces them, and prime_powers
+lists the p^k (k >= 2) of its primes. The pairs are [(1, 0), (a, b)] on
+W = 30: pair_windows yields the primes p with a*p + b also prime, and
+pair_primes sorts them into one array. A class window holds one byte per
+entry, and it is struck only when its array is asked for, so a stream
+holds only the base primes, their rows and one class window, whatever the
+range.
 
 The module imports without numpy: each function that builds an array
 imports it, so numpy loads on the first sieve call, and is_prime, which
@@ -75,28 +83,17 @@ _MR_TIERS = (
 # integers for the plain primes, integers of one residue class for the pairs.
 PAIR_WINDOW = 1 << 20
 
-# The pair sieve's wheel and its primes. A pair (n, a*n + b) has n and
-# a*n + b prime to the wheel, unless one of them is a wheel prime.
-_WHEEL = 30
+# The primes a wheel may hold: the plain primes sieve on W = 2, the pairs on
+# W = 30. A value prime to W is a multiple of none of them.
 _WHEEL_PRIMES = (2, 3, 5)
+# pair_windows refuses a*x + b at or above this: its base primes, up to
+# sqrt(a*x + b), would pass 2^25.
+_PAIR_TOP = 1 << 50
 
 # Strike rows on a progression c + step*i: (l, j, start) int64 arrays, and
 # row k strikes the i = j[k] (mod l[k]) with i >= start[k]. A string, as
 # this module imports numpy only inside the functions that use it.
 _Rows = "tuple[np.ndarray, np.ndarray, np.ndarray]"
-
-
-def _progressions(step: int, classes: list[int], l: np.ndarray, r,
-                  first) -> list[_Rows]:
-    """The rows (l, r, first) on the progression c + step*i of each class c.
-
-    Row (l, r, first) strikes the n = r (mod l) with n >= first. Each l is
-    prime to step, or 1, which strikes every n >= first.
-    """
-    import numpy as np
-    inverse = np.array([pow(step, -1, m) for m in l.tolist()], dtype=np.int64)
-    # both factors are below l <= sqrt(2^63), so their product fits in int64
-    return [(l, (r - c) % l * inverse % l, -((c - first) // step)) for c in classes]
 
 
 def _strike(size: int, i0: int, rows: _Rows) -> np.ndarray:
@@ -130,37 +127,78 @@ def _survivors(size: int, i0: int, rows: _Rows, step: int, n0: int,
     return ns[np.searchsorted(ns, least):]
 
 
-def _windows(step: int, classes: list[int], class_rows: list[_Rows], top: int,
-             first: int, least: int) -> Iterator[np.ndarray]:
-    """Each class's ascending survivors n <= top, window by window (int64 arrays).
+def _rows(x: int, forms: list[tuple[int, int]], wheel: int, classes: list[int],
+          base: np.ndarray) -> list[_Rows]:
+    """Each class c's strike rows on n = c + wheel*i <= x, for the base primes
+    l prime to wheel.
 
-    Window k holds the entries i of first + k*PAIR_WINDOW <= i <
-    first + (k+1)*PAIR_WINDOW of every class c, n = c + step*i, with the n
-    below least trimmed; each class with entries in a window gives one
-    array, empty or not, and every n of window k is below every n of
-    window k + 1. A class is struck only when its array is asked for, and
-    the generator keeps no name on an array it has yielded, so only the
-    caller holds it.
+    Form (a, b) strikes the n with l | a*n + b from n0, the first n with
+    a*n + b >= l^2, on: on class c, the i = -(a*c + b) / (a*wheel) (mod l)
+    with c + wheel*i >= n0. Where l | a the row has modulus 1 if l | b, and
+    there is none otherwise.
     """
-    for i0 in range(first, top // step + 1, PAIR_WINDOW):
+    import numpy as np
+    ls, n0s, roots = [], [], []
+    for a, b in forms:
+        top = a * x + b
+        l = base[base * base <= top]  # a row that starts beyond x is dropped
+        # the first n with a*n + b >= l^2, from top so that no term leaves int64
+        n0 = x - (top - l * l) // a
+        keep = (a % l > 0) | (b % l == 0)
+        l = np.where(a % l > 0, l, 1)[keep]
+        # one pow per prime: a numpy square-and-multiply took 29 ms against
+        # 45-56 ms for the 108k primes of (2, 1) at 10^12, too little to pay
+        # for its lines beside the pass
+        inverse = np.array([pow(a * wheel, -1, m) for m in l.tolist()], dtype=np.int64)
+        ls.append(l)
+        n0s.append(n0[keep])
+        # each factor is below l, and l^2 <= a*x + b < 2^63
+        roots.append([-(a % l * c + b % l) % l * inverse % l for c in classes])
+    l, n0 = np.concatenate(ls), np.concatenate(n0s)
+    return [(l, np.concatenate(j), -((c - n0) // wheel))
+            for c, *j in zip(classes, *roots)]
+
+
+def _sieve(x: int, forms: list[tuple[int, int]], wheel: int) -> Iterator[np.ndarray]:
+    """The n <= x at which every form a*n + b is prime, as ascending int64 arrays.
+
+    The first array holds the n that the wheel decides apart, those with a
+    form value that is a wheel prime; is_prime proves their other values.
+    Then come the survivors of each class c mod wheel with every a*c + b
+    prime to wheel, window by window: window k holds the n = c + wheel*i
+    with i0 + k*PAIR_WINDOW <= i < i0 + (k+1)*PAIR_WINDOW, i0 = least //
+    wheel, where least is the first n at which every value is >= 2, and each
+    class with entries in a window gives one array, empty or not. A class is
+    struck only when its array is asked for, and the generator keeps no name
+    on an array it has yielded: besides the caller's array, only the base
+    primes, their rows and one class's flags are in memory.
+    """
+    import numpy as np
+    small = [q for q in _WHEEL_PRIMES if wheel % q == 0]
+    least = max(-((b - 2) // a) for a, b in forms)  # each value is >= 2 from it on
+    classes = [c for c in range(wheel)
+               if all(math.gcd(a * c + b, wheel) == 1 for a, b in forms)]
+    base = primes_upto(math.isqrt(max(a * x + b for a, b in forms)))
+    class_rows = _rows(x, forms, wheel, classes, base[wheel % base > 0])
+    apart = {(q - b) // a for a, b in forms for q in small if (q - b) % a == 0}
+    yield np.array(sorted(n for n in apart if least <= n <= x and all(
+        a * n + b in small or is_prime(a * n + b) for a, b in forms)), dtype=np.int64)
+    for i0 in range(least // wheel, x // wheel + 1, PAIR_WINDOW):
         for c, rows in zip(classes, class_rows):
-            size = min(PAIR_WINDOW, (top - c) // step + 1 - i0)
+            size = min(PAIR_WINDOW, (x - c) // wheel + 1 - i0)
             if size > 0:
-                yield _survivors(size, i0, rows, step, c + step * i0, least)
+                yield _survivors(size, i0, rows, wheel, c + wheel * i0, least)
 
 
 def prime_windows(limit: int) -> Iterator[np.ndarray]:
-    """The odd primes <= limit, one ascending int64 array per window, in order.
+    """The primes <= limit, as a stream of ascending int64 arrays, in order.
 
-    Window k holds the odd n = 1 + 2i with 1 + k*PAIR_WINDOW <= i <
-    1 + (k+1)*PAIR_WINDOW, struck by the odd base primes l <= sqrt(limit)
-    from l^2 on: fixed boundaries, whoever reduces the windows.
+    The first array is [2] (empty below 2). Window k then holds the odd
+    n = 1 + 2i with 1 + k*PAIR_WINDOW <= i < 1 + (k+1)*PAIR_WINDOW, struck
+    by the odd base primes l <= sqrt(limit) from l^2 on: fixed boundaries,
+    whoever reduces the windows.
     """
-    base = primes_upto(math.isqrt(limit))[1:]
-    # (limit - 1) | 1 is the largest odd n <= limit, and every window has
-    # entries of the one class
-    return _windows(2, [1], _progressions(2, [1], base, 0, base * base),
-                    (limit - 1) | 1, 1, 3)
+    return _sieve(limit, [(1, 0)], 2)
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -168,9 +206,9 @@ def primes_upto(limit: int) -> np.ndarray:
     import numpy as np
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    if limit < 2:
+    if limit < 2:  # no base primes: this ends the sieve's recursion
         return np.zeros(0, dtype=np.int64)
-    return np.concatenate([np.array([2], dtype=np.int64), *prime_windows(limit)])
+    return np.concatenate(list(prime_windows(limit)))
 
 
 def prime_powers(x: int) -> list[tuple[int, float]]:
@@ -185,43 +223,18 @@ def prime_powers(x: int) -> list[tuple[int, float]]:
     return sorted(out)
 
 
-def _pair_rows(x: int, a: int, b: int, base: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The pair sieve's strike rows (l, r, first), for the base primes off the wheel.
-
-    n is struck from l^2 on where l divides it, and from (l - b)//a + 1 on,
-    the first n with a*n + b > l, where l divides a*n + b: n = -b/a (mod l).
-    A prime l that divides a and b divides every a*n + b: the row (1, 0, first).
-    """
-    import numpy as np
-    rows = []
-    for l in base.tolist():
-        if _WHEEL % l == 0:
-            continue
-        if l * l <= x:
-            rows.append((l, 0, l * l))
-        first = (l - b) // a + 1
-        if a % l:
-            rows.append((l, -b * pow(a, -1, l) % l, first))
-        elif b % l == 0:
-            rows.append((1, 0, first))
-    return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
-
-
 def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
     """The primes p <= x with a*p + b prime, as a stream of ascending int64 arrays.
 
-    One segmented pass sieves n and its companion a*n + b together, only on
-    the classes c mod 30 with c and a*c + b prime to 30: 3 of the 30 for
-    (2, 1), PAIR_WINDOW entries n = c + 30*i of each per window. The wheel
-    primes, and the n whose companion is one, are decided apart, by
-    is_prime, and come first as one array; then come each class's pairs,
-    window by window. The arrays interleave, and each pair is in one of
-    them. A class window is struck when its array is asked for, so besides
-    the array the caller holds, only the base primes up to
-    sqrt(max(x, a*x + b)) and one class's flags are in memory. The input is
-    checked before the first array.
+    The sieve of the forms n and a*n + b on the wheel 30: it sieves only the
+    classes c mod 30 with c and a*c + b prime to 30, 3 of the 30 for (2, 1).
+    The wheel primes, and the n whose companion is one, come first as one
+    array; then come each class's pairs, window by window. The arrays
+    interleave, and each pair is in one of them. Besides the array the
+    caller holds, only the base primes up to sqrt(max(x, a*x + b)), their
+    rows and one class's flags are in memory. The input is checked before
+    the first array.
     """
-    import numpy as np
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     if a < 1:
@@ -229,17 +242,10 @@ def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
     top = a * x + b
     if top >= _I64:  # callers form a*p + b in int64
         raise ValueError(f"a*x+b = {top} overflows the supported 64-bit range")
-    base = primes_upto(math.isqrt(max(x, top)))
-    classes = [c for c in range(1, _WHEEL)
-               if math.gcd(c, _WHEEL) == math.gcd(a * c + b, _WHEEL) == 1]
-    class_rows = _progressions(_WHEEL, classes, *_pair_rows(x, a, b, base))
-    off = {*_WHEEL_PRIMES, *((q - b) // a for q in _WHEEL_PRIMES if (q - b) % a == 0)}
-    extra = np.array(sorted(n for n in off if 2 <= n <= x and a * n + b >= 2
-                            and is_prime(n) and is_prime(a * n + b)), dtype=np.int64)
-    # nothing strikes n = 1, nor the n whose companion a*n + b is below 2
-    least = max(2, -((b - 2) // a))
-    yield extra
-    yield from _windows(_WHEEL, classes, class_rows, x, 0, least)
+    if top >= _PAIR_TOP:
+        raise ValueError(f"a*x+b = {top} is at or above 2^50: the base primes up "
+                         f"to its square root would pass 2^25")
+    yield from _sieve(x, [(1, 0), (a, b)], 30)
 
 
 def pair_primes(x: int, a: int = 2, b: int = 1) -> np.ndarray:

@@ -11,8 +11,9 @@ def c2_1e6():
 
 @pytest.fixture
 def small_windows(monkeypatch):
-    """Windows of 2^11 odd integers; returns the window count of each
-    sieve.prime_windows call that ran to its end.
+    """Windows of 2^11 odd integers; returns the array count of each
+    sieve.prime_windows call that ran to its end, the first array, [2],
+    included.
 
     Small windows make the ranges of the determinism tests span several
     windows, so that the order in which the window partials are summed

@@ -616,8 +616,8 @@ def test_theorem_4p1_proves_each_prime_once_outside_the_sieve(monkeypatch, capsy
     # p once in theorem_4p1_check, q = 4p + 1 once in primitive_root_test
     assert len(rows) == 7422
     assert len(in_primroot) == 2 * 7422
-    # the pair sieve proves only the wheel primes 2, 3, 5 and their companions
-    assert sorted(in_sieve) == [(2,), (3,), (5,), (9,), (13,), (21,)]
+    # the pair sieve proves only the companions of the wheel primes 2, 3, 5
+    assert sorted(in_sieve) == [(9,), (13,), (21,)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -784,6 +784,12 @@ def test_large_sieve_random_trials_deterministic(tmp_path):
      "--trials 2 does not apply to large-sieve --sequence primes, which is "
      "deterministic; it takes --trials 1"),
     ("large-sieve --seed 0", "--seed does not apply to large-sieve --sequence ones"),
+    # random.Random(-3) would draw the bases of Random(3), under a report
+    # that records seed -3
+    ("primroot --fermat --seed -3",
+     "--seed must be >= 0, got -3: random.Random would seed it as 3"),
+    ("primroot --short-test --seed -3",
+     "--seed must be >= 0, got -3: random.Random would seed it as 3"),
 ])
 def test_flag_the_mode_does_not_read_is_refused(argv, message, monkeypatch, capsys):
     def no_work(*args, **kwargs):

@@ -113,14 +113,16 @@ def test_printed_claim_matches_truncated_product_not_the_limit():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_window_partials_are_the_correctly_rounded_window_sums(window, threads,
                                                                monkeypatch, capsys):
-    # cutoffs on and beside the window edges n = 1 + 2 window k
+    # cutoffs on and beside the window edges n = 1 + 2 window k; the stream's
+    # first array is [2], whose partial is the empty sum
     monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
     ks = (1, 2) if window > 1000 else (1, 2, 27, 28, 100)
     for k in ks:
         for cutoff in (1 + 2 * window * k + d for d in (-2, 0, 2)):
             want = oracles.twin_prime_window_partials(cutoff, window)
-            got = [constants._segment_log_sum(ps)
-                   for ps in sieve.prime_windows(cutoff)]
+            first, *got = [constants._segment_log_sum(ps)
+                           for ps in sieve.prime_windows(cutoff)]
+            assert first == 0.0, cutoff
             assert got == want, cutoff
             assert twin_prime_constant(cutoff).value == math.exp(fsum(want)), cutoff
             report = _constants_report(capsys, "--cutoff", str(cutoff),

@@ -7,6 +7,7 @@ deterministic.
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,8 @@ from germain_lab.counting import pair_sums
 from germain_lab.sieve import pair_primes
 
 I64 = 1 << 63
+# from a*x + b = 2^50 on, the base primes up to its square root pass 2^25
+PAIR_TOP = 1 << 50
 
 xs = st.integers(min_value=2, max_value=3000)
 slopes = st.integers(min_value=1, max_value=8)
@@ -60,3 +63,32 @@ def test_companion_beyond_64_bits_is_refused_before_any_table(x, excess, b):
     with mock.patch.object(sieve, "primes_upto", side_effect=no_table), \
             pytest.raises(ValueError, match="overflows the supported 64-bit range"):
         pair_primes(x, a, b)
+
+
+@settings(derandomize=True, deadline=None)
+@given(x=st.integers(min_value=2, max_value=1 << 40),
+       excess=st.integers(min_value=0, max_value=1 << 12), b=offsets)
+def test_companion_at_or_above_2_to_the_50_is_refused_before_any_table(x, excess, b):
+    # the smallest slope that puts a*x + b at or above 2^50, plus excess,
+    # which keeps it below 2^63, where the overflow refusal takes over
+    a = -(-(PAIR_TOP - b) // x) + excess
+    assert PAIR_TOP <= a * x + b < I64
+    no_table = AssertionError("a prime table was built")
+    with mock.patch.object(sieve, "primes_upto", side_effect=no_table), \
+            pytest.raises(ValueError, match=r"a\*x\+b = \d+ is at or above 2\^50"):
+        pair_primes(x, a, b)
+
+
+@pytest.mark.parametrize("x,a,b", [(2, 2 ** 49 - 1, 1), (7, (PAIR_TOP - 4) // 7, 3),
+                                   (1000, (PAIR_TOP - 624) // 1000, 623)])
+def test_companion_just_below_2_to_the_50_is_admitted(x, a, b):
+    assert a * x + b == PAIR_TOP - 1
+    limits = []
+
+    def no_base_primes(limit):
+        limits.append(limit)
+        return np.zeros(0, dtype=np.int64)
+
+    with mock.patch.object(sieve, "primes_upto", side_effect=no_base_primes):
+        pair_primes(x, a, b)
+    assert limits == [2 ** 25 - 1]

@@ -161,12 +161,15 @@ def test_primes_upto_across_window_edges(window, monkeypatch):
 
 @pytest.mark.parametrize("window", [1, 37, 1 << 11])
 def test_prime_windows_against_trial_division(window, monkeypatch):
-    # window k holds the odd n = 1 + 2i with 1 + k window <= i < 1 + (k+1) window
+    # [2] first, which the wheel of 2 decides apart; then window k holds the
+    # odd n = 1 + 2i with 1 + k window <= i < 1 + (k+1) window
     monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
     edges = {1 + 2 * window * k + d for k in (1, 2, 3) for d in (-2, -1, 0, 1, 2)}
     primes = [n for n in range(3, max(edges) + 1, 2) if oracles.is_prime_trial(n)]
     for limit in sorted(edges | {2, 3, 4, 5}):
-        windows = list(sieve.prime_windows(limit))
+        two, *windows = sieve.prime_windows(limit)
+        assert two.dtype == np.int64
+        assert two.tolist() == ([2] if limit >= 2 else [])
         assert len(windows) == -(-((limit - 1) // 2) // window)
         for k, got in enumerate(windows):
             lo = 3 + 2 * window * k
@@ -200,6 +203,13 @@ def _pairs_by_trial_division(x, a, b):
 @pytest.mark.parametrize("a,b,pairs", [
     (1, -29, {31}),      # 31 - 29 = 2
     (1, -26, {29, 31}),  # 29 - 26 = 3, 31 - 26 = 5
+    # 7 divides a and b, so its row strikes every n from a*n + b >= 49 on:
+    # only that start leaves 11, whose companion is 7, unstruck
+    (7, -70, {11}),
+    (14, -147, {11}),
+    # the companion 7 of the wheel primes 2 and 3, which is_prime proves
+    (7, -7, {2}),
+    (7, -14, {3}),
 ])
 def test_pairs_whose_companion_is_a_small_prime(a, b, pairs, monkeypatch):
     # the companions 2, 3 and 5 share a factor with every modulus of 30
