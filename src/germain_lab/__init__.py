@@ -20,8 +20,6 @@ Each name of __all__ is imported from its module when it is first read
 (PEP 562), so importing the package, or cli, loads no numpy.
 """
 
-from __future__ import annotations
-
 import importlib
 
 # public name -> the module that defines it

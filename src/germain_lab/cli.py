@@ -13,24 +13,28 @@ main sets OPENBLAS_NUM_THREADS=1 before any handler imports numpy, and
 numpy's OpenBLAS starts no worker thread. Importing this module or the
 package leaves the environment alone, as a library caller may use BLAS.
 
-Importing this module and building the parser load no numpy: each handler
-imports the layers it reads when it runs, and numpy loads on the first
-sieve or array call. So a usage error, a refusal made from the flags alone,
-table-errata and primroot --fermat never load it. FORMULAS, the table of
-the `sums` report's formulas and methods, lives here beside the `sums`
-command, so that its --formula choices need no layer.
+Importing this module and building the parser load argparse, and typing
+for the NamedTuples, and nothing that only some command needs. The parser
+holds each command's name and help; a command's flags are added to its
+parser when that parser first parses, so a run adds only its own. Each
+handler imports the layers it reads when it runs, and numpy loads on the
+first sieve or array call, so a usage error, a refusal made from the flags
+alone, table-errata and primroot --fermat never load it. The rest loads
+where it is used: json when a JSON report or error record is written,
+decimal when parse_exact_int parses a flag. Command and _OneOf are
+NamedTuples, as is every record of the library: dataclasses would import
+inspect. This module, reports and the package's __init__ do without
+`from __future__ import annotations`, which imports the __future__ module.
+FORMULAS, the table of the `sums` report's formulas and methods, lives
+here beside the `sums` command, so that its --formula choices need no
+layer.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .reports import render_csv, render_json
 
@@ -60,6 +64,7 @@ def parse_exact_int(token: str) -> int:
     argparse.ArgumentTypeError, whose message argparse puts in the usage
     error; it drops the message of any other exception.
     """
+    from decimal import Decimal, InvalidOperation
     try:
         d = Decimal(token.strip())
     except InvalidOperation:
@@ -118,7 +123,7 @@ def _require_capacity(args: argparse.Namespace) -> None:
             f"capability {cap}; raise --sieve-limit or lower the checkpoint")
 
 
-def _c2(args: argparse.Namespace) -> constants.SingularValue:
+def _c2(args: argparse.Namespace) -> "constants.SingularValue":
     """The twin-prime-constant product at --c2-cutoff."""
     from . import constants
     return constants.twin_prime_constant(args.c2_cutoff)
@@ -372,16 +377,14 @@ def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
     return names, kwargs
 
 
-@dataclass(frozen=True)
-class _OneOf:
+class _OneOf(NamedTuple):
     """Mutually exclusive flags."""
 
     flags: tuple
     required: bool = False
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """A subcommand: its handler, its help text and every flag the handler reads.
 
     The handler reads the parsed flags by dest. The JSON report config holds
@@ -579,8 +582,34 @@ class _Given(argparse.Action):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # machine-readable usage errors
+        import json
         sys.stderr.write(json.dumps({"error": "usage", "message": message}) + "\n")
         raise SystemExit(2)
+
+
+class _CommandParser(_Parser):
+    """One command's parser. Its flags are added when it first parses, so
+    building the CLI's parser adds none for the commands a run does not name."""
+
+    def __init__(self, *, flags: tuple, **kwargs):
+        super().__init__(**kwargs)
+        self._pending = flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending is not None:
+            for spec in (*_COMMON, *self._pending):
+                if isinstance(spec, _OneOf):
+                    group = self.add_mutually_exclusive_group(required=spec.required)
+                    for names, kwargs in spec.flags:
+                        group.add_argument(*names, **kwargs)
+                else:
+                    names, kwargs = spec
+                    self.add_argument(*names, **{"action": _Given, **kwargs})
+            self.set_defaults(given=frozenset(), **{
+                key: value for key, value in _REPORT_BASE.items()
+                if self.get_default(key) is None})
+            self._pending = None
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -588,20 +617,11 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Numerical verification reports for Germain "
                                  "prime pairs, singular-series constants, and "
                                  "primitive-root theorems.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help, description=command.help)
-        for spec in (*_COMMON, *command.flags):
-            if isinstance(spec, _OneOf):
-                group = p.add_mutually_exclusive_group(required=spec.required)
-                for names, kwargs in spec.flags:
-                    group.add_argument(*names, **kwargs)
-            else:
-                names, kwargs = spec
-                p.add_argument(*names, **{"action": _Given, **kwargs})
-        p.set_defaults(given=frozenset(), **{
-            key: value for key, value in _REPORT_BASE.items()
-            if p.get_default(key) is None})
+        sub.add_parser(name, help=command.help, description=command.help,
+                       flags=command.flags)
     return parser
 
 
@@ -619,6 +639,7 @@ def main(argv=None) -> int:
             raise CliError("--threads must be >= 1")
         return run(args)
     except (CliError, ValueError, OSError, MemoryError) as exc:
+        import json
         record = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(record) + "\n")
         return 1

@@ -14,14 +14,16 @@ array is as large as a window's primes. The window partials are fsum'd in
 window order, on the fixed boundaries of sieve.prime_windows that the
 rounded partials depend on; each window is read from p = 3, so the
 stream's first array, [2], gives 0.0.
+
+Importing the module loads numpy. fractions loads only when
+singular_series computes its exact factor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from math import fsum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +40,7 @@ C2_CUTOFF_CAP = 10 ** 10
 OFFSET_CAP = 10 ** 14
 
 
-@dataclass(frozen=True)
-class SingularValue:
+class SingularValue(NamedTuple):
     """A value of the pair singular series, with its truncation error.
 
     d is the pair offset the series belongs to (d=2 is the twin/Germain
@@ -107,6 +108,7 @@ def singular_series(d: int, c2: SingularValue) -> SingularValue:
     so the value depends only on the odd prime support of m. The rational
     factor is exact, hence the tail bound just scales with it.
     """
+    from fractions import Fraction
     check_offset(d)
     if d % 2 == 1:
         return SingularValue(d=d, value=0.0, prime_cutoff=c2.prime_cutoff, tail_bound=0.0)

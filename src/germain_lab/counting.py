@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from math import fsum
 from typing import NamedTuple
 
@@ -48,8 +47,7 @@ from .sieve import is_prime, pair_windows, prime_powers, primes_upto
 from .summation import PrefixSums, add_terms, exact_sum, sums_upto
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     x: int
     pi_g: int
     psi_g: float

@@ -17,7 +17,7 @@ with one helper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import factorize
 from .sieve import is_prime, primes_upto
@@ -50,8 +50,7 @@ CLAIMED_PAIR_TABLE = (
 )
 
 
-@dataclass(frozen=True)
-class PrimRootCertificate:
+class PrimRootCertificate(NamedTuple):
     """Witness exponentiations proving or refuting that base generates mod q.
 
     witnesses holds (ell, base^((q-1)/ell) mod q) for each distinct prime
@@ -64,22 +63,30 @@ class PrimRootCertificate:
     verdict: bool
 
 
-@dataclass(frozen=True)
-class GermainModulus:
-    """A prime q = 2^s * r + 1 with r an odd prime, checked once when built."""
-
+class _GermainFields(NamedTuple):
     q: int
     s: int
     r: int
 
-    def __post_init__(self):
-        q, s, r = self.q, self.s, self.r
+
+class GermainModulus(_GermainFields):
+    """A prime q = 2^s * r + 1 with r an odd prime, checked once when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, s: int, r: int):
+        self = super().__new__(cls, q, s, r)
         if q != (1 << s) * r + 1 or r % 2 == 0 or not is_prime(q) or not is_prime(r):
             raise ValueError(f"malformed modulus decomposition {self}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so a replaced field is checked too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PairTableRow:
+class PairTableRow(NamedTuple):
     p: int
     claimed_q: int
     computed_q: int
@@ -116,17 +123,14 @@ def _certificates(q: int, ells: list[int], bases) -> list[PrimRootCertificate]:
 
     ells are the distinct primes of q - 1, ascending.
     """
-    exponents = [(ell, (q - 1) // ell) for ell in ells]
-    certs = []
+    bases = list(bases)
     for u in bases:
         if math.gcd(u, q) != 1:
             raise ValueError(f"base {u} shares a factor with modulus {q}")
-        witnesses = tuple((ell, pow(u, e, q)) for ell, e in exponents)
-        certs.append(PrimRootCertificate(
-            modulus=q, base=u % q, witnesses=witnesses,
-            verdict=all(res != 1 for _, res in witnesses),
-        ))
-    return certs
+    # one list of residues per ell, the whole batch at a time
+    residues = [[pow(u, (q - 1) // ell, q) for u in bases] for ell in ells]
+    return [PrimRootCertificate(q, u % q, tuple(zip(ells, res)), 1 not in res)
+            for u, *res in zip(bases, *residues)]
 
 
 def primitive_root_test(q: int, bases) -> list[PrimRootCertificate]:

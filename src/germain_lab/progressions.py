@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from math import fsum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ AP_CENSUS_ROWS_CAP = 100_000
 CHEBYSHEV_X_CAP = 100_000_000
 
 
-@dataclass(frozen=True)
-class ApCensus:
+class ApCensus(NamedTuple):
     x: int
     q: int
     a: int
@@ -59,8 +58,7 @@ class ApCensus:
     residual: float  # count - x/q, always in (-1, 1)
 
 
-@dataclass(frozen=True)
-class ChebyshevAp:
+class ChebyshevAp(NamedTuple):
     """sum of Lambda(n) over n <= x, n = a (mod q), with the PNT-in-AP target."""
 
     x: int
@@ -71,8 +69,7 @@ class ChebyshevAp:
     residual: float | None
 
 
-@dataclass(frozen=True)
-class SieveInequalityReport:
+class SieveInequalityReport(NamedTuple):
     x: int
     Q: int
     lhs: float

@@ -1,8 +1,7 @@
-"""Report rendering: CSV (15 significant digits) and schema-versioned JSON."""
+"""Report rendering: CSV (15 significant digits) and schema-versioned JSON.
 
-from __future__ import annotations
-
-import json
+json is imported by render_json when it runs, so a CSV report never loads it.
+"""
 
 SCHEMA_VERSION = 1
 
@@ -25,6 +24,7 @@ def render_csv(header: list[str], rows: list[list]) -> str:
 
 
 def render_json(command: str, config: dict, header: list[str], rows: list[list]) -> str:
+    import json
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,

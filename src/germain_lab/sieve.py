@@ -149,7 +149,8 @@ def _rows(x: int, forms: list[tuple[int, int]], wheel: int, classes: list[int],
         # one pow per prime: a numpy square-and-multiply took 29 ms against
         # 45-56 ms for the 108k primes of (2, 1) at 10^12, too little to pay
         # for its lines beside the pass
-        inverse = np.array([pow(a * wheel, -1, m) for m in l.tolist()], dtype=np.int64)
+        inverse = np.fromiter((pow(a * wheel, -1, m) for m in l.tolist()),
+                              dtype=np.int64, count=l.size)
         ls.append(l)
         n0s.append(n0[keep])
         # each factor is below l, and l^2 <= a*x + b < 2^63
@@ -168,21 +169,26 @@ def _sieve(x: int, forms: list[tuple[int, int]], wheel: int) -> Iterator[np.ndar
     prime to wheel, window by window: window k holds the n = c + wheel*i
     with i0 + k*PAIR_WINDOW <= i < i0 + (k+1)*PAIR_WINDOW, i0 = least //
     wheel, where least is the first n at which every value is >= 2, and each
-    class with entries in a window gives one array, empty or not. A class is
-    struck only when its array is asked for, and the generator keeps no name
-    on an array it has yielded: besides the caller's array, only the base
-    primes, their rows and one class's flags are in memory.
+    class with entries in a window gives one array, empty or not. Where no
+    class is admissible, the first array is the whole stream, and no base
+    prime or row is built. A class is struck only when its array is asked
+    for, and the generator keeps no name on an array it has yielded: besides
+    the caller's array, only the base primes, their rows and one class's
+    flags are in memory.
     """
     import numpy as np
     small = [q for q in _WHEEL_PRIMES if wheel % q == 0]
     least = max(-((b - 2) // a) for a, b in forms)  # each value is >= 2 from it on
     classes = [c for c in range(wheel)
                if all(math.gcd(a * c + b, wheel) == 1 for a, b in forms)]
-    base = primes_upto(math.isqrt(max(a * x + b for a, b in forms)))
-    class_rows = _rows(x, forms, wheel, classes, base[wheel % base > 0])
+    if classes:  # with no class to sieve, no base prime is read
+        base = primes_upto(math.isqrt(max(a * x + b for a, b in forms)))
+        class_rows = _rows(x, forms, wheel, classes, base[wheel % base > 0])
     apart = {(q - b) // a for a, b in forms for q in small if (q - b) % a == 0}
     yield np.array(sorted(n for n in apart if least <= n <= x and all(
         a * n + b in small or is_prime(a * n + b) for a, b in forms)), dtype=np.int64)
+    if not classes:
+        return
     for i0 in range(least // wheel, x // wheel + 1, PAIR_WINDOW):
         for c, rows in zip(classes, class_rows):
             size = min(PAIR_WINDOW, (x - c) // wheel + 1 - i0)

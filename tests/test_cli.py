@@ -932,3 +932,16 @@ def test_readme_command_table_lists_each_command_flags():
             for names, _ in (spec.flags if isinstance(spec, _OneOf) else [spec]):
                 declared.update(names)
         assert set(re.findall(r"--[A-Za-z0-9][A-Za-z0-9-]*", flags)) == declared - common, name
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_each_commands_help_lists_its_flags(name, capsys):
+    # a command's parser gets its flags when it first parses, -h included
+    assert main([name, "--help"]) == 0
+    text = capsys.readouterr().out
+    for spec in COMMANDS[name].flags:
+        for names, _ in (spec.flags if isinstance(spec, _OneOf) else [spec]):
+            assert all(flag in text for flag in names), (name, names)
+    assert all(flag in text for flag in ("--format", "--output", "--threads"))
+    assert main(["--help"]) == 0
+    assert name in capsys.readouterr().out

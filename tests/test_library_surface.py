@@ -8,6 +8,7 @@ how an array is summed: no other module fsums a list made from an array,
 or names the slices of the exact reduction, their chunk size or their
 range check, by any import. No module calls a BLAS routine, by @ or by
 name. No module starts a thread, and only the sieve may hold a worker pool.
+No module uses dataclasses, whose import brings in inspect.
 The modules the CLI loads before a command needs an array import no numpy,
 nor any module that does, when they are imported.
 """
@@ -237,6 +238,47 @@ def test_the_numpy_random_guard_names_each_way_to_it(tmp_path):
         "bad.py:4: from numpy import random",
         "bad.py:5: from numpy.random import default_rng",
         "bad.py:8: import numpy.random as npr"]
+
+
+def _dataclass_uses(tree):
+    """Lines of tree that import dataclasses, or read it as an attribute."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [node.value.id]
+        else:
+            names = []
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_uses_dataclasses():
+    # dataclasses imports inspect, about 8 ms of start-up; a record is a
+    # typing.NamedTuple
+    found = [(path, line) for path in sorted(SRC.glob("*.py"))
+             for line in _dataclass_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert _offending_lines(found) == []
+
+
+def test_the_dataclass_guard_names_each_way_to_it(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from dataclasses import dataclass\n"
+                   "import dataclasses\n"
+                   "f = dataclasses.field()\n"
+                   "from typing import NamedTuple\n"
+                   "import dataclasses as dc\n"
+                   "dataclass = 1\n", encoding="utf-8")
+    found = [(bad, line) for line in _dataclass_uses(ast.parse(bad.read_text()))]
+    assert _offending_lines(found) == [
+        "bad.py:1: from dataclasses import dataclass",
+        "bad.py:2: import dataclasses",
+        "bad.py:3: f = dataclasses.field()",
+        "bad.py:5: import dataclasses as dc"]
 
 
 def _imported_packages(tree):

@@ -79,7 +79,8 @@ def test_companion_at_or_above_2_to_the_50_is_refused_before_any_table(x, excess
         pair_primes(x, a, b)
 
 
-@pytest.mark.parametrize("x,a,b", [(2, 2 ** 49 - 1, 1), (7, (PAIR_TOP - 4) // 7, 3),
+# each admits a class mod 30, so its base primes up to 2^25 - 1 are built
+@pytest.mark.parametrize("x,a,b", [(2, 2 ** 49 - 4, 7), (7, (PAIR_TOP - 11) // 7, 10),
                                    (1000, (PAIR_TOP - 624) // 1000, 623)])
 def test_companion_just_below_2_to_the_50_is_admitted(x, a, b):
     assert a * x + b == PAIR_TOP - 1
@@ -92,3 +93,17 @@ def test_companion_just_below_2_to_the_50_is_admitted(x, a, b):
     with mock.patch.object(sieve, "primes_upto", side_effect=no_base_primes):
         pair_primes(x, a, b)
     assert limits == [2 ** 25 - 1]
+
+
+# no class mod 30 is admissible: a and b odd make a*n + b even at every odd
+# n, and a = 0 (mod 30) with b = 3 makes it a multiple of 3
+@pytest.mark.parametrize("x,a,b,arrays", [
+    pytest.param(x, a, b, arrays, id=f"{x}-{a}-{b}")
+    for x, a, b, arrays in ((2, 2 ** 49 - 1, 1, [[]]), (7, (PAIR_TOP - 4) // 7, 3, [[]]),
+                            (10 ** 6, 3, 1, [[2]]))])
+def test_no_admissible_class_builds_no_base_primes(x, a, b, arrays):
+    no_table = AssertionError("a prime table was built")
+    with mock.patch.object(sieve, "primes_upto", side_effect=no_table):
+        stream = list(sieve.pair_windows(x, a, b))
+    assert [w.tolist() for w in stream] == arrays
+    assert all(w.dtype == np.int64 for w in stream)

@@ -75,8 +75,27 @@ def test_primitive_root_certificate_examples():
     assert primitive_root_test(7, []) == []
     with pytest.raises(ValueError):
         primitive_root_test(13, [2, 13])
+    # the first base that shares a factor is named
+    with pytest.raises(ValueError, match="base 26 shares a factor with modulus 13"):
+        primitive_root_test(13, [2, 5, 26, 39])
     with pytest.raises(ValueError):
         primitive_root_test(9, [2])
+
+
+def test_certificates_are_each_bases_witnesses_in_order():
+    # each certificate is the one its base alone would get, whether the
+    # bases come as a list or as an iterator, and above q or not
+    rng = random.Random(99)
+    for q in (3, 13, 1009, 65537, 2 ** 31 - 1):
+        ells = [ell for ell, _ in oracles.factorize_trial(q - 1)]
+        bases = [rng.randrange(1, 3 * q) for _ in range(40)]
+        bases = [u for u in bases if u % q]
+        expected = []
+        for u in bases:
+            witnesses = tuple((ell, pow(u, (q - 1) // ell, q)) for ell in ells)
+            expected.append((q, u % q, witnesses, all(r != 1 for _, r in witnesses)))
+        assert [tuple(c) for c in primitive_root_test(q, bases)] == expected
+        assert primitive_root_test(q, iter(bases)) == primitive_root_test(q, bases)
 
 
 def test_primitive_root_verdict_equals_full_order_exhaustive():
@@ -117,6 +136,10 @@ def test_germain_short_test_examples():
     for bad in ((15, 1, 7), (17, 4, 1), (3, 1, 1), (2, 0, 1)):
         with pytest.raises(ValueError, match="malformed modulus decomposition"):
             GermainModulus(*bad)
+    # a replaced field is checked as a built one is
+    with pytest.raises(ValueError, match=r"decomposition GermainModulus\(q=15, s=1, r=7\)"):
+        g._replace(q=15, s=1, r=7)
+    assert g._replace(q=7, s=1, r=3) == GermainModulus(7, 1, 3)
 
 
 def test_germain_short_test_agrees_with_full_test():

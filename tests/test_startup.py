@@ -1,5 +1,7 @@
 """Start-up: the package, the CLI parser and the commands that need no array
 load no numpy; each layer is imported when a command that reads it runs.
+Nor do they load json, decimal, fractions, dataclasses or inspect, unless
+a step needs one: json for a JSON record, decimal to parse an exact integer.
 A command that does load numpy runs on one OS thread, and the library alone
 leaves the environment that sets this as it was. No command loads
 numpy.random.
@@ -63,6 +65,54 @@ def test_commands_without_arrays_load_no_numpy():
         ["primroot --fermat", 0, False],
         ["constants", 0, True],
     ]
+
+
+# What start-up must not load unless a step needs it: numpy for an array,
+# json for a JSON record, decimal to parse an exact integer, fractions for
+# the singular series. dataclasses, with the inspect it imports, no step
+# needs.
+_WATCHED = ("numpy", "json", "decimal", "fractions", "dataclasses", "inspect")
+
+# (step, code): run in order in one fresh interpreter, the steps that need
+# none of _WATCHED first; each records what has loaded by its end
+_LEAN_STEPS = (
+    ("import germain_lab", "import germain_lab"),
+    ("build_parser", "from germain_lab import cli; cli.build_parser()"),
+    ("table-errata", "cli.main(['table-errata'])"),
+    ("primroot --fermat", "cli.main(['primroot', '--fermat'])"),
+    ("refusal", "cli.main(['primroot', '--fermat', '--seed', '-3'])"),
+    ("usage error", "cli.main(['census', '--x', 'abc'])"),
+    ("constants", "cli.main(['constants', '--cutoff', '1e3'])"),
+)
+
+# json is imported only to print the result, after the last step
+_LOADS = """
+import sys
+bare = set(sys.modules)
+seen = []
+for step, code in {steps!r}:
+    status = eval(code) if code.startswith("cli.main") else exec(code)
+    seen.append([step, status, sorted(m for m in {watched!r}
+                                      if m in sys.modules and m not in bare)])
+import json
+sys.stdout.write("\\n" + json.dumps(seen) + "\\n")
+"""
+
+
+def test_start_up_loads_only_what_a_step_needs():
+    seen = _fresh(_LOADS.format(steps=_LEAN_STEPS, watched=_WATCHED))
+    assert seen[:-1] == [
+        ["import germain_lab", None, []],
+        ["build_parser", None, []],
+        ["table-errata", 0, []],
+        ["primroot --fermat", 0, []],
+        ["refusal", 1, ["json"]],  # its JSON error record
+        ["usage error", 2, ["decimal", "json"]],  # --x is parsed exactly
+    ]
+    # the control: a sieve call loads numpy, and the singular series fractions
+    step, status, loaded = seen[-1]
+    assert [step, status] == ["constants", 0]
+    assert {"numpy", "fractions"} <= set(loaded)
 
 
 _RANDOM_SIGNS = """
