@@ -1,10 +1,10 @@
 """Numerical verification suite for Germain prime pairs.
 
 Library layout:
-  sieve        one sieve of linear forms a*n + b on the classes of a
-               wheel W: primes ([(1, 0)], W = 2), prime powers, prime
-               pairs (p, a*p+b) ([(1, 0), (a, b)], W = 30), streamed
-               window by window; deterministic 64-bit primality
+  sieve        one sieve of linear forms a*n + b on the classes mod 30:
+               primes ([(1, 0)]), prime powers, prime pairs (p, a*p+b)
+               ([(1, 0), (a, b)]), streamed window by window;
+               deterministic 64-bit primality
   arith        mobius / totient and their summatory forms
   summation    exact, correctly rounded sums of float64 arrays
   constants    twin-prime constant and the pair singular series

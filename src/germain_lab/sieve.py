@@ -1,31 +1,37 @@
 """Prime sieves and deterministic 64-bit primality.
 
 Every prime of the library comes from one sieve of a set of linear forms,
-_sieve(x, forms, W), which yields the n <= x at which every form a*n + b
-is prime. The wheel W decides some n apart: those with a form value that
-is a wheel prime come first, as one array, and is_prime proves their other
-values. Every other such n lies in a class c mod W with each a*c + b prime
-to W, and each class is sieved window by window on its progression
-n = c + W*i.
+_sieve(x, forms, window), which yields the n <= x at which every form
+a*n + b is prime, on the one wheel W = 30. The wheel decides some n apart:
+those with a form value that is a wheel prime, 2, 3 or 5, come first, as
+one array, and is_prime proves their other values. Every other such n lies
+in a class c mod 30 with each a*c + b prime to 30, and each class is sieved
+window by window on its progression n = c + 30*i.
 
-One row rule serves every form. For each form (a, b) and base prime l that
-does not divide W, strike the n with l | a*n + b, from where a*n + b >= l^2
-on. A composite value whose least prime factor is l is at least l^2, and a
-smaller factor is either a wheel prime, which the classes exclude, or a
-base prime, whose own row strikes the value. Where l | a, the row strikes
-every n if l | b, and there is none otherwise. _rows turns the rule into
-rows on each class, with one inverse of a*W mod l per form and prime, and
-_strike, a segmented sieve (Bays and Hudson), strikes a window with them.
+One row rule serves every form. For each form (a, b) and base prime l >= 7,
+strike the n with l | a*n + b, from where a*n + b >= l^2 on. A composite
+value whose least prime factor is l is at least l^2, and a smaller factor
+is either a wheel prime, which the classes exclude, or a base prime, whose
+own row strikes the value. Where l | a, the row strikes every n if l | b,
+and there is none otherwise. _rows turns the rule into rows on each class,
+with one inverse of 30*a mod l per form and prime, and _strike, a segmented
+sieve (Bays and Hudson), strikes a window with them. The base primes are
+the plain primes up to the square root of the largest value; where that
+root is below 7 no base prime has a row, so none is read, no row is built
+and the recursion ends.
 
-The plain primes are the forms [(1, 0)] on W = 2: prime_windows yields
-[2], then the odd primes window by window, on fixed boundaries;
-primes_upto concatenates them, the twin-prime product reduces them, and prime_powers
-lists the p^k (k >= 2) of its primes. The pairs are [(1, 0), (a, b)] on
-W = 30: pair_windows yields the primes p with a*p + b also prime, and
-pair_primes sorts them into one array. A class window holds one byte per
-entry, and it is struck only when its array is asked for, so a stream
-holds only the base primes, their rows and one class window, whatever the
-range.
+The plain primes are the forms [(1, 0)]: prime_windows yields [2, 3, 5],
+then the primes of the 8 classes prime to 30, window by window, each
+window of PAIR_WINDOW // 2 entries per class. _primes concatenates them in
+that order, for the consumers that do not need order (the base primes of
+every sieve, prime_powers), and primes_upto sorts them. The pairs are
+[(1, 0), (a, b)]: pair_windows yields the primes p with a*p + b also
+prime, on windows of PAIR_WINDOW entries, and pair_primes sorts them into
+one array. A class window holds one byte per entry, and it is struck only
+when its array is asked for, so a stream holds only the base primes, their
+rows and one class window, whatever the range. No reported bit depends on
+where the windows fall: every sum of a stream is correctly rounded, and
+the twin-prime product cuts its partial sums on its own fixed grid.
 
 The module imports without numpy: each function that builds an array
 imports it, so numpy loads on the first sieve call, and is_prime, which
@@ -79,65 +85,72 @@ _MR_TIERS = (
     (_U64, 12),
 )
 
-# Entries per window of the strike kernel, one byte each while sieved: odd
-# integers for the plain primes, integers of one residue class for the pairs.
+# Entries per class window of the pair sieve, one byte each while sieved. A
+# plain-prime window takes half as many, read from this name at each call:
+# primes are dense, and 2^20 entries of a class hold ~215k primes at 10^8,
+# which raised the peak RSS of `constants --cutoff 1e8` from 31.1 to 32.5 MB
+# (2-core Xeon, Python 3.11, numpy 2.4).
 PAIR_WINDOW = 1 << 20
 
-# The primes a wheel may hold: the plain primes sieve on W = 2, the pairs on
-# W = 30. A value prime to W is a multiple of none of them.
+# The wheel every sieve runs on, and its primes: a value prime to 30 is a
+# multiple of none of them, and every other base prime is at least 7.
+_WHEEL = 30
 _WHEEL_PRIMES = (2, 3, 5)
 # pair_windows refuses a*x + b at or above this: its base primes, up to
 # sqrt(a*x + b), would pass 2^25.
 _PAIR_TOP = 1 << 50
 
-# Strike rows on a progression c + step*i: (l, j, start) int64 arrays, and
+# Strike rows on a progression c + 30*i: (l, j, start) int64 arrays, and
 # row k strikes the i = j[k] (mod l[k]) with i >= start[k]. A string, as
 # this module imports numpy only inside the functions that use it.
 _Rows = "tuple[np.ndarray, np.ndarray, np.ndarray]"
 
 
-def _strike(size: int, i0: int, rows: _Rows) -> np.ndarray:
+def _strike(size: int, i0: int, rows: _Rows | None) -> np.ndarray:
     """flags[k] for the entry i0 + k of a window of size entries, struck by rows.
 
     This is the one loop of the library that strikes composites; numpy finds
-    the first index of every row in the window at once.
+    the first index of every row in the window at once. With no rows (None)
+    every entry stands.
     """
     import numpy as np
+    flags = np.ones(size, dtype=bool)
+    if rows is None:
+        return flags
     l, j, start = rows
     s = np.maximum(start, i0)
     s += (j - s) % l
     s -= i0
     hit = s < size
-    flags = np.ones(size, dtype=bool)
     for k, step in zip(s[hit].tolist(), l[hit].tolist()):
         flags[k::step] = False
     return flags
 
 
-def _survivors(size: int, i0: int, rows: _Rows, step: int, n0: int,
+def _survivors(size: int, i0: int, rows: _Rows | None, n0: int,
                least: int) -> np.ndarray:
-    """The n = n0 + step*k >= least of the entries k that rows leave unstruck (int64).
+    """The n = n0 + 30*k >= least of the entries k that rows leave unstruck (int64).
 
     Computed in place, and no name holds the flags once they are read.
     """
     import numpy as np
     ns = np.flatnonzero(_strike(size, i0, rows))
-    ns *= step
+    ns *= _WHEEL
     ns += n0
-    return ns[np.searchsorted(ns, least):]
+    return ns if n0 >= least else ns[np.searchsorted(ns, least):]
 
 
-def _rows(x: int, forms: list[tuple[int, int]], wheel: int, classes: list[int],
+def _rows(x: int, forms: list[tuple[int, int]], classes: list[int],
           base: np.ndarray) -> list[_Rows]:
-    """Each class c's strike rows on n = c + wheel*i <= x, for the base primes
-    l prime to wheel.
+    """Each class c's strike rows on n = c + 30*i <= x, for the base primes l >= 7.
 
     Form (a, b) strikes the n with l | a*n + b from n0, the first n with
-    a*n + b >= l^2, on: on class c, the i = -(a*c + b) / (a*wheel) (mod l)
-    with c + wheel*i >= n0. Where l | a the row has modulus 1 if l | b, and
-    there is none otherwise.
+    a*n + b >= l^2, on: on class c, the i = -(a*c + b) / (30*a) (mod l)
+    with c + 30*i >= n0. Where l | a the row has modulus 1 if l | b, and
+    there is none otherwise. base may hold the wheel primes, in any order.
     """
     import numpy as np
+    base = base[_WHEEL % base > 0]
     ls, n0s, roots = [], [], []
     for a, b in forms:
         top = a * x + b
@@ -149,78 +162,91 @@ def _rows(x: int, forms: list[tuple[int, int]], wheel: int, classes: list[int],
         # one pow per prime: a numpy square-and-multiply took 29 ms against
         # 45-56 ms for the 108k primes of (2, 1) at 10^12, too little to pay
         # for its lines beside the pass
-        inverse = np.fromiter((pow(a * wheel, -1, m) for m in l.tolist()),
+        inverse = np.fromiter((pow(a * _WHEEL, -1, m) for m in l.tolist()),
                               dtype=np.int64, count=l.size)
         ls.append(l)
         n0s.append(n0[keep])
         # each factor is below l, and l^2 <= a*x + b < 2^63
         roots.append([-(a % l * c + b % l) % l * inverse % l for c in classes])
     l, n0 = np.concatenate(ls), np.concatenate(n0s)
-    return [(l, np.concatenate(j), -((c - n0) // wheel))
+    return [(l, np.concatenate(j), -((c - n0) // _WHEEL))
             for c, *j in zip(classes, *roots)]
 
 
-def _sieve(x: int, forms: list[tuple[int, int]], wheel: int) -> Iterator[np.ndarray]:
+def _sieve(x: int, forms: list[tuple[int, int]], window: int) -> Iterator[np.ndarray]:
     """The n <= x at which every form a*n + b is prime, as ascending int64 arrays.
 
     The first array holds the n that the wheel decides apart, those with a
-    form value that is a wheel prime; is_prime proves their other values.
-    Then come the survivors of each class c mod wheel with every a*c + b
-    prime to wheel, window by window: window k holds the n = c + wheel*i
-    with i0 + k*PAIR_WINDOW <= i < i0 + (k+1)*PAIR_WINDOW, i0 = least //
-    wheel, where least is the first n at which every value is >= 2, and each
-    class with entries in a window gives one array, empty or not. Where no
-    class is admissible, the first array is the whole stream, and no base
-    prime or row is built. A class is struck only when its array is asked
-    for, and the generator keeps no name on an array it has yielded: besides
-    the caller's array, only the base primes, their rows and one class's
-    flags are in memory.
+    form value that is 2, 3 or 5; is_prime proves their other values. Then
+    come the survivors of each class c mod 30 with every a*c + b prime to
+    30, window by window: window k holds the n = c + 30*i with
+    i0 + k*window <= i < i0 + (k+1)*window, i0 = least // 30, where least
+    is the first n at which every value is >= 2, and each class with
+    entries in a window gives one array, empty or not. Where no class is
+    admissible, the first array is the whole stream, and no base prime or
+    row is built; where every value is below 7^2, no base prime or row is
+    built either, and the classes are left unstruck. A class is struck
+    only when its array is asked for, and the generator keeps no name on an
+    array it has yielded: besides the caller's array, only the base primes,
+    their rows and one class's flags are in memory.
     """
     import numpy as np
-    small = [q for q in _WHEEL_PRIMES if wheel % q == 0]
     least = max(-((b - 2) // a) for a, b in forms)  # each value is >= 2 from it on
-    classes = [c for c in range(wheel)
-               if all(math.gcd(a * c + b, wheel) == 1 for a, b in forms)]
-    if classes:  # with no class to sieve, no base prime is read
-        base = primes_upto(math.isqrt(max(a * x + b for a, b in forms)))
-        class_rows = _rows(x, forms, wheel, classes, base[wheel % base > 0])
-    apart = {(q - b) // a for a, b in forms for q in small if (q - b) % a == 0}
+    classes = range(_WHEEL)
+    for a, b in forms:
+        classes = [c for c in classes if math.gcd(a * c + b, _WHEEL) == 1]
+    root = math.isqrt(max(a * x + b for a, b in forms))
+    class_rows = [None] * len(classes)  # no base prime >= 7 up to root: no rows
+    if classes and root >= 7:  # with no class, no base prime is read
+        class_rows = _rows(x, forms, classes, _primes(root))
+    apart = {(q - b) // a for a, b in forms for q in _WHEEL_PRIMES if (q - b) % a == 0}
     yield np.array(sorted(n for n in apart if least <= n <= x and all(
-        a * n + b in small or is_prime(a * n + b) for a, b in forms)), dtype=np.int64)
+        a * n + b in _WHEEL_PRIMES or is_prime(a * n + b) for a, b in forms)),
+        dtype=np.int64)
     if not classes:
         return
-    for i0 in range(least // wheel, x // wheel + 1, PAIR_WINDOW):
+    for i0 in range(least // _WHEEL, x // _WHEEL + 1, window):
         for c, rows in zip(classes, class_rows):
-            size = min(PAIR_WINDOW, (x - c) // wheel + 1 - i0)
+            size = min(window, (x - c) // _WHEEL + 1 - i0)
             if size > 0:
-                yield _survivors(size, i0, rows, wheel, c + wheel * i0, least)
+                yield _survivors(size, i0, rows, c + _WHEEL * i0, least)
 
 
 def prime_windows(limit: int) -> Iterator[np.ndarray]:
-    """The primes <= limit, as a stream of ascending int64 arrays, in order.
+    """The primes <= limit, as a stream of ascending int64 arrays.
 
-    The first array is [2] (empty below 2). Window k then holds the odd
-    n = 1 + 2i with 1 + k*PAIR_WINDOW <= i < 1 + (k+1)*PAIR_WINDOW, struck
-    by the odd base primes l <= sqrt(limit) from l^2 on: fixed boundaries,
-    whoever reduces the windows.
+    The first array is the wheel primes [2, 3, 5] up to limit. Then come
+    the primes of the 8 classes c mod 30 prime to 30, window by window: a
+    class's array in window k holds its n = c + 30*i with
+    k*w <= i < (k+1)*w, w = max(1, PAIR_WINDOW // 2). The arrays
+    interleave, and each prime is in one of them.
     """
-    return _sieve(limit, [(1, 0)], 2)
+    return _sieve(limit, [(1, 0)], max(1, PAIR_WINDOW // 2))
+
+
+def _primes(limit: int) -> np.ndarray:
+    """The primes <= limit as an int64 array, in prime_windows' order, unsorted.
+
+    For the callers whose result does not depend on order: the first sort
+    of a process faults in 0.3-0.4 MB of numpy's sort kernels.
+    """
+    import numpy as np
+    return np.concatenate(list(prime_windows(limit)))
 
 
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array, ascending."""
-    import numpy as np
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    if limit < 2:  # no base primes: this ends the sieve's recursion
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(list(prime_windows(limit)))
+    primes = _primes(limit)
+    primes.sort()
+    return primes
 
 
 def prime_powers(x: int) -> list[tuple[int, float]]:
     """(n, log p) for the prime powers n = p^k <= x with k >= 2, ascending."""
     out = []
-    for p in primes_upto(math.isqrt(max(x, 0))).tolist():
+    for p in _primes(math.isqrt(max(x, 0))).tolist():
         w = math.log(p)
         pk = p * p
         while pk <= x:
@@ -251,7 +277,7 @@ def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
     if top >= _PAIR_TOP:
         raise ValueError(f"a*x+b = {top} is at or above 2^50: the base primes up "
                          f"to its square root would pass 2^25")
-    yield from _sieve(x, [(1, 0), (a, b)], 30)
+    yield from _sieve(x, [(1, 0), (a, b)], PAIR_WINDOW)
 
 
 def pair_primes(x: int, a: int = 2, b: int = 1) -> np.ndarray:

@@ -11,13 +11,13 @@ def c2_1e6():
 
 @pytest.fixture
 def small_windows(monkeypatch):
-    """Windows of 2^11 odd integers; returns the array count of each
-    sieve.prime_windows call that ran to its end, the first array, [2],
-    included.
+    """Pair windows of 2^11 entries per class, plain-prime windows of 2^10;
+    returns the array count of each sieve.prime_windows call that ran to
+    its end, the first array, [2, 3, 5], included.
 
     Small windows make the ranges of the determinism tests span several
-    windows, so that the order in which the window partials are summed
-    matters.
+    windows of each class, so that the C2 product reads many arrays that
+    interleave across its grid's intervals.
     """
     monkeypatch.setattr(sieve, "PAIR_WINDOW", 1 << 11)
     counts = []

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from math import fsum
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from germain_lab import constants, sieve
 from germain_lab.arith import factorize
 from germain_lab.cli import main
 from germain_lab.constants import singular_series, twin_prime_constant
-from germain_lab.summation import exact_sum
+from germain_lab.summation import PrefixSums, add_terms, exact_sum
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -109,26 +110,83 @@ def test_printed_claim_matches_truncated_product_not_the_limit():
     assert abs(TRUE_C2 - claim) > 4e-8
 
 
+def _recorded_partials(monkeypatch):
+    """The list of partials each twin_prime_constant call reads from its PrefixSums."""
+    partials = []
+
+    class Recorded(PrefixSums):
+        def sums(self):
+            partials.append(super().sums())
+            return partials[-1]
+
+    monkeypatch.setattr(constants, "PrefixSums", Recorded)
+    return partials
+
+
 @pytest.mark.parametrize("window", [1 << 20, 37])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_window_partials_are_the_correctly_rounded_window_sums(window, threads,
                                                                monkeypatch, capsys):
-    # cutoffs on and beside the window edges n = 1 + 2 window k; the stream's
-    # first array is [2], whose partial is the empty sum
-    monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
+    # the partials are the fsums of the intervals 3 + step k <= p < 3 + step
+    # (k+1) of the product's n-grid, step = 2 window, on which it is patched;
+    # cutoffs on and beside the grid's edges
+    step = 2 * window
+    monkeypatch.setattr(constants, "_C2_STEP", step)
+    partials = _recorded_partials(monkeypatch)
     ks = (1, 2) if window > 1000 else (1, 2, 27, 28, 100)
     for k in ks:
-        for cutoff in (1 + 2 * window * k + d for d in (-2, 0, 2)):
-            want = oracles.twin_prime_window_partials(cutoff, window)
-            first, *got = [constants._segment_log_sum(ps)
-                           for ps in sieve.prime_windows(cutoff)]
-            assert first == 0.0, cutoff
-            assert got == want, cutoff
+        for cutoff in (3 + step * k + d for d in (-2, 0, 2)):
+            want = oracles.twin_prime_window_partials(cutoff, step)
             assert twin_prime_constant(cutoff).value == math.exp(fsum(want)), cutoff
+            assert partials[-1] == want, cutoff
             report = _constants_report(capsys, "--cutoff", str(cutoff),
                                        "--threads", str(threads))
             row = json.loads(report)["rows"][0]
             assert row["value"] == math.exp(fsum(want)), cutoff
+
+
+# C2 on and beside the grid's edges 3 + 2^21 k, k = 1, 2: on each edge, at
+# the last prime below it and the first above it, and one below each.
+# Recorded from the odd-integer tiling, whose windows ended at the same edges.
+GRID_BITS = {
+    2097142: "0x1.5200bb70aee21p-1", 2097143: "0x1.5200bb70ae8d9p-1",
+    2097155: "0x1.5200bb70ae8d9p-1",
+    2097168: "0x1.5200bb70ae8d9p-1", 2097169: "0x1.5200bb70ae391p-1",
+    4194300: "0x1.5200bb15bb7a0p-1", 4194301: "0x1.5200bb15bb64ep-1",
+    4194307: "0x1.5200bb15bb64ep-1",
+    4194318: "0x1.5200bb15bb64ep-1", 4194319: "0x1.5200bb15bb4fcp-1",
+}
+
+
+@pytest.mark.parametrize("window", [37, 1 << 11, 1 << 20])
+def test_c2_does_not_depend_on_the_sieve_windows(window, monkeypatch):
+    # the pair window, and the plain-prime window of half as many entries,
+    # tile the primes in any way: 37 gives class windows of 18 entries, 540
+    # integers, whose edges fall nowhere near the grid's. At 37 the product
+    # reads 31k arrays, so it runs once, across the first edge
+    monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
+    cutoffs = [2097169] if window < 1000 else GRID_BITS
+    for cutoff in cutoffs:
+        assert twin_prime_constant(cutoff).value.hex() == GRID_BITS[cutoff], cutoff
+
+
+@pytest.mark.parametrize("cutoff,bits", [
+    (10 ** 6, "0x1.5200bc4299899p-1"),
+    (10 ** 7, "0x1.5200bae37dd04p-1"),
+    (10 ** 8, "0x1.5200bac530044p-1"),
+])
+def test_c2_keeps_its_bits(cutoff, bits):
+    # the doubles of the odd-integer tiling, which cut the product at the
+    # same edges 3 + 2^21 k
+    assert twin_prime_constant(cutoff).value.hex() == bits
+
+
+@pytest.mark.parametrize("cutoff", [10 ** 6, 10 ** 7])
+def test_c2_within_an_ulp_of_the_decimal_product(cutoff):
+    # an independent evaluation of the same finite product at 40 digits
+    exact = oracles.twin_prime_product_decimal(cutoff)
+    value = twin_prime_constant(cutoff).value
+    assert abs(Decimal(value) - exact) <= Decimal(math.ulp(value))
 
 
 @pytest.mark.parametrize("primes", [
@@ -136,11 +194,17 @@ def test_window_partials_are_the_correctly_rounded_window_sums(window, threads,
     [p for p in oracles.primes_upto(20_000) if p > 2],
 ])
 def test_segment_log_sum_in_place_is_the_expression_it_replaced(primes):
-    # the in-place steps must be the same IEEE operations, in the same order
+    # the in-place steps must be the same IEEE operations, in the same order,
+    # and a segment's sum through add_terms, as the product takes it, the
+    # fsum of the expression's terms
     ps = np.array(primes, dtype=np.int64)
     pm1 = ps.astype(np.float64) - 1.0
-    want = exact_sum(np.log1p(-1.0 / (pm1 * pm1)))
-    assert constants._segment_log_sum(ps) == want
+    want = np.log1p(-1.0 / (pm1 * pm1))
+    [terms] = constants._log_terms(ps)
+    assert terms.tolist() == want.tolist()
+    segment = PrefixSums(1)
+    add_terms([segment], ps, constants._log_terms, [ps.size])
+    assert segment.sums() == [exact_sum(want)]
     assert ps.tolist() == primes  # the primes are not written
 
 

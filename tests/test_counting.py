@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from math import fsum, log
 
 import pytest
@@ -110,6 +111,39 @@ def test_pair_sums_below_two_are_zero_without_a_pass(monkeypatch):
     monkeypatch.setattr(counting, "pair_windows", no_pass)
     assert pair_sums([1]) == [(0, 0.0, 0.0)]
     assert pair_sums([]) == []
+
+
+@pytest.mark.parametrize("x,a,b", [
+    (1, 2, 1), (2, 2, 1), (10 ** 4, 2, 1), (10 ** 4, 4, 3), (10 ** 4, 2, -1),
+    (3000, 3, 1), (500, 7, -60), (50, 1, -3), (10, 1, -200), (3, 2 ** 20 - 4, 7),
+    (100, 7, 1), (50, 1, 30)])
+def test_companion_powers_are_the_prime_powers_of_the_companion_class(x, a, b):
+    # every q^k (k >= 2) = a n + b with 2 <= n <= x, from trial-division
+    # primes; 2^3 = 7*1 + 1 and 2^3 = 1*(-22) + 30 are at n below 2
+    top = a * x + b
+    want = sorted((q ** k, math.log(q))
+                  for q in oracles.primes_upto(math.isqrt(max(top, 0)))
+                  for k in range(2, top.bit_length())
+                  if q ** k <= top and (q ** k - b) % a == 0 and q ** k - b >= 2 * a)
+    assert counting._companion_powers(x, a, b) == want
+    assert want or (x, a, b) in {(1, 2, 1), (2, 2, 1), (10, 1, -200), (3, 2 ** 20 - 4, 7)}
+
+
+def test_companion_powers_hold_one_window_not_every_prime():
+    # a*x + b near 2^41 has 112,957 primes up to its square root: one
+    # (m, log q) tuple for each of their powers, sorted, peaked at 18.3 MB.
+    # Filtered one window of primes at a time, the powers stay below the
+    # bytes of one int64 array of those primes
+    x, a, b = 2, 2 ** 40 - 4, 7
+    primes = sum(w.size for w in sieve.prime_windows(math.isqrt(a * x + b)))
+    counting._companion_powers(100, 2, 1)  # numpy's lazy set-up is not the search's
+    tracemalloc.start()
+    try:
+        assert counting._companion_powers(x, a, b) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * primes
 
 
 def test_pair_sums_rejects_unordered_or_nonpositive_checkpoints():

@@ -60,7 +60,7 @@ def test_companion_beyond_64_bits_is_refused_before_any_table(x, excess, b):
     a = -(-(I64 - b) // x) + excess
     assert a * x + b >= I64
     no_table = AssertionError("a prime table was built")
-    with mock.patch.object(sieve, "primes_upto", side_effect=no_table), \
+    with mock.patch.object(sieve, "_primes", side_effect=no_table), \
             pytest.raises(ValueError, match="overflows the supported 64-bit range"):
         pair_primes(x, a, b)
 
@@ -74,7 +74,7 @@ def test_companion_at_or_above_2_to_the_50_is_refused_before_any_table(x, excess
     a = -(-(PAIR_TOP - b) // x) + excess
     assert PAIR_TOP <= a * x + b < I64
     no_table = AssertionError("a prime table was built")
-    with mock.patch.object(sieve, "primes_upto", side_effect=no_table), \
+    with mock.patch.object(sieve, "_primes", side_effect=no_table), \
             pytest.raises(ValueError, match=r"a\*x\+b = \d+ is at or above 2\^50"):
         pair_primes(x, a, b)
 
@@ -90,7 +90,7 @@ def test_companion_just_below_2_to_the_50_is_admitted(x, a, b):
         limits.append(limit)
         return np.zeros(0, dtype=np.int64)
 
-    with mock.patch.object(sieve, "primes_upto", side_effect=no_base_primes):
+    with mock.patch.object(sieve, "_primes", side_effect=no_base_primes):
         pair_primes(x, a, b)
     assert limits == [2 ** 25 - 1]
 
@@ -103,7 +103,7 @@ def test_companion_just_below_2_to_the_50_is_admitted(x, a, b):
                             (10 ** 6, 3, 1, [[2]]))])
 def test_no_admissible_class_builds_no_base_primes(x, a, b, arrays):
     no_table = AssertionError("a prime table was built")
-    with mock.patch.object(sieve, "primes_upto", side_effect=no_table):
+    with mock.patch.object(sieve, "_primes", side_effect=no_table):
         stream = list(sieve.pair_windows(x, a, b))
     assert [w.tolist() for w in stream] == arrays
     assert all(w.dtype == np.int64 for w in stream)

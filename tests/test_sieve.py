@@ -144,15 +144,16 @@ def test_primes_upto_matches_oracle():
 
 
 def test_primes_upto_beyond_one_default_window():
-    # pi(10^7) = 664579 (OEIS A006880); 10^7 spans five windows of 2^21
+    # pi(10^7) = 664579 (OEIS A006880); 10^7 spans two windows of 30 * 2^19
     assert len(primes_upto(10 ** 7)) == 664579
 
 
 @pytest.mark.parametrize("window", [1, 2, 37, 256])
 def test_primes_upto_across_window_edges(window, monkeypatch):
-    # window odd n per window, so the windows start at 3 + 2 * window * k
+    # max(1, window // 2) entries of each class mod 30 per window, so the
+    # windows start at multiples of 30 times as many integers
     monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
-    edges = {3 + 2 * window * k + d for k in (1, 2, 3) for d in (-2, -1, 0, 1)}
+    edges = {30 * max(1, window // 2) * k + d for k in (1, 2, 3) for d in (-2, -1, 0, 1)}
     for limit in sorted(edges | {0, 1, 2, 3, 4, 2000}):
         got = primes_upto(limit)
         assert got.dtype == np.int64
@@ -161,21 +162,24 @@ def test_primes_upto_across_window_edges(window, monkeypatch):
 
 @pytest.mark.parametrize("window", [1, 37, 1 << 11])
 def test_prime_windows_against_trial_division(window, monkeypatch):
-    # [2] first, which the wheel of 2 decides apart; then window k holds the
-    # odd n = 1 + 2i with 1 + k window <= i < 1 + (k+1) window
+    # [2, 3, 5] first, which the wheel of 30 decides apart; then window k
+    # holds, class by class, the primes n = c + 30 i of each class c prime to
+    # 30 with k w <= i < (k+1) w, w = max(1, window // 2) entries per class
     monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
-    edges = {1 + 2 * window * k + d for k in (1, 2, 3) for d in (-2, -1, 0, 1, 2)}
-    primes = [n for n in range(3, max(edges) + 1, 2) if oracles.is_prime_trial(n)]
-    for limit in sorted(edges | {2, 3, 4, 5}):
-        two, *windows = sieve.prime_windows(limit)
-        assert two.dtype == np.int64
-        assert two.tolist() == ([2] if limit >= 2 else [])
-        assert len(windows) == -(-((limit - 1) // 2) // window)
-        for k, got in enumerate(windows):
-            lo = 3 + 2 * window * k
-            assert got.dtype == np.int64
-            assert got.tolist() == [p for p in primes
-                                    if lo <= p < lo + 2 * window and p <= limit]
+    w = max(1, window // 2)
+    classes = [c for c in range(30) if math.gcd(c, 30) == 1]
+    edges = {30 * w * k + d for k in (1, 2, 3) for d in (-2, -1, 0, 1, 2)}
+    primes = [n for n in range(7, max(edges) + 1) if oracles.is_prime_trial(n)]
+    for limit in sorted(edges | {0, 1, 2, 3, 4, 5, 6, 7, 48, 49, 50}):
+        first, *windows = sieve.prime_windows(limit)
+        assert first.dtype == np.int64
+        assert first.tolist() == [p for p in (2, 3, 5) if p <= limit]
+        want = [[p for p in primes if p % 30 == c and 30 * w * k <= p - c < 30 * w * (k + 1)
+                 and p <= limit]
+                for k in range(limit // 30 // w + 1) for c in classes
+                if c + 30 * w * k <= limit]
+        assert all(got.dtype == np.int64 for got in windows)
+        assert [got.tolist() for got in windows] == want, limit
 
 
 def test_primes_upto_rejects_negative_limit():

@@ -324,9 +324,10 @@ def test_pair_sums_hold_one_class_window_at_1e8():
 
 
 def _window_bytes(limit, chunks):
-    """The largest prime window to limit, as its flags and its int64 primes,
-    and chunks float64 slices of summation.chunks, in bytes."""
-    entries = min(sieve.PAIR_WINDOW, (limit - 1) // 2)
+    """The largest prime window to limit, as one class window's flags and
+    the int64 primes of the largest array, and chunks float64 slices of
+    summation.chunks, in bytes."""
+    entries = min(max(1, sieve.PAIR_WINDOW // 2), limit // 30 + 1)
     primes = max(w.size for w in sieve.prime_windows(limit))
     return entries + 8 * primes + chunks * 8 * summation._CHUNK
 
@@ -344,10 +345,12 @@ def test_c2_holds_one_window_and_a_few_chunks(cutoff):
 @pytest.mark.parametrize("x", [10 ** 6, 4 * 10 ** 6])
 def test_chebyshev_holds_one_window_not_every_prime(x):
     # pi(4e6) = 283,146 primes; the table of every prime, sorted by class
-    # with its keys and logs, peaked at 6.9 MB at 4e6
+    # with its keys and logs, peaked at 6.9 MB at 4e6. A slice's class keys,
+    # its order and its sorted terms are alive while PrefixSums slices the
+    # terms: five chunks in all
     chebyshev_ap([100], 12)
     peak = _peak_bytes(lambda: chebyshev_ap([x // 2, x], 12))
-    assert peak < _window_bytes(x, 2)
+    assert peak < _window_bytes(x, 5)
 
 
 def _edges(arrays, every, least):
@@ -369,13 +372,14 @@ def _slice_sizes(monkeypatch, module):
 @pytest.mark.parametrize("chunk,every", [(1, 64), (7, 35), (64, 64)])
 def test_c2_in_small_chunks_is_the_product_of_the_window_fsums(chunk, every,
                                                               monkeypatch):
-    # cutoffs at the edge of every so many chunks of the first two windows
-    # of 2^11 odd integers: each window partial is still its terms' fsum
-    monkeypatch.setattr(sieve, "PAIR_WINDOW", 1 << 11)
+    # cutoffs at the edge of every so many chunks of each class's array up to
+    # the end of the first two intervals of a grid of step 2^11: each
+    # interval's partial is still its terms' fsum
+    monkeypatch.setattr(constants, "_C2_STEP", 1 << 11)
     monkeypatch.setattr(summation, "_CHUNK", chunk)
     sizes = _slice_sizes(monkeypatch, constants)
-    for cutoff in _edges(sieve.prime_windows(2 * 2 * sieve.PAIR_WINDOW), every, 3):
-        want = oracles.twin_prime_window_partials(cutoff, sieve.PAIR_WINDOW)
+    for cutoff in _edges(sieve.prime_windows(2 * constants._C2_STEP), every, 3):
+        want = oracles.twin_prime_window_partials(cutoff, constants._C2_STEP)
         assert twin_prime_constant(cutoff).value == math.exp(fsum(want)), cutoff
     assert sizes and max(sizes) <= chunk
 
@@ -396,7 +400,7 @@ def test_pair_sums_in_small_chunks_equal_the_prefix_fsums(chunk, a, b,
 @pytest.mark.parametrize("q", [1, 5])
 def test_chebyshev_in_small_chunks_equals_the_class_fsums(chunk, top, q,
                                                           monkeypatch):
-    # the windows of 2^8 odd integers are cut into chunks, and so are the
+    # the class windows of 2^7 entries are cut into chunks, and so are the
     # prime powers; each class's value is the fsum of its np.log prime
     # terms and prime-power weights up to x
     monkeypatch.setattr(sieve, "PAIR_WINDOW", 1 << 8)
