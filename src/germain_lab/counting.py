@@ -10,10 +10,11 @@ three correctly rounded groups: the prime pairs themselves, n = p^k
 (k >= 2) with a*n + b prime, and a*n + b = q^k (k >= 2) with n a prime
 power. The last two hold only O(sqrt(a*x + b)) terms, whose weights come
 from the sieve's primes and prime powers, without factoring; each is one
-array ascending in n. The q^k are filtered to the class of b mod a as they
-are raised, one window of the primes up to sqrt(a*x + b) at a time, so a
-large a lists a few powers, not one per prime. reciprocal_sums gives the
-sums of 1/p and log p / p over the Germain primes (a, b = 2, 1).
+array ascending in n. The q^k are sieve.prime_powers(x, a, b), the prime
+powers in the class of b mod a, so a large a lists a few powers, not one
+per prime. reciprocal_sums gives the sums of 1/p and log p / p over the
+Germain primes (a, b = 2, 1). census and reciprocal_sums refuse a range
+the pair sieve cannot take (sieve.check_pair_range) before C2.
 
 Every group is summed to the last checkpoint and cut at each one, through
 summation.PrefixSums. The pass is a flat stream of ascending arrays, one
@@ -45,7 +46,7 @@ import numpy as np
 
 from .arith import divisors, mobius_sieve
 from .constants import SingularValue
-from .sieve import is_prime, pair_windows, prime_powers, prime_windows, primes_upto
+from .sieve import check_pair_range, is_prime, pair_windows, prime_powers, primes_upto
 from .summation import PrefixSums, add_terms, exact_sum, sums_upto
 
 
@@ -110,33 +111,6 @@ def _pass(xs: Sequence[int], a: int, b: int,
             for n, *row in zip(counts.tolist(), *(s.sums() for s in streams))]
 
 
-def _companion_powers(x: int, a: int, b: int) -> list[tuple[int, float]]:
-    """(m, log q) for the prime powers m = q^k (k >= 2) with m = a*n + b at an
-    n in [2, x], ascending in m (n = 1 has no weight).
-
-    The q come from the primes up to sqrt(a*x + b) one window at a time:
-    their squares are filtered in numpy, so only the few in the class of b
-    mod a are listed, and the few q with q^3 <= a*x + b are raised further
-    in Python.
-    """
-    if x < 2:
-        return []
-    top = a * x + b
-    out = []
-    for qs in prime_windows(math.isqrt(max(top, 0))):
-        squares = qs * qs  # each <= top < 2^50
-        n = squares - b
-        hit = (n % a == 0) & (n >= 2 * a)
-        out += zip(squares[hit].tolist(), map(math.log, qs[hit].tolist()))
-        for q in qs[squares <= top // qs].tolist():
-            w, m = math.log(q), q ** 3
-            while m <= top:
-                if (m - b) % a == 0 and m - b >= 2 * a:
-                    out.append((m, w))
-                m *= q
-    return sorted(out)
-
-
 def pair_sums(xs: Sequence[int], a: int = 2,
               b: int = 1) -> list[tuple[int, float, float]]:
     """(pi_g, psi_g, psi0) at each ascending checkpoint x >= 1, from one pass.
@@ -173,7 +147,7 @@ def pair_sums(xs: Sequence[int], a: int = 2,
     # a*n+b = q^k with k >= 2 and Lambda(n) > 0: (n, Lambda(n), log q), with
     # Lambda(n) = log n for a prime n and from the table for a prime power
     companions = []
-    for m, w in _companion_powers(x_max, a, b):
+    for m, w in prime_powers(x_max, a, b):
         n = (m - b) // a
         wn = math.log(n) if is_prime(n) else weights.get(n, 0.0)
         if wn > 0.0:
@@ -198,11 +172,13 @@ def reciprocal_sums(xs: Sequence[int], make_c2: Callable[[], SingularValue]
     a0 log log x + a0/log x (a0 = 2 C2) is the shape the conjectured pair
     density implies for the log p / p sum; the residual is that sum minus
     the fit, and is only meaningful once log log x settles (x >= 16 or so).
-    make_c2 returns C2; it is called once, after x >= 2 is checked and
-    before the pass.
+    make_c2 returns C2; it is called once, after x >= 2 and the pair range
+    are checked and before the pass.
     """
     if xs and xs[0] < 2:
         raise ValueError(f"x must be >= 2, got {xs[0]}")
+    if xs:
+        check_pair_range(max(xs), 2, 1)
     a0 = 2.0 * make_c2().value
 
     def terms(ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,11 +299,13 @@ def census(xs: Sequence[int], a: int, b: int,
 
     Each row holds pi_g(x), psi_g(x), psi0(x), the integral prediction and
     the ratio psi_g / (2 C2 x). make_c2 returns C2. It is called once, after
-    every x and (a, b) the prediction refuses has been refused, and the
-    predictions come before the pass.
+    every x and (a, b) the prediction or the pair sieve refuses has been
+    refused, and the predictions come before the pass.
     """
     for x in xs:
         _prediction_domain(x, a, b)
+    if xs:
+        check_pair_range(max(xs), a, b)
     c2 = make_c2()
     predictions = [hl_prediction(x, a, b, c2=c2) for x in xs]
     return [CountReport(x=x, pi_g=pi, psi_g=pg, psi0=p0, hl_prediction=hl,

@@ -11,7 +11,9 @@ rows that disagree.
 primitive_root_test factors q - 1 by trial division. theorem_4p1_check
 does not: q - 1 = 4p with p proven prime, so the primes of q - 1 are 2
 and p. Both prove q prime the same way and build their certificates
-with one helper.
+with one helper. germain_moduli_upto reads its moduli from the sieve's
+primes: r < q, so r is prime exactly when it is one of them.
+GermainModulus still proves q and r when it is built.
 """
 
 from __future__ import annotations
@@ -144,14 +146,14 @@ def primitive_root_test(q: int, bases) -> list[PrimRootCertificate]:
 
 
 def germain_moduli_upto(limit: int) -> list[GermainModulus]:
-    out = []
-    for q in primes_upto(limit).tolist():
-        n = q - 1
-        s = (n & -n).bit_length() - 1
-        r = n >> s
-        if s >= 1 and r >= 3 and is_prime(r):
-            out.append(GermainModulus(q=q, s=s, r=r))
-    return out
+    """The primes q <= limit with q - 1 = 2^s * r, r an odd prime, ascending."""
+    qs = primes_upto(limit)
+    n = qs - 1
+    two_s = n & -n
+    r = n // two_s
+    hit = (r >= 3) & (qs.take(qs.searchsorted(r), mode="clip") == r)
+    return [GermainModulus(q=q, s=t.bit_length() - 1, r=m) for q, t, m
+            in zip(qs[hit].tolist(), two_s[hit].tolist(), r[hit].tolist())]
 
 
 def germain_short_test(g: GermainModulus, u: int) -> bool:

@@ -23,11 +23,15 @@ and the recursion ends.
 The plain primes are the forms [(1, 0)]: prime_windows yields [2, 3, 5],
 then the primes of the 8 classes prime to 30, window by window, each
 window of PAIR_WINDOW // 2 entries per class. _primes concatenates them in
-that order, for the consumers that do not need order (the base primes of
-every sieve, prime_powers), and primes_upto sorts them. The pairs are
-[(1, 0), (a, b)]: pair_windows yields the primes p with a*p + b also
-prime, on windows of PAIR_WINDOW entries, and pair_primes sorts them into
-one array. A class window holds one byte per entry, and it is struck only
+that order, for the base primes of every sieve, which do not need order,
+and primes_upto sorts them. prime_powers(x, a, b) lists the prime powers
+q^k (k >= 2) in the values a*n + b, n <= x, of one form, reading the
+primes up to sqrt(a*x + b) one window at a time; (1, 0) gives every prime
+power up to x. The pairs are [(1, 0), (a, b)]: pair_windows yields the
+primes p with a*p + b also prime, on windows of PAIR_WINDOW entries, and
+pair_primes sorts them into one array. check_pair_range refuses a range
+the pair sieve cannot take, so that a caller can refuse it before other
+work. A class window holds one byte per entry, and it is struck only
 when its array is asked for, so a stream holds only the base primes, their
 rows and one class window, whatever the range. No reported bit depends on
 where the windows fall: every sum of a stream is correctly rounded, and
@@ -96,7 +100,7 @@ PAIR_WINDOW = 1 << 20
 # multiple of none of them, and every other base prime is at least 7.
 _WHEEL = 30
 _WHEEL_PRIMES = (2, 3, 5)
-# pair_windows refuses a*x + b at or above this: its base primes, up to
+# check_pair_range refuses a*x + b at or above this: the base primes, up to
 # sqrt(a*x + b), would pass 2^25.
 _PAIR_TOP = 1 << 50
 
@@ -243,16 +247,44 @@ def primes_upto(limit: int) -> np.ndarray:
     return primes
 
 
-def prime_powers(x: int) -> list[tuple[int, float]]:
-    """(n, log p) for the prime powers n = p^k <= x with k >= 2, ascending."""
+def prime_powers(x: int, a: int = 1, b: int = 0) -> list[tuple[int, float]]:
+    """(m, log q) for the prime powers m = q^k (k >= 2) with m = a*n + b at an
+    n in [2, x], ascending; (1, 0) gives every prime power up to x.
+
+    The q come from prime_windows up to sqrt(a*x + b): their squares are
+    filtered in numpy, and the few q with q^3 <= a*x + b are raised further.
+    """
+    if x < 2:
+        return []
+    top = a * x + b
     out = []
-    for p in _primes(math.isqrt(max(x, 0))).tolist():
-        w = math.log(p)
-        pk = p * p
-        while pk <= x:
-            out.append((pk, w))
-            pk *= p
+    for qs in prime_windows(math.isqrt(max(top, 0))):
+        squares = qs * qs  # each <= top, which callers keep below 2^63
+        n = squares - b
+        hit = (n % a == 0) & (n >= 2 * a)
+        out += zip(squares[hit].tolist(), map(math.log, qs[hit].tolist()))
+        for q in qs[squares <= top // qs].tolist():
+            w, m = math.log(q), q ** 3
+            while m <= top:
+                if (m - b) % a == 0 and m - b >= 2 * a:
+                    out.append((m, w))
+                m *= q
     return sorted(out)
+
+
+def check_pair_range(x: int, a: int, b: int) -> None:
+    """Refuse an (x, a, b) that pair_windows cannot sieve: x < 2, a < 1, or
+    a*x + b at or above 2^63, where callers' int64 overflows, or 2^50."""
+    if x < 2:
+        raise ValueError(f"x must be >= 2, got {x}")
+    if a < 1:
+        raise ValueError(f"a must be >= 1, got {a}")
+    top = a * x + b
+    if top >= _I64:
+        raise ValueError(f"a*x+b = {top} overflows the supported 64-bit range")
+    if top >= _PAIR_TOP:
+        raise ValueError(f"a*x+b = {top} is at or above 2^50: the base primes up "
+                         f"to its square root would pass 2^25")
 
 
 def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
@@ -264,19 +296,10 @@ def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
     array; then come each class's pairs, window by window. The arrays
     interleave, and each pair is in one of them. Besides the array the
     caller holds, only the base primes up to sqrt(max(x, a*x + b)), their
-    rows and one class's flags are in memory. The input is checked before
-    the first array.
+    rows and one class's flags are in memory. The input is checked
+    (check_pair_range) before the first array.
     """
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
-    top = a * x + b
-    if top >= _I64:  # callers form a*p + b in int64
-        raise ValueError(f"a*x+b = {top} overflows the supported 64-bit range")
-    if top >= _PAIR_TOP:
-        raise ValueError(f"a*x+b = {top} is at or above 2^50: the base primes up "
-                         f"to its square root would pass 2^25")
+    check_pair_range(x, a, b)
     yield from _sieve(x, [(1, 0), (a, b)], PAIR_WINDOW)
 
 

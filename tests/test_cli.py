@@ -195,6 +195,32 @@ def test_prediction_domain_is_refused_before_the_pass(argv, message, monkeypatch
     assert json.loads(captured.err) == {"error": "ValueError", "message": message}
 
 
+_PAST_2_50 = ("is at or above 2^50: the base primes up to its square root would "
+              "pass 2^25")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("census --x 2 --a 562949953421312 --sieve-limit 2e16 --c2-cutoff 1e9",
+     f"a*x+b = 1125899906842625 {_PAST_2_50}"),
+    ("hl-compare --x 2 --a 562949953421312 --sieve-limit 2e16 --c2-cutoff 1e9",
+     f"a*x+b = 1125899906842625 {_PAST_2_50}"),
+    ("reciprocal-sum --x 6e14 --sieve-limit 2e15",
+     f"a*x+b = 1200000000000001 {_PAST_2_50}"),
+    ("census --x 2 --a 4611686018427387904 --sieve-limit 2e19",
+     "a*x+b = 9223372036854775809 overflows the supported 64-bit range"),
+])
+def test_pair_range_is_refused_before_c2(argv, message, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(constants, "twin_prime_constant", no_work)
+    monkeypatch.setattr(sieve, "_primes", no_work)
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+
+
 @pytest.mark.parametrize("command", ["census", "hl-compare", "reciprocal-sum",
                                      "twisted-sums"])
 def test_c2_cutoff_is_refused_before_the_pass(command, monkeypatch, capsys):

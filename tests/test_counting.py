@@ -125,7 +125,7 @@ def test_companion_powers_are_the_prime_powers_of_the_companion_class(x, a, b):
                   for q in oracles.primes_upto(math.isqrt(max(top, 0)))
                   for k in range(2, top.bit_length())
                   if q ** k <= top and (q ** k - b) % a == 0 and q ** k - b >= 2 * a)
-    assert counting._companion_powers(x, a, b) == want
+    assert sieve.prime_powers(x, a, b) == want
     assert want or (x, a, b) in {(1, 2, 1), (2, 2, 1), (10, 1, -200), (3, 2 ** 20 - 4, 7)}
 
 
@@ -136,10 +136,10 @@ def test_companion_powers_hold_one_window_not_every_prime():
     # bytes of one int64 array of those primes
     x, a, b = 2, 2 ** 40 - 4, 7
     primes = sum(w.size for w in sieve.prime_windows(math.isqrt(a * x + b)))
-    counting._companion_powers(100, 2, 1)  # numpy's lazy set-up is not the search's
+    sieve.prime_powers(100, 2, 1)  # numpy's lazy set-up is not the search's
     tracemalloc.start()
     try:
-        assert counting._companion_powers(x, a, b) == []
+        assert sieve.prime_powers(x, a, b) == []
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -371,6 +371,21 @@ def test_census_rejects_unordered_or_tiny_checkpoints(c2_1e6, monkeypatch):
         census([1, 10 ** 8], 2, 1, _no_c2)
     with pytest.raises(ValueError, match="2a\\+b must be >= 2"):
         census([100], 1, -1, _no_c2)
+
+
+# a*x + b = 2^50 + 1, past the pair sieve's base primes, and 2^63 + 1, past int64
+@pytest.mark.parametrize("a,message", [(2 ** 49, "is at or above 2\\^50"),
+                                       (2 ** 62, "overflows the supported 64-bit range")])
+def test_census_refuses_the_pair_range_before_c2(a, message):
+    with pytest.raises(ValueError, match=message):
+        census([2], a, 1, _no_c2)
+
+
+@pytest.mark.parametrize("x,message", [(6 * 10 ** 14, "is at or above 2\\^50"),
+                                       (2 ** 62, "overflows the supported 64-bit range")])
+def test_reciprocal_sums_refuse_the_pair_range_before_c2(x, message):
+    with pytest.raises(ValueError, match=message):
+        reciprocal_sums([10, x], _no_c2)
 
 
 def test_census_report_bytes_pinned(capsys):

@@ -126,6 +126,28 @@ def test_germain_moduli_enumeration():
         assert g.q == 2 ** g.s * g.r + 1
 
 
+def _germain_moduli_by_trial_division(limit):
+    # (q, s, r) for each prime q <= limit with q - 1 = 2^s r, r an odd prime >= 3
+    out = []
+    for q in oracles.primes_upto(limit):
+        r, s = q - 1, 0
+        while r % 2 == 0:
+            r //= 2
+            s += 1
+        if r >= 3 and oracles.is_prime_trial(r):
+            out.append((q, s, r))
+    return out
+
+
+def test_germain_moduli_against_trial_division():
+    want = _germain_moduli_by_trial_division(3000)
+    for limit in range(3001):
+        assert germain_moduli_upto(limit) == [m for m in want if m[0] <= limit], limit
+    want = _germain_moduli_by_trial_division(10 ** 5)
+    assert len(want) == 1465
+    assert germain_moduli_upto(10 ** 5) == want
+
+
 def test_germain_short_test_examples():
     g = GermainModulus(q=13, s=2, r=3)
     assert germain_short_test(g, 2)

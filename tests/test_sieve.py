@@ -198,6 +198,7 @@ def test_prime_powers_match_brute_scan():
             brute.append((n, math.log(p)))
     for x in (-1, 0, 1, 3, 4, 7, 8, 9, 10 ** 4):
         assert prime_powers(x) == [t for t in brute if t[0] <= x]
+        assert prime_powers(x, 1, 0) == prime_powers(x)
 
 
 def _pairs_by_trial_division(x, a, b):
