@@ -3,8 +3,8 @@
 Library layout:
   sieve        one sieve of linear forms a*n + b on the classes mod 30:
                primes ([(1, 0)]), prime powers, prime pairs (p, a*p+b)
-               ([(1, 0), (a, b)]), streamed window by window;
-               deterministic 64-bit primality
+               ([(1, 0), (a, b)]), streamed one class at a time, each
+               window by window; deterministic 64-bit primality
   arith        mobius / totient and their summatory forms
   summation    exact, correctly rounded sums of float64 arrays
   constants    twin-prime constant and the pair singular series

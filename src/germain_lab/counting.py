@@ -47,7 +47,7 @@ import numpy as np
 from .arith import divisors, mobius_sieve
 from .constants import SingularValue
 from .sieve import check_pair_range, is_prime, pair_windows, prime_powers, primes_upto
-from .summation import PrefixSums, add_terms, exact_sum, sums_upto
+from .summation import PrefixSums, add_terms, checkpoint_keys, exact_sum, sums_upto
 
 
 class CountReport(NamedTuple):
@@ -89,17 +89,13 @@ def _pass(xs: Sequence[int], a: int, b: int,
     array of the pass is cut at its own p <= x, its terms are computed one
     slice of summation.chunks at a time (add_terms), and it is dropped once
     they are added, so only one array and one slice's terms are alive at a
-    time. The checkpoints ascend strictly and are >= 1; below 2 there is no
-    pair, so no pass runs when the last one is.
+    time. The checkpoints ascend strictly and are >= 1 (checkpoint_keys);
+    below 2 there is no pair, so no pass runs when the last one is.
     """
-    if any(y <= x for x, y in zip(xs, xs[1:])):
-        raise ValueError(f"checkpoints must be strictly ascending: {list(xs)}")
-    if xs and xs[0] < 1:
-        raise ValueError(f"x must be >= 1, got {xs[0]}")
+    keys = checkpoint_keys(xs)
     last = xs[-1] if xs else 0
     arrays = (pair_windows(last, a, b) if last >= 2
               else [np.zeros(0, dtype=np.int64)])
-    keys = np.array(xs, dtype=np.int64)
     counts = np.zeros(len(xs), dtype=np.int64)  # the pairs p <= x so far
     streams = [PrefixSums(len(xs)) for _ in terms(keys[:0])]  # one per array
     for ps in arrays:
@@ -172,13 +168,12 @@ def reciprocal_sums(xs: Sequence[int], make_c2: Callable[[], SingularValue]
     a0 log log x + a0/log x (a0 = 2 C2) is the shape the conjectured pair
     density implies for the log p / p sum; the residual is that sum minus
     the fit, and is only meaningful once log log x settles (x >= 16 or so).
-    make_c2 returns C2; it is called once, after x >= 2 and the pair range
-    are checked and before the pass.
+    make_c2 returns C2; it is called once, after the pair range and the
+    checkpoints (strictly ascending, x >= 2) are checked and before the pass.
     """
-    if xs and xs[0] < 2:
-        raise ValueError(f"x must be >= 2, got {xs[0]}")
     if xs:
         check_pair_range(max(xs), 2, 1)
+    checkpoint_keys(xs, 2)
     a0 = 2.0 * make_c2().value
 
     def terms(ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,13 +294,14 @@ def census(xs: Sequence[int], a: int, b: int,
 
     Each row holds pi_g(x), psi_g(x), psi0(x), the integral prediction and
     the ratio psi_g / (2 C2 x). make_c2 returns C2. It is called once, after
-    every x and (a, b) the prediction or the pair sieve refuses has been
-    refused, and the predictions come before the pass.
+    every (a, b) and x that the prediction or the pair sieve refuses, and
+    any checkpoints not strictly ascending from x >= 2, have been refused.
+    The predictions come before the pass.
     """
-    for x in xs:
-        _prediction_domain(x, a, b)
     if xs:
+        _prediction_domain(max(xs), a, b)
         check_pair_range(max(xs), a, b)
+    checkpoint_keys(xs, 2)
     c2 = make_c2()
     predictions = [hl_prediction(x, a, b, c2=c2) for x in xs]
     return [CountReport(x=x, pi_g=pi, psi_g=pg, psi0=p0, hl_prediction=hl,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .arith import totient
 from .sieve import prime_powers, prime_windows, primes_upto
-from .summation import PrefixSums, chunks, exact_sum
+from .summation import PrefixSums, checkpoint_keys, chunks, exact_sum
 
 
 # The large-sieve check's admission caps. On a 2-core Xeon, --x 2e6 peaked
@@ -101,22 +101,19 @@ def chebyshev_ap(xs: Sequence[int], q: int) -> list[ChebyshevAp]:
 
     Raw sums, with no gcd filter; only a class with gcd(a, q) = 1 gets the
     x / phi(q) target. One pass of sieve.prime_windows to the last of the
-    ascending xs serves every x: each slice of chunks of a window's primes,
-    and of the O(sqrt(x)) prime powers, is sorted stably by class and cut
-    at every (a, x) into one PrefixSums, a group per class. Only one
-    window's primes and one slice's terms are held, never every prime.
+    strictly ascending xs serves every x: each slice of chunks of a
+    window's primes, and of the O(sqrt(x)) prime powers, is sorted stably
+    by class and cut at every (a, x) into one PrefixSums, a group per
+    class. Only one window's primes and one slice's terms are held, never
+    every prime.
     """
     top = max(xs, default=0)
-    if min(xs, default=1) < 1:
-        raise ValueError(f"x must be >= 1, got {min(xs)}")
     if top > CHEBYSHEV_X_CAP:
         raise ValueError(f"x {top} is above the prime table's cap {CHEBYSHEV_X_CAP}")
-    if any(y < x for x, y in zip(xs, xs[1:])):
-        raise ValueError(f"checkpoints must ascend: {list(xs)}")
+    checkpoints = checkpoint_keys(xs)
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     classes = PrefixSums(len(xs), q)  # a group of checkpoints per class
-    checkpoints = np.asarray(xs, dtype=np.int64)
 
     def add(ns: np.ndarray, ws: np.ndarray | None) -> None:
         """Add the terms ws of the ascending ns <= top, log n if ws is None,

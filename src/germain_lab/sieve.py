@@ -5,37 +5,41 @@ _sieve(x, forms, window), which yields the n <= x at which every form
 a*n + b is prime, on the one wheel W = 30. The wheel decides some n apart:
 those with a form value that is a wheel prime, 2, 3 or 5, come first, as
 one array, and is_prime proves their other values. Every other such n lies
-in a class c mod 30 with each a*c + b prime to 30, and each class is sieved
-window by window on its progression n = c + 30*i.
+in a class c mod 30 with each a*c + b prime to 30, and the classes come one
+at a time, each a segmented sieve of its progression n = c + 30*i, window
+by window.
 
 One row rule serves every form. For each form (a, b) and base prime l >= 7,
 strike the n with l | a*n + b, from where a*n + b >= l^2 on. A composite
 value whose least prime factor is l is at least l^2, and a smaller factor
 is either a wheel prime, which the classes exclude, or a base prime, whose
 own row strikes the value. Where l | a, the row strikes every n if l | b,
-and there is none otherwise. _rows turns the rule into rows on each class,
-with one inverse of 30*a mod l per form and prime, and _strike, a segmented
-sieve (Bays and Hudson), strikes a window with them. The base primes are
-the plain primes up to the square root of the largest value; where that
-root is below 7 no base prime has a row, so none is read, no row is built
-and the recursion ends.
+and there is none otherwise. _rows turns the rule into one set of rows
+(l, alpha, beta, n0), with one inverse of 30*a mod l per form and prime:
+on class c, row k strikes the i = beta - c*alpha (mod l) from
+i = ceil((n0 - c) / 30) on. _sieve maps the rows onto one class at a time,
+and _survivors, a segmented sieve (Bays and Hudson), strikes each window
+of the class with them. The base primes are the plain primes up to the
+square root of the largest value; where that root is below 7 no base prime
+has a row, so none is read, no row is built and the recursion ends.
 
 The plain primes are the forms [(1, 0)]: prime_windows yields [2, 3, 5],
-then the primes of the 8 classes prime to 30, window by window, each
-window of PAIR_WINDOW // 2 entries per class. _primes concatenates them in
-that order, for the base primes of every sieve, which do not need order,
-and primes_upto sorts them. prime_powers(x, a, b) lists the prime powers
-q^k (k >= 2) in the values a*n + b, n <= x, of one form, reading the
-primes up to sqrt(a*x + b) one window at a time; (1, 0) gives every prime
-power up to x. The pairs are [(1, 0), (a, b)]: pair_windows yields the
-primes p with a*p + b also prime, on windows of PAIR_WINDOW entries, and
-pair_primes sorts them into one array. check_pair_range refuses a range
-the pair sieve cannot take, so that a caller can refuse it before other
-work. A class window holds one byte per entry, and it is struck only
-when its array is asked for, so a stream holds only the base primes, their
-rows and one class window, whatever the range. No reported bit depends on
-where the windows fall: every sum of a stream is correctly rounded, and
-the twin-prime product cuts its partial sums on its own fixed grid.
+then the primes of the 8 classes prime to 30, class by class, each window
+of PAIR_WINDOW // 2 entries. _primes concatenates them in that order, for
+the base primes of every sieve, which do not need order, and primes_upto
+sorts them. prime_powers(x, a, b) lists the prime powers q^k (k >= 2) in
+the values a*n + b, n <= x, of one form, reading the primes up to
+sqrt(a*x + b) one window at a time; (1, 0) gives every prime power up to
+x. The pairs are [(1, 0), (a, b)]: pair_windows yields the primes p with
+a*p + b also prime, on windows of PAIR_WINDOW entries, and pair_primes
+sorts them into one array. check_pair_range refuses a range the pair
+sieve cannot take, so that a caller can refuse it before other work. A
+window holds one byte per entry, and it is struck only when its array is
+asked for, so a stream holds only the base primes, their rows, and one
+class's rows and window, whatever the range. No reported bit depends on
+the order of the arrays or on where the windows fall: every sum of a
+stream is correctly rounded, the twin-prime product cuts its partial sums
+on its own fixed grid, and the callers that list the primes sort them.
 
 The module imports without numpy: each function that builds an array
 imports it, so numpy loads on the first sieve call, and is_prime, which
@@ -104,58 +108,53 @@ _WHEEL_PRIMES = (2, 3, 5)
 # sqrt(a*x + b), would pass 2^25.
 _PAIR_TOP = 1 << 50
 
-# Strike rows on a progression c + 30*i: (l, j, start) int64 arrays, and
-# row k strikes the i = j[k] (mod l[k]) with i >= start[k]. A string, as
+# Strike rows of the base primes: (l, alpha, beta, n0) int64 arrays, and on
+# the progression c + 30*i of a class c, row k strikes the
+# i = beta[k] - c*alpha[k] (mod l[k]) with c + 30*i >= n0[k]. A string, as
 # this module imports numpy only inside the functions that use it.
-_Rows = "tuple[np.ndarray, np.ndarray, np.ndarray]"
+_Rows = "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]"
 
 
-def _strike(size: int, i0: int, rows: _Rows | None) -> np.ndarray:
-    """flags[k] for the entry i0 + k of a window of size entries, struck by rows.
+def _survivors(size: int, i0: int, rows: tuple[np.ndarray, ...] | None,
+               n0: int, least: int) -> np.ndarray:
+    """The n = n0 + 30*k >= least of a window's entries k, at i0 + k on its
+    class's progression, that rows leave unstruck (int64).
 
-    This is the one loop of the library that strikes composites; numpy finds
-    the first index of every row in the window at once. With no rows (None)
-    every entry stands.
+    rows are the class's (l, j, start): row k strikes the i = j[k]
+    (mod l[k]) with i >= start[k]. This is the one loop of the library that
+    strikes composites; numpy finds the first index of every row in the
+    window at once. With no rows (None) every entry stands. The n are
+    computed in place, and no name holds the flags once they are read.
     """
     import numpy as np
     flags = np.ones(size, dtype=bool)
-    if rows is None:
-        return flags
-    l, j, start = rows
-    s = np.maximum(start, i0)
-    s += (j - s) % l
-    s -= i0
-    hit = s < size
-    for k, step in zip(s[hit].tolist(), l[hit].tolist()):
-        flags[k::step] = False
-    return flags
-
-
-def _survivors(size: int, i0: int, rows: _Rows | None, n0: int,
-               least: int) -> np.ndarray:
-    """The n = n0 + 30*k >= least of the entries k that rows leave unstruck (int64).
-
-    Computed in place, and no name holds the flags once they are read.
-    """
-    import numpy as np
-    ns = np.flatnonzero(_strike(size, i0, rows))
+    if rows is not None:
+        l, j, start = rows
+        s = np.maximum(start, i0)
+        s += (j - s) % l
+        s -= i0
+        hit = s < size
+        for k, step in zip(s[hit].tolist(), l[hit].tolist()):
+            flags[k::step] = False
+    ns = np.flatnonzero(flags)
+    del flags
     ns *= _WHEEL
     ns += n0
     return ns if n0 >= least else ns[np.searchsorted(ns, least):]
 
 
-def _rows(x: int, forms: list[tuple[int, int]], classes: list[int],
-          base: np.ndarray) -> list[_Rows]:
-    """Each class c's strike rows on n = c + 30*i <= x, for the base primes l >= 7.
+def _rows(x: int, forms: list[tuple[int, int]], base: np.ndarray) -> _Rows:
+    """One set of strike rows for every form, from the base primes l >= 7, for n <= x.
 
     Form (a, b) strikes the n with l | a*n + b from n0, the first n with
-    a*n + b >= l^2, on: on class c, the i = -(a*c + b) / (30*a) (mod l)
-    with c + 30*i >= n0. Where l | a the row has modulus 1 if l | b, and
-    there is none otherwise. base may hold the wheel primes, in any order.
+    a*n + b >= l^2, on: on class c, the i = -(a*c + b) / (30*a) (mod l),
+    which is beta - c*alpha with alpha = a / (30*a) and beta = -b / (30*a)
+    (mod l). Where l | a the row has modulus 1 if l | b, and there is none
+    otherwise. base may hold the wheel primes, in any order.
     """
     import numpy as np
     base = base[_WHEEL % base > 0]
-    ls, n0s, roots = [], [], []
+    rows = []
     for a, b in forms:
         top = a * x + b
         l = base[base * base <= top]  # a row that starts beyond x is dropped
@@ -168,13 +167,9 @@ def _rows(x: int, forms: list[tuple[int, int]], classes: list[int],
         # for its lines beside the pass
         inverse = np.fromiter((pow(a * _WHEEL, -1, m) for m in l.tolist()),
                               dtype=np.int64, count=l.size)
-        ls.append(l)
-        n0s.append(n0[keep])
         # each factor is below l, and l^2 <= a*x + b < 2^63
-        roots.append([-(a % l * c + b % l) % l * inverse % l for c in classes])
-    l, n0 = np.concatenate(ls), np.concatenate(n0s)
-    return [(l, np.concatenate(j), -((c - n0) // _WHEEL))
-            for c, *j in zip(classes, *roots)]
+        rows.append((l, a % l * inverse % l, -(b % l) * inverse % l, n0[keep]))
+    return tuple(np.concatenate(arrays) for arrays in zip(*rows))
 
 
 def _sieve(x: int, forms: list[tuple[int, int]], window: int) -> Iterator[np.ndarray]:
@@ -182,17 +177,18 @@ def _sieve(x: int, forms: list[tuple[int, int]], window: int) -> Iterator[np.nda
 
     The first array holds the n that the wheel decides apart, those with a
     form value that is 2, 3 or 5; is_prime proves their other values. Then
-    come the survivors of each class c mod 30 with every a*c + b prime to
-    30, window by window: window k holds the n = c + 30*i with
-    i0 + k*window <= i < i0 + (k+1)*window, i0 = least // 30, where least
-    is the first n at which every value is >= 2, and each class with
-    entries in a window gives one array, empty or not. Where no class is
-    admissible, the first array is the whole stream, and no base prime or
-    row is built; where every value is below 7^2, no base prime or row is
-    built either, and the classes are left unstruck. A class is struck
-    only when its array is asked for, and the generator keeps no name on an
-    array it has yielded: besides the caller's array, only the base primes,
-    their rows and one class's flags are in memory.
+    come the classes c mod 30 with every a*c + b prime to 30, one class at
+    a time, each a segmented sieve of its progression n = c + 30*i: its
+    window k holds the n with i0 + k*window <= i < i0 + (k+1)*window and
+    n <= x, i0 = least // 30, where least is the first n at which every
+    value is >= 2, and each window of the class gives one array, empty or
+    not. Where no class is admissible, the first array is the whole stream,
+    and no base prime is read; where every value is below 7^2, no base
+    prime or row is built either, and the classes are left unstruck. A
+    window is struck only when its array is asked for, and the generator
+    keeps no name on an array it has yielded: besides the caller's array,
+    only the base primes, their rows, and one class's rows and flags are in
+    memory.
     """
     import numpy as np
     least = max(-((b - 2) // a) for a, b in forms)  # each value is >= 2 from it on
@@ -200,31 +196,35 @@ def _sieve(x: int, forms: list[tuple[int, int]], window: int) -> Iterator[np.nda
     for a, b in forms:
         classes = [c for c in classes if math.gcd(a * c + b, _WHEEL) == 1]
     root = math.isqrt(max(a * x + b for a, b in forms))
-    class_rows = [None] * len(classes)  # no base prime >= 7 up to root: no rows
-    if classes and root >= 7:  # with no class, no base prime is read
-        class_rows = _rows(x, forms, classes, _primes(root))
+    # no rows where no base prime >= 7 is up to root; no base prime is read
+    # where no class is admissible
+    rows = _rows(x, forms, _primes(root)) if classes and root >= 7 else None
     apart = {(q - b) // a for a, b in forms for q in _WHEEL_PRIMES if (q - b) % a == 0}
     yield np.array(sorted(n for n in apart if least <= n <= x and all(
         a * n + b in _WHEEL_PRIMES or is_prime(a * n + b) for a, b in forms)),
         dtype=np.int64)
-    if not classes:
-        return
-    for i0 in range(least // _WHEEL, x // _WHEEL + 1, window):
-        for c, rows in zip(classes, class_rows):
-            size = min(window, (x - c) // _WHEEL + 1 - i0)
-            if size > 0:
-                yield _survivors(size, i0, rows, c + _WHEEL * i0, least)
+    for c in classes:
+        on_class = None  # the last class's rows go before c's are built
+        if rows is not None:  # (l, j, start) on c + 30*i, j = beta - c*alpha
+            l, alpha, beta, n0 = rows
+            on_class = l, (beta - c * alpha) % l, -((c - n0) // _WHEEL)
+        end = (x - c) // _WHEEL + 1
+        for i0 in range(least // _WHEEL, end, window):
+            yield _survivors(min(window, end - i0), i0, on_class, c + _WHEEL * i0,
+                             least)
 
 
 def prime_windows(limit: int) -> Iterator[np.ndarray]:
     """The primes <= limit, as a stream of ascending int64 arrays.
 
     The first array is the wheel primes [2, 3, 5] up to limit. Then come
-    the primes of the 8 classes c mod 30 prime to 30, window by window: a
-    class's array in window k holds its n = c + 30*i with
-    k*w <= i < (k+1)*w, w = max(1, PAIR_WINDOW // 2). The arrays
-    interleave, and each prime is in one of them.
+    the primes of the 8 classes c mod 30 prime to 30, class by class: a
+    class's window k holds its n = c + 30*i with k*w <= i < (k+1)*w,
+    w = max(1, PAIR_WINDOW // 2). Each prime is in one of the arrays. A
+    negative limit is refused before the first.
     """
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
     return _sieve(limit, [(1, 0)], max(1, PAIR_WINDOW // 2))
 
 
@@ -240,8 +240,6 @@ def _primes(limit: int) -> np.ndarray:
 
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array, ascending."""
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
     primes = _primes(limit)
     primes.sort()
     return primes
@@ -253,7 +251,10 @@ def prime_powers(x: int, a: int = 1, b: int = 0) -> list[tuple[int, float]]:
 
     The q come from prime_windows up to sqrt(a*x + b): their squares are
     filtered in numpy, and the few q with q^3 <= a*x + b are raised further.
+    An a below 1 is refused.
     """
+    if a < 1:
+        raise ValueError(f"a must be >= 1, got {a}")
     if x < 2:
         return []
     top = a * x + b
@@ -293,10 +294,10 @@ def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
     The sieve of the forms n and a*n + b on the wheel 30: it sieves only the
     classes c mod 30 with c and a*c + b prime to 30, 3 of the 30 for (2, 1).
     The wheel primes, and the n whose companion is one, come first as one
-    array; then come each class's pairs, window by window. The arrays
-    interleave, and each pair is in one of them. Besides the array the
-    caller holds, only the base primes up to sqrt(max(x, a*x + b)), their
-    rows and one class's flags are in memory. The input is checked
+    array; then come the pairs class by class, each class window by window,
+    and each pair is in one of the arrays. Besides the array the caller
+    holds, only the base primes up to sqrt(max(x, a*x + b)), their rows,
+    and one class's rows and flags are in memory. The input is checked
     (check_pair_range) before the first array.
     """
     check_pair_range(x, a, b)

@@ -29,6 +29,11 @@ however its terms are sliced. 2^14 terms per slice was measured on a
 RSS (31.8 MB; 32.5 MB at 2^16), and C2 to 10^8 took 5.8k page faults,
 against 38.7k at 2^16.
 
+checkpoint_keys is the library's one refusal of a checkpoint list, an x
+below the least its caller admits or a list not strictly ascending; every
+function that takes checkpoints runs it before other work, after only a cap
+on the largest x, which may have to name an x past int64.
+
 exact_sum sums an array of at most _SMALL terms as fsum(t.tolist()) instead,
 which is faster there and the same double. Both paths refuse the same
 terms: the slices need every nonzero magnitude in [2^-1000, 2^900].
@@ -145,6 +150,20 @@ def _runs(cuts: Sequence[int] | np.ndarray, size: int,
     return ends, steps
 
 
+def checkpoint_keys(xs: Sequence[int], least: int = 1) -> np.ndarray:
+    """xs as int64 keys, refused unless each x is >= least and they ascend strictly.
+
+    Every function that takes checkpoints calls it before any other work,
+    but after a cap on the largest x: a cap may have to name an x past
+    int64, which the keys cannot hold.
+    """
+    if min(xs, default=least) < least:
+        raise ValueError(f"x must be >= {least}, got {min(xs)}")
+    if any(y <= x for x, y in zip(xs, xs[1:])):
+        raise ValueError(f"checkpoints must be strictly ascending: {list(xs)}")
+    return np.array(xs, dtype=np.int64)
+
+
 def chunks(a: np.ndarray) -> Iterator[np.ndarray]:
     """a as consecutive views of _CHUNK entries, the last one shorter."""
     return (a[lo:lo + _CHUNK] for lo in range(0, a.size, _CHUNK))
@@ -243,11 +262,12 @@ def add_terms(streams: Sequence[PrefixSums], keys: np.ndarray,
 def sums_upto(keys: np.ndarray, t: np.ndarray, xs: Sequence[int]) -> list[float]:
     """Per checkpoint x, the correctly rounded sum of the terms t whose key is <= x.
 
-    keys ascend, one per term of t, and so do the checkpoints xs: one
-    PrefixSums, cut once per checkpoint.
+    keys ascend, one per term of t, and the checkpoints xs >= 1 ascend
+    strictly: one PrefixSums, cut once per checkpoint.
     """
+    cuts = np.searchsorted(keys, checkpoint_keys(xs), side="right")
     stream = PrefixSums(len(xs))
-    stream.add(t, np.searchsorted(keys, xs, side="right"))
+    stream.add(t, cuts)
     return stream.sums()
 
 

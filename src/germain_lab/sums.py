@@ -39,10 +39,12 @@ are exact integers, and PrefixSums rounds correctly however its terms are
 split, so the blocks do not change a bit of any sum.
 
 Every sum refuses its input before it builds a table: a single sum's
-checkpoint above MOBIUS_X_CAP, set by the tables' memory, and a double
-sum's x above its method's cap in LOG_LCM_CAPS or MOBIUS_PHI_LCM_CAPS, set
-by time. The `sums` command reads this module by the FORMULAS table that
-cli keeps beside the command, so importing the CLI loads none of it.
+checkpoint above MOBIUS_X_CAP, set by the tables' memory, then checkpoints
+below 1 or not strictly ascending (summation.checkpoint_keys), and a
+double sum's x above its method's cap in LOG_LCM_CAPS or
+MOBIUS_PHI_LCM_CAPS, set by time. The `sums` command reads this module by
+the FORMULAS table that cli keeps beside the command, so importing the CLI
+loads none of it.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import numpy as np
 
 from .arith import divisors, factorize, mobius_sieve, totient_sieve
 from .constants import SingularValue, check_offset, singular_series
-from .summation import PrefixSums, exact_sum
+from .summation import PrefixSums, checkpoint_keys, exact_sum
 
 # Largest x of the brute double sums: 4e6 terms, the rearranged forms carry
 # the load beyond. On a 2-core Xeon at the cap, log-lcm brute took 0.26-0.29
@@ -237,12 +239,12 @@ def mobius_phi_lcm_sum(x: int, method: str = "brute") -> float:
 
 # -- single sums ------------------------------------------------------------
 
-def _check(xs: Sequence[int]) -> None:
-    """Refuse a checkpoint below 1 or above MOBIUS_X_CAP, before any table."""
-    if min(xs, default=1) < 1:
-        raise ValueError(f"x must be >= 1, got {min(xs)}")
+def _check(xs: Sequence[int]) -> np.ndarray:
+    """The keys of xs, refused before any table: a checkpoint above
+    MOBIUS_X_CAP, then any list checkpoint_keys refuses."""
     if max(xs, default=0) > MOBIUS_X_CAP:
         raise ValueError(f"x {max(xs)} is above the mu table's cap {MOBIUS_X_CAP}")
+    return checkpoint_keys(xs)
 
 
 def _squarefree_sums(m: int, xs: Sequence[int],
@@ -255,12 +257,12 @@ def _squarefree_sums(m: int, xs: Sequence[int],
     _BLOCK integers at a time, and each block's terms go to one PrefixSums
     cut at every x, so only one block's arrays are alive beside the tables.
     """
-    _check(xs)
+    keys = _check(xs)
     last = max(xs, default=0)
     mu = mobius_sieve(last)
     for p, _ in factorize(m):
         mu[::p] = 0
-    keys, stream = np.asarray(xs, dtype=np.int64), PrefixSums(len(xs))
+    stream = PrefixSums(len(xs))
     for lo in range(0, last + 1, _BLOCK):
         n = np.flatnonzero(mu[lo:lo + _BLOCK])  # mu(0) is stored as 0
         n += lo

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,9 +163,9 @@ def test_primes_upto_across_window_edges(window, monkeypatch):
 
 @pytest.mark.parametrize("window", [1, 37, 1 << 11])
 def test_prime_windows_against_trial_division(window, monkeypatch):
-    # [2, 3, 5] first, which the wheel of 30 decides apart; then window k
-    # holds, class by class, the primes n = c + 30 i of each class c prime to
-    # 30 with k w <= i < (k+1) w, w = max(1, window // 2) entries per class
+    # [2, 3, 5] first, which the wheel of 30 decides apart; then, class by
+    # class, each class c prime to 30 in its windows: window k holds its
+    # primes n = c + 30 i with k w <= i < (k+1) w, w = max(1, window // 2)
     monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
     w = max(1, window // 2)
     classes = [c for c in range(30) if math.gcd(c, 30) == 1]
@@ -176,7 +177,7 @@ def test_prime_windows_against_trial_division(window, monkeypatch):
         assert first.tolist() == [p for p in (2, 3, 5) if p <= limit]
         want = [[p for p in primes if p % 30 == c and 30 * w * k <= p - c < 30 * w * (k + 1)
                  and p <= limit]
-                for k in range(limit // 30 // w + 1) for c in classes
+                for c in classes for k in range(limit // 30 // w + 1)
                 if c + 30 * w * k <= limit]
         assert all(got.dtype == np.int64 for got in windows)
         assert [got.tolist() for got in windows] == want, limit
@@ -185,6 +186,48 @@ def test_prime_windows_against_trial_division(window, monkeypatch):
 def test_primes_upto_rejects_negative_limit():
     with pytest.raises(ValueError):
         primes_upto(-1)
+
+
+def test_every_plain_prime_path_refuses_a_negative_limit():
+    # prime_windows refuses at the call, before the first array is asked for
+    for call in (sieve.prime_windows, sieve._primes):
+        with pytest.raises(ValueError, match="limit must be nonnegative"):
+            call(-5)
+
+
+@pytest.mark.parametrize("x", [1, 10])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_prime_powers_refuse_a_below_one_before_any_window(x, monkeypatch):
+    def no_window(limit):
+        raise AssertionError("a prime window was asked for")
+
+    monkeypatch.setattr(sieve, "prime_windows", no_window)
+    for a in (0, -3):
+        with pytest.raises(ValueError, match=f"a must be >= 1, got {a}"):
+            prime_powers(x, a, 5)
+
+
+def test_pair_rows_are_built_once_not_per_class():
+    # x = 3 admits at most two pairs, yet the rows cover the 136,204 base
+    # primes up to sqrt(3a + 7) ~ 1.8e6. Per base prime, the sieve holds
+    # these int64 entries at its peak, in _rows as it joins the forms' rows:
+    # the base primes (1), the joined rows l, alpha, beta and n0 (4), the
+    # forms' own rows (4), and _rows' inverses and first n (2), 88 bytes,
+    # beside bool masks of 1 byte. One class's j and start (2), and the
+    # strike's transients, come only after _rows returns and its transients
+    # are gone. So 12 entries, 96 bytes, bound it; rows built for every class
+    # at once, two int64 arrays per class, peaked at 193 bytes
+    x, a, b = 3, 2 ** 40 - 4, 7
+    primes = sieve._primes(math.isqrt(a * x + b)).size
+    list(sieve.pair_windows(100, 2, 1))  # numpy's lazy set-up is not the sieve's
+    tracemalloc.start()
+    try:
+        assert [w.tolist() for w in sieve.pair_windows(x, a, b)] == [[], []]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert primes == 136_204
+    assert peak < 12 * 8 * primes
 
 
 def test_prime_powers_match_brute_scan():

@@ -5,8 +5,10 @@ each cut once per checkpoint, and gives each checkpoint the sum of every
 term before its cuts; it must be the fsum of the whole prefix bit for bit,
 whatever the arrays, wherever each is cut, and whatever its own chunks.
 exact_sum must be fsum(t.tolist()) on both sides of the size below which
-it sums the list itself. derandomize=True makes Hypothesis draw the
-same cases on every run.
+it sums the list itself. No reported bit may depend on the order of the
+sieve's arrays, and every function that takes checkpoints refuses a bad
+list before any work. derandomize=True makes Hypothesis draw the same
+cases on every run.
 """
 
 import math
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from germain_lab import constants, counting, sieve, summation
+from germain_lab import constants, counting, progressions, sieve, summation, sums
 from germain_lab.constants import twin_prime_constant
 from germain_lab.counting import pair_sums, reciprocal_sums
 from germain_lab.progressions import chebyshev_ap
@@ -416,3 +418,76 @@ def test_chebyshev_in_small_chunks_equals_the_class_fsums(chunk, top, q,
     assert [r.value for r in chebyshev_ap(xs, q)] == [
         fsum(w for n, w in terms if n <= x and n % q == a) for x in xs for a in range(q)]
     assert max(sizes) <= chunk
+
+
+def _order_free_results(c2):
+    """The results whose bits must not depend on the order of the sieve's arrays."""
+    grid = [10 ** k for k in range(2, 8)]
+    return [pair_sums(grid, 2, 1), pair_sums(grid, 4, 3),
+            reciprocal_sums(grid, lambda: c2), twin_prime_constant(10 ** 7),
+            chebyshev_ap([10 ** 5, 10 ** 6], 12), sieve.prime_powers(10 ** 6, 2, 1),
+            sieve.primes_upto(10 ** 6).tolist(), sieve.pair_primes(10 ** 6).tolist()]
+
+
+def test_no_reported_bit_depends_on_the_order_of_the_arrays(monkeypatch, c2_1e6):
+    # the sieve yields its arrays class by class; each sum is correctly
+    # rounded and each list is sorted, so the same arrays in reverse give
+    # the same bits, as windows shared out to workers would in any order
+    want = repr(_order_free_results(c2_1e6))
+
+    def reversed_stream(stream):
+        return lambda *args: iter(list(stream(*args))[::-1])
+
+    for module, name in ((sieve, "prime_windows"), (sieve, "pair_windows"),
+                         (counting, "pair_windows"), (progressions, "prime_windows")):
+        monkeypatch.setattr(module, name, reversed_stream(getattr(module, name)))
+    assert repr(_order_free_results(c2_1e6)) == want
+
+
+def _refuse_every_table(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in ((sieve, "prime_windows"), (sieve, "pair_windows"),
+                         (counting, "pair_windows"), (progressions, "prime_windows"),
+                         (progressions, "prime_powers"), (sums, "mobius_sieve"),
+                         (sums, "totient_sieve")):
+        monkeypatch.setattr(module, name, no_work)
+    return no_work
+
+
+# each function that takes checkpoints: the least x it admits, and a call
+# on the checkpoints xs with make_c2 where it takes one
+_CHECKPOINT_CALLS = {
+    "pair_sums": (1, lambda xs, make_c2: pair_sums(xs)),
+    "census": (2, lambda xs, make_c2: counting.census(xs, 2, 1, make_c2)),
+    "reciprocal_sums": (2, reciprocal_sums),
+    "chebyshev_ap": (1, lambda xs, make_c2: chebyshev_ap(xs, 3)),
+    "squarefree_harmonic_sums": (1, lambda xs, make_c2:
+                                 sums.squarefree_harmonic_sums(xs)),
+    "mobius_log_sums": (1, lambda xs, make_c2: sums.mobius_log_sums(xs)),
+    "twisted_mobius_sums": (1, lambda xs, make_c2:
+                            sums.twisted_mobius_sums(6, xs, True, make_c2)),
+    "sums_upto": (1, lambda xs, make_c2:
+                  summation.sums_upto(np.arange(5, dtype=np.int64), np.ones(5), xs)),
+}
+
+
+@pytest.mark.parametrize("name", _CHECKPOINT_CALLS)
+@pytest.mark.parametrize("xs", [[10, 10], [100, 10]])
+def test_checkpoints_not_strictly_ascending_are_refused_before_any_work(
+        name, xs, monkeypatch):
+    call = _CHECKPOINT_CALLS[name][1]
+    no_work = _refuse_every_table(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^checkpoints must be strictly ascending: "
+                                         rf"\[{xs[0]}, {xs[1]}\]$"):
+        call(xs, no_work)
+
+
+@pytest.mark.parametrize("name", _CHECKPOINT_CALLS)
+def test_checkpoints_below_the_least_are_refused_before_any_work(name, monkeypatch):
+    least, call = _CHECKPOINT_CALLS[name]
+    no_work = _refuse_every_table(monkeypatch)
+    # the least x is checked first, before the order
+    with pytest.raises(ValueError, match=rf"^x must be >= {least}, got {least - 1}$"):
+        call([100, least - 1], no_work)
