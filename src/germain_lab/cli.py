@@ -18,10 +18,13 @@ for the NamedTuples, and nothing that only some command needs. The parser
 holds each command's name and help; a command's flags are added to its
 parser when that parser first parses, so a run adds only its own. Each
 handler imports the layers it reads when it runs, and numpy loads on the
-first sieve or array call, so a usage error, a refusal made from the flags
-alone, table-errata and primroot --fermat never load it. The rest loads
-where it is used: json when a JSON report or error record is written,
-decimal when parse_exact_int parses a flag. Command and _OneOf are
+first sieve or array call. So these never load it: a usage error, the
+--threads refusal, the sieve-capacity refusal of census, hl-compare and
+reciprocal-sum, every primroot refusal, table-errata and primroot
+--fermat. The other refusals do, as their caps live in layers that import
+numpy when they load (counting, sums, progressions, constants). The rest
+loads where it is used: json when a JSON report or error record is
+written, decimal when parse_exact_int parses a flag. Command and _OneOf are
 NamedTuples, as is every record of the library: dataclasses would import
 inspect. This module, reports and the package's __init__ do without
 `from __future__ import annotations`, which imports the __future__ module.
@@ -113,8 +116,6 @@ def _refuse_unread(args: argparse.Namespace, unread: set[str], mode: str) -> Non
 
 
 def _require_capacity(args: argparse.Namespace) -> None:
-    if not args.x_checkpoints:
-        return
     need = args.a * max(args.x_checkpoints) + args.b
     cap = args.sieve_limit if args.sieve_limit is not None else DEFAULT_SIEVE_LIMIT
     if need > cap:

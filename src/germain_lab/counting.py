@@ -14,7 +14,8 @@ array ascending in n. The q^k are sieve.prime_powers(x, a, b), the prime
 powers in the class of b mod a, so a large a lists a few powers, not one
 per prime. reciprocal_sums gives the sums of 1/p and log p / p over the
 Germain primes (a, b = 2, 1). census and reciprocal_sums refuse a range
-the pair sieve cannot take (sieve.check_pair_range) before C2.
+the pair sieve cannot take (sieve.check_pair_range) before C2, and every
+pass refuses it before it builds its checkpoint keys.
 
 Every group is summed to the last checkpoint and cut at each one, through
 summation.PrefixSums. The pass is a flat stream of ascending arrays, one
@@ -32,7 +33,11 @@ turns psi0 into a double sum over odd squarefree (d1, d2) of the Chebyshev
 sums S(l) of Lambda(n) over n <= x with l = [d1, d2] | 2n+1. S vanishes for
 l > 2x+1, so row d1 visits only d2 = g*k with g | d1, k odd and coprime to
 d1, and l = d1*k <= 2x+1: O(x log^2 x) terms instead of x^2. The divisors
-g of each row come from a smallest-prime-factor table up to 2x+1.
+g of each row come from arith.factorize(d1), by trial division, as every
+factorization of the library does. A row with d1 > x1 has no pair in the
+box d1, d2 <= x1, so all of it is error, with no mask; at the usual
+x1 = (log x)^2 that is about 99% of the rows. x is capped at
+PARTITION_CAP, refused before any table.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import divisors, mobius_sieve
+from .arith import divisors, factorize, mobius_sieve
 from .constants import SingularValue
 from .sieve import check_pair_range, is_prime, pair_windows, prime_powers, primes_upto
 from .summation import PrefixSums, add_terms, checkpoint_keys, exact_sum, sums_upto
@@ -69,15 +74,6 @@ def _flags(limit: int) -> np.ndarray:
     return primes_upto(limit)
 
 
-def _smallest_prime_factors(limit: int) -> np.ndarray:
-    """spf[n] is the least prime factor of n, for 2 <= n <= limit (int32)."""
-    spf = np.arange(limit + 1, dtype=np.int32)
-    # descending, so that the least prime writes last
-    for p in primes_upto(math.isqrt(limit))[::-1].tolist():
-        spf[p * p::p] = p
-    return spf
-
-
 def _pass(xs: Sequence[int], a: int, b: int,
           terms: Callable[[np.ndarray], tuple[np.ndarray, ...]]
           ) -> list[tuple[int, list[float]]]:
@@ -89,9 +85,13 @@ def _pass(xs: Sequence[int], a: int, b: int,
     array of the pass is cut at its own p <= x, its terms are computed one
     slice of summation.chunks at a time (add_terms), and it is dropped once
     they are added, so only one array and one slice's terms are alive at a
-    time. The checkpoints ascend strictly and are >= 1 (checkpoint_keys);
-    below 2 there is no pair, so no pass runs when the last one is.
+    time. The pair range of the largest x >= 2 is checked
+    (check_pair_range), then the checkpoints, which ascend strictly and are
+    >= 1 (checkpoint_keys), before any key is built; below 2 there is no
+    pair, so no pass runs when the last one is.
     """
+    if max(xs, default=0) >= 2:
+        check_pair_range(max(xs), a, b)
     keys = checkpoint_keys(xs)
     last = xs[-1] if xs else 0
     arrays = (pair_windows(last, a, b) if last >= 2
@@ -189,7 +189,8 @@ def reciprocal_sums(xs: Sequence[int], make_c2: Callable[[], SingularValue]
     return out
 
 
-# Largest psi0-partition checkpoint; the cap took 8.6 s, 81 MB on a 2-core Xeon
+# Largest psi0-partition checkpoint: `psi0-partition --x 3e5` took 4.1 s and
+# 65 MB peak RSS in a fresh process (2-core Xeon, Python 3.11, numpy 2.4)
 PARTITION_CAP = 300_000
 
 
@@ -198,10 +199,15 @@ def psi0_partition(x: int, x1: float) -> PsiPartition:
 
     main + error reproduces psi0(x) up to floating rounding; the split is
     an algebraic rearrangement, not an approximation. x1 may be fractional
-    (cutoffs like (log x)^2 are typical).
+    (cutoffs like (log x)^2 are typical). Row d1 factors d1 with
+    arith.factorize, and a row with d1 > x1 is all error. An x below 1 or
+    above PARTITION_CAP is refused before any table.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
+    if x > PARTITION_CAP:
+        raise ValueError(f"x={x} is above the cap {PARTITION_CAP}: the partition "
+                         "walks every odd squarefree d <= 2x+1 in Python")
     top = 2 * x + 1
     if not 1 <= x1 <= top:
         raise ValueError(f"x1={x1} outside [1, 2x+1]")
@@ -217,20 +223,19 @@ def psi0_partition(x: int, x1: float) -> PsiPartition:
     S = np.zeros(top + 1)
     for d in dlist.tolist():
         S[d] = np.cumsum(lam[(d - 1) // 2::d])[-1]
-    spf = _smallest_prime_factors(top)
+    # row d1 visits the odd squarefree k <= (2x+1) // d1, odd_sf[:end]
+    ends = np.searchsorted(odd_sf, top // dlist, side="right").tolist()
     # one fsum per row and box side, then over rows; skipped pairs are zeros
     main_rows, err_rows = [], []
-    for d1 in dlist.tolist():
-        ks = odd_sf[:np.searchsorted(odd_sf, top // d1, side="right")]
+    for d1, end in zip(dlist.tolist(), ends):
+        ks = odd_sf[:end]
         ks = ks[np.gcd(ks, d1) == 1]
-        factors, m = [], d1
-        while m > 1:  # d1 is squarefree
-            p = spf.item(m)
-            factors.append((p, 1))
-            m //= p
-        d2 = np.multiply.outer(divisors(factors), ks)
+        d2 = np.multiply.outer(divisors(factorize(d1)), ks)
         terms = S[d1 * ks] * (w[d1] * w[d2])
-        box = (d2 <= x1) & (d1 <= x1)
+        if d1 > x1:  # no pair of the row is in the box
+            err_rows.append(exact_sum(terms.ravel()))
+            continue
+        box = d2 <= x1
         main_rows.append(exact_sum(terms[box]))
         err_rows.append(exact_sum(terms[~box]))
     return PsiPartition(main=fsum(main_rows), error=fsum(err_rows))

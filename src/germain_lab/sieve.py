@@ -25,14 +25,15 @@ has a row, so none is read, no row is built and the recursion ends.
 
 The plain primes are the forms [(1, 0)]: prime_windows yields [2, 3, 5],
 then the primes of the 8 classes prime to 30, class by class, each window
-of PAIR_WINDOW // 2 entries. _primes concatenates them in that order, for
-the base primes of every sieve, which do not need order, and primes_upto
-sorts them. prime_powers(x, a, b) lists the prime powers q^k (k >= 2) in
-the values a*n + b, n <= x, of one form, reading the primes up to
-sqrt(a*x + b) one window at a time; (1, 0) gives every prime power up to
-x. The pairs are [(1, 0), (a, b)]: pair_windows yields the primes p with
-a*p + b also prime, on windows of PAIR_WINDOW entries, and pair_primes
-sorts them into one array. check_pair_range refuses a range the pair
+of PAIR_WINDOW // 2 entries, and refuses a limit at or above 2^50, as
+check_pair_range refuses such an a*x + b. _primes concatenates them in
+that order, for the base primes of every sieve, which do not need order,
+and primes_upto sorts them. prime_powers(x, a, b) lists the prime powers
+q^k (k >= 2) in the values a*n + b, n <= x, of one form, reading the
+primes up to sqrt(a*x + b) one window at a time; (1, 0) gives every prime
+power up to x. The pairs are [(1, 0), (a, b)]: pair_windows yields the
+primes p with a*p + b also prime, on windows of PAIR_WINDOW entries, and
+pair_primes sorts them into one array. check_pair_range refuses a range the pair
 sieve cannot take, so that a caller can refuse it before other work. A
 window holds one byte per entry, and it is struck only when its array is
 asked for, so a stream holds only the base primes, their rows, and one
@@ -104,8 +105,8 @@ PAIR_WINDOW = 1 << 20
 # multiple of none of them, and every other base prime is at least 7.
 _WHEEL = 30
 _WHEEL_PRIMES = (2, 3, 5)
-# check_pair_range refuses a*x + b at or above this: the base primes, up to
-# sqrt(a*x + b), would pass 2^25.
+# check_pair_range refuses a*x + b at or above this, and prime_windows a limit:
+# the base primes, up to the square root, would pass 2^25.
 _PAIR_TOP = 1 << 50
 
 # Strike rows of the base primes: (l, alpha, beta, n0) int64 arrays, and on
@@ -221,10 +222,14 @@ def prime_windows(limit: int) -> Iterator[np.ndarray]:
     the primes of the 8 classes c mod 30 prime to 30, class by class: a
     class's window k holds its n = c + 30*i with k*w <= i < (k+1)*w,
     w = max(1, PAIR_WINDOW // 2). Each prime is in one of the arrays. A
-    negative limit is refused before the first.
+    negative limit, or one at or above 2^50, is refused at the call, before
+    any base prime.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
+    if limit >= _PAIR_TOP:
+        raise ValueError(f"limit {limit} is at or above 2^50: the base primes up "
+                         f"to its square root would pass 2^25")
     return _sieve(limit, [(1, 0)], max(1, PAIR_WINDOW // 2))
 
 
@@ -251,7 +256,8 @@ def prime_powers(x: int, a: int = 1, b: int = 0) -> list[tuple[int, float]]:
 
     The q come from prime_windows up to sqrt(a*x + b): their squares are
     filtered in numpy, and the few q with q^3 <= a*x + b are raised further.
-    An a below 1 is refused.
+    An a below 1 is refused, and so, by prime_windows, is an a*x + b at or
+    above 2^100.
     """
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")

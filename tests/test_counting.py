@@ -3,13 +3,16 @@ import random
 import tracemalloc
 from math import fsum, log
 
+import numpy as np
 import pytest
 
 import oracles
 from germain_lab import counting, sieve
+from germain_lab.arith import factorize
 from germain_lab.cli import main
 from germain_lab.counting import (census, hl_prediction, pair_sums,
                                   psi0_partition, reciprocal_sums)
+from germain_lab.progressions import chebyshev_ap, large_sieve_check
 from germain_lab.sieve import pair_primes
 
 
@@ -206,6 +209,11 @@ PINNED_PARTITIONS = [
     (1000, log(1000) ** 2, 8901.338054275002, -688.0335005891699),
     (1000, 1000, 18766.38669364169, -10553.082139955859),
     (3000, log(3000) ** 2, 27162.837478189922, 4832.353247805185),
+    # from the row form, past the CLI goldens (x <= 120) and perfbench's
+    # digest (x <= 3000): the default cutoff, where most rows lie past x1,
+    # and the full box, where every row is in it
+    (30000, log(30000) ** 2, 356100.8705007719, 37925.434087201465),
+    (10000, 20001, 114112.97494615708, 0.0),
 ]
 
 
@@ -232,6 +240,31 @@ def test_partition_guards():
         psi0_partition(50, 0.5)
     with pytest.raises(ValueError):
         psi0_partition(50, 102)
+
+
+# the library's own refusals, each with its message; the CLI's checks keep
+# its argv from reaching them
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: factorize(0), "cannot factor n=0", id="factorize"),
+    pytest.param(lambda: psi0_partition(0, 1.0), "x must be >= 1, got 0",
+                 id="partition-x"),
+    pytest.param(lambda: psi0_partition(counting.PARTITION_CAP + 1, 1.0),
+                 f"x={counting.PARTITION_CAP + 1} is above the cap "
+                 f"{counting.PARTITION_CAP}: the partition walks every odd "
+                 "squarefree d <= 2x\\+1 in Python", id="partition-cap"),
+    pytest.param(lambda: chebyshev_ap([10], 0), "q must be >= 1, got 0",
+                 id="chebyshev-q"),
+    pytest.param(lambda: large_sieve_check(10, 0, np.ones(10)),
+                 "Q must be >= 1, got 0", id="large-sieve-Q"),
+])
+def test_library_refusals_come_before_any_table(call, message, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    for name in ("_flags", "prime_powers", "mobius_sieve"):
+        monkeypatch.setattr(counting, name, no_table)
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_hl_prediction_empty_integral(c2_1e6):
@@ -386,6 +419,17 @@ def test_census_refuses_the_pair_range_before_c2(a, message):
 def test_reciprocal_sums_refuse_the_pair_range_before_c2(x, message):
     with pytest.raises(ValueError, match=message):
         reciprocal_sums([10, x], _no_c2)
+
+
+# past int64, as the only checkpoint and beside one below 2
+@pytest.mark.parametrize("xs", [[10 ** 20], [1, 10 ** 20]])
+def test_pair_sums_refuse_the_pair_range_before_the_keys(xs, monkeypatch):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the pair sieve ran")
+
+    monkeypatch.setattr(counting, "pair_windows", no_pass)
+    with pytest.raises(ValueError, match="overflows the supported 64-bit range"):
+        pair_sums(xs)
 
 
 def test_census_report_bytes_pinned(capsys):

@@ -195,6 +195,25 @@ def test_every_plain_prime_path_refuses_a_negative_limit():
             call(-5)
 
 
+def test_every_plain_prime_path_refuses_a_limit_at_or_above_2_to_the_50(monkeypatch):
+    # _sieve, not _primes, is stubbed: primes_upto reads _primes by name, and
+    # every sieve, of the base primes too, starts in _sieve
+    def no_sieve(*args):
+        raise AssertionError("a sieve started")
+
+    monkeypatch.setattr(sieve, "_sieve", no_sieve)
+    message = "is at or above 2\\^50: the base primes"
+    for call in (sieve.prime_windows, sieve._primes, primes_upto):
+        for limit in (2 ** 50, 2 ** 70):
+            with pytest.raises(ValueError, match=message):
+                call(limit)
+    with pytest.raises(ValueError, match=message):
+        prime_powers(2 ** 99, 2, 0)  # a*x + b = 2^100, limit isqrt = 2^50
+    # just below, the limit reaches the sieve
+    with pytest.raises(AssertionError, match="a sieve started"):
+        sieve.prime_windows(2 ** 50 - 1)
+
+
 @pytest.mark.parametrize("x", [1, 10])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_prime_powers_refuse_a_below_one_before_any_window(x, monkeypatch):
