@@ -20,9 +20,11 @@ parser when that parser first parses, so a run adds only its own. Each
 handler imports the layers it reads when it runs, and numpy loads on the
 first sieve or array call. So these never load it: a usage error, the
 --threads refusal, the sieve-capacity refusal of census, hl-compare and
-reciprocal-sum, every primroot refusal, table-errata and primroot
---fermat. The other refusals do, as their caps live in layers that import
-numpy when they load (counting, sums, progressions, constants). The rest
+reciprocal-sum, every primroot refusal, the sums --method that does not
+apply to its --formula, the large-sieve --trials and --seed of a
+deterministic sequence, table-errata and primroot --fermat. The other
+refusals do, as their caps live in layers that import numpy when they
+load (counting, sums, progressions, constants). The rest
 loads where it is used: json when a JSON report or error record is
 written, decimal when parse_exact_int parses a flag. Command and _OneOf are
 NamedTuples, as is every record of the library: dataclasses would import
@@ -208,7 +210,6 @@ def _cmd_verify_identities(args: argparse.Namespace):
 
 
 def _cmd_sums(args: argparse.Namespace):
-    from . import sums
     formula, method = args.formula, args.method
     table = FORMULAS[formula]
     default = next(iter(table))
@@ -216,6 +217,7 @@ def _cmd_sums(args: argparse.Namespace):
     if any(m not in table for m in methods):
         raise CliError(f"--method {method} does not apply to --formula {formula}; "
                        f"it takes {', '.join(table)}")
+    from . import sums
     # a double sum is taken anew at each x: refuse the largest x before
     # any x is summed
     caps = {"log-lcm": sums.LOG_LCM_CAPS,
@@ -245,7 +247,6 @@ def _cmd_twisted_sums(args: argparse.Namespace):
 
 
 def _cmd_large_sieve(args: argparse.Namespace):
-    from . import progressions
     x, kind, trials = args.x, args.sequence, args.trials
     if kind != "random":
         # ones and primes give the same row on every trial
@@ -254,6 +255,7 @@ def _cmd_large_sieve(args: argparse.Namespace):
                            f"--sequence {kind}, which is deterministic; it "
                            f"takes --trials 1")
         _refuse_unread(args, {"seed"}, f"large-sieve --sequence {kind}")
+    from . import progressions
     if x > progressions.LARGE_SIEVE_X_CAP:
         raise CliError(f"--x {x} is above the cap {progressions.LARGE_SIEVE_X_CAP}: "
                        "the check holds about 16 bytes per integer")

@@ -13,8 +13,9 @@ a group of one checkpoint per interval, gives each interval's correctly
 rounded sum of log1p(-1/(p-1)^2) terms, the fsum of its terms; the value
 is exp of the fsum of those partials. The terms are computed in place by
 summation.add_terms, one fixed-size slice of a window's primes at a time,
-so no float array is as large as a window's primes, and a correctly
-rounded sum does not depend on the order or the slices its terms come in.
+each slice one array cut at the grid, so no float array is as large as a
+window's primes, and a correctly rounded sum does not depend on the order
+or the slices its terms come in.
 The grid is where the odd-integer windows of 2^20 entries, on which the
 product was once reduced, ended, so the partials, and so every printed
 bit, are those of that tiling at every cutoff.
@@ -63,7 +64,8 @@ class SingularValue(NamedTuple):
 
 
 def _log_terms(primes: np.ndarray) -> tuple[np.ndarray]:
-    """log1p(-1.0 / ((p - 1.0) * (p - 1.0))) per prime p, computed in place."""
+    """log1p(-1.0 / ((p - 1.0) * (p - 1.0))) per prime p, computed in place,
+    as the one array that add_terms takes per slice."""
     t = primes.astype(np.float64)
     t -= 1.0
     t *= t
@@ -88,7 +90,7 @@ def twin_prime_constant(prime_cutoff: int) -> SingularValue:
     partials = PrefixSums(1, ends.size)
     for primes in sieve.prime_windows(prime_cutoff):
         primes = primes[np.searchsorted(primes, 3):]  # a view: the product starts at 3
-        add_terms([partials], primes, _log_terms, np.searchsorted(primes, ends))
+        add_terms(partials, primes, _log_terms, np.searchsorted(primes, ends))
         del primes  # before the next window is struck
     value = math.exp(fsum(partials.sums()))
     tail = 2.0 / (prime_cutoff * math.log(prime_cutoff))

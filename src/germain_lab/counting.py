@@ -18,11 +18,14 @@ the pair sieve cannot take (sieve.check_pair_range) before C2, and every
 pass refuses it before it builds its checkpoint keys.
 
 Every group is summed to the last checkpoint and cut at each one, through
-summation.PrefixSums. The pass is a flat stream of ascending arrays, one
-per residue class and window, never merged: a checkpoint's count is the
-sum of its searchsorted cuts over the arrays, and each array's terms are
-computed in place one fixed-size slice at a time (summation.add_terms),
-so only one array and one slice's terms are alive at a time. Each sum is
+one summation.PrefixSums per reduction: psi_g and psi0 of the pass are the
+two groups of one, and so are the two weights of each prime-power group.
+The pass is a flat stream of ascending arrays, one per residue class and
+window, never merged: a checkpoint's count is the sum of its searchsorted
+cuts over the arrays, and each array's terms are computed in place one
+fixed-size slice at a time, both sums' terms of a slice added together
+(summation.add_terms), so only one array and one slice's terms are alive
+at a time. Each sum is
 correctly rounded, the fsum of its whole prefix, so it depends neither on
 the other checkpoints, nor on the window size, nor on how the terms are
 split.
@@ -79,32 +82,31 @@ def _pass(xs: Sequence[int], a: int, b: int,
           ) -> list[tuple[int, list[float]]]:
     """One pair-sieve pass to the last checkpoint, reduced one array at a time.
 
-    terms(ps) gives arrays of terms, one entry per pair of the array ps.
-    At each checkpoint x comes the number of pairs p <= x and, per array,
-    the correctly rounded sum of its terms over the p <= x. Each ascending
-    array of the pass is cut at its own p <= x, its terms are computed one
-    slice of summation.chunks at a time (add_terms), and it is dropped once
-    they are added, so only one array and one slice's terms are alive at a
-    time. The pair range of the largest x >= 2 is checked
-    (check_pair_range), then the checkpoints, which ascend strictly and are
-    >= 1 (checkpoint_keys), before any key is built; below 2 there is no
-    pair, so no pass runs when the last one is.
+    terms(ps) gives one array of terms per sum, one entry per pair of the
+    array ps. At each checkpoint x comes the number of pairs p <= x and,
+    per sum, the correctly rounded sum of its terms over the p <= x: the
+    sums are the groups of one PrefixSums. Each ascending array of the pass
+    is cut at its own p <= x, its terms are computed one slice of
+    summation.chunks at a time, and every sum's terms of a slice are added
+    at once (add_terms); the array is dropped once they are added, so only
+    one array and one slice's terms are alive at a time. The pair range of
+    the largest x >= 2 is checked (check_pair_range), then the checkpoints,
+    which ascend strictly and are >= 1 (checkpoint_keys), before any key is
+    built; below 2 there is no pair, so no pass runs when the last one is.
     """
     if max(xs, default=0) >= 2:
         check_pair_range(max(xs), a, b)
     keys = checkpoint_keys(xs)
     last = xs[-1] if xs else 0
-    arrays = (pair_windows(last, a, b) if last >= 2
-              else [np.zeros(0, dtype=np.int64)])
     counts = np.zeros(len(xs), dtype=np.int64)  # the pairs p <= x so far
-    streams = [PrefixSums(len(xs)) for _ in terms(keys[:0])]  # one per array
-    for ps in arrays:
+    stream = PrefixSums(len(xs), len(terms(keys[:0])))  # a group per term array
+    for ps in pair_windows(last, a, b) if last >= 2 else ():
         cuts = np.searchsorted(ps, keys, side="right")
         counts += cuts
-        add_terms(streams, ps, terms, cuts)
+        add_terms(stream, ps, terms, cuts)
         del ps
-    return [(n, list(row))
-            for n, *row in zip(counts.tolist(), *(s.sums() for s in streams))]
+    sums = stream.sums()
+    return [(n, sums[j::len(xs)]) for j, n in enumerate(counts.tolist())]
 
 
 def pair_sums(xs: Sequence[int], a: int = 2,
@@ -149,15 +151,13 @@ def pair_sums(xs: Sequence[int], a: int = 2,
         if wn > 0.0:
             companions.append((n, wn, w))
     # psi at x is the fsum of the pass's sum and of each group's, one array
-    # ascending in n and cut at every x
-    psi = []
-    for power in (1, 2):
-        sums = [[row[power - 1] for _, row in mains]]
-        for group in (powers, companions):
-            sums.append(sums_upto(np.array([n for n, _, _ in group], dtype=np.int64),
-                                  np.array([w * v ** power for _, w, v in group]), xs))
-        psi.append([fsum(parts) for parts in zip(*sums)])
-    return [(k, psi_g, psi0) for (k, _), psi_g, psi0 in zip(mains, *psi)]
+    # ascending in n per power of the weight, cut at every x
+    groups = [sums_upto(np.array([n for n, _, _ in group], dtype=np.int64),
+                        [np.array([w * v ** power for _, w, v in group])
+                         for power in (1, 2)], xs)
+              for group in (powers, companions)]
+    return [(k, *map(fsum, zip(row, *(sums[j::len(xs)] for sums in groups))))
+            for j, (k, row) in enumerate(mains)]
 
 
 def reciprocal_sums(xs: Sequence[int], make_c2: Callable[[], SingularValue]

@@ -127,7 +127,7 @@ def chebyshev_ap(xs: Sequence[int], q: int) -> list[ChebyshevAp]:
             # the classes below a and those of class a up to x_j
             a *= len(xs)
             a += np.searchsorted(checkpoints, n)
-            classes.add(w, np.cumsum(np.bincount(a, minlength=q * len(xs))))
+            classes.add([w], np.cumsum(np.bincount(a, minlength=q * len(xs))))
 
     for window in prime_windows(top):
         add(window, None)

@@ -144,6 +144,24 @@ def _survivors(size: int, i0: int, rows: tuple[np.ndarray, ...] | None,
     return ns if n0 >= least else ns[np.searchsorted(ns, least):]
 
 
+def _form_rows(x: int, a: int, b: int, base: np.ndarray) -> _Rows:
+    """The strike rows (l, alpha, beta, n0) of the form (a, b), as _rows builds them."""
+    import numpy as np
+    top = a * x + b
+    l = base[base * base <= top]  # a row that starts beyond x is dropped
+    # the first n with a*n + b >= l^2, from top so that no term leaves int64
+    n0 = x - (top - l * l) // a
+    keep = (a % l > 0) | (b % l == 0)
+    l = np.where(a % l > 0, l, 1)[keep]
+    # one pow per prime: a numpy square-and-multiply took 29 ms against
+    # 45-56 ms for the 108k primes of (2, 1) at 10^12, too little to pay
+    # for its lines beside the pass
+    inverse = np.fromiter((pow(a * _WHEEL, -1, m) for m in l.tolist()),
+                          dtype=np.int64, count=l.size)
+    # each factor is below l, and l^2 <= a*x + b < 2^63
+    return l, a % l * inverse % l, -(b % l) * inverse % l, n0[keep]
+
+
 def _rows(x: int, forms: list[tuple[int, int]], base: np.ndarray) -> _Rows:
     """One set of strike rows for every form, from the base primes l >= 7, for n <= x.
 
@@ -151,26 +169,22 @@ def _rows(x: int, forms: list[tuple[int, int]], base: np.ndarray) -> _Rows:
     a*n + b >= l^2, on: on class c, the i = -(a*c + b) / (30*a) (mod l),
     which is beta - c*alpha with alpha = a / (30*a) and beta = -b / (30*a)
     (mod l). Where l | a the row has modulus 1 if l | b, and there is none
-    otherwise. base may hold the wheel primes, in any order.
+    otherwise. base may hold the wheel primes, in any order. The forms'
+    rows are joined one field at a time, and each form's array of a field
+    is dropped once it is joined, so the join holds at most one field more
+    than the forms' rows.
     """
     import numpy as np
     base = base[_WHEEL % base > 0]
-    rows = []
+    fields = ([], [], [], [])  # each form's l, alpha, beta and n0
     for a, b in forms:
-        top = a * x + b
-        l = base[base * base <= top]  # a row that starts beyond x is dropped
-        # the first n with a*n + b >= l^2, from top so that no term leaves int64
-        n0 = x - (top - l * l) // a
-        keep = (a % l > 0) | (b % l == 0)
-        l = np.where(a % l > 0, l, 1)[keep]
-        # one pow per prime: a numpy square-and-multiply took 29 ms against
-        # 45-56 ms for the 108k primes of (2, 1) at 10^12, too little to pay
-        # for its lines beside the pass
-        inverse = np.fromiter((pow(a * _WHEEL, -1, m) for m in l.tolist()),
-                              dtype=np.int64, count=l.size)
-        # each factor is below l, and l^2 <= a*x + b < 2^63
-        rows.append((l, a % l * inverse % l, -(b % l) * inverse % l, n0[keep]))
-    return tuple(np.concatenate(arrays) for arrays in zip(*rows))
+        for field, array in zip(fields, _form_rows(x, a, b, base)):
+            field.append(array)
+    joined = []
+    for field in fields:
+        joined.append(np.concatenate(field))
+        field.clear()
+    return tuple(joined)
 
 
 def _sieve(x: int, forms: list[tuple[int, int]], window: int) -> Iterator[np.ndarray]:

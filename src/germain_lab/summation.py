@@ -5,9 +5,11 @@ double nearest the exact sum of its terms, the value math.fsum gives. This
 module is the one place that decides how a numpy array of terms is summed.
 PrefixSums takes a stream of arrays, each cut once per checkpoint, and
 gives each checkpoint the correctly rounded sum of the terms before its
-cuts. sums_upto is its case of one array whose terms ascend in a key, cut
-where each checkpoint's keys end, and exact_sum its case of one array and
-one cut. None of them builds one Python float per term, as
+cuts. Several sums of one stream, such as psi_g and psi0 of a sieve pass,
+are the groups of one PrefixSums, and each add takes one array per group
+at one set of cuts. sums_upto is its case of arrays whose terms ascend in
+one key, cut where each checkpoint's keys end, and exact_sum its case of
+one array and one cut. None of them builds one Python float per term, as
 fsum(t.tolist()) does: _slices splits the terms into a few slices whose
 numpy sums are exact, so a handful of doubles carries the exact sum of any
 run of terms, and fsum of those doubles is fsum of the run bit for bit.
@@ -17,11 +19,13 @@ window, are each cut where a checkpoint's pairs end, and each run's slice
 sums are added to rows of doubles whose exact sum is their checkpoint's
 interval: every run at once, in numpy, by Knuth's two-sum, the error-free
 addition that fsum runs on. The cost of an array is numpy work, none of
-it a Python loop over the checkpoints.
+it a Python loop over the checkpoints, and the cuts of an add are checked
+once for all its arrays.
 
 Every array is reduced _CHUNK terms at a time, and chunks gives those
 slices to any caller, so that no caller names a chunk size. add_terms
-computes a stream's terms one slice of keys at a time, so a caller that
+computes a stream's terms, one array per group, one slice of keys at a
+time, and adds each slice's arrays together, so a caller that
 reduces a sieve window's primes or pairs never holds a float array as
 large as the window; the sums do not move, as each interval's sum is exact
 however its terms are sliced. 2^14 terms per slice was measured on a
@@ -183,8 +187,9 @@ class PrefixSums:
     checks of its cuts.
 
     The checkpoints may come in groups of equal size, one after another,
-    such as one group per residue class of arrays sorted by class: a sum
-    then runs over the earlier intervals of its own group only.
+    such as one group per residue class of arrays sorted by class, or one
+    per sum of a stream that gives each sum's terms of a slice together:
+    a sum then runs over the earlier intervals of its own group only.
     """
 
     def __init__(self, checkpoints: int, groups: int = 1) -> None:
@@ -192,25 +197,35 @@ class PrefixSums:
         # column j holds doubles whose exact sum is interval j's sum so far
         self._rows = np.zeros((1, checkpoints * groups))
 
-    def add(self, t: np.ndarray, cuts: Sequence[int] | np.ndarray) -> None:
-        """Add t, cut at t[:k] for each checkpoint's k in cuts.
+    def add(self, ts: Sequence[np.ndarray], cuts: Sequence[int] | np.ndarray) -> None:
+        """Add the arrays ts, each cut at t[:k] for each k in cuts.
 
-        cuts holds one k per checkpoint, ascending with 0 <= k <= t.size;
-        the terms past the last cut are in no interval.
+        The arrays are of one size, and cuts holds one k per interval that
+        an array feeds, ascending with 0 <= k <= size: the s-th array feeds
+        the intervals from s * len(cuts) on. So g groups take g arrays at
+        one group's cuts, or one array at every group's cuts, one group
+        after another. The terms past the last cut are in no interval. The
+        cuts are checked, and the intervals that each slice meets are
+        found, once for all the arrays.
         """
-        ends, steps = _runs(cuts, t.size, self._rows.shape[1])
-        # the intervals that hold terms of t, and where each starts and ends
+        size, count = ts[0].size, self._rows.shape[1] // len(ts)
+        if any(t.size != size for t in ts):
+            raise ValueError(f"arrays of sizes {[t.size for t in ts]} "
+                             "share one set of cuts")
+        ends, steps = _runs(cuts, size, count)
+        # the intervals that hold terms, and where each starts and ends
         js = np.flatnonzero(steps > 0)
         highs = ends[js]
         lows = highs - steps[js]
         end = int(highs[-1]) if js.size else 0
-        for lo, piece in zip(range(0, end, _CHUNK), chunks(t[:end])):
-            # the intervals that meet the piece, and where each starts in it
+        for lo, *pieces in zip(range(0, end, _CHUNK), *(chunks(t[:end]) for t in ts)):
+            # the intervals that meet the slice, and where each starts in it
             i = np.searchsorted(highs, lo, side="right")
-            k = np.searchsorted(lows, lo + piece.size)
+            k = np.searchsorted(lows, lo + pieces[0].size)
             firsts = np.maximum(lows[i:k] - lo, 0)
-            for h in _slices(piece):
-                self._fold(js[i:k], np.add.reduceat(h, firsts))
+            for s, piece in enumerate(pieces):
+                for h in _slices(piece):
+                    self._fold(js[i:k] + s * count, np.add.reduceat(h, firsts))
 
     def _fold(self, js: np.ndarray, v: np.ndarray) -> None:
         """Add v[i] to interval js[i], error-free: each row takes a two-sum
@@ -240,34 +255,34 @@ class PrefixSums:
         return out
 
 
-def add_terms(streams: Sequence[PrefixSums], keys: np.ndarray,
+def add_terms(stream: PrefixSums, keys: np.ndarray,
               terms: Callable[[np.ndarray], Sequence[np.ndarray]],
               cuts: Sequence[int] | np.ndarray) -> None:
-    """Add terms of keys to streams, cut at keys[:k] for each checkpoint's k in cuts.
+    """Add terms of keys to stream, cut at keys[:k] for each checkpoint's k in cuts.
 
-    terms(piece) gives one array per stream, one term per key of the
-    piece; it is called on each slice of chunks(keys) up to the last cut,
-    which is cut at its share of cuts, so only one slice's terms are alive
-    at a time. cuts ascend within [0, keys.size], one per checkpoint of
-    each stream.
+    terms(piece) gives one array per group of the stream, one term per key
+    of the piece; it is called on each slice of chunks(keys) up to the
+    last cut, and its arrays are added together, cut at the slice's share
+    of cuts, so only one slice's terms are alive at a time. cuts ascend
+    within [0, keys.size], as PrefixSums.add takes them.
     """
     ends = _runs(cuts, keys.size, len(cuts))[0]
     end = int(ends[-1]) if ends.size else 0
     for lo, piece in zip(range(0, end, _CHUNK), chunks(keys[:end])):
-        share = np.clip(ends - lo, 0, piece.size)
-        for stream, t in zip(streams, terms(piece)):
-            stream.add(t, share)
+        stream.add(terms(piece), np.clip(ends - lo, 0, piece.size))
 
 
-def sums_upto(keys: np.ndarray, t: np.ndarray, xs: Sequence[int]) -> list[float]:
-    """Per checkpoint x, the correctly rounded sum of the terms t whose key is <= x.
+def sums_upto(keys: np.ndarray, ts: Sequence[np.ndarray],
+              xs: Sequence[int]) -> list[float]:
+    """Per array t of ts and checkpoint x, the correctly rounded sum of t[keys <= x].
 
-    keys ascend, one per term of t, and the checkpoints xs >= 1 ascend
-    strictly: one PrefixSums, cut once per checkpoint.
+    keys ascend, one per term of each array, and the checkpoints xs >= 1
+    ascend strictly: one PrefixSums with a group per array, cut once per
+    checkpoint.
     """
     cuts = np.searchsorted(keys, checkpoint_keys(xs), side="right")
-    stream = PrefixSums(len(xs))
-    stream.add(t, cuts)
+    stream = PrefixSums(len(xs), len(ts))
+    stream.add(ts, cuts)
     return stream.sums()
 
 

@@ -105,10 +105,14 @@ def identity_residual_rows(top: int):
 
     phi comes from one totient_sieve(top^2), and sum_{d|k} phi(d) from
     striding phi(d) over the multiples k <= top of each d. Every value stays
-    below top^3, far inside int64 for any top whose table fits in memory.
+    below top^3, far inside int64. A top below 1 or above IDENTITY_CAP is
+    refused before the table.
     """
     if top < 1:
         raise ValueError(f"top must be >= 1, got {top}")
+    if top > IDENTITY_CAP:
+        raise ValueError(f"top {top} is above the cap {IDENTITY_CAP}: the phi "
+                         f"table up to top^2 would hold {top * top + 1} entries")
     phi = totient_sieve(top * top)
     phi_sum = np.zeros(top + 1, dtype=np.int64)
     for d in range(1, top + 1):
@@ -271,7 +275,7 @@ def _squarefree_sums(m: int, xs: Sequence[int],
             logs = np.log(n, dtype=np.float64)
             logs *= t
             t = logs
-        stream.add(t, np.searchsorted(n, keys, side="right"))
+        stream.add([t], np.searchsorted(n, keys, side="right"))
     return stream.sums()
 
 

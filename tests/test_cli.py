@@ -12,7 +12,7 @@ from germain_lab import (arith, constants, counting, primroot, progressions, sie
 from germain_lab.cli import (COMMANDS, _OneOf, main, parse_exact_int,
                              parse_int_list)
 from germain_lab.counting import pair_sums
-from germain_lab.reports import render_json
+from germain_lab.reports import render_csv, render_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -420,6 +420,53 @@ def test_verify_identities_counts_a_planted_fault_once_per_pair(monkeypatch, cap
     assert _identity_rows(capsys) == {"gcd-phi-divisor": (0, 0),
                                       "lcm-reciprocal": (0, 0),
                                       "phi-lcm-reciprocal": (5, 3)}
+
+
+def _planted(monkeypatch, module, name, fault):
+    """Patch module.name so that fault(args, value) gives each call's value."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: fault(args, real(*args)))
+
+
+def test_large_sieve_counts_a_planted_negative_slack(monkeypatch, capsys):
+    # the second trial's slack is negated; the others keep theirs
+    calls = []
+    _planted(monkeypatch, progressions, "large_sieve_check", lambda args, rep:
+             calls.append(1) or (rep._replace(slack=-rep.slack)
+                                 if len(calls) == 2 else rep))
+    assert main(["large-sieve", "--sequence", "random", "--x", "100", "--Q", "3",
+                 "--trials", "3", "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["seed"], r["slack"] < 0) for r in rows] == [
+        (0, False), (1, True), (2, False)]
+
+
+def test_primroot_fermat_counts_a_planted_false_biconditional(monkeypatch, capsys):
+    _planted(monkeypatch, primroot, "fermat_nonresidue_check",
+             lambda args, ok: ok and args[0] != 17)
+    assert main(["primroot", "--fermat", "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["modulus"], r["biconditional_holds"]) for r in rows] == [
+        (f, f != 17) for f in primroot.FERMAT_PRIMES]
+
+
+def test_primroot_short_test_counts_a_planted_disagreement(monkeypatch, capsys):
+    # the short test's verdict is flipped at q = 23 only
+    _planted(monkeypatch, primroot, "germain_short_test",
+             lambda args, verdict: verdict != (args[0].q == 23))
+    assert main(["primroot", "--short-test", "--limit", "100", "--trials", "3",
+                 "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert 23 in [r["q"] for r in rows]
+    assert [(r["q"], r["agreements"]) for r in rows] == [
+        (r["q"], 0 if r["q"] == 23 else 3) for r in rows]
+
+
+def test_render_csv_quotes_a_cell_as_rfc_4180_does():
+    # a cell with a comma, a quote or a newline is quoted, its quotes doubled
+    rows = [["a,b", 'say "hi"', "two\nlines"], ["plain", 1.5, True]]
+    assert render_csv(["x", "y", "z"], rows) == (
+        'x,y,z\n"a,b","say ""hi""","two\nlines"\nplain,1.5,true\n')
 
 
 def test_verify_identities_max_above_cap_is_refused_before_the_table(monkeypatch,

@@ -203,7 +203,7 @@ def test_segment_log_sum_in_place_is_the_expression_it_replaced(primes):
     [terms] = constants._log_terms(ps)
     assert terms.tolist() == want.tolist()
     segment = PrefixSums(1)
-    add_terms([segment], ps, constants._log_terms, [ps.size])
+    add_terms(segment, ps, constants._log_terms, [ps.size])
     assert segment.sums() == [exact_sum(want)]
     assert ps.tolist() == primes  # the primes are not written
 

@@ -229,13 +229,16 @@ def test_prime_powers_refuse_a_below_one_before_any_window(x, monkeypatch):
 def test_pair_rows_are_built_once_not_per_class():
     # x = 3 admits at most two pairs, yet the rows cover the 136,204 base
     # primes up to sqrt(3a + 7) ~ 1.8e6. Per base prime, the sieve holds
-    # these int64 entries at its peak, in _rows as it joins the forms' rows:
-    # the base primes (1), the joined rows l, alpha, beta and n0 (4), the
-    # forms' own rows (4), and _rows' inverses and first n (2), 88 bytes,
-    # beside bool masks of 1 byte. One class's j and start (2), and the
-    # strike's transients, come only after _rows returns and its transients
-    # are gone. So 12 entries, 96 bytes, bound it; rows built for every class
-    # at once, two int64 arrays per class, peaked at 193 bytes
+    # at most 9 int64 entries at its peak, in _form_rows as it builds the
+    # form's rows: the base primes (1), the form's l, first n and inverses
+    # (3), alpha (1) and beta's transients, 73 bytes traced with a bool mask
+    # of 1 byte. _rows then joins the rows one field at a time: at most 5
+    # entries beside the base primes, where joining every field at once
+    # beside the forms' own rows peaked at 89 bytes. One class's j and
+    # start (2), and the strike's transients, come only after _rows returns
+    # and its transients are gone. So 12 entries, 96 bytes, bound it; rows
+    # built for every class at once, two int64 arrays per class, peaked at
+    # 193 bytes
     x, a, b = 3, 2 ** 40 - 4, 7
     primes = sieve._primes(math.isqrt(a * x + b)).size
     list(sieve.pair_windows(100, 2, 1))  # numpy's lazy set-up is not the sieve's

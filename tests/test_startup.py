@@ -67,6 +67,23 @@ def test_commands_without_arrays_load_no_numpy():
     ]
 
 
+# refusals read from a command's flags alone, before its layer is imported
+_FLAG_REFUSALS = (
+    ("sums --method", "cli.main(['sums', '--formula', 'mobius-log', "
+                      "'--method', 'brute', '--x', '10'])"),
+    ("large-sieve --trials", "cli.main(['large-sieve', '--sequence', 'ones', "
+                             "'--trials', '2'])"),
+    ("large-sieve --seed", "cli.main(['large-sieve', '--sequence', 'primes', "
+                           "'--seed', '3'])"),
+)
+
+
+def test_flag_only_refusals_load_no_numpy():
+    steps = (("import", "from germain_lab import cli"), *_FLAG_REFUSALS)
+    assert _fresh(_SCRIPT.format(steps=steps)) == [
+        ["import", None, False], *([step, 1, False] for step, _ in _FLAG_REFUSALS)]
+
+
 # What start-up must not load unless a step needs it: numpy for an array,
 # json for a JSON record, decimal to parse an exact integer, fractions for
 # the singular series. dataclasses, with the inspect it imports, no step

@@ -47,6 +47,22 @@ def test_identity_residual_rows_rejects_top_below_one():
         next(identity_residual_rows(0))
 
 
+@pytest.mark.parametrize("top", [sums.IDENTITY_CAP + 1, 40_000])
+def test_identity_residual_rows_refuse_top_above_the_cap_before_the_table(
+        top, monkeypatch):
+    # 40,000^2 is below arith's 2^31 limit: the table would be 6.4 GB of int32
+    def no_table(limit):
+        raise AssertionError("the phi table was built")
+
+    monkeypatch.setattr(sums, "totient_sieve", no_table)
+    with pytest.raises(ValueError, match=f"top {top} is above the cap "
+                                         f"{sums.IDENTITY_CAP}: the phi table"):
+        next(identity_residual_rows(top))
+    rows = identity_residual_rows(sums.IDENTITY_CAP)  # the cap itself is taken
+    with pytest.raises(AssertionError, match="the phi table was built"):
+        next(rows)
+
+
 def test_gcd_rows_from_divisors_equal_np_gcd():
     n = np.arange(1, sums.BRUTE_CAP + 1)
     for m in range(1, sums.BRUTE_CAP + 1):

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from germain_lab import constants, counting, progressions, sieve, summation, sums
+from germain_lab import cli, constants, counting, progressions, sieve, summation, sums
 from germain_lab.constants import twin_prime_constant
 from germain_lab.counting import pair_sums, reciprocal_sums
 from germain_lab.progressions import chebyshev_ap
@@ -59,7 +59,7 @@ def _check_windows(t, edges, marks):
     """
     stream = PrefixSums(len(marks))
     for lo, hi in zip(edges, edges[1:]):
-        stream.add(np.array(t[lo:hi], dtype=np.float64),
+        stream.add([np.array(t[lo:hi], dtype=np.float64)],
                    [min(max(k - lo, 0), hi - lo) for k in marks])
     assert stream.sums() == [fsum(t[:k]) for k in marks], marks
     assert exact_sum(np.array(t, dtype=np.float64)) == fsum(t)
@@ -134,7 +134,7 @@ def test_windows_of_several_arrays_give_each_checkpoint_its_prefix_fsum(
     stream = PrefixSums(checkpoints)
     with mock.patch.object(summation, "_CHUNK", chunk):
         for t, cuts in zip(arrays, cuts_of):
-            stream.add(np.array(t, dtype=np.float64), cuts)
+            stream.add([np.array(t, dtype=np.float64)], cuts)
         sums = stream.sums()
     assert sums == [fsum([v for t, cuts in zip(arrays, cuts_of)
                           for v in t[:cuts[j]]])
@@ -149,7 +149,7 @@ def test_prefix_sums_cut_at_every_index(monkeypatch):
     t *= rng.choice([-1.0, 1.0], 300)
     monkeypatch.setattr(summation, "_CHUNK", 7)
     stream = PrefixSums(t.size + 1)
-    stream.add(t, list(range(t.size + 1)))
+    stream.add([t], list(range(t.size + 1)))
     assert stream.sums() == [fsum(t[:k].tolist()) for k in range(t.size + 1)]
 
 
@@ -164,27 +164,53 @@ def test_prefix_sums_of_groups_run_over_their_own_group_only(monkeypatch):
     stream, expected = PrefixSums(3, 40), [[] for _ in range(40 * 3)]
     for t in arrays:
         cuts = np.sort(rng.integers(0, t.size + 1, 40 * 3)).tolist()
-        stream.add(t, cuts)
+        stream.add([t], cuts)
         for i, k in enumerate(cuts):
             start = cuts[i - i % 3 - 1] if i >= 3 else 0
             expected[i] += t[start:k].tolist()
     assert stream.sums() == [fsum(terms) for terms in expected]
 
 
+def test_prefix_sums_take_one_array_per_group_at_one_set_of_cuts(monkeypatch):
+    # three arrays as the groups of one stream, added slice by slice at one
+    # set of cuts, give each group the sums of its array alone; 7-term chunks
+    # put chunk edges inside intervals
+    rng = np.random.default_rng(13)
+    monkeypatch.setattr(summation, "_CHUNK", 7)
+    stream, alone = PrefixSums(4, 3), [PrefixSums(4) for _ in range(3)]
+    for size in (300, 0, 41):
+        ts = [np.ldexp(rng.random(size) + 1.0, rng.integers(-40, 40, size))
+              * rng.choice([-1.0, 1.0], size) for _ in range(3)]
+        cuts = np.sort(rng.integers(0, size + 1, 4))
+        stream.add(ts, cuts)
+        for group, t in zip(alone, ts):
+            group.add([t], cuts)
+    assert stream.sums() == [v for group in alone for v in group.sums()]
+    keys = np.arange(10, dtype=np.int64)
+    assert summation.sums_upto(keys, [np.ones(10), np.full(10, 0.5)], [3, 9]) == [
+        4.0, 10.0, 2.0, 5.0]
+
+
+def test_prefix_sums_refuse_arrays_of_unequal_size():
+    with pytest.raises(ValueError,
+                       match=r"arrays of sizes \[5, 4\] share one set of cuts"):
+        PrefixSums(2, 2).add([np.ones(5), np.ones(4)], [1, 2])
+
+
 @pytest.mark.parametrize("cuts", [[3, 2], [-1, 2], [2, 6]])
 def test_prefix_sums_refuse_cuts_out_of_order_or_range(cuts):
     with pytest.raises(ValueError, match=r"cuts must ascend within \[0, 5\]"):
-        PrefixSums(2).add(np.ones(5), cuts)
+        PrefixSums(2).add([np.ones(5)], cuts)
 
 
 def test_prefix_sums_refuse_a_cut_count_other_than_their_checkpoints():
     stream = PrefixSums(2)
-    stream.add(np.ones(5), [1, 2])
+    stream.add([np.ones(5)], [1, 2])
     for cuts in ([3], [1, 2, 3]):
         with pytest.raises(ValueError,
                            match=f"{len(cuts)} cuts for 2 checkpoints"):
-            stream.add(np.ones(5), cuts)
-    stream.add(np.ones(5), [3, 4])
+            stream.add([np.ones(5)], cuts)
+    stream.add([np.ones(5)], [3, 4])
     assert stream.sums() == [4.0, 6.0]
 
 
@@ -222,7 +248,7 @@ def test_terms_outside_the_slice_range_are_refused(bad):
         with pytest.raises(ValueError, match="terms must be finite"):
             exact_sum(np.array(t))
         with pytest.raises(ValueError, match="terms must be finite"):
-            PrefixSums(1).add(np.array(t), [len(t)])
+            PrefixSums(1).add([np.array(t)], [len(t)])
 
 
 XS = [2, 3, 29, 30, 31, 1109, 1110, 1111, 3000, 7679, 7680, 7681, 10 ** 4]
@@ -234,6 +260,20 @@ def test_pair_sums_equal_the_prefix_fsums(window, a, b, monkeypatch):
     # the checkpoints sit on and beside window edges: 30 * window * k
     monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
     assert pair_sums(XS, a, b) == oracles.pair_sums_prefix(XS, a, b)
+
+
+def test_pair_sums_add_once_per_slice_of_the_pass_and_per_prime_power_group(
+        monkeypatch):
+    # psi_g's and psi0's terms of a slice are the two groups of one stream,
+    # added together: 34 slices of the pass over the default grid, and one
+    # add per group of prime powers and companions, where a stream per sum
+    # took 72 adds
+    calls, add = [], PrefixSums.add
+    monkeypatch.setattr(PrefixSums, "add", lambda self, ts, cuts:
+                        calls.append(len(ts)) or add(self, ts, cuts))
+    pair_sums(cli.DEFAULT_TREND_GRID)
+    assert len(calls) == 36
+    assert set(calls) == {2}
 
 
 @pytest.mark.parametrize("window", [1, 37, 256])
@@ -366,8 +406,8 @@ def _edges(arrays, every, least):
 def _slice_sizes(monkeypatch, module):
     """The size of each slice whose terms module computes by add_terms."""
     sizes, add_terms = [], summation.add_terms
-    monkeypatch.setattr(module, "add_terms", lambda streams, keys, terms, cuts: add_terms(
-        streams, keys, lambda piece: sizes.append(piece.size) or terms(piece), cuts))
+    monkeypatch.setattr(module, "add_terms", lambda stream, keys, terms, cuts: add_terms(
+        stream, keys, lambda piece: sizes.append(piece.size) or terms(piece), cuts))
     return sizes
 
 
@@ -414,7 +454,8 @@ def test_chebyshev_in_small_chunks_equals_the_class_fsums(chunk, top, q,
     terms = [*zip(primes.tolist(), np.log(primes.astype(np.float64)).tolist()), *powers]
     sizes, add = [], PrefixSums.add
     monkeypatch.setattr(PrefixSums, "add",
-                        lambda self, t, cuts: sizes.append(t.size) or add(self, t, cuts))
+                        lambda self, ts, cuts: sizes.extend(t.size for t in ts)
+                        or add(self, ts, cuts))
     assert [r.value for r in chebyshev_ap(xs, q)] == [
         fsum(w for n, w in terms if n <= x and n % q == a) for x in xs for a in range(q)]
     assert max(sizes) <= chunk
@@ -469,7 +510,7 @@ _CHECKPOINT_CALLS = {
     "twisted_mobius_sums": (1, lambda xs, make_c2:
                             sums.twisted_mobius_sums(6, xs, True, make_c2)),
     "sums_upto": (1, lambda xs, make_c2:
-                  summation.sums_upto(np.arange(5, dtype=np.int64), np.ones(5), xs)),
+                  summation.sums_upto(np.arange(5, dtype=np.int64), [np.ones(5)], xs)),
 }
 
 
