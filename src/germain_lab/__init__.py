@@ -1,10 +1,12 @@
 """Numerical verification suite for Germain prime pairs.
 
 Library layout:
-  sieve        one sieve of linear forms a*n + b on the classes mod 30:
-               primes ([(1, 0)]), prime powers, prime pairs (p, a*p+b)
-               ([(1, 0), (a, b)]), streamed one class at a time, each
-               window by window; deterministic 64-bit primality
+  sieve        one sieve of linear forms a*n + b on the classes mod a
+               wheel chosen from the forms: primes ([(1, 0)]) and prime
+               powers mod 30, prime pairs (p, a*p+b) ([(1, 0), (a, b)])
+               mod 210 where 7 divides the pair at two n mod 7, streamed
+               one class at a time, each window by window; deterministic
+               64-bit primality
   arith        mobius / totient and their summatory forms
   summation    exact, correctly rounded sums of float64 arrays
   constants    twin-prime constant and the pair singular series

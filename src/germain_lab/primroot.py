@@ -160,9 +160,10 @@ def germain_short_test(g: GermainModulus, u: int) -> bool:
     """Two-exponentiation generator test for q = 2^s * r + 1.
 
     u generates iff u^(2^(s-1) r) != 1 and u^(2^s) != 1 (these are the two
-    witness exponents (q-1)/2 and (q-1)/r). Both conditions are always
-    evaluated; no precondition on u beyond coprimality is enforced. The
-    decomposition itself was checked when g was built.
+    witness exponents (q-1)/2 and (q-1)/r). The second power is computed
+    only when the first is not 1: where u^((q-1)/2) = 1, u does not
+    generate whatever u^(2^s) is. No precondition on u beyond coprimality
+    is enforced. The decomposition itself was checked when g was built.
     """
     q, s, r = g.q, g.s, g.r
     if math.gcd(u, q) != 1:

@@ -7,7 +7,13 @@ SCHEMA_VERSION = 1
 
 
 def format_cell(v) -> str:
-    if isinstance(v, bool):
+    # the exact types of most cells first: an int prints bare, and a bool,
+    # which no class subclasses, as a word; a float subclass such as
+    # numpy's float64 takes the float branch
+    kind = type(v)
+    if kind is int:
+        return str(v)
+    if kind is bool:
         return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.15g}"
@@ -19,7 +25,7 @@ def format_cell(v) -> str:
 
 def render_csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(format_cell(v) for v in row) for row in rows)
+    lines.extend(",".join(map(format_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

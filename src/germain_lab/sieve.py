@@ -2,26 +2,32 @@
 
 Every prime of the library comes from one sieve of a set of linear forms,
 _sieve(x, forms, window), which yields the n <= x at which every form
-a*n + b is prime, on the one wheel W = 30. The wheel decides some n apart:
-those with a form value that is a wheel prime, 2, 3 or 5, come first, as
-one array, and is_prime proves their other values. Every other such n lies
-in a class c mod 30 with each a*c + b prime to 30, and the classes come one
-at a time, each a segmented sieve of its progression n = c + 30*i, window
-by window.
+a*n + b is prime, on a wheel W that _wheel derives from the forms: 210 =
+2*3*5*7 where their values are multiples of 7 at two or more residues
+n mod 7, as those of the pairs (p, 2p + 1) are at n = 0 and n = 3, and 30
+otherwise, as for the plain primes, whose one such residue is 0. The wheel decides some n apart: those with a form value that
+is a wheel prime, 2, 3, 5 or, on 210, 7, come first, as one array, and
+is_prime proves their other values. Every other such n lies in a class
+c mod W with each a*c + b prime to W, and the classes come one at a time,
+each a segmented sieve of its progression n = c + W*i, window by window.
+On 210 the pairs (p, 2p + 1) take 15 classes, 7.1% of the n, where 30 took
+3 classes, 10% of them; the plain primes keep the 8 classes mod 30, as 7
+would drop only 1/7 of their entries at the cost of 48 classes.
 
-One row rule serves every form. For each form (a, b) and base prime l >= 7,
-strike the n with l | a*n + b, from where a*n + b >= l^2 on. A composite
-value whose least prime factor is l is at least l^2, and a smaller factor
-is either a wheel prime, which the classes exclude, or a base prime, whose
-own row strikes the value. Where l | a, the row strikes every n if l | b,
-and there is none otherwise. _rows turns the rule into one set of rows
-(l, alpha, beta, n0), with one inverse of 30*a mod l per form and prime:
-on class c, row k strikes the i = beta - c*alpha (mod l) from
-i = ceil((n0 - c) / 30) on. _sieve maps the rows onto one class at a time,
-and _survivors, a segmented sieve (Bays and Hudson), strikes each window
-of the class with them. The base primes are the plain primes up to the
-square root of the largest value; where that root is below 7 no base prime
-has a row, so none is read, no row is built and the recursion ends.
+One row rule serves every form. For each form (a, b) and base prime l
+prime to W, the least 7 or 11, strike the n with l | a*n + b, from where
+a*n + b >= l^2 on. A composite value whose least prime factor is l is at
+least l^2, and a smaller factor is either a wheel prime, which the classes
+exclude, or a base prime, whose own row strikes the value. Where l | a, the
+row strikes every n if l | b, and there is none otherwise. _rows turns the
+rule into one set of rows (l, alpha, beta, n0), with one inverse of W*a
+mod l per form and prime: on class c, row k strikes the
+i = beta - c*alpha (mod l) from i = ceil((n0 - c) / W) on. _sieve maps the
+rows onto one class at a time, and _survivors, a segmented sieve (Bays and
+Hudson), strikes each window of the class with them. The base primes are
+the plain primes up to the square root of the largest value; where that
+root is below the least base prime no base prime has a row, so none is
+read, no row is built and the recursion ends.
 
 The plain primes are the forms [(1, 0)]: prime_windows yields [2, 3, 5],
 then the primes of the 8 classes prime to 30, class by class, each window
@@ -101,25 +107,39 @@ _MR_TIERS = (
 # (2-core Xeon, Python 3.11, numpy 2.4).
 PAIR_WINDOW = 1 << 20
 
-# The wheel every sieve runs on, and its primes: a value prime to 30 is a
-# multiple of none of them, and every other base prime is at least 7.
-_WHEEL = 30
-_WHEEL_PRIMES = (2, 3, 5)
+# The two wheels, (W, its primes, the least base prime): a value prime to W
+# is a multiple of none of its primes, and every other base prime is at
+# least the next prime. _wheel chooses one from the forms.
+_WHEEL_30 = (30, (2, 3, 5), 7)
+_WHEEL_210 = (210, (2, 3, 5, 7), 11)
 # check_pair_range refuses a*x + b at or above this, and prime_windows a limit:
 # the base primes, up to the square root, would pass 2^25.
 _PAIR_TOP = 1 << 50
 
 # Strike rows of the base primes: (l, alpha, beta, n0) int64 arrays, and on
-# the progression c + 30*i of a class c, row k strikes the
-# i = beta[k] - c*alpha[k] (mod l[k]) with c + 30*i >= n0[k]. A string, as
+# the progression c + W*i of a class c, row k strikes the
+# i = beta[k] - c*alpha[k] (mod l[k]) with c + W*i >= n0[k]. A string, as
 # this module imports numpy only inside the functions that use it.
 _Rows = "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]"
 
 
+def _wheel(forms: list[tuple[int, int]]) -> tuple[int, tuple[int, ...], int]:
+    """The wheel of the forms, (W, its primes, the least base prime).
+
+    210 where the forms' values are multiples of 7 at two or more residues
+    n mod 7, as at n = 0 and n = 3 for [(1, 0), (2, 1)]: there 7 drops at
+    least 2/7 of the entries before any strike. Otherwise 30, whose 8
+    classes cost fewer per-class strikes than 48 would for the one residue
+    of the plain primes.
+    """
+    sevens = {r for a, b in forms for r in range(7) if (a * r + b) % 7 == 0}
+    return _WHEEL_210 if len(sevens) >= 2 else _WHEEL_30
+
+
 def _survivors(size: int, i0: int, rows: tuple[np.ndarray, ...] | None,
-               n0: int, least: int) -> np.ndarray:
-    """The n = n0 + 30*k >= least of a window's entries k, at i0 + k on its
-    class's progression, that rows leave unstruck (int64).
+               n0: int, least: int, wheel: int) -> np.ndarray:
+    """The n = n0 + wheel*k >= least of a window's entries k, at i0 + k on
+    its class's progression, that rows leave unstruck (int64).
 
     rows are the class's (l, j, start): row k strikes the i = j[k]
     (mod l[k]) with i >= start[k]. This is the one loop of the library that
@@ -139,12 +159,12 @@ def _survivors(size: int, i0: int, rows: tuple[np.ndarray, ...] | None,
             flags[k::step] = False
     ns = np.flatnonzero(flags)
     del flags
-    ns *= _WHEEL
+    ns *= wheel
     ns += n0
     return ns if n0 >= least else ns[np.searchsorted(ns, least):]
 
 
-def _form_rows(x: int, a: int, b: int, base: np.ndarray) -> _Rows:
+def _form_rows(x: int, a: int, b: int, base: np.ndarray, wheel: int) -> _Rows:
     """The strike rows (l, alpha, beta, n0) of the form (a, b), as _rows builds them."""
     import numpy as np
     top = a * x + b
@@ -156,18 +176,20 @@ def _form_rows(x: int, a: int, b: int, base: np.ndarray) -> _Rows:
     # one pow per prime: a numpy square-and-multiply took 29 ms against
     # 45-56 ms for the 108k primes of (2, 1) at 10^12, too little to pay
     # for its lines beside the pass
-    inverse = np.fromiter((pow(a * _WHEEL, -1, m) for m in l.tolist()),
+    inverse = np.fromiter((pow(a * wheel, -1, m) for m in l.tolist()),
                           dtype=np.int64, count=l.size)
     # each factor is below l, and l^2 <= a*x + b < 2^63
     return l, a % l * inverse % l, -(b % l) * inverse % l, n0[keep]
 
 
-def _rows(x: int, forms: list[tuple[int, int]], base: np.ndarray) -> _Rows:
-    """One set of strike rows for every form, from the base primes l >= 7, for n <= x.
+def _rows(x: int, forms: list[tuple[int, int]], base: np.ndarray,
+          wheel: int) -> _Rows:
+    """One set of strike rows for every form, from the base primes prime to
+    the wheel W, for n <= x.
 
     Form (a, b) strikes the n with l | a*n + b from n0, the first n with
-    a*n + b >= l^2, on: on class c, the i = -(a*c + b) / (30*a) (mod l),
-    which is beta - c*alpha with alpha = a / (30*a) and beta = -b / (30*a)
+    a*n + b >= l^2, on: on class c, the i = -(a*c + b) / (W*a) (mod l),
+    which is beta - c*alpha with alpha = a / (W*a) and beta = -b / (W*a)
     (mod l). Where l | a the row has modulus 1 if l | b, and there is none
     otherwise. base may hold the wheel primes, in any order. The forms'
     rows are joined one field at a time, and each form's array of a field
@@ -175,10 +197,10 @@ def _rows(x: int, forms: list[tuple[int, int]], base: np.ndarray) -> _Rows:
     than the forms' rows.
     """
     import numpy as np
-    base = base[_WHEEL % base > 0]
+    base = base[wheel % base > 0]
     fields = ([], [], [], [])  # each form's l, alpha, beta and n0
     for a, b in forms:
-        for field, array in zip(fields, _form_rows(x, a, b, base)):
+        for field, array in zip(fields, _form_rows(x, a, b, base, wheel)):
             field.append(array)
     joined = []
     for field in fields:
@@ -190,43 +212,48 @@ def _rows(x: int, forms: list[tuple[int, int]], base: np.ndarray) -> _Rows:
 def _sieve(x: int, forms: list[tuple[int, int]], window: int) -> Iterator[np.ndarray]:
     """The n <= x at which every form a*n + b is prime, as ascending int64 arrays.
 
-    The first array holds the n that the wheel decides apart, those with a
-    form value that is 2, 3 or 5; is_prime proves their other values. Then
-    come the classes c mod 30 with every a*c + b prime to 30, one class at
-    a time, each a segmented sieve of its progression n = c + 30*i: its
-    window k holds the n with i0 + k*window <= i < i0 + (k+1)*window and
-    n <= x, i0 = least // 30, where least is the first n at which every
-    value is >= 2, and each window of the class gives one array, empty or
-    not. Where no class is admissible, the first array is the whole stream,
-    and no base prime is read; where every value is below 7^2, no base
-    prime or row is built either, and the classes are left unstruck. A
-    window is struck only when its array is asked for, and the generator
-    keeps no name on an array it has yielded: besides the caller's array,
-    only the base primes, their rows, and one class's rows and flags are in
-    memory.
+    The sieve runs on the forms' wheel W (_wheel): 210 for a pair sieve
+    such as [(1, 0), (2, 1)], which admits 15 of its classes, and 30 for
+    the plain primes. The first array holds the n that the wheel decides apart,
+    those with a form value that is a wheel prime, 2, 3, 5 or, on 210, 7;
+    is_prime proves their other values. Then come the classes c mod W with
+    every a*c + b prime to W, one class at a time, each a segmented sieve
+    of its progression n = c + W*i: its window k holds the n with
+    i0 + k*window <= i < i0 + (k+1)*window and n <= x, i0 = least // W,
+    where least is the first n at which every value is >= 2, and each
+    window of the class gives one array, empty or not. Where no class is
+    admissible, the first array is the whole stream, and no base prime is
+    read; where every value is below the square of the least base prime, 7
+    or 11, no base prime or row is built either, and the classes are left
+    unstruck. A window is struck only when its array is asked for, and the
+    generator keeps no name on an array it has yielded: besides the
+    caller's array, only the base primes, their rows, and one class's rows
+    and flags are in memory.
     """
     import numpy as np
+    wheel, wheel_primes, least_base = _wheel(forms)
     least = max(-((b - 2) // a) for a, b in forms)  # each value is >= 2 from it on
-    classes = range(_WHEEL)
+    classes = range(wheel)
     for a, b in forms:
-        classes = [c for c in classes if math.gcd(a * c + b, _WHEEL) == 1]
+        classes = [c for c in classes if math.gcd(a * c + b, wheel) == 1]
     root = math.isqrt(max(a * x + b for a, b in forms))
-    # no rows where no base prime >= 7 is up to root; no base prime is read
+    # no rows where no base prime is up to root; no base prime is read
     # where no class is admissible
-    rows = _rows(x, forms, _primes(root)) if classes and root >= 7 else None
-    apart = {(q - b) // a for a, b in forms for q in _WHEEL_PRIMES if (q - b) % a == 0}
+    rows = (_rows(x, forms, _primes(root), wheel)
+            if classes and root >= least_base else None)
+    apart = {(q - b) // a for a, b in forms for q in wheel_primes if (q - b) % a == 0}
     yield np.array(sorted(n for n in apart if least <= n <= x and all(
-        a * n + b in _WHEEL_PRIMES or is_prime(a * n + b) for a, b in forms)),
+        a * n + b in wheel_primes or is_prime(a * n + b) for a, b in forms)),
         dtype=np.int64)
     for c in classes:
         on_class = None  # the last class's rows go before c's are built
-        if rows is not None:  # (l, j, start) on c + 30*i, j = beta - c*alpha
+        if rows is not None:  # (l, j, start) on c + W*i, j = beta - c*alpha
             l, alpha, beta, n0 = rows
-            on_class = l, (beta - c * alpha) % l, -((c - n0) // _WHEEL)
-        end = (x - c) // _WHEEL + 1
-        for i0 in range(least // _WHEEL, end, window):
-            yield _survivors(min(window, end - i0), i0, on_class, c + _WHEEL * i0,
-                             least)
+            on_class = l, (beta - c * alpha) % l, -((c - n0) // wheel)
+        end = (x - c) // wheel + 1
+        for i0 in range(least // wheel, end, window):
+            yield _survivors(min(window, end - i0), i0, on_class, c + wheel * i0,
+                             least, wheel)
 
 
 def prime_windows(limit: int) -> Iterator[np.ndarray]:
@@ -311,11 +338,12 @@ def check_pair_range(x: int, a: int, b: int) -> None:
 def pair_windows(x: int, a: int = 2, b: int = 1) -> Iterator[np.ndarray]:
     """The primes p <= x with a*p + b prime, as a stream of ascending int64 arrays.
 
-    The sieve of the forms n and a*n + b on the wheel 30: it sieves only the
-    classes c mod 30 with c and a*c + b prime to 30, 3 of the 30 for (2, 1).
-    The wheel primes, and the n whose companion is one, come first as one
-    array; then come the pairs class by class, each class window by window,
-    and each pair is in one of the arrays. Besides the array the caller
+    The sieve of the forms n and a*n + b on their wheel W, 210 where their
+    values are multiples of 7 at two or more n mod 7, and 30 otherwise: it
+    sieves only the classes c mod W with c and a*c + b prime to W, 15 of
+    the 210 for (2, 1). The wheel primes, and the n whose companion is one,
+    come first as one array; then come the pairs class by class, each class
+    window by window, and each pair is in one of the arrays. Besides the array the caller
     holds, only the base primes up to sqrt(max(x, a*x + b)), their rows,
     and one class's rows and flags are in memory. The input is checked
     (check_pair_range) before the first array.

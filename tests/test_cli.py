@@ -690,7 +690,8 @@ def test_theorem_4p1_proves_each_prime_once_outside_the_sieve(monkeypatch, capsy
     assert len(rows) == 7422
     assert len(in_primroot) == 2 * 7422
     # the pair sieve proves only the companions of the wheel primes 2, 3, 5
-    assert sorted(in_sieve) == [(9,), (13,), (21,)]
+    # and, on the wheel 210 of the forms n and 4n + 1, 7
+    assert sorted(in_sieve) == [(9,), (13,), (21,), (29,)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from germain_lab import sieve
@@ -300,16 +303,56 @@ def test_pair_sieve_with_slopes_divisible_by_2_3_and_5(a, b, monkeypatch):
             _pairs_by_trial_division(3000, a, b)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(a=st.one_of(st.integers(1, 30), st.sampled_from([7, 14, 21, 35, 49, 70, 210])),
+       b=st.one_of(st.integers(-60, 60), st.integers(-12, 12).map(lambda k: 7 * k)),
+       x=st.integers(2, 2500), window=st.sampled_from([1, 5, 37, 1 << 20]))
+@example(a=1, b=4, x=3, window=1 << 20)     # the companion 7 of n = 3
+@example(a=1, b=4, x=2500, window=37)
+@example(a=14, b=3, x=2500, window=5)      # 7 | a: 7 divides no companion
+@example(a=2, b=-21, x=2500, window=1)     # 7 | b: n = 0 (mod 7) alone
+@example(a=7, b=-70, x=1000, window=37)    # both: only the companion 7, at 11
+@example(a=2, b=-1, x=60, window=1 << 20)  # values up to 119 need no row on 210
+def test_pair_sieve_against_trial_division(a, b, x, window):
+    # the wheel follows the forms: 210 where the values are multiples of 7
+    # at two or more n mod 7, 30 otherwise, and the first array holds the n
+    # with a companion that is a wheel prime
+    with mock.patch.object(sieve, "PAIR_WINDOW", window):
+        got = sieve.pair_primes(x, a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == _pairs_by_trial_division(x, a, b)
+
+
+@pytest.mark.parametrize("stream,forms,wheel,classes", [
+    (sieve.prime_windows, [(1, 0)], 30, 8),
+    (lambda x: sieve.pair_windows(x, 2, 1), [(1, 0), (2, 1)], 210, 15),
+])
+def test_plain_primes_keep_8_classes_mod_30_and_germain_pairs_take_15_mod_210(
+        stream, forms, wheel, classes):
+    # one window per class at 10^4: after the first array, each array is
+    # one class c mod the wheel with every a*c + b prime to it, ascending
+    first, *arrays = stream(10 ** 4)
+    assert first.tolist() == [2, 3, 5]
+    residues = [set((array % wheel).tolist()) for array in arrays]
+    assert all(len(r) == 1 for r in residues)
+    want = [c for c in range(wheel)
+            if all(math.gcd(a * c + b, wheel) == 1 for a, b in forms)]
+    assert len(want) == classes
+    assert [r.pop() for r in residues] == want
+
+
 @pytest.mark.parametrize("window", [1, 37, 256])
 def test_pair_sieve_at_window_edges(window, monkeypatch):
-    # a window of the pair sieve holds window integers of each class mod 30,
-    # so its boundaries are at multiples of 30 * window
+    # a window of the pair sieve holds window integers of each class mod
+    # its wheel, 210 for each of these forms, so its boundaries are at
+    # multiples of 210 * window
     monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
-    edges = {30 * window * k + d for k in (1, 2, 3) for d in range(-2, 3)}
+    edges = {210 * window * k + d for k in (1, 2, 3) for d in range(-2, 3)}
     top = max(edges)
     for a, b in [(2, 1), (4, 3), (2, -1)]:
+        assert sieve._wheel([(1, 0), (a, b)])[0] == 210
         expected = _pairs_by_trial_division(top, a, b)
-        for x in sorted(edges | {2, 3, 5, 29, 30, 31}):
+        for x in sorted(edges | {2, 3, 5, 7, 29, 30, 31, 209, 210, 211}):
             got = sieve.pair_primes(x, a, b)
             assert got.dtype == np.int64
             assert got.tolist() == [p for p in expected if p <= x]

@@ -251,13 +251,15 @@ def test_terms_outside_the_slice_range_are_refused(bad):
             PrefixSums(1).add([np.array(t)], [len(t)])
 
 
-XS = [2, 3, 29, 30, 31, 1109, 1110, 1111, 3000, 7679, 7680, 7681, 10 ** 4]
+XS = [2, 3, 29, 30, 31, 209, 210, 211, 1109, 1110, 1111, 3000, 7679, 7680, 7681,
+      7769, 7770, 7771, 10 ** 4]
 
 
 @pytest.mark.parametrize("window", [1, 37, 256])
 @pytest.mark.parametrize("a,b", [(2, 1), (4, 3), (2, -1), (1, -29)])
 def test_pair_sums_equal_the_prefix_fsums(window, a, b, monkeypatch):
-    # the checkpoints sit on and beside window edges: 30 * window * k
+    # the checkpoints sit on and beside window edges: W * window * k, on the
+    # pair sieve's wheel W = 210 for each of these forms, and on 30
     monkeypatch.setattr(sieve, "PAIR_WINDOW", window)
     assert pair_sums(XS, a, b) == oracles.pair_sums_prefix(XS, a, b)
 
@@ -265,14 +267,15 @@ def test_pair_sums_equal_the_prefix_fsums(window, a, b, monkeypatch):
 def test_pair_sums_add_once_per_slice_of_the_pass_and_per_prime_power_group(
         monkeypatch):
     # psi_g's and psi0's terms of a slice are the two groups of one stream,
-    # added together: 34 slices of the pass over the default grid, and one
-    # add per group of prime powers and companions, where a stream per sum
-    # took 72 adds
+    # added together: 31 slices of the pass over the default grid (the
+    # first array, then two slices for each of the 15 classes mod 210, each
+    # of about 28k pairs), and one add per group of prime powers and
+    # companions, where a stream per sum took 72 adds
     calls, add = [], PrefixSums.add
     monkeypatch.setattr(PrefixSums, "add", lambda self, ts, cuts:
                         calls.append(len(ts)) or add(self, ts, cuts))
     pair_sums(cli.DEFAULT_TREND_GRID)
-    assert len(calls) == 36
+    assert len(calls) == 33
     assert set(calls) == {2}
 
 
@@ -287,10 +290,12 @@ def test_reciprocal_sums_equal_the_prefix_fsums(window, monkeypatch, c2_1e6):
 @given(window=st.sampled_from([1, 2, 5, 37]), a=st.integers(1, 6),
        b=st.integers(-7, 7), data=st.data())
 def test_class_windows_reduce_to_the_merged_prefix_fsums(window, a, b, data, c2_1e6):
-    # checkpoints inside, at and across the window edges 30 * window * k, and
-    # anywhere between, where they cut each class array at its own place
-    edges = st.builds(lambda k, d: max(1, 30 * window * k + d),
-                      st.integers(0, 4), st.integers(-31, 31))
+    # checkpoints inside, at and across the window edges W * window * k, on
+    # the pair sieve's wheel W, and anywhere between, where they cut each
+    # class array at its own place
+    wheel = sieve._wheel([(1, 0), (a, b)])[0]
+    edges = st.builds(lambda k, d: max(1, wheel * window * k + d),
+                      st.integers(0, 4), st.integers(-wheel - 1, wheel + 1))
     xs = sorted(data.draw(st.sets(st.one_of(edges, st.integers(1, 150 * window)),
                                   min_size=1, max_size=6)))
     ys = [x for x in xs if x >= 2]  # the reciprocal sums start at 2
