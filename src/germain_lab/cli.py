@@ -13,26 +13,26 @@ main sets OPENBLAS_NUM_THREADS=1 before any handler imports numpy, and
 numpy's OpenBLAS starts no worker thread. Importing this module or the
 package leaves the environment alone, as a library caller may use BLAS.
 
-Importing this module and building the parser load argparse, and typing
-for the NamedTuples, and nothing that only some command needs. The parser
-holds each command's name and help; a command's flags are added to its
-parser when that parser first parses, so a run adds only its own. Each
-handler imports the layers it reads when it runs, and numpy loads on the
-first sieve or array call. So these never load it: a usage error, the
---threads refusal, the sieve-capacity refusal of census, hl-compare and
-reciprocal-sum, every primroot refusal, the sums --method that does not
-apply to its --formula, the large-sieve --trials and --seed of a
-deterministic sequence, table-errata and primroot --fermat. The other
-refusals do, as their caps live in layers that import numpy when they
-load (counting, sums, progressions, constants). The rest
-loads where it is used: json when a JSON report or error record is
-written, decimal when parse_exact_int parses a flag. Command and _OneOf are
-NamedTuples, as is every record of the library: dataclasses would import
-inspect. This module, reports and the package's __init__ do without
+Importing this module and building the parser load argparse, and typing for
+the NamedTuples, and nothing that only some command needs. The parser holds
+each command's name and help; a command's flags are added to its parser
+when that parser first parses, so a run adds only its own. A handler checks
+the caps that only the CLI reads, kept beside it, then imports the layers
+it reads; numpy loads on the first sieve or array call. So these never load
+it: a usage error, the --threads refusal, the sieve-capacity refusal of
+census, hl-compare and reciprocal-sum, every primroot refusal, the caps of
+large-sieve and ap-census, the sums --method that does not apply to its
+--formula, the large-sieve --trials and --seed of a deterministic sequence,
+table-errata and primroot --fermat. The other refusals do, as their caps
+live in the layers that enforce them, which import numpy when they load
+(counting, sums, progressions, constants). The rest loads where it is used:
+json when a JSON report or error record is written, decimal when
+parse_exact_int parses a flag. Command and _OneOf are NamedTuples, as is
+every record of the library: dataclasses would import inspect. This module,
+reports and the package's __init__ do without
 `from __future__ import annotations`, which imports the __future__ module.
-FORMULAS, the table of the `sums` report's formulas and methods, lives
-here beside the `sums` command, so that its --formula choices need no
-layer.
+FORMULAS, the table of the `sums` report's formulas and methods, lives here
+beside the `sums` command, so that its --formula choices need no layer.
 """
 
 import argparse
@@ -168,13 +168,20 @@ def _cmd_hl_compare(args: argparse.Namespace):
     return header, rows, 0
 
 
+# Most rows of one ap-census report, q per checkpoint, each held in Python
+# until the report is written. On a 2-core Xeon, 10^5 rows took 1.3-2.4 s
+# and 174-204 MB as JSON; 10^6 took 6.8 s and 345 MB as CSV, 16 s and
+# 1.5 GB as JSON.
+AP_CENSUS_ROWS_CAP = 100_000
+
+
 def _cmd_ap_census(args: argparse.Namespace):
-    from . import progressions
     q, xs = args.q, args.x_checkpoints
-    if q * len(xs) > progressions.AP_CENSUS_ROWS_CAP:
+    if q * len(xs) > AP_CENSUS_ROWS_CAP:
         raise CliError(f"--q {q} and --x make {q * len(xs)} rows, q per checkpoint, "
-                       f"above the cap {progressions.AP_CENSUS_ROWS_CAP}: each "
+                       f"above the cap {AP_CENSUS_ROWS_CAP}: each "
                        "row is held in Python until the report is written")
+    from . import progressions
     if args.weighted:
         header = ["x", "q", "a", "value", "expected", "residual"]
         rows = [[r.x, r.q, r.a, r.value, "" if r.expected is None else r.expected,
@@ -246,6 +253,14 @@ def _cmd_twisted_sums(args: argparse.Namespace):
     return header, rows, 0
 
 
+# The large-sieve check's admission caps. On a 2-core Xeon, --x 2e6 peaked
+# at 60 MB RSS (61 MB with the primes sequence), and 10^9 class updates
+# (x * Q per trial) took 1.0 s at --x 2e6 --Q 500 and 1.8-2.0 s at --x 1e5
+# --Q 100 --sequence random --trials 100.
+LARGE_SIEVE_X_CAP = 2_000_000
+LARGE_SIEVE_OPS_CAP = 10 ** 9
+
+
 def _cmd_large_sieve(args: argparse.Namespace):
     x, kind, trials = args.x, args.sequence, args.trials
     if kind != "random":
@@ -255,15 +270,15 @@ def _cmd_large_sieve(args: argparse.Namespace):
                            f"--sequence {kind}, which is deterministic; it "
                            f"takes --trials 1")
         _refuse_unread(args, {"seed"}, f"large-sieve --sequence {kind}")
-    from . import progressions
-    if x > progressions.LARGE_SIEVE_X_CAP:
-        raise CliError(f"--x {x} is above the cap {progressions.LARGE_SIEVE_X_CAP}: "
+    if x > LARGE_SIEVE_X_CAP:
+        raise CliError(f"--x {x} is above the cap {LARGE_SIEVE_X_CAP}: "
                        "the check holds about 16 bytes per integer")
     updates = x * args.Q * trials
-    if updates > progressions.LARGE_SIEVE_OPS_CAP:
+    if updates > LARGE_SIEVE_OPS_CAP:
         raise CliError(f"--x {x} --Q {args.Q} --trials {trials} make {updates} class "
-                       f"updates, above the cap {progressions.LARGE_SIEVE_OPS_CAP}: "
+                       f"updates, above the cap {LARGE_SIEVE_OPS_CAP}: "
                        "each trial updates x classes for every modulus up to Q")
+    from . import progressions
     header = ["x", "Q", "sequence", "seed", "lhs", "rhs", "slack"]
     rows = []
     bad = 0
@@ -283,29 +298,44 @@ def _cmd_large_sieve(args: argparse.Namespace):
     return header, rows, 0 if bad == 0 else 1
 
 
+# Largest limit of the theorem-4p1 and short-test sweeps. At the cap the
+# theorem-4p1 sweep took 1.7 s, 47 MB and the short test, at 20 trials,
+# 15.4 s, 72 MB (2-core Xeon, Python 3.11, numpy 2.4); SHORT_TEST_BUDGET
+# admits it with one trial.
+SWEEP_CAP = 10 ** 7
+# Largest --trials of the fermat and short-test sweeps, which hold the bases
+# of a modulus and their certificates, about 300 bytes a trial. On one
+# modulus 10^5 trials took 0.6 s and 47-60 MB, 10^6 trials 5.3-7.1 s and
+# 322-336 MB (2-core Xeon, Python 3.11).
+TRIALS_CAP = 10 ** 5
+# Largest --limit times --trials of the short-test sweep, whose time grows
+# with the moduli below the limit times the trials. At the budget
+# --limit 100 --trials 1e5 took 9.2 s and 90 MB, --limit 1e3 --trials 1e4
+# 4.5 s and --limit 1e7 --trials 1 6.1 s (2-core Xeon, Python 3.11).
+SHORT_TEST_BUDGET = 10 ** 7
 # the flags each primroot mode reads; short-test reads all three
 _PRIMROOT_READS = {"theorem-4p1": {"limit"}, "fermat": {"trials", "seed"},
                    "short-test": {"limit", "trials", "seed"}}
 
 
 def _cmd_primroot(args: argparse.Namespace):
-    from . import primroot, sieve
     mode, limit, trials = args.mode, args.limit, args.trials
     _refuse_unread(args, _PRIMROOT_READS["short-test"] - _PRIMROOT_READS[mode],
                    f"primroot --{mode}")
     if "seed" in _PRIMROOT_READS[mode] and args.seed < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed}: random.Random "
                        f"would seed it as {-args.seed}")
-    if "limit" in _PRIMROOT_READS[mode] and limit > primroot.SWEEP_CAP:
-        raise CliError(f"--limit {limit} is above the cap {primroot.SWEEP_CAP}: "
+    if "limit" in _PRIMROOT_READS[mode] and limit > SWEEP_CAP:
+        raise CliError(f"--limit {limit} is above the cap {SWEEP_CAP}: "
                        f"the {mode} sweep tests every prime up to it in Python")
-    if "trials" in _PRIMROOT_READS[mode] and trials > primroot.TRIALS_CAP:
-        raise CliError(f"--trials {trials} is above the cap {primroot.TRIALS_CAP}: "
+    if "trials" in _PRIMROOT_READS[mode] and trials > TRIALS_CAP:
+        raise CliError(f"--trials {trials} is above the cap {TRIALS_CAP}: "
                        f"the {mode} sweep holds every base of a modulus in Python")
-    if mode == "short-test" and limit * trials > primroot.SHORT_TEST_BUDGET:
+    if mode == "short-test" and limit * trials > SHORT_TEST_BUDGET:
         raise CliError(f"--limit {limit} times --trials {trials} is {limit * trials}, "
-                       f"above the budget {primroot.SHORT_TEST_BUDGET}: the short-test "
+                       f"above the budget {SHORT_TEST_BUDGET}: the short-test "
                        f"sweep tests every base of every modulus in Python")
+    from . import primroot, sieve
     if mode == "theorem-4p1":
         _require_limit(limit, 3)  # the first pair is (3, 13)
         header = ["p", "q", "two_generates"]

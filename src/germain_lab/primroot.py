@@ -25,21 +25,6 @@ from .arith import factorize
 from .sieve import is_prime, primes_upto
 
 FERMAT_PRIMES = (3, 5, 17, 257, 65537)
-# Largest limit of the theorem-4p1 and short-test sweeps. At the cap the
-# theorem-4p1 sweep took 1.7 s, 47 MB and the short test, at 20 trials,
-# 15.4 s, 72 MB (2-core Xeon, Python 3.11, numpy 2.4); SHORT_TEST_BUDGET
-# admits it with one trial.
-SWEEP_CAP = 10 ** 7
-# Largest --trials of the fermat and short-test sweeps, which hold the bases
-# of a modulus and their certificates, about 300 bytes a trial. On one
-# modulus 10^5 trials took 0.6 s and 47-60 MB, 10^6 trials 5.3-7.1 s and
-# 322-336 MB (2-core Xeon, Python 3.11).
-TRIALS_CAP = 10 ** 5
-# Largest --limit times --trials of the short-test sweep, whose time grows
-# with the moduli below the limit times the trials. At the budget
-# --limit 100 --trials 1e5 took 9.2 s and 90 MB, --limit 1e3 --trials 1e4
-# 4.5 s and --limit 1e7 --trials 1 6.1 s (2-core Xeon, Python 3.11).
-SHORT_TEST_BUDGET = 10 ** 7
 
 # Claimed (p, 4p+1) rows as published; reproduce_pair_table recomputes 4p+1
 # and checks primality of the claimed entry, flagging disagreements.

@@ -30,18 +30,6 @@ from .arith import totient
 from .sieve import prime_powers, prime_windows, primes_upto
 from .summation import PrefixSums, checkpoint_keys, chunks, exact_sum
 
-
-# The large-sieve check's admission caps. On a 2-core Xeon, --x 2e6 peaked
-# at 60 MB RSS (61 MB with the primes sequence), and 10^9 class updates
-# (x * Q per trial) took 1.0 s at --x 2e6 --Q 500 and 1.8-2.0 s at --x 1e5
-# --Q 100 --sequence random --trials 100.
-LARGE_SIEVE_X_CAP = 2_000_000
-LARGE_SIEVE_OPS_CAP = 10 ** 9
-# Most rows of one ap-census report, q per checkpoint, each held in Python
-# until the report is written. On a 2-core Xeon, 10^5 rows took 1.3-2.4 s
-# and 174-204 MB as JSON; 10^6 took 6.8 s and 345 MB as CSV, 16 s and
-# 1.5 GB as JSON.
-AP_CENSUS_ROWS_CAP = 100_000
 # Largest checkpoint of chebyshev_ap, kept as a bound on time: its memory is
 # one sieve window's, whatever x is. On a 2-core Xeon, ap-census --weighted
 # --x 1e8 took 0.78-0.79 s at 32.4 MB peak RSS with --q 3, and 1.9-2.3 s at

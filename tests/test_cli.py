@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from germain_lab import (arith, constants, counting, primroot, progressions, sieve,
-                         sums)
+from germain_lab import (arith, cli, constants, counting, primroot, progressions,
+                         sieve, sums)
 from germain_lab.cli import (COMMANDS, _OneOf, main, parse_exact_int,
                              parse_int_list)
 from germain_lab.counting import pair_sums
@@ -520,7 +520,7 @@ def test_primroot_limit_above_cap_is_refused_before_any_sieve(mode, monkeypatch,
     for module, name in ((sieve, "pair_primes"), (sieve, "primes_upto"),
                          (primroot, "primes_upto")):
         monkeypatch.setattr(module, name, no_sieve)
-    cap = primroot.SWEEP_CAP
+    cap = cli.SWEEP_CAP
     for limit in (cap + 1, 10 ** 13):
         assert main(["primroot", f"--{mode}", "--limit", str(limit)]) == 1
         captured = capsys.readouterr()
@@ -558,7 +558,7 @@ def test_primroot_trials_above_cap_are_refused_before_any_base(mode, monkeypatch
                          (primroot, "primitive_root_test"),
                          (primroot, "fermat_nonresidue_check"), (random, "Random")):
         monkeypatch.setattr(module, name, no_work)
-    cap = primroot.TRIALS_CAP
+    cap = cli.TRIALS_CAP
     for trials in (cap + 1, 10 ** 9):
         assert main(["primroot", f"--{mode}", "--trials", str(trials)]) == 1
         captured = capsys.readouterr()
@@ -591,7 +591,7 @@ def test_short_test_above_its_budget_is_refused_before_any_base(monkeypatch, cap
                          (primroot, "germain_moduli_upto"),
                          (primroot, "primitive_root_test"), (random, "Random")):
         monkeypatch.setattr(module, name, no_work)
-    budget = primroot.SHORT_TEST_BUDGET
+    budget = cli.SHORT_TEST_BUDGET
     # both under their own caps, their product above the budget
     for limit, trials in ((10 ** 7, 10 ** 5), (10 ** 5, 101), (10 ** 7, 2)):
         argv = ["primroot", "--short-test", "--limit", str(limit),
@@ -625,7 +625,7 @@ def test_large_sieve_above_its_caps_is_refused_before_any_sequence(monkeypatch,
     for name in ("ones_sequence", "prime_indicator_sequence",
                  "random_sign_sequence", "large_sieve_check"):
         monkeypatch.setattr(progressions, name, no_work)
-    x_cap, ops_cap = progressions.LARGE_SIEVE_X_CAP, progressions.LARGE_SIEVE_OPS_CAP
+    x_cap, ops_cap = cli.LARGE_SIEVE_X_CAP, cli.LARGE_SIEVE_OPS_CAP
     for argv, x, Q, trials in ((f"--x {x_cap + 1}", x_cap + 1, 30, 1),
                                ("--x 1e100 --sequence primes", 10 ** 100, 30, 1),
                                (f"--x {x_cap} --Q 501", x_cap, 501, 1),
@@ -939,7 +939,7 @@ def test_ap_census_above_its_row_cap_is_refused_before_any_row(monkeypatch,
                          (progressions, "prime_powers"),
                          (progressions, "count_ap"), (progressions, "chebyshev_ap")):
         monkeypatch.setattr(module, name, no_work)
-    cap = progressions.AP_CENSUS_ROWS_CAP
+    cap = cli.AP_CENSUS_ROWS_CAP
     for xs, q in (("10", cap + 1), ("10", 10 ** 9), ("10,100", cap // 2 + 1),
                   ("1e3,1e4,1e5", cap)):
         count = len(xs.split(","))

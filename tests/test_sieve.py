@@ -323,22 +323,35 @@ def test_pair_sieve_against_trial_division(a, b, x, window):
     assert got.tolist() == _pairs_by_trial_division(x, a, b)
 
 
-@pytest.mark.parametrize("stream,forms,wheel,classes", [
-    (sieve.prime_windows, [(1, 0)], 30, 8),
-    (lambda x: sieve.pair_windows(x, 2, 1), [(1, 0), (2, 1)], 210, 15),
-])
-def test_plain_primes_keep_8_classes_mod_30_and_germain_pairs_take_15_mod_210(
-        stream, forms, wheel, classes):
-    # one window per class at 10^4: after the first array, each array is
-    # one class c mod the wheel with every a*c + b prime to it, ascending
+def _first_of_one_array_per_class(stream, forms, wheel, classes):
+    """The first array of stream(10^4), as a list, once each array after it
+    is checked to be one class c mod the wheel with every a*c + b prime to
+    it, in ascending order of c: one window per class at 10^4."""
     first, *arrays = stream(10 ** 4)
-    assert first.tolist() == [2, 3, 5]
     residues = [set((array % wheel).tolist()) for array in arrays]
     assert all(len(r) == 1 for r in residues)
     want = [c for c in range(wheel)
             if all(math.gcd(a * c + b, wheel) == 1 for a, b in forms)]
     assert len(want) == classes
     assert [r.pop() for r in residues] == want
+    return first.tolist()
+
+
+@pytest.mark.parametrize("stream,forms,wheel,classes", [
+    (sieve.prime_windows, [(1, 0)], 30, 8),
+    (lambda x: sieve.pair_windows(x, 2, 1), [(1, 0), (2, 1)], 210, 15),
+])
+def test_plain_primes_keep_8_classes_mod_30_and_germain_pairs_take_15_mod_210(
+        stream, forms, wheel, classes):
+    assert _first_of_one_array_per_class(stream, forms, wheel, classes) == [2, 3, 5]
+
+
+@pytest.mark.parametrize("a,b,apart", [(14, 3, [2, 5]), (2, -21, [13])])
+def test_pair_forms_with_one_root_mod_7_keep_6_classes_mod_30(a, b, apart):
+    # 7 | a or 7 | b: the values are multiples of 7 at n = 0 (mod 7) alone,
+    # the wheel's second branch; apart holds the n with a value in 2, 3, 5
+    stream = lambda x: sieve.pair_windows(x, a, b)
+    assert _first_of_one_array_per_class(stream, [(1, 0), (a, b)], 30, 6) == apart
 
 
 @pytest.mark.parametrize("window", [1, 37, 256])

@@ -75,6 +75,8 @@ _FLAG_REFUSALS = (
                              "'--trials', '2'])"),
     ("large-sieve --seed", "cli.main(['large-sieve', '--sequence', 'primes', "
                            "'--seed', '3'])"),
+    ("large-sieve --x", "cli.main(['large-sieve', '--x', '3e6'])"),
+    ("ap-census --q", "cli.main(['ap-census', '--x', '1e6', '--q', '200000'])"),
 )
 
 

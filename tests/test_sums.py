@@ -64,9 +64,11 @@ def test_identity_residual_rows_refuse_top_above_the_cap_before_the_table(
 
 
 def test_gcd_rows_from_divisors_equal_np_gcd():
-    n = np.arange(1, sums.BRUTE_CAP + 1)
-    for m in range(1, sums.BRUTE_CAP + 1):
-        row = sums._gcd_row(m, sums.BRUTE_CAP)
+    # the range of both callers: the brute double sums' and the identity rows'
+    top = max(sums.BRUTE_CAP, sums.IDENTITY_CAP)
+    n = np.arange(1, top + 1)
+    for m in range(1, top + 1):
+        row = sums._gcd_row(m, top)
         assert row.dtype == np.int64
         assert np.array_equal(row, np.gcd(m, n)), m
 
